@@ -18,12 +18,21 @@ from .harness import (
     NOMINAL_PARAMS,
     RobustnessConfig,
     ScenarioConfig,
-    nominal_controller,
     run_robustness,
     run_scenario,
 )
 from .model import BioParams, ParamError, capacity_from_E_bar, persistence_equilibrium, validate_params
 from .verify import AUDIT_CHECKS, audit_grid
+
+
+def _value(section: str, mapping: dict, key: str, default=None, convert=float):
+    """``mapping[key]`` converted, or ``default`` when absent; a bad value is a ConfigError."""
+    if key not in mapping:
+        return default
+    try:
+        return convert(mapping[key])
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: invalid value {mapping[key]!r}") from None
 
 
 def _load(path):
@@ -36,7 +45,7 @@ def _load(path):
     kwargs = {}
     for key in ("F_hat", "F_hat_ratio", "eps", "eta", "rho", "F2"):
         if key in ctrl:
-            kwargs[key] = float(ctrl[key])
+            kwargs[key] = _value("controller", ctrl, key)
     if "cutoff_kind" in ctrl:
         kwargs["cutoff_kind"] = ctrl["cutoff_kind"]
     if not any(k in kwargs for k in ("F_hat", "F_hat_ratio", "eps")):
@@ -50,37 +59,38 @@ def _load(path):
 
 def _initial_from_sim(sim: dict, p: BioParams, model: str):
     eq = persistence_equilibrium(p)
-    if "F0" in sim:
-        F0 = float(sim["F0"])
-    elif "F0_ratio" in sim:
-        F0 = float(sim["F0_ratio"]) * eq.F_bar
-    else:
-        F0 = eq.F_bar
-    Ms0 = float(sim.get("Ms0", 0.0))
+    F0 = _value("sim", sim, "F0", _value("sim", sim, "F0_ratio", 1.0) * eq.F_bar)
+    Ms0 = _value("sim", sim, "Ms0", 0.0)
     if model == "reduced":
         return (F0, Ms0)
-    E0 = float(sim.get("E0", eq.E_bar))
-    M0 = float(sim.get("M0", eq.M_bar))
-    return (E0, M0, F0, Ms0)
+    return (_value("sim", sim, "E0", eq.E_bar), _value("sim", sim, "M0", eq.M_bar), F0, Ms0)
 
 
 def _scenario_from_config(path, args) -> ScenarioConfig:
     p, cfg, variant, sim = _load(path)
     model = args.model or sim.get("model", "reduced")
-    variant = args.variant or variant
-    return ScenarioConfig(
+    scenario = ScenarioConfig(
         name=Path(path).stem,
         params=p,
         controller=cfg,
-        variant=variant,
+        variant=args.variant or variant,
         model=model,
         initial=_initial_from_sim(sim, p, model),
-        t_end=args.t_end if args.t_end is not None else float(sim.get("t_end", 2000.0)),
-        dt=args.dt if args.dt is not None else float(sim.get("dt", 0.01)),
-        record_every=int(sim.get("record_every", 100)),
-        extinction_threshold=float(sim.get("extinction_threshold", DEFAULT_EXTINCTION_THRESHOLD)),
+        t_end=args.t_end if args.t_end is not None else _value("sim", sim, "t_end", 2000.0),
+        dt=args.dt if args.dt is not None else _value("sim", sim, "dt", 0.01),
+        record_every=_value("sim", sim, "record_every", 100, int),
+        extinction_threshold=_value("sim", sim, "extinction_threshold", DEFAULT_EXTINCTION_THRESHOLD),
         out_dir=Path(args.out) if getattr(args, "out", None) else None,
     )
+    try:
+        scenario.sim_spec()
+        if not scenario.extinction_threshold > 0.0:
+            raise ValueError("extinction_threshold must be positive")
+    except ControllerError:
+        raise
+    except ValueError as err:  # the message names the offending setting
+        raise ConfigError(f"[sim] {err}") from None
+    return scenario
 
 
 def cmd_equilibria(args) -> int:

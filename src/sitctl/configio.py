@@ -15,7 +15,7 @@ from .simulate import Trajectory
 
 CONTROLLER_KEYS = ("F_hat", "F_hat_ratio", "eps", "eta", "rho", "F2", "variant", "cutoff_kind")
 SIM_KEYS = (
-    "model", "t_end", "dt", "record_every", "clamp_tol",
+    "model", "t_end", "dt", "record_every",
     "F0", "F0_ratio", "Ms0", "E0", "M0", "extinction_threshold",
 )
 SECTION_KEYS = {"params": PARAM_KEYS, "controller": CONTROLLER_KEYS, "sim": SIM_KEYS}

@@ -6,12 +6,18 @@ compartment contract at rate delta_F - eps; the raw backstepping law
 sign-indefinite term via the second-quadrant-zeroed product ``cut2``;
 ``u_tilde`` gates the result with a smooth cutoff so the law is defined
 and nonnegative for arbitrarily large female densities.
+
+The composed functions broadcast over numpy arrays (scalar inputs give a
+float); :meth:`ControlLaw.evaluator` is the fused scalar version for the
+integration loop.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import BioParams, ParamError, alpha, dg_dMs, g, persistence_equilibrium, validate_params
+import numpy as np
+
+from .model import BioParams, _plain, alpha, dg_dMs, g, persistence_equilibrium, validate_params
 
 VARIANTS = ("none", "raw", "plus", "global")
 
@@ -129,7 +135,7 @@ def dms_star_dF(F: float, cfg: ControllerConfig, p: BioParams) -> float:
     return C * ((cfg.F_hat - 2.0 * F) * lin - 2.0 * p.beta_E * F * (cfg.F_hat - F)) / lin**3
 
 
-def pi(F: float, Ms: float, cfg: ControllerConfig, p: BioParams) -> float:
+def pi(F, Ms, cfg: ControllerConfig, p: BioParams):
     """Mismatch rate between actual and virtual recruitment, times F.
 
     Divided difference of g between Ms and ms_star(F) away from the
@@ -137,23 +143,23 @@ def pi(F: float, Ms: float, cfg: ControllerConfig, p: BioParams) -> float:
     whole nonnegative quadrant; 0 at the origin, where the derivative
     branch is undefined.
     """
-    if F == 0.0 and Ms == 0.0:
-        return 0.0
+    origin = (F == 0.0) & (Ms == 0.0)
     target = ms_star(F, cfg, p)
     gap = Ms - target
-    if abs(gap) > PI_SWITCH_TOL * max(1.0, abs(target)):
-        return (g(F, Ms, p) - cfg.eps * F) / gap * F
-    return dg_dMs(F, Ms, p) * F
+    with np.errstate(divide="ignore", invalid="ignore"):
+        divided = np.divide(g(F, Ms, p) - cfg.eps * F, gap) * F
+        # the origin is swapped for a harmless point; its value is discarded below
+        on_diagonal = dg_dMs(np.where(origin, 1.0, F), Ms, p) * F
+    off_diagonal = np.abs(gap) > PI_SWITCH_TOL * np.maximum(1.0, np.abs(target))
+    return _plain(np.where(origin, 0.0, np.where(off_diagonal, divided, on_diagonal)))
 
 
-def cut2(x: float, y: float) -> float:
+def cut2(x, y):
     """Product x*y zeroed on the open second quadrant (x < 0, y > 0)."""
-    if x < 0.0 and y > 0.0:
-        return 0.0
-    return x * y
+    return _plain(np.where((x < 0.0) & (y > 0.0), 0.0, x * y))
 
 
-def u_star(F: float, Ms: float, cfg: ControllerConfig, p: BioParams) -> float:
+def u_star(F, Ms, cfg: ControllerConfig, p: BioParams):
     """Raw backstepping release rate; may be negative in places."""
     gv = g(F, Ms, p)
     return (
@@ -164,7 +170,7 @@ def u_star(F: float, Ms: float, cfg: ControllerConfig, p: BioParams) -> float:
     )
 
 
-def u_star_plus(F: float, Ms: float, cfg: ControllerConfig, p: BioParams) -> float:
+def u_star_plus(F, Ms, cfg: ControllerConfig, p: BioParams):
     """Backstepping law with the sign-indefinite term clipped by cut2.
 
     Nonnegative on [0, F_hat] x R+ whenever eta lies in (delta_F, delta_s).
@@ -178,24 +184,22 @@ def u_star_plus(F: float, Ms: float, cfg: ControllerConfig, p: BioParams) -> flo
     )
 
 
-def chi(F: float, cfg: ControllerConfig) -> float:
+def chi(F, cfg: ControllerConfig):
     """Smooth nonincreasing gate: 1 below the knee F2, 0 above F_hat."""
-    if F <= cfg.F2:
-        return 1.0
-    if F >= cfg.F_hat:
-        return 0.0
     s = (F - cfg.F2) / (cfg.F_hat - cfg.F2)
     if cfg.cutoff_kind == "cubic":
-        return 1.0 - s * s * (3.0 - 2.0 * s)
-    return 1.0 - s**3 * (6.0 * s * s - 15.0 * s + 10.0)
+        ramp = 1.0 - s * s * (3.0 - 2.0 * s)
+    else:
+        ramp = 1.0 - s**3 * (6.0 * s * s - 15.0 * s + 10.0)
+    return _plain(np.where(F <= cfg.F2, 1.0, np.where(F >= cfg.F_hat, 0.0, ramp)))
 
 
-def u_tilde(F: float, Ms: float, cfg: ControllerConfig, p: BioParams) -> float:
+def u_tilde(F, Ms, cfg: ControllerConfig, p: BioParams):
     """Globally defined nonnegative law: the clipped controller gated by chi."""
     c = chi(F, cfg)
-    if c == 0.0:
-        return 0.0
-    return u_star_plus(F, Ms, cfg, p) * c
+    with np.errstate(invalid="ignore", over="ignore"):
+        gated = u_star_plus(F, Ms, cfg, p) * c
+    return _plain(np.where(c == 0.0, 0.0, gated))
 
 
 def sigma(F2: float, p: BioParams) -> float:

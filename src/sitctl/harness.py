@@ -12,16 +12,16 @@ resample rate is reported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .configio import ConfigError, params_from_mapping, write_trajectory_csv
+from .configio import ConfigError, write_trajectory_csv
 from .control import ControlLaw, ControllerConfig, sigma
 from .model import BioParams, ParamError, persistence_equilibrium, validate_params
 from .simulate import SimSpec, Trajectory, integrate, detect_extinction
-from .verify import DecayReport, control_budget, fit_decay_rate, verify_decay
+from .verify import DecayReport, control_budget, verify_decay
 
 #: Table of nominal biological rates used throughout the study.
 NOMINAL_PARAMS = BioParams(
@@ -92,6 +92,7 @@ class ScenarioConfig:
             t_end=self.t_end,
             dt=self.dt,
             record_every=self.record_every,
+            plant=plant,
         )
 
 
@@ -308,24 +309,13 @@ def _control_decreasing(traj: Trajectory) -> bool:
 def run_robustness(config: RobustnessConfig) -> RobustnessResult:
     """Drive perturbed plants with the unperturbed nominal law, trial by trial."""
     base = config.base
-    nominal_law = ControlLaw(variant=base.variant, config=base.controller, params=base.params)
     summaries = []
     total_draws = 0
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
         plant, tries = perturb_params(base.params, config.uncertainty, rng, config.perturb_set)
         total_draws += tries
-        # nominal feedback, perturbed plant dynamics
-        law = ControlLaw(variant=base.variant, config=base.controller, params=base.params)
-        spec = SimSpec(
-            model=base.model,
-            law=law,
-            initial=base.resolve_initial(),
-            t_end=base.t_end,
-            dt=base.dt,
-            record_every=base.record_every,
-        )
-        traj = _integrate_with_plant(spec, plant)
+        traj = integrate(base.sim_spec(plant))
         ext = detect_extinction(traj, base.extinction_threshold)
         summaries.append(
             TrialSummary(
@@ -346,39 +336,3 @@ def run_robustness(config: RobustnessConfig) -> RobustnessResult:
         n_decreasing=sum(s.control_decreasing for s in summaries),
         resample_rate=(total_draws - config.trials) / config.trials,
     )
-
-
-def _integrate_with_plant(spec: SimSpec, plant: BioParams) -> Trajectory:
-    """Integrate with the law's feedback but ``plant`` driving the dynamics."""
-    mismatched_law = ControlLaw(variant=spec.law.variant, config=spec.law.config, params=spec.law.params)
-    plant_spec = SimSpec(
-        model=spec.model,
-        law=_PlantMismatchLaw(mismatched_law, plant),  # type: ignore[arg-type]
-        initial=spec.initial,
-        t_end=spec.t_end,
-        dt=spec.dt,
-        record_every=spec.record_every,
-        clamp_tol=spec.clamp_tol,
-    )
-    return integrate(plant_spec)
-
-
-class _PlantMismatchLaw:
-    """ControlLaw stand-in whose feedback and plant parameters differ.
-
-    The integrator reads ``params`` for the dynamics and calls the
-    evaluator for the control, which is exactly the split needed to feed
-    a nominal law to an uncertain plant.
-    """
-
-    def __init__(self, law: ControlLaw, plant: BioParams):
-        self.variant = law.variant
-        self.config = law.config
-        self.params = validate_params(plant)
-        self._law = law
-
-    def evaluator(self):
-        return self._law.evaluator()
-
-    def __call__(self, F: float, Ms: float) -> float:
-        return self._law(F, Ms)

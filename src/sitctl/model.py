@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 PARAM_KEYS = (
     "beta_E",
     "gamma_s",
@@ -45,6 +47,10 @@ class BioParams:
     delta_F: float  # female death rate
     delta_s: float  # sterile-male death rate
     k: float  # environmental capacity for eggs
+
+    def __post_init__(self):
+        for name in PARAM_KEYS:
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def replace(self, **changes) -> "BioParams":
         return replace(self, **changes)
@@ -115,41 +121,47 @@ def validate_params(p: BioParams) -> BioParams:
     return p
 
 
+def _plain(x):
+    """A plain float for a 0-d result, the array itself otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def alpha(F: float, p: BioParams) -> float:
     """Egg-compartment turnover rate at female density F."""
     return p.beta_E * F / p.k + p.nu_E + p.delta_E
 
 
-def g(F: float, Ms: float, p: BioParams) -> float:
+def g(F, Ms, p: BioParams):
     """Female recruitment rate under sterile-male competition.
 
     Defined as 0 at F = 0 (explicit branch; the formula is 0/0 there).
     Non-increasing in Ms, continuous on the nonnegative quadrant.
+    Broadcasts over arrays; scalar inputs give a float.
     """
-    if F == 0.0:
-        return 0.0
     a = alpha(F, p)
     denom = (1.0 - p.nu) * p.nu_E * p.beta_E * F + a * p.delta_M * p.gamma_s * Ms
     scale = a * denom
-    if scale == 0.0:  # subnormal F underflows the denominator; the limit is 0
-        return 0.0
-    return p.nu * (1.0 - p.nu) * p.beta_E**2 * p.nu_E**2 * F * F / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.divide(p.nu * (1.0 - p.nu) * p.beta_E**2 * p.nu_E**2 * F * F, scale)
+    # subnormal F underflows the denominator; the limit is 0 there too
+    return _plain(np.where((F == 0.0) | (scale == 0.0), 0.0, value))
 
 
-def dg_dMs(F: float, Ms: float, p: BioParams) -> float:
+def dg_dMs(F, Ms, p: BioParams):
     """Partial derivative of ``g`` in the sterile-male direction.
 
     Always <= 0 and bounded; undefined at the origin where the gradient of
-    ``g`` is discontinuous.
+    ``g`` is discontinuous.  Broadcasts like ``g``.
     """
-    if F == 0.0 and Ms == 0.0:
+    if np.any((F == 0.0) & (Ms == 0.0)):
         raise ValueError("dg_dMs is undefined at (F, Ms) = (0, 0)")
     denom = (1.0 - p.nu) * p.nu_E * p.beta_E * F + alpha(F, p) * p.delta_M * p.gamma_s * Ms
     d2 = denom * denom
-    if d2 == 0.0:  # subnormal inputs underflow the denominator; the limit is 0
-        return 0.0
     num = p.nu * (1.0 - p.nu) * p.beta_E**2 * p.nu_E**2 * F * F * p.delta_M * p.gamma_s
-    return -num / d2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.divide(-num, d2)
+    # subnormal inputs underflow the denominator; the limit is 0
+    return _plain(np.where(d2 == 0.0, 0.0, value))
 
 
 def persistence_equilibrium(p: BioParams) -> EquilibriumSet:

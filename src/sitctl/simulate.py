@@ -9,12 +9,12 @@ rate or an oversized step and aborts the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .control import ControlLaw, ms_star
-from .model import full_rhs, reduced_rhs
+from .model import BioParams, full_rhs, validate_params
 
 TERMINATION_HORIZON = "horizon"
 TERMINATION_EXTINCTION = "extinction-threshold"
@@ -37,6 +37,7 @@ class SimSpec:
     record_every: int = 100
     clamp_tol: float | None = None  # default: 1e-9 * initial norm
     stop_when_F_below: float | None = None
+    plant: BioParams | None = None  # drives the dynamics; default: the law's params
 
     def __post_init__(self):
         if self.model not in ("reduced", "full"):
@@ -50,10 +51,14 @@ class SimSpec:
             raise ValueError("t_end must be positive")
         if not 0.0 < self.dt <= 0.1:
             raise ValueError("dt must lie in (0, 0.1] (stability margin vs the fastest rates)")
+        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end={self.t_end} must be a whole number of dt={self.dt} steps")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.clamp_tol is not None and self.clamp_tol < 0.0:
             raise ValueError("clamp_tol must be nonnegative")
+        if self.plant is not None:
+            validate_params(self.plant)
 
     def effective_clamp_tol(self) -> float:
         if self.clamp_tol is not None:
@@ -145,7 +150,7 @@ def step_rk4(state, t, dt, f, clamp_tol=0.0):
 def _closed_loop_field(spec: SimSpec):
     """Fused RHS closure for the chosen model, feedback folded in."""
     u = spec.law.evaluator()
-    p = spec.law.params
+    p = spec.law.params if spec.plant is None else spec.plant
     if spec.model == "reduced":
         delta_F, delta_s = p.delta_F, p.delta_s
         beta_E, gamma_s, nu_E, nu = p.beta_E, p.gamma_s, p.nu_E, p.nu
@@ -177,7 +182,7 @@ def integrate(spec: SimSpec) -> Trajectory:
     f = _closed_loop_field(spec)
     u = spec.law.evaluator()
     cfg = spec.law.config
-    p = spec.law.params
+    p = spec.law.params  # the Lyapunov target is the law's, whatever the plant
     record_V = spec.model == "reduced" and cfg is not None
     clamp_tol = spec.effective_clamp_tol()
     n_steps = max(1, round(spec.t_end / spec.dt))

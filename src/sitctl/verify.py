@@ -85,6 +85,12 @@ def _fit_window(traj: Trajectory, values: np.ndarray, floor: float):
     return mask
 
 
+def _max_envelope_ratio(values: np.ndarray, t: np.ndarray, rate: float) -> float:
+    """Largest values(t) / (values(0) e^{-rate t}), in log space so the envelope cannot underflow."""
+    with np.errstate(divide="ignore"):
+        return float(np.exp(np.max(np.log(values) - np.log(values[0]) + rate * t)))
+
+
 def verify_decay(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> DecayReport:
     """Check V(t) <= V(0) e^{-lambda t} (1 + tol) at every sample.
 
@@ -99,9 +105,7 @@ def verify_decay(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> D
     V0 = V[0]
     if V0 == 0.0:
         return DecayReport(lambda_theory, float("nan"), 1.0, 0.0, (0.0, 0.0), True)
-    envelope = V0 * np.exp(-lambda_theory * t)
-    ratios = V / envelope
-    max_violation = float(np.max(ratios))
+    max_violation = _max_envelope_ratio(V, t, lambda_theory)
     passed = max_violation <= 1.0 + tol
 
     mask = _fit_window(traj, V, 1e-12 * V0)
@@ -113,7 +117,7 @@ def verify_decay(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> D
 
     # Squared-norm convergence estimate: smallest c0 making it hold everywhere.
     norm2 = traj.F**2 + traj.Ms**2
-    c0_fit = float(np.max(norm2 / (norm2[0] * np.exp(-lambda_theory * t)))) if norm2[0] > 0 else 1.0
+    c0_fit = _max_envelope_ratio(norm2, t, lambda_theory) if norm2[0] > 0 else 1.0
 
     return DecayReport(
         lambda_theory=lambda_theory,
@@ -172,8 +176,16 @@ def control_budget(traj: Trajectory) -> ControlBudget:
 
 
 def _grid_extent_ms(cfg: ControllerConfig, p: BioParams, factor: float) -> float:
-    Fs = np.linspace(0.0, cfg.F_hat, 2001)
-    return factor * max(ms_star(float(F), cfg, p) for F in Fs)
+    return factor * float(np.max(ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, p)))
+
+
+def _fold_row(row, F: float, Mss, worst: float, witness: tuple, highest: bool = False):
+    """Fold one F row into the running worst value and witness; the first point in scan order wins a tie."""
+    j = int(np.argmax(row) if highest else np.argmin(row))
+    value = float(row[j])
+    if (value > worst) if highest else (value < worst):
+        return value, (F, float(Mss[j]))
+    return worst, witness
 
 
 def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000, n_2d: int = 400) -> AuditReport:
@@ -184,76 +196,62 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
     'pi_sign' (mismatch rate nonpositive), 'mstar_identity'
     (g(F, ms*(F)) = eps F on a log grid), 'utilde_bound' (global law under
     a linear bound (delta_s - eta) Ms + K F, K estimated on the grid).
+    The 1-D checks evaluate their whole grid at once; the 2-D checks one
+    F row of Ms values at a time, which bounds the memory they use.
     """
     if which == "mstar_identity":
         Fs = np.logspace(-6, np.log10(cfg.F_hat), 1000)
-        worst, witness = 0.0, (0.0,)
-        for F in Fs:
-            F = float(F)
-            rel = abs(g(F, ms_star(F, cfg, p), p) - cfg.eps * F) / (cfg.eps * F)
-            if rel > worst:
-                worst, witness = rel, (F,)
+        rel = np.abs(g(Fs, ms_star(Fs, cfg, p), p) - cfg.eps * Fs) / (cfg.eps * Fs)
+        j = int(np.argmax(rel))
+        worst, witness = (float(rel[j]), (float(Fs[j]),)) if rel[j] > 0.0 else (0.0, (0.0,))
         return AuditReport("mstar_identity", "1000 log-spaced F in (0..F_hat]", worst <= 1e-9, worst, witness, 1e-9)
 
     if which == "lemma4":
         Fs = np.linspace(0.0, cfg.F_hat, n_1d)
         B = p.k * (p.nu_E + p.delta_E)
         C = (1.0 - p.nu) * p.nu_E * p.beta_E**2 * p.k / (p.gamma_s * p.delta_M)
-        scale = max(ms_star(float(F), cfg, p) for F in Fs)
-        worst_gap, worst_id, witness = np.inf, 0.0, (0.0,)
-        for F in Fs:
-            F = float(F)
-            lhs = ms_star(F, cfg, p) - F * dms_star_dF(F, cfg, p)
-            closed = C * F * F * (p.beta_E * (2.0 * cfg.F_hat - F) + B) / (p.beta_E * F + B) ** 3
-            rel = abs(lhs - closed) / max(1.0, abs(closed))
-            if lhs < worst_gap:
-                worst_gap, witness = lhs, (F,)
-            worst_id = max(worst_id, rel)
+        levels = ms_star(Fs, cfg, p)
+        scale = float(np.max(levels))
+        lhs = levels - Fs * dms_star_dF(Fs, cfg, p)
+        closed = C * Fs * Fs * (p.beta_E * (2.0 * cfg.F_hat - Fs) + B) / (p.beta_E * Fs + B) ** 3
+        worst_id = float(np.max(np.abs(lhs - closed) / np.maximum(1.0, np.abs(closed))))
+        j = int(np.argmin(lhs))
+        worst_gap, witness = float(lhs[j]), (float(Fs[j]),)
         passed = worst_gap >= -1e-12 * scale and worst_id <= 1e-9
-        return AuditReport("lemma4", f"{n_1d} points on [0..F_hat]", passed, float(worst_gap), witness, 1e-12 * scale)
+        return AuditReport("lemma4", f"{n_1d} points on [0..F_hat]", passed, worst_gap, witness, 1e-12 * scale)
 
     if which == "pi_sign":
         Fs = np.linspace(0.0, cfg.F_hat, n_2d)
         Mss = np.linspace(0.0, _grid_extent_ms(cfg, p, 10.0), n_2d)
         worst, witness = -np.inf, (0.0, 0.0)
-        for F in Fs:
-            F = float(F)
-            for Ms in Mss:
-                v = pi(F, float(Ms), cfg, p)
-                if v > worst:
-                    worst, witness = v, (F, float(Ms))
-        return AuditReport("pi_sign", f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]", worst <= 1e-12, float(worst), witness, 1e-12)
+        for F in Fs.tolist():
+            worst, witness = _fold_row(pi(F, Mss, cfg, p), F, Mss, worst, witness, highest=True)
+        return AuditReport("pi_sign", f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]", worst <= 1e-12, worst, witness, 1e-12)
 
     if which == "nonneg_plus":
         Fs = np.linspace(0.0, cfg.F_hat, n_2d)
         Mss = np.linspace(0.0, _grid_extent_ms(cfg, p, 10.0), n_2d)
         worst, witness, scale = np.inf, (0.0, 0.0), 0.0
-        for F in Fs:
-            F = float(F)
-            for Ms in Mss:
-                v = u_star_plus(F, float(Ms), cfg, p)
-                scale = max(scale, abs(v))
-                if v < worst:
-                    worst, witness = v, (F, float(Ms))
+        for F in Fs.tolist():
+            row = u_star_plus(F, Mss, cfg, p)
+            scale = max(scale, float(np.max(np.abs(row))))
+            worst, witness = _fold_row(row, F, Mss, worst, witness)
         return AuditReport(
             "nonneg_plus", f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]",
-            worst >= -1e-9 * scale, float(worst), witness, 1e-9 * scale,
+            worst >= -1e-9 * scale, worst, witness, 1e-9 * scale,
         )
 
     if which == "utilde_bound":
         Fs = np.linspace(0.0, 3.0 * cfg.F_hat, n_2d)
         Mss = np.linspace(0.0, 1e5, n_2d)
         worst, witness, K = np.inf, (0.0, 0.0), 0.0
-        for F in Fs:
-            F = float(F)
-            for Ms in Mss:
-                v = u_tilde(F, float(Ms), cfg, p)
-                if v < worst:
-                    worst, witness = v, (F, float(Ms))
-                if F > 0.0:
-                    K = max(K, (v - (p.delta_s - cfg.eta) * Ms) / F)
-        passed = worst >= 0.0 and np.isfinite(K)
-        report = AuditReport("utilde_bound", f"{n_2d}x{n_2d} on [0..3 F_hat]x[0..1e5]", passed, float(worst), witness, 0.0)
+        for F in Fs.tolist():
+            row = u_tilde(F, Mss, cfg, p)
+            worst, witness = _fold_row(row, F, Mss, worst, witness)
+            if F > 0.0:
+                K = max(K, float(np.max((row - (p.delta_s - cfg.eta) * Mss) / F)))
+        passed = worst >= 0.0 and bool(np.isfinite(K))
+        report = AuditReport("utilde_bound", f"{n_2d}x{n_2d} on [0..3 F_hat]x[0..1e5]", passed, worst, witness, 0.0)
         report.grid += f"; K={K:.6g}"
         return report
 
@@ -262,6 +260,5 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
 
 def chi_sandwich(cfg: ControllerConfig, n: int = 1000) -> bool:
     """0 <= chi <= 1 and nonincreasing on a dense grid."""
-    Fs = np.linspace(0.0, 2.0 * cfg.F_hat, n)
-    vals = [chi(float(F), cfg) for F in Fs]
-    return all(0.0 <= v <= 1.0 for v in vals) and all(a >= b for a, b in zip(vals, vals[1:]))
+    vals = chi(np.linspace(0.0, 2.0 * cfg.F_hat, n), cfg)
+    return bool(np.all((0.0 <= vals) & (vals <= 1.0)) and np.all(vals[:-1] >= vals[1:]))

@@ -51,6 +51,9 @@ class TestConfigParsing:
             parse_config_text(bad)
         msg = str(err.value)
         assert "betaE" in msg and "beta_E" in msg and ":3:" in msg
+        # [sim] clamp_tol never reached the integrator, so it is not a key
+        with pytest.raises(ConfigError, match=r"unknown key 'clamp_tol' in \[sim\]"):
+            parse_config_text(GOOD_CONFIG + "clamp_tol = 1e-9\n")
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section"):

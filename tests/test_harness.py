@@ -1,6 +1,8 @@
 """Scenario runner, parameter perturbation, robustness sweep and the CLI."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sitctl as s
 from sitctl.cli import main as cli_main
@@ -12,6 +14,7 @@ from sitctl.harness import (
     run_robustness,
     trial_rng,
 )
+from sitctl.model import PARAM_KEYS
 
 
 class TestPerturbParams:
@@ -48,6 +51,13 @@ class TestPerturbParams:
         with pytest.raises(s.ParamError, match="delta_s"):
             s.perturb_params(hopeless, 0.01, trial_rng(0, 0), max_tries=5)
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=50)
+    def test_perturbed_set_is_plain_floats_and_round_trips(self, seed, trial):
+        perturbed, _ = s.perturb_params(s.NOMINAL_PARAMS, 0.10, trial_rng(seed, trial))
+        assert all(type(getattr(perturbed, name)) is float for name in PARAM_KEYS)
+        assert s.params_from_text(s.params_to_text(perturbed)) == perturbed
+
     def test_fraction_domain(self, params):
         with pytest.raises(ValueError):
             s.perturb_params(params, 1.0, trial_rng(0, 0))
@@ -62,6 +72,12 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(s.ConfigError):
             preset_scenario("nominal-spatial")
+
+    def test_sim_spec_drives_the_given_plant(self, params):
+        plant, _ = s.perturb_params(params, 0.10, trial_rng(2024, 0))
+        spec = preset_scenario("robust-reduced").sim_spec(plant=plant)
+        assert spec.plant is plant
+        assert spec.law.params is params  # the law stays nominal
 
     def test_default_initial_is_persistence_equilibrium(self, eq):
         reduced = preset_scenario("nominal-reduced").resolve_initial()
@@ -179,6 +195,15 @@ class TestCli:
         ])
         assert code == 0
         assert (out_dir / "robustness.txt").read_text().count("trial=") == 2
+
+    @pytest.mark.parametrize("line", ["model = planar", "t_end = ten", "record_every = 1.5"])
+    def test_bad_sim_value_exits_2(self, config_file, line, capsys):
+        key = line.split(" = ")[0]
+        lines = [x for x in config_file.read_text().splitlines() if not x.startswith(key + " ")]
+        config_file.write_text("\n".join(lines + [line]) + "\n")
+        assert cli_main(["simulate", str(config_file)]) == 2
+        err = capsys.readouterr().err
+        assert "[sim]" in err and key in err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -1,0 +1,30 @@
+"""Source hygiene: every import in a library module is used."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sitctl"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement that the module never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_detector_flags_an_unused_name():
+    assert unused_imports("import os\nfrom math import pi, tau as t\nprint(pi)\n") == ["os", "t"]
+
+
+# __init__.py imports in order to re-export
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

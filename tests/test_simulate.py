@@ -1,4 +1,5 @@
 """Integrator: RK4 stepping, clamping policy, trajectories, extinction detection."""
+import dataclasses
 import math
 
 import numpy as np
@@ -125,6 +126,27 @@ class TestIntegrate:
             s.SimSpec(model="planar", law=law, initial=(eq.F_bar, 0.0), t_end=10.0)
         with pytest.raises(ValueError):
             s.SimSpec(model="reduced", law=law, initial=(-1.0, 0.0), t_end=10.0)
+        with pytest.raises(ValueError, match="whole number"):  # would end at t = 10.05
+            s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.03, dt=0.05)
+        with pytest.raises(s.ParamError):
+            s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.0, plant=params.replace(delta_s=0.03))
+
+    def test_plant_drives_dynamics_law_keeps_its_target(self, params, cfg, eq):
+        law = s.ControlLaw("plus", cfg, params)
+        spec = s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=50.0, dt=0.05, record_every=20)
+        nominal = s.integrate(spec)
+        same = s.integrate(dataclasses.replace(spec, plant=params.replace()))
+        assert np.array_equal(same.states, nominal.states)
+        plant = params.replace(delta_F=1.1 * params.delta_F, delta_M=0.9 * params.delta_M)
+        mismatched = s.integrate(dataclasses.replace(spec, plant=plant))
+        assert not np.allclose(mismatched.states, nominal.states, rtol=1e-3)
+        u = law.evaluator()
+        assert np.array_equal(mismatched.controls, [u(F, Ms) for F, Ms in mismatched.states])
+        # the Lyapunov target ms* is the law's, not the plant's
+        V_law = [s.lyapunov_V(F, Ms, cfg, params) for F, Ms in mismatched.states]
+        V_plant = [s.lyapunov_V(F, Ms, cfg, plant) for F, Ms in mismatched.states]
+        assert np.allclose(mismatched.lyapunov, V_law, rtol=1e-12)
+        assert not np.allclose(mismatched.lyapunov, V_plant, rtol=1e-3)
 
 
 class TestDetectExtinction:

@@ -4,7 +4,7 @@ import pytest
 
 import sitctl as s
 from sitctl.simulate import Trajectory
-from sitctl.verify import AUDIT_CHECKS
+from sitctl.verify import AUDIT_CHECKS, chi_sandwich
 
 
 def _synthetic_reduced(times, F, Ms, u=None, V=None):
@@ -13,6 +13,54 @@ def _synthetic_reduced(times, F, Ms, u=None, V=None):
     controls = np.zeros_like(times) if u is None else np.asarray(u, dtype=float)
     lyap = None if V is None else np.asarray(V, dtype=float)
     return Trajectory(model="reduced", times=times, states=states, controls=controls, lyapunov=lyap)
+
+
+def _pointwise_audit(cfg, p, which, n_1d, n_2d):
+    """Reference for audit_grid: the scalar law functions, one grid point at a time.
+
+    Returns (passed, worst value, witness, tolerance, grid label), the
+    fields an AuditReport must reproduce bit for bit.
+    """
+    extent = 10.0 * max(s.ms_star(float(F), cfg, p) for F in np.linspace(0.0, cfg.F_hat, 2001))
+    if which == "mstar_identity":
+        worst, witness = 0.0, (0.0,)
+        for F in np.logspace(-6, np.log10(cfg.F_hat), 1000).tolist():
+            rel = abs(s.g(F, s.ms_star(F, cfg, p), p) - cfg.eps * F) / (cfg.eps * F)
+            if rel > worst:
+                worst, witness = rel, (F,)
+        return worst <= 1e-9, worst, witness, 1e-9, "1000 log-spaced F in (0..F_hat]"
+    if which == "lemma4":
+        B = p.k * (p.nu_E + p.delta_E)
+        C = (1.0 - p.nu) * p.nu_E * p.beta_E**2 * p.k / (p.gamma_s * p.delta_M)
+        Fs = np.linspace(0.0, cfg.F_hat, n_1d).tolist()
+        scale = max(s.ms_star(F, cfg, p) for F in Fs)
+        worst, witness, worst_id = np.inf, (0.0,), 0.0
+        for F in Fs:
+            lhs = s.ms_star(F, cfg, p) - F * s.dms_star_dF(F, cfg, p)
+            closed = C * F * F * (p.beta_E * (2.0 * cfg.F_hat - F) + B) / (p.beta_E * F + B) ** 3
+            worst_id = max(worst_id, abs(lhs - closed) / max(1.0, abs(closed)))
+            if lhs < worst:
+                worst, witness = lhs, (F,)
+        passed = worst >= -1e-12 * scale and worst_id <= 1e-9
+        return passed, worst, witness, 1e-12 * scale, f"{n_1d} points on [0..F_hat]"
+    F_top, Ms_top = (3.0 * cfg.F_hat, 1e5) if which == "utilde_bound" else (cfg.F_hat, extent)
+    fn = {"pi_sign": s.pi, "nonneg_plus": s.u_star_plus, "utilde_bound": s.u_tilde}[which]
+    sign = -1.0 if which == "pi_sign" else 1.0  # pi_sign looks for the largest value
+    worst, witness, scale, K = np.inf, (0.0, 0.0), 0.0, 0.0
+    for F in np.linspace(0.0, F_top, n_2d).tolist():
+        for Ms in np.linspace(0.0, Ms_top, n_2d).tolist():
+            v = fn(F, Ms, cfg, p)
+            scale = max(scale, abs(v))
+            if sign * v < worst:
+                worst, witness = sign * v, (F, Ms)
+            if F > 0.0:
+                K = max(K, (v - (p.delta_s - cfg.eta) * Ms) / F)
+    worst *= sign
+    if which == "pi_sign":
+        return worst <= 1e-12, worst, witness, 1e-12, f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]"
+    if which == "nonneg_plus":
+        return worst >= -1e-9 * scale, worst, witness, 1e-9 * scale, f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]"
+    return worst >= 0.0 and np.isfinite(K), worst, witness, 0.0, f"{n_2d}x{n_2d} on [0..3 F_hat]x[0..1e5]; K={K:.6g}"
 
 
 class TestLyapunovValue:
@@ -72,6 +120,16 @@ class TestVerifyDecay:
         report = s.verify_decay(traj, lambda_theory=0.02)
         assert not report.passed
         assert report.max_violation > 1.0 + 1e-3
+
+    def test_long_decay_does_not_underflow_the_envelope(self):
+        # lambda t reaches 1000: V(0) e^{-lambda t} underflows to 0 long before the horizon
+        t = np.linspace(0.0, 50000.0, 2001)
+        V = np.exp(-0.03 * t)
+        traj = _synthetic_reduced(t, np.sqrt(V), np.zeros_like(t), V=V)
+        report = s.verify_decay(traj, lambda_theory=0.02)
+        assert report.passed
+        assert report.max_violation == 1.0
+        assert report.c0_fit == 1.0
 
     def test_degenerate_start_passes_trivially(self):
         t = np.linspace(0.0, 10.0, 50)
@@ -136,6 +194,23 @@ class TestAuditGrid:
     def test_all_checks_pass_for_nominal_gains(self, params, cfg, check):
         report = s.audit_grid(cfg, params, check, n_1d=1000, n_2d=120)
         assert report.passed, report
+
+    @pytest.mark.parametrize("design", ["nominal", "strong", "cubic"])
+    @pytest.mark.parametrize("check", AUDIT_CHECKS)
+    def test_matches_pointwise_scan(self, params, cfg, cfg_strong, design, check):
+        design_cfg = {
+            "nominal": cfg,
+            "strong": cfg_strong,
+            "cubic": s.ControllerConfig.design(params, F_hat=cfg.F_hat, eta=cfg.eta, rho=cfg.rho, cutoff_kind="cubic"),
+        }[design]
+        report = s.audit_grid(design_cfg, params, check, n_1d=200, n_2d=25)
+        fields = (report.passed, report.worst_value, report.witness, report.tolerance, report.grid)
+        assert fields == _pointwise_audit(design_cfg, params, check, n_1d=200, n_2d=25)
+        assert type(report.worst_value) is float
+
+    def test_chi_sandwich_matches_pointwise_scan(self, cfg):
+        vals = [s.chi(float(F), cfg) for F in np.linspace(0.0, 2.0 * cfg.F_hat, 1000)]
+        assert chi_sandwich(cfg) == (all(0.0 <= v <= 1.0 for v in vals) and all(a >= b for a, b in zip(vals, vals[1:])))
 
     def test_unknown_check_rejected(self, params, cfg):
         with pytest.raises(ValueError):
