@@ -8,9 +8,7 @@ robustness harness.
 from .model import (
     BioParams,
     EquilibriumSet,
-    FullState,
     ParamError,
-    ReducedState,
     alpha,
     basic_offspring_number,
     capacity_from_E_bar,
@@ -30,6 +28,7 @@ from .control import (
     dms_star_dF,
     epsilon_for,
     f_hat_for,
+    lyapunov_V,
     ms_star,
     pi,
     sigma,
@@ -52,7 +51,6 @@ from .verify import (
     audit_grid,
     control_budget,
     fit_decay_rate,
-    lyapunov_V,
     vdot_check,
     verify_decay,
 )

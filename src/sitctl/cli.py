@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .configio import ConfigError, params_from_mapping, read_config, write_trajectory_csv
-from .control import ControllerConfig, ControllerError
+from .control import ControllerError
 from .harness import (
-    DEFAULT_EXTINCTION_THRESHOLD,
     NOMINAL_PARAMS,
     RobustnessConfig,
     ScenarioConfig,
+    nominal_controller,
     run_robustness,
     run_scenario,
 )
-from .model import BioParams, ParamError, capacity_from_E_bar, persistence_equilibrium, validate_params
+from .model import ParamError, capacity_from_E_bar, persistence_equilibrium, validate_params
 from .verify import AUDIT_CHECKS, audit_grid
 
 
@@ -41,47 +42,47 @@ def _load(path):
     p = params_from_mapping(sections["params"]) if "params" in sections else NOMINAL_PARAMS
     validate_params(p)
     ctrl = sections.get("controller", {})
-    variant = ctrl.get("variant", "plus")
-    kwargs = {}
-    for key in ("F_hat", "F_hat_ratio", "eps", "eta", "rho", "F2"):
-        if key in ctrl:
-            kwargs[key] = _value("controller", ctrl, key)
+    design = {
+        key: _value("controller", ctrl, key)
+        for key in ("F_hat", "F_hat_ratio", "eps", "eta", "rho", "F2")
+        if key in ctrl
+    }
     if "cutoff_kind" in ctrl:
-        kwargs["cutoff_kind"] = ctrl["cutoff_kind"]
-    if not any(k in kwargs for k in ("F_hat", "F_hat_ratio", "eps")):
-        kwargs["F_hat_ratio"] = 27.0 / 20.0
-    kwargs.setdefault("eta", p.delta_s - 0.02)
-    kwargs.setdefault("rho", 0.5)
-    cfg = ControllerConfig.design(p, **kwargs)
-    sim = sections.get("sim", {})
-    return p, cfg, variant, sim
+        design["cutoff_kind"] = ctrl["cutoff_kind"]
+    return p, nominal_controller(p, **design), ctrl.get("variant", "plus"), sections.get("sim", {})
 
 
-def _initial_from_sim(sim: dict, p: BioParams, model: str):
-    eq = persistence_equilibrium(p)
-    F0 = _value("sim", sim, "F0", _value("sim", sim, "F0_ratio", 1.0) * eq.F_bar)
-    Ms0 = _value("sim", sim, "Ms0", 0.0)
-    if model == "reduced":
-        return (F0, Ms0)
-    return (_value("sim", sim, "E0", eq.E_bar), _value("sim", sim, "M0", eq.M_bar), F0, Ms0)
+def _initial_from_sim(sim: dict, default: tuple) -> tuple:
+    """The scenario's default initial state, (F, Ms) or (E, M, F, Ms), with the ``[sim]`` overrides applied."""
+    *aquatic, F, Ms = default
+    initial = (_value("sim", sim, "F0", _value("sim", sim, "F0_ratio", 1.0) * F), _value("sim", sim, "Ms0", Ms))
+    if not aquatic:
+        return initial
+    E, M = aquatic
+    return (_value("sim", sim, "E0", E), _value("sim", sim, "M0", M)) + initial
 
 
 def _scenario_from_config(path, args) -> ScenarioConfig:
+    """The config's scenario; settings neither the file nor a flag gives keep ScenarioConfig's defaults."""
     p, cfg, variant, sim = _load(path)
-    model = args.model or sim.get("model", "reduced")
+    settings = {
+        key: _value("sim", sim, key, convert=convert)
+        for key, convert in (
+            ("model", str), ("t_end", float), ("dt", float), ("record_every", int), ("extinction_threshold", float),
+        )
+        if key in sim
+    }
+    settings.update({key: getattr(args, key) for key in ("model", "t_end", "dt") if getattr(args, key) is not None})
     scenario = ScenarioConfig(
         name=Path(path).stem,
         params=p,
         controller=cfg,
         variant=args.variant or variant,
-        model=model,
-        initial=_initial_from_sim(sim, p, model),
-        t_end=args.t_end if args.t_end is not None else _value("sim", sim, "t_end", 2000.0),
-        dt=args.dt if args.dt is not None else _value("sim", sim, "dt", 0.01),
-        record_every=_value("sim", sim, "record_every", 100, int),
-        extinction_threshold=_value("sim", sim, "extinction_threshold", DEFAULT_EXTINCTION_THRESHOLD),
         out_dir=Path(args.out) if getattr(args, "out", None) else None,
+        **settings,
     )
+    if any(key in sim for key in ("F0", "F0_ratio", "Ms0", "E0", "M0")):
+        scenario = replace(scenario, initial=_initial_from_sim(sim, scenario.resolve_initial()))
     try:
         scenario.sim_spec()
         if not scenario.extinction_threshold > 0.0:
@@ -133,12 +134,10 @@ def cmd_audit(args) -> int:
 
 def cmd_robustness(args) -> int:
     scenario = _scenario_from_config(args.config, args)
-    config = RobustnessConfig(
-        base=scenario,
-        trials=args.trials,
-        uncertainty=args.uncertainty,
-        seed=args.seed,
-    )
+    try:
+        config = RobustnessConfig(base=scenario, trials=args.trials, uncertainty=args.uncertainty, seed=args.seed)
+    except ValueError as err:  # the message starts with the field, which is also the option's name
+        raise ConfigError(f"--{err}") from None
     result = run_robustness(config)
     lines = result.summary_lines()
     for line in lines:

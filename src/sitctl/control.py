@@ -113,6 +113,13 @@ class ControllerConfig:
         return p.delta_F < self.eta < p.delta_s
 
 
+def ms_star_coefficients(p: BioParams) -> tuple[float, float]:
+    """(B, C) with ms_star(F) = C F (F_hat - F) / (beta_E F + B)^2."""
+    B = p.k * (p.nu_E + p.delta_E)
+    C = (1.0 - p.nu) * p.nu_E * p.beta_E**2 * p.k / (p.gamma_s * p.delta_M)
+    return B, C
+
+
 def ms_star(F: float, cfg: ControllerConfig, p: BioParams) -> float:
     """Virtual sterile-male level; holding it makes F contract at delta_F - eps.
 
@@ -127,10 +134,15 @@ def ms_star(F: float, cfg: ControllerConfig, p: BioParams) -> float:
     )
 
 
+def lyapunov_V(F: float, Ms: float, cfg: ControllerConfig, p: BioParams) -> float:
+    """Backstepping Lyapunov value: weighted F^2 plus squared virtual mismatch."""
+    gap = Ms - ms_star(F, cfg, p)
+    return 0.5 * cfg.rho * F * F + 0.5 * gap * gap
+
+
 def dms_star_dF(F: float, cfg: ControllerConfig, p: BioParams) -> float:
     """Closed-form slope of the virtual feedback (quotient rule)."""
-    B = p.k * (p.nu_E + p.delta_E)
-    C = (1.0 - p.nu) * p.nu_E * p.beta_E**2 * p.k / (p.gamma_s * p.delta_M)
+    B, C = ms_star_coefficients(p)
     lin = p.beta_E * F + B
     return C * ((cfg.F_hat - 2.0 * F) * lin - 2.0 * p.beta_E * F * (cfg.F_hat - F)) / lin**3
 
@@ -259,8 +271,7 @@ class ControlLaw:
         delta_E, delta_M, delta_F, delta_s, k = p.delta_E, p.delta_M, p.delta_F, p.delta_s, p.k
         F_hat, eps, eta, rho, F2 = cfg.F_hat, cfg.eps, cfg.eta, cfg.rho, cfg.F2
         cubic = cfg.cutoff_kind == "cubic"
-        B = k * (nu_E + delta_E)
-        C = (1.0 - nu) * nu_E * beta_E**2 * k / (gamma_s * delta_M)
+        B, C = ms_star_coefficients(p)
         A = nu * (1.0 - nu) * beta_E**2 * nu_E**2
         inv_span = 1.0 / (F_hat - F2)
         switch = PI_SWITCH_TOL
@@ -279,12 +290,9 @@ class ControlLaw:
             lin = beta_E * F + B
             target = C * F * (F_hat - F) / (lin * lin)
             slope = C * ((F_hat - 2.0 * F) * lin - 2.0 * beta_E * F * (F_hat - F)) / lin**3
-            if F == 0.0:
-                gv = 0.0
-            else:
-                a = beta_E * F / k + nu_E + delta_E
-                denom = (1.0 - nu) * nu_E * beta_E * F + a * delta_M * gamma_s * Ms
-                gv = A * F * F / (a * denom)
+            a = beta_E * F / k + nu_E + delta_E
+            denom = (1.0 - nu) * nu_E * beta_E * F + a * delta_M * gamma_s * Ms
+            gv = 0.0 if F == 0.0 else A * F * F / (a * denom)
             if F == 0.0 and Ms == 0.0:
                 mismatch = 0.0
             else:
@@ -292,8 +300,6 @@ class ControlLaw:
                 if abs(gap) > switch * max(1.0, abs(target)):
                     mismatch = (gv - eps * F) / gap * F
                 else:
-                    a = beta_E * F / k + nu_E + delta_E
-                    denom = (1.0 - nu) * nu_E * beta_E * F + a * delta_M * gamma_s * Ms
                     mismatch = -A * F * F * delta_M * gamma_s / (denom * denom) * F
             drift = gv - delta_F * F
             last = slope * drift

@@ -29,25 +29,30 @@ NOMINAL_PARAMS = BioParams(
     delta_E=0.03, delta_M=0.1, delta_F=0.04, delta_s=0.12, k=212370.0,
 )
 
-#: The rates subject to uncertainty by default; the capacity k is excluded
-#: (robustness to capacity errors is a separate question) but may be added.
+#: The rates subject to uncertainty; the capacity k is excluded
+#: (robustness to capacity errors is a separate question).
 DEFAULT_PERTURB_SET = ("beta_E", "gamma_s", "nu_E", "nu", "delta_E", "delta_M", "delta_F", "delta_s")
 
 #: Below one individual the female population counts as extinct.
 DEFAULT_EXTINCTION_THRESHOLD = 1.0
 
 
-def nominal_controller(p: BioParams = NOMINAL_PARAMS, eta_offset: float = 0.02, rho: float = 0.5) -> ControllerConfig:
-    """Study gains: ceiling at 27/20 of the persistence level, eta = delta_s - offset.
+def nominal_controller(p: BioParams = NOMINAL_PARAMS, **design) -> ControllerConfig:
+    """Study gains: ceiling at 27/20 of the persistence level, eta = delta_s - 0.02.
 
-    The achieved contraction offset follows from the ceiling (about 0.030
-    for the nominal rates), giving a certified female decay barely below
+    Keyword arguments of :meth:`ControllerConfig.design` override these
+    defaults; giving ``F_hat`` or ``eps`` replaces the ceiling ratio.  The
+    achieved contraction offset follows from the ceiling (about 0.030 for
+    the nominal rates), giving a certified female decay barely below
     delta_F.  See :func:`strong_controller` for the aggressive reading.
     """
-    return ControllerConfig.design(p, F_hat_ratio=27.0 / 20.0, eta=p.delta_s - eta_offset, rho=rho)
+    if not any(key in design for key in ("F_hat", "F_hat_ratio", "eps")):
+        design["F_hat_ratio"] = 27.0 / 20.0
+    design.setdefault("eta", p.delta_s - 0.02)
+    return ControllerConfig.design(p, **design)
 
 
-def strong_controller(p: BioParams = NOMINAL_PARAMS, eta_offset: float = 0.02, rho: float = 0.5) -> ControllerConfig:
+def strong_controller(p: BioParams = NOMINAL_PARAMS) -> ControllerConfig:
     """Aggressive gains: contraction offset pinned at 0.01, ceiling solved from it.
 
     The larger ceiling (about 4.18 F_bar) triples the virtual-feedback
@@ -55,7 +60,7 @@ def strong_controller(p: BioParams = NOMINAL_PARAMS, eta_offset: float = 0.02, r
     model reach extinction within a 2000-day horizon; the milder
     :func:`nominal_controller` stalls near a few individuals there.
     """
-    return ControllerConfig.design(p, eps=0.01, eta=p.delta_s - eta_offset, rho=rho)
+    return nominal_controller(p, eps=0.01)
 
 
 @dataclass(frozen=True)
@@ -211,10 +216,9 @@ def perturb_params(
     p: BioParams,
     fraction: float,
     rng: np.random.Generator,
-    perturb_set: tuple = DEFAULT_PERTURB_SET,
     max_tries: int = 100,
 ):
-    """Multiply each selected rate by an independent uniform factor in [1-f, 1+f].
+    """Multiply each rate of DEFAULT_PERTURB_SET by an independent uniform factor in [1-f, 1+f].
 
     Draws are resampled until the perturbed set re-validates (the analysis
     presumes the model assumptions).  Returns (params, tries).
@@ -223,8 +227,8 @@ def perturb_params(
         raise ValueError(f"fraction must lie in [0, 1), got {fraction}")
     last_error = None
     for tries in range(1, max_tries + 1):
-        factors = rng.uniform(1.0 - fraction, 1.0 + fraction, size=len(perturb_set))
-        candidate = p.replace(**{name: getattr(p, name) * f for name, f in zip(perturb_set, factors)})
+        factors = rng.uniform(1.0 - fraction, 1.0 + fraction, size=len(DEFAULT_PERTURB_SET))
+        candidate = p.replace(**{name: getattr(p, name) * f for name, f in zip(DEFAULT_PERTURB_SET, factors)})
         try:
             return validate_params(candidate), tries
         except ParamError as err:
@@ -243,7 +247,6 @@ class RobustnessConfig:
     trials: int = 20
     uncertainty: float = 0.10
     seed: int = 2024
-    perturb_set: tuple = DEFAULT_PERTURB_SET
 
     def __post_init__(self):
         if self.trials < 1:
@@ -313,7 +316,7 @@ def run_robustness(config: RobustnessConfig) -> RobustnessResult:
     total_draws = 0
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
-        plant, tries = perturb_params(base.params, config.uncertainty, rng, config.perturb_set)
+        plant, tries = perturb_params(base.params, config.uncertainty, rng)
         total_draws += tries
         traj = integrate(base.sim_spec(plant))
         ext = detect_extinction(traj, base.extinction_threshold)

@@ -57,30 +57,6 @@ class BioParams:
 
 
 @dataclass(frozen=True)
-class ReducedState:
-    """Planar state (F, Ms) of the reduced model."""
-
-    F: float
-    Ms: float
-
-    def as_tuple(self):
-        return (self.F, self.Ms)
-
-
-@dataclass(frozen=True)
-class FullState:
-    """Four-compartment state (E, M, F, Ms) of the full model."""
-
-    E: float
-    M: float
-    F: float
-    Ms: float
-
-    def as_tuple(self):
-        return (self.E, self.M, self.F, self.Ms)
-
-
-@dataclass(frozen=True)
 class EquilibriumSet:
     """Basic offspring number and the persistence equilibrium levels."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlLaw, ms_star
+from .control import ControlLaw, lyapunov_V
 from .model import BioParams, full_rhs, validate_params
 
 TERMINATION_HORIZON = "horizon"
@@ -35,7 +35,6 @@ class SimSpec:
     t_end: float
     dt: float = 0.01
     record_every: int = 100
-    clamp_tol: float | None = None  # default: 1e-9 * initial norm
     stop_when_F_below: float | None = None
     plant: BioParams | None = None  # drives the dynamics; default: the law's params
 
@@ -55,15 +54,8 @@ class SimSpec:
             raise ValueError(f"t_end={self.t_end} must be a whole number of dt={self.dt} steps")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.clamp_tol is not None and self.clamp_tol < 0.0:
-            raise ValueError("clamp_tol must be nonnegative")
         if self.plant is not None:
             validate_params(self.plant)
-
-    def effective_clamp_tol(self) -> float:
-        if self.clamp_tol is not None:
-            return self.clamp_tol
-        return 1e-9 * math.sqrt(sum(x * x for x in self.initial))
 
 
 @dataclass
@@ -147,9 +139,8 @@ def step_rk4(state, t, dt, f, clamp_tol=0.0):
     return nxt, clamped
 
 
-def _closed_loop_field(spec: SimSpec):
-    """Fused RHS closure for the chosen model, feedback folded in."""
-    u = spec.law.evaluator()
+def _closed_loop_field(spec: SimSpec, u):
+    """Fused RHS closure for the chosen model, feedback ``u(F, Ms)`` folded in."""
     p = spec.law.params if spec.plant is None else spec.plant
     if spec.model == "reduced":
         delta_F, delta_s = p.delta_F, p.delta_s
@@ -179,21 +170,17 @@ def integrate(spec: SimSpec) -> Trajectory:
 
     Deterministic: the same spec always yields bit-identical samples.
     """
-    f = _closed_loop_field(spec)
     u = spec.law.evaluator()
+    f = _closed_loop_field(spec, u)
     cfg = spec.law.config
     p = spec.law.params  # the Lyapunov target is the law's, whatever the plant
     record_V = spec.model == "reduced" and cfg is not None
-    clamp_tol = spec.effective_clamp_tol()
+    clamp_tol = 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
     n_steps = max(1, round(spec.t_end / spec.dt))
 
     def u_of(state):
         F, Ms = (state[0], state[1]) if spec.model == "reduced" else (state[2], state[3])
         return u(F, Ms)
-
-    def V_of(state):
-        F, Ms = state
-        return 0.5 * cfg.rho * F * F + 0.5 * (Ms - ms_star(F, cfg, p)) ** 2
 
     times, states, controls, lyap = [], [], [], []
 
@@ -202,7 +189,7 @@ def integrate(spec: SimSpec) -> Trajectory:
         states.append(state)
         controls.append(u_of(state))
         if record_V:
-            lyap.append(V_of(state))
+            lyap.append(lyapunov_V(*state, cfg, p))
 
     state = tuple(float(x) for x in spec.initial)
     record(0.0, state)

@@ -17,6 +17,7 @@ from .control import (
     chi,
     dms_star_dF,
     ms_star,
+    ms_star_coefficients,
     pi,
     u_star_plus,
     u_tilde,
@@ -56,12 +57,6 @@ class AuditReport:
         return f"{self.check},{self.grid},{self.passed},{self.worst_value!r},{wF!r},{wMs!r}"
 
 
-def lyapunov_V(F: float, Ms: float, cfg: ControllerConfig, p: BioParams) -> float:
-    """Backstepping Lyapunov value: weighted F^2 plus squared virtual mismatch."""
-    gap = Ms - ms_star(F, cfg, p)
-    return 0.5 * cfg.rho * F * F + 0.5 * gap * gap
-
-
 def fit_decay_rate(times, values):
     """Least-squares exponential fit; returns (rate, prefactor).
 
@@ -75,7 +70,7 @@ def fit_decay_rate(times, values):
     if np.any(v <= 0.0):
         raise ValueError("decay fit requires strictly positive values")
     slope, intercept = np.polyfit(t, np.log(v), 1)
-    return -slope, float(np.exp(intercept))
+    return float(-slope), float(np.exp(intercept))
 
 
 def _fit_window(traj: Trajectory, values: np.ndarray, floor: float):
@@ -208,8 +203,7 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
 
     if which == "lemma4":
         Fs = np.linspace(0.0, cfg.F_hat, n_1d)
-        B = p.k * (p.nu_E + p.delta_E)
-        C = (1.0 - p.nu) * p.nu_E * p.beta_E**2 * p.k / (p.gamma_s * p.delta_M)
+        B, C = ms_star_coefficients(p)
         levels = ms_star(Fs, cfg, p)
         scale = float(np.max(levels))
         lhs = levels - Fs * dms_star_dF(Fs, cfg, p)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sitctl as s
+from sitctl.cli import _scenario_from_config, build_parser
 from sitctl.cli import main as cli_main
 from sitctl.harness import (
     DEFAULT_PERTURB_SET,
@@ -93,9 +94,11 @@ class TestRunScenario:
         assert result.passed
         assert result.control_nonneg
         assert result.decay is not None and result.decay.passed
+        assert type(result.decay.lambda_fit) is float
         assert (tmp_path / "nominal-reduced.csv").exists()
         summary = (tmp_path / "nominal-reduced.summary.txt").read_text()
         assert "passed = True" in summary
+        assert "np.float64" not in summary
 
     def test_open_loop_returns_to_persistence(self, eq):
         scenario = preset_scenario("open-loop", t_end=2000.0, dt=0.05, record_every=20)
@@ -147,6 +150,16 @@ class TestRobustness:
             RobustnessConfig(base=quick_base, uncertainty=1.5)
 
 
+# The study configs of the README, each named after the preset it reproduces.
+STUDY_CONFIGS = {
+    "nominal-reduced": "[sim]\n",
+    "nominal-full": "[controller]\neps = 0.01\nvariant = global\n[sim]\nmodel = full\n",
+    "open-loop": "[controller]\nvariant = none\n[sim]\nF0_ratio = 0.9\n",
+    "robust-reduced": "[controller]\neps = 0.01\nvariant = global\n[sim]\ndt = 0.05\nrecord_every = 20\n",
+    "robust-full": "[controller]\neps = 0.01\nvariant = global\n[sim]\nmodel = full\ndt = 0.05\nrecord_every = 20\n",
+}
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "study.cfg"
@@ -172,7 +185,9 @@ class TestCli:
         code = cli_main(["simulate", str(config_file), "--out", str(out_dir)])
         assert code == 0
         assert (out_dir / "study.csv").exists()
-        assert "passed = True" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "passed = True" in out
+        assert "lambda_fit = 0.0" in out  # a plain float, not np.float64(...)
 
     def test_audit_single_check(self, config_file, capsys):
         assert cli_main(["audit", str(config_file), "--check", "mstar_identity"]) == 0
@@ -205,8 +220,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[sim]" in err and key in err
 
+    @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--uncertainty", "1.5")])
+    def test_bad_robustness_option_exits_2(self, config_file, option, value, capsys):
+        assert cli_main(["robustness", str(config_file), option, value]) == 2
+        assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text", STUDY_CONFIGS.items(), ids=list(STUDY_CONFIGS))
+    def test_study_config_builds_its_preset(self, tmp_path, name, text):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        scenario = _scenario_from_config(path, build_parser().parse_args(["simulate", str(path)]))
+        assert scenario == preset_scenario(name)
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[params]\nbetaE = 10\n")
         assert cli_main(["equilibria", str(bad)]) == 2
         assert "beta_E" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def short_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "short.cfg"
+    path.write_text("[controller]\neps = 0.01\nvariant = global\n")
+    return path
+
+
+@given(
+    command=st.sampled_from(["simulate", "robustness"]),
+    trials=st.integers(min_value=-1, max_value=3),
+    uncertainty=st.floats(min_value=-0.5, max_value=1.5),
+    dt=st.sampled_from([-0.01, 0.0, 0.05, 0.5]),
+    t_end=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(min_value=-1.0, max_value=2.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_cli_exit_code_is_0_1_or_2(short_config, command, trials, uncertainty, dt, t_end):
+    argv = [command, str(short_config), f"--dt={dt!r}", f"--t-end={t_end!r}"]
+    if command == "robustness":
+        argv += [f"--trials={trials}", f"--uncertainty={uncertainty!r}"]
+    assert cli_main(argv) in (0, 1, 2)
