@@ -261,23 +261,35 @@ class ControlLaw:
 
         Algebraically identical to calling the law; parameters are unpacked
         into locals once so the per-step cost is plain float arithmetic
-        (tests pin the closure against the composed functions on a grid).
+        (tests pin the closure against the composed functions on a grid,
+        and its outputs bit for bit on fixed points).  The variant is
+        resolved into two flags when the closure is built.  Only constants
+        that lead a left-associated product or sum are precomputed
+        (``delta_s - eta``, ``(1 - nu) nu_E beta_E``): folding a trailing
+        pair such as ``nu_E + delta_E`` in ``beta_E F / k + nu_E + delta_E``
+        would change the rounding.  Divisions whose denominator underflows
+        to 0 near extinction take the limit 0, as in ``g`` and ``dg_dMs``.
         """
         if self.variant == "none":
             return lambda F, Ms: 0.0
         cfg, p = self.config, self.params
-        variant = self.variant
+        gated = self.variant == "global"  # chi cutoff above F2
+        clip = self.variant != "raw"  # cut2 on the last term
         beta_E, gamma_s, nu_E, nu = p.beta_E, p.gamma_s, p.nu_E, p.nu
-        delta_E, delta_M, delta_F, delta_s, k = p.delta_E, p.delta_M, p.delta_F, p.delta_s, p.k
+        delta_E, delta_M, delta_F, k = p.delta_E, p.delta_M, p.delta_F, p.k
         F_hat, eps, eta, rho, F2 = cfg.F_hat, cfg.eps, cfg.eta, cfg.rho, cfg.F2
         cubic = cfg.cutoff_kind == "cubic"
         B, C = ms_star_coefficients(p)
         A = nu * (1.0 - nu) * beta_E**2 * nu_E**2
+        neg_A = -A
+        male_rate = (1.0 - nu) * nu_E * beta_E
+        two_beta_E = 2.0 * beta_E
+        release_decay = p.delta_s - eta
         inv_span = 1.0 / (F_hat - F2)
         switch = PI_SWITCH_TOL
 
         def evaluate(F: float, Ms: float) -> float:
-            if variant == "global":
+            if gated:
                 if F >= F_hat:
                     return 0.0
                 if F <= F2:
@@ -288,24 +300,25 @@ class ControlLaw:
             else:
                 c = 1.0
             lin = beta_E * F + B
-            target = C * F * (F_hat - F) / (lin * lin)
-            slope = C * ((F_hat - 2.0 * F) * lin - 2.0 * beta_E * F * (F_hat - F)) / lin**3
+            room = F_hat - F
+            target = C * F * room / (lin * lin)
+            slope = C * ((F_hat - 2.0 * F) * lin - two_beta_E * F * room) / lin**3
             a = beta_E * F / k + nu_E + delta_E
-            denom = (1.0 - nu) * nu_E * beta_E * F + a * delta_M * gamma_s * Ms
-            gv = 0.0 if F == 0.0 else A * F * F / (a * denom)
+            denom = male_rate * F + a * delta_M * gamma_s * Ms
+            scale = a * denom
+            gv = 0.0 if F == 0.0 or scale == 0.0 else A * F * F / scale
             if F == 0.0 and Ms == 0.0:
                 mismatch = 0.0
             else:
                 gap = Ms - target
-                if abs(gap) > switch * max(1.0, abs(target)):
+                size = abs(target)
+                if abs(gap) > switch * (size if size > 1.0 else 1.0):
                     mismatch = (gv - eps * F) / gap * F
                 else:
-                    mismatch = -A * F * F * delta_M * gamma_s / (denom * denom) * F
+                    d2 = denom * denom
+                    mismatch = 0.0 if d2 == 0.0 else neg_A * F * F * delta_M * gamma_s / d2 * F
             drift = gv - delta_F * F
-            last = slope * drift
-            if variant != "raw" and slope < 0.0 and drift > 0.0:
-                last = 0.0
-            u = (delta_s - eta) * Ms + eta * target - rho * mismatch + last
-            return u * c
+            last = 0.0 if clip and slope < 0.0 and drift > 0.0 else slope * drift
+            return (release_decay * Ms + eta * target - rho * mismatch + last) * c
 
         return evaluate

@@ -299,13 +299,18 @@ class RobustnessResult:
 
 
 def _control_decreasing(traj: Trajectory) -> bool:
-    """Trend of u over the last half-horizon: nonpositive fitted slope."""
+    """Trend of u over the last half-horizon: nonpositive fitted slope.
+
+    The window holds at least the last two samples, so a short run still
+    fits a line; a run with a single sample has no trend and counts as
+    decreasing.
+    """
     t = traj.times
-    mask = t >= 0.5 * t[-1]
-    u = traj.controls[mask]
-    if np.all(u == 0.0):
+    start = max(0, min(int(np.searchsorted(t, 0.5 * t[-1])), len(t) - 2))
+    u = traj.controls[start:]
+    if len(u) < 2 or np.all(u == 0.0):
         return True
-    slope = np.polyfit(t[mask], u, 1)[0]
+    slope = np.polyfit(t[start:], u, 1)[0]
     return bool(slope <= 0.0)
 
 

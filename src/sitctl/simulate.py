@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlLaw, lyapunov_V
-from .model import BioParams, full_rhs, validate_params
+from .model import BioParams, validate_params
 
 TERMINATION_HORIZON = "horizon"
 TERMINATION_EXTINCTION = "extinction-threshold"
@@ -105,13 +105,31 @@ class Trajectory:
             yield row
 
 
+def _clamp(nxt, clamp_tol, t=None):
+    """Zero the components of ``nxt`` in (-clamp_tol, 0); raise beyond that.
+
+    ``t``, the time the step reached, only goes into the error message.
+    Returns ``(clamped_state, largest_clamped_magnitude)``.
+    """
+    worst = -min(nxt)
+    if worst > clamp_tol:
+        at = "" if t is None else f" at t={t}"
+        raise NonnegativityError(
+            f"state component undershot to {-worst} (beyond clamp_tol={clamp_tol}){at}; "
+            "the control is negative somewhere or dt is too large"
+        )
+    return tuple(x if x >= 0.0 else 0.0 for x in nxt), worst
+
+
 def step_rk4(state, t, dt, f, clamp_tol=0.0):
     """One classical RK4 step of ds/dt = f(t, s) with boundary clamping.
 
-    ``state`` is a tuple; ``f`` returns a tuple of the same length and is
-    expected to fold the feedback in, so the control is re-evaluated at
-    each stage.  Components in (-clamp_tol, 0) after the step are set to
-    0; larger undershoots raise :class:`NonnegativityError`.
+    The generic reference stepper: :func:`integrate` runs an unrolled
+    per-model copy of this step and matches it bit for bit.  ``state`` is
+    a tuple; ``f`` returns a tuple of the same length and is expected to
+    fold the feedback in, so the control is re-evaluated at each stage.
+    Components in (-clamp_tol, 0) after the step are set to 0; larger
+    undershoots raise :class:`NonnegativityError`.
 
     Returns ``(next_state, clamp_amount)`` where the second entry is the
     largest clamped magnitude (0.0 when nothing was clamped).
@@ -126,43 +144,81 @@ def step_rk4(state, t, dt, f, clamp_tol=0.0):
         s + sixth * (a + 2.0 * (b + c) + d)
         for s, a, b, c, d in zip(state, k1, k2, k3, k4)
     )
-    clamped = 0.0
     if any(x < 0.0 for x in nxt):
-        worst = -min(nxt)
-        if worst > clamp_tol:
-            raise NonnegativityError(
-                f"state component undershot to {-worst} (beyond clamp_tol={clamp_tol}) at t={t + dt}; "
-                "the control is negative somewhere or dt is too large"
-            )
-        clamped = worst
-        nxt = tuple(x if x >= 0.0 else 0.0 for x in nxt)
-    return nxt, clamped
+        return _clamp(nxt, clamp_tol, t + dt)
+    return nxt, 0.0
 
 
-def _closed_loop_field(spec: SimSpec, u):
-    """Fused RHS closure for the chosen model, feedback ``u(F, Ms)`` folded in."""
+def _closed_loop_step(spec: SimSpec, u, clamp_tol: float):
+    """RK4 step closure ``state -> (next_state, clamp_amount)`` for the spec's model.
+
+    :func:`step_rk4` written out for two (reduced) or four (full)
+    components, with the vector field inlined and the feedback ``u(F,
+    Ms)`` re-evaluated at each stage.  Every sum and product keeps the
+    association of ``step_rk4``, ``g`` and ``full_rhs``, so the result is
+    the same to the last bit.
+    """
     p = spec.law.params if spec.plant is None else spec.plant
+    beta_E, gamma_s, nu_E, nu = p.beta_E, p.gamma_s, p.nu_E, p.nu
+    delta_E, delta_M, delta_F, delta_s, k = p.delta_E, p.delta_M, p.delta_F, p.delta_s, p.k
+    dt = spec.dt
+    h2 = 0.5 * dt
+    sixth = dt / 6.0
+
     if spec.model == "reduced":
-        delta_F, delta_s = p.delta_F, p.delta_s
-        beta_E, gamma_s, nu_E, nu = p.beta_E, p.gamma_s, p.nu_E, p.nu
-        delta_E, delta_M, k = p.delta_E, p.delta_M, p.k
         A = nu * (1.0 - nu) * beta_E**2 * nu_E**2
+        male_rate = (1.0 - nu) * nu_E * beta_E
 
-        def field(t, s):
-            F, Ms = s
-            if F == 0.0:
-                gv = 0.0
-            else:
-                a = beta_E * F / k + nu_E + delta_E
-                gv = A * F * F / (a * ((1.0 - nu) * nu_E * beta_E * F + a * delta_M * gamma_s * Ms))
-            return (gv - delta_F * F, u(F, Ms) - delta_s * Ms)
+        def rates(F, Ms):
+            a = beta_E * F / k + nu_E + delta_E
+            scale = a * (male_rate * F + a * delta_M * gamma_s * Ms)
+            gv = 0.0 if F == 0.0 or scale == 0.0 else A * F * F / scale
+            return gv - delta_F * F, u(F, Ms) - delta_s * Ms
 
-        return field
+        def step(state):
+            F, Ms = state
+            dF1, dMs1 = rates(F, Ms)
+            dF2, dMs2 = rates(F + h2 * dF1, Ms + h2 * dMs1)
+            dF3, dMs3 = rates(F + h2 * dF2, Ms + h2 * dMs2)
+            dF4, dMs4 = rates(F + dt * dF3, Ms + dt * dMs3)
+            nxt = (F + sixth * (dF1 + 2.0 * (dF2 + dF3) + dF4), Ms + sixth * (dMs1 + 2.0 * (dMs2 + dMs3) + dMs4))
+            if nxt[0] < 0.0 or nxt[1] < 0.0:
+                return _clamp(nxt, clamp_tol)
+            return nxt, 0.0
 
-    def field(t, s):
-        return full_rhs(s, u(s[2], s[3]), p)
+        return step
 
-    return field
+    egg_loss = nu_E + delta_E
+    male_birth = (1.0 - nu) * nu_E
+    female_birth = nu * nu_E
+
+    def rates(E, M, F, Ms):
+        males = M + gamma_s * Ms
+        mating = M / males if males > 0.0 else 0.0
+        return (
+            beta_E * F * (1.0 - E / k) - egg_loss * E,
+            male_birth * E - delta_M * M,
+            female_birth * E * mating - delta_F * F,
+            u(F, Ms) - delta_s * Ms,
+        )
+
+    def step(state):
+        E, M, F, Ms = state
+        dE1, dM1, dF1, dMs1 = rates(E, M, F, Ms)
+        dE2, dM2, dF2, dMs2 = rates(E + h2 * dE1, M + h2 * dM1, F + h2 * dF1, Ms + h2 * dMs1)
+        dE3, dM3, dF3, dMs3 = rates(E + h2 * dE2, M + h2 * dM2, F + h2 * dF2, Ms + h2 * dMs2)
+        dE4, dM4, dF4, dMs4 = rates(E + dt * dE3, M + dt * dM3, F + dt * dF3, Ms + dt * dMs3)
+        nxt = (
+            E + sixth * (dE1 + 2.0 * (dE2 + dE3) + dE4),
+            M + sixth * (dM1 + 2.0 * (dM2 + dM3) + dM4),
+            F + sixth * (dF1 + 2.0 * (dF2 + dF3) + dF4),
+            Ms + sixth * (dMs1 + 2.0 * (dMs2 + dMs3) + dMs4),
+        )
+        if nxt[0] < 0.0 or nxt[1] < 0.0 or nxt[2] < 0.0 or nxt[3] < 0.0:
+            return _clamp(nxt, clamp_tol)
+        return nxt, 0.0
+
+    return step
 
 
 def integrate(spec: SimSpec) -> Trajectory:
@@ -171,11 +227,10 @@ def integrate(spec: SimSpec) -> Trajectory:
     Deterministic: the same spec always yields bit-identical samples.
     """
     u = spec.law.evaluator()
-    f = _closed_loop_field(spec, u)
     cfg = spec.law.config
     p = spec.law.params  # the Lyapunov target is the law's, whatever the plant
     record_V = spec.model == "reduced" and cfg is not None
-    clamp_tol = 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
+    step = _closed_loop_step(spec, u, 1e-9 * math.sqrt(sum(x * x for x in spec.initial)))
     n_steps = max(1, round(spec.t_end / spec.dt))
 
     def u_of(state):
@@ -196,22 +251,20 @@ def integrate(spec: SimSpec) -> Trajectory:
     termination = TERMINATION_HORIZON
     max_clamp = 0.0
     F_index = 0 if spec.model == "reduced" else 2
+    dt, every, stop = spec.dt, spec.record_every, spec.stop_when_F_below
     for i in range(1, n_steps + 1):
-        t_prev = (i - 1) * spec.dt
         try:
-            state, clamped = step_rk4(state, t_prev, spec.dt, f, clamp_tol)
+            state, clamped = step(state)
         except NonnegativityError:
             termination = TERMINATION_NONNEG
             break
         max_clamp = max(max_clamp, clamped)
-        t = i * spec.dt
-        if i % spec.record_every == 0:
-            record(t, state)
-        elif i == n_steps:
-            record(t, state)
-        if spec.stop_when_F_below is not None and state[F_index] < spec.stop_when_F_below:
-            if i % spec.record_every != 0 and i != n_steps:
-                record(t, state)
+        recorded = i % every == 0 or i == n_steps
+        if recorded:
+            record(i * dt, state)
+        if stop is not None and state[F_index] < stop:
+            if not recorded:
+                record(i * dt, state)
             termination = TERMINATION_EXTINCTION
             break
 

@@ -8,6 +8,64 @@ import sitctl as s
 from sitctl.control import PI_SWITCH_TOL
 
 
+# Exact outputs of ControlLaw.evaluator() for the study gains (cfg fixture;
+# "global-cubic" swaps in the cubic cutoff), as float.hex.  The points cover
+# the origin, the F = 0 axis, the pi derivative branch (Ms on or within
+# PI_SWITCH_TOL of ms*(F)), the chi ramp (F2 < F < F_hat), the region at and
+# beyond F_hat, two points where cut2 clips the last term, and two points
+# where the rounding of beta_E*F/k + nu_E + delta_E or of the quintic ramp
+# would change if their constants were regrouped.
+GOLDEN_POINTS = [
+    (0.0, 0.0), (0.0, 5000.0), (1.0, 0.0),
+    (0.001, 0.01), (100.0, 3.0), (12264.3675, 0.0),
+    (12264.3675, 8000.0), (5000.0, 30000.0), (6132.18375, 7323.297892987583),
+    (12264.3675, 1684.9739187399268), (14901.206512500003, 545.8964169607443), (2000.0, 20950.14839636524),
+    (3679.31025, 13118.309316988032), (14410.631812500002, 1000.0), (14947.197890625002, 1750.0),
+    (15483.763968750001, 2500.0), (16020.330046875002, 3250.0), (16554.7498606875, 3997.0),
+    (16556.896125000003, 500.0), (19868.275350000004, 100.0), (49670.68837500001, 20000.0),
+    (735.8620500000001, 0.0), (2500.0, 50.0), (7935.89111328125, 28093.26171875),
+    (16070.3310546875, 4585.95068359375),
+]
+GOLDEN_BITS = {
+    "raw": [
+        "0x0.0p+0", "0x1.9000000000001p+6", "0x1.ea3b68812b7cep+6", "0x1.d9a91d9f789bep-5",
+        "0x1.a2a55827b1349p+12", "0x1.31bdcc7556d64p+9", "0x1.47885af8a384ap+9", "0x1.d2fbd6fe53623p+10",
+        "0x1.0042e7f42412ap+10", "0x1.2aee27e282209p+9", "0x1.6046d7428858fp+9", "0x1.4a0811ef60ce2p+11",
+        "0x1.ab5855c3b85a5p+10", "0x1.4b9ae8ef9d3f7p+9", "0x1.48335f272ba54p+9", "0x1.45619232df3f0p+9",
+        "0x1.432b600b5360cp+9", "0x1.4190ff7e26749p+9", "0x1.8ee037507a7e0p+9", "0x1.12ac867f25898p+10",
+        "0x1.8c05cc1ca29c8p+10", "0x1.39fdf4cc2e9d3p+11", "0x1.2196ae0250b34p+8", "0x1.514e8d4a0570dp+10",
+        "0x1.383a730ebd7bep+9",
+    ],
+    "plus": [
+        "0x0.0p+0", "0x1.9000000000001p+6", "0x1.ea3b68812b7cep+6", "0x1.d9a91d9f789bep-5",
+        "0x1.a2a55827b1349p+12", "0x1.31bdcc7556d64p+9", "0x1.47885af8a384ap+9", "0x1.d2fbd6fe53623p+10",
+        "0x1.0042e7f42412ap+10", "0x1.2aee27e282209p+9", "0x1.6046d7428858fp+9", "0x1.4a0811ef60ce2p+11",
+        "0x1.ab5855c3b85a5p+10", "0x1.4b9ae8ef9d3f7p+9", "0x1.48335f272ba54p+9", "0x1.45619232df3f0p+9",
+        "0x1.432b600b5360cp+9", "0x1.4190ff7e26749p+9", "0x1.8ee037507a7e0p+9", "0x1.12ac867f25898p+10",
+        "0x1.8c05cc1ca29c8p+10", "0x1.68946a8ea6fd7p+11", "0x1.ca1d95b461cb8p+10", "0x1.514e8d4a0570dp+10",
+        "0x1.383a730ebd7bep+9",
+    ],
+    "global": [
+        "0x0.0p+0", "0x1.9000000000001p+6", "0x1.ea3b68812b7cep+6", "0x1.d9a91d9f789bep-5",
+        "0x1.a2a55827b1349p+12", "0x1.31bdcc7556d64p+9", "0x1.47885af8a384ap+9", "0x1.d2fbd6fe53623p+10",
+        "0x1.0042e7f42412ap+10", "0x1.2aee27e282209p+9", "0x1.43503fc0e004bp+9", "0x1.4a0811ef60ce2p+11",
+        "0x1.ab5855c3b85a5p+10", "0x1.4b9ae8ef9d3f7p+9", "0x1.263a0dcd9da09p+9", "0x1.45619232df3f9p+8",
+        "0x1.0b9feb89610c7p+6", "0x1.aef3b28513dacp-18", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.68946a8ea6fd7p+11", "0x1.ca1d95b461cb8p+10", "0x1.514e8d4a0570dp+10",
+        "0x1.921304b90fd2dp+5",
+    ],
+    "global-cubic": [
+        "0x0.0p+0", "0x1.9000000000001p+6", "0x1.ea3b68812b7cep+6", "0x1.d9a91d9f789bep-5",
+        "0x1.a2a55827b1349p+12", "0x1.31bdcc7556d64p+9", "0x1.47885af8a384ap+9", "0x1.d2fbd6fe53623p+10",
+        "0x1.0042e7f42412ap+10", "0x1.2aee27e282209p+9", "0x1.3179eea068fd5p+9", "0x1.4a0811ef60ce2p+11",
+        "0x1.ab5855c3b85a5p+10", "0x1.4b9ae8ef9d3f7p+9", "0x1.14eb58490cd36p+9", "0x1.45619232df3f8p+8",
+        "0x1.93f6380e28399p+6", "0x1.f9716a1685a6ep-10", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.68946a8ea6fd7p+11", "0x1.ca1d95b461cb8p+10", "0x1.514e8d4a0570dp+10",
+        "0x1.46eab91f70139p+6",
+    ],
+}
+
+
 class TestContractionOffset:
     def test_study_value(self, params, eq):
         F_hat = 27.0 / 20.0 * eq.F_bar
@@ -283,3 +341,17 @@ class TestControlLaw:
             F = rng.uniform(0.0, 3 * cfg.F_hat)
             Ms = rng.uniform(0.0, 3e4)
             assert fast(F, Ms) == pytest.approx(law(F, Ms), rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BITS))
+    def test_evaluator_golden_bits(self, params, name):
+        variant, _, kind = name.partition("-")
+        cfg = s.nominal_controller(params, cutoff_kind=kind or "quintic")
+        u = s.ControlLaw(variant, cfg, params).evaluator()
+        assert [u(F, Ms).hex() for F, Ms in GOLDEN_POINTS] == GOLDEN_BITS[name]
+
+    @pytest.mark.parametrize("variant", ["raw", "plus", "global"])
+    @pytest.mark.parametrize("F, Ms", [(1e-170, 1e-170), (1e-300, 0.0)])
+    def test_fused_evaluator_finite_near_extinction(self, params, cfg, variant, F, Ms):
+        # denom * denom and a * denom underflow to 0 here; the limit is taken
+        law = s.ControlLaw(variant, cfg, params)
+        assert law.evaluator()(F, Ms) == pytest.approx(law(F, Ms), rel=1e-12, abs=0.0)

@@ -232,6 +232,21 @@ class TestCli:
         scenario = _scenario_from_config(path, build_parser().parse_args(["simulate", str(path)]))
         assert scenario == preset_scenario(name)
 
+    def test_simulate_near_extinction(self, tmp_path, capsys):
+        # by t = 16000 F and Ms are ~1e-160 and smaller, where the law's
+        # denominators underflow to 0
+        path = tmp_path / "robust-reduced.cfg"
+        path.write_text(STUDY_CONFIGS["robust-reduced"].replace("dt = 0.05", "dt = 0.1"))
+        assert cli_main(["simulate", str(path), "--t-end", "16000"]) == 0
+        assert "termination = horizon" in capsys.readouterr().out
+
+    def test_robustness_one_sample_window_fits_without_warning(self, tmp_path, recwarn):
+        # dt 0.05, record_every 20, t_end 1: samples at t = 0 and 1 only
+        path = tmp_path / "robust-reduced.cfg"
+        path.write_text(STUDY_CONFIGS["robust-reduced"])
+        assert cli_main(["robustness", str(path), "--trials", "1", "--t-end", "1"]) in (0, 1)
+        assert [str(w.message) for w in recwarn] == []
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[params]\nbetaE = 10\n")

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import sitctl as s
+from sitctl.harness import perturb_params, preset_scenario, trial_rng
+from sitctl.simulate import _closed_loop_step
 
 
 def _reduced_spec(params, cfg, variant, initial, t_end, dt=0.01, record_every=100):
@@ -147,6 +149,94 @@ class TestIntegrate:
         V_plant = [s.lyapunov_V(F, Ms, cfg, plant) for F, Ms in mismatched.states]
         assert np.allclose(mismatched.lyapunov, V_law, rtol=1e-12)
         assert not np.allclose(mismatched.lyapunov, V_plant, rtol=1e-3)
+
+
+def _clamp_tol(spec):
+    return 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
+
+
+def _reference_rhs(spec, u):
+    """The closed-loop field from the public vector fields, for step_rk4."""
+    plant = spec.law.params if spec.plant is None else spec.plant
+    if spec.model == "reduced":
+        return lambda t, st: s.reduced_rhs(st, u(*st), plant)
+    return lambda t, st: s.full_rhs(st, u(st[2], st[3]), plant)
+
+
+def _bit_specs():
+    """The five presets, a seed-2024 perturbed plant on each robust preset and
+    the reduced global run from 2 F_bar, all cut to 50 days."""
+    specs = {name: preset_scenario(name).sim_spec() for name in
+             ("nominal-reduced", "nominal-full", "open-loop", "robust-reduced", "robust-full")}
+    for name in ("robust-reduced", "robust-full"):
+        plant, _ = perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(2024, 0))
+        specs[name + "/perturbed"] = preset_scenario(name).sim_spec(plant)
+    eq = s.persistence_equilibrium(s.NOMINAL_PARAMS)
+    specs["global-2Fbar"] = preset_scenario("nominal-reduced", variant="global", initial=(2 * eq.F_bar, 0.0)).sim_spec()
+    return {name: dataclasses.replace(spec, t_end=50.0) for name, spec in specs.items()}
+
+
+BIT_SPECS = _bit_specs()
+
+
+class TestUnrolledStep:
+    """integrate's per-model step reproduces step_rk4 over reduced_rhs/full_rhs bit for bit."""
+
+    @pytest.mark.parametrize("spec", BIT_SPECS.values(), ids=list(BIT_SPECS))
+    def test_integrate_matches_step_rk4_loop(self, spec):
+        f = _reference_rhs(spec, spec.law.evaluator())
+        state = tuple(float(x) for x in spec.initial)
+        for i in range(round(spec.t_end / spec.dt)):
+            state, _ = s.step_rk4(state, i * spec.dt, spec.dt, f, _clamp_tol(spec))
+        final = s.integrate(spec).states[-1]
+        assert [float(x).hex() for x in final] == [x.hex() for x in state]
+
+    @pytest.mark.parametrize("model", ["reduced", "full"])
+    def test_step_matches_step_rk4_on_scattered_states(self, params, cfg_strong, model):
+        # single steps from states spread over many magnitudes reach the
+        # roundings that a short run from the presets never meets
+        law = s.ControlLaw("global", cfg_strong, params)
+        initial = (1.0, 1.0) if model == "reduced" else (1.0, 1.0, 1.0, 1.0)
+        spec = s.SimSpec(model=model, law=law, initial=initial, t_end=1.0, dt=0.1)
+        u = law.evaluator()
+        step = _closed_loop_step(spec, u, _clamp_tol(spec))
+        f = _reference_rhs(spec, u)
+        rng = np.random.default_rng(2024)
+        for state in 10.0 ** rng.uniform(-3.0, 5.0, size=(2000, len(initial))):
+            state = tuple(state.tolist())
+            fast, _ = step(state)
+            ref, _ = s.step_rk4(state, 0.0, spec.dt, f, _clamp_tol(spec))
+            assert [x.hex() for x in fast] == [x.hex() for x in ref]
+
+    @pytest.mark.parametrize("model", ["reduced", "full"])
+    @pytest.mark.parametrize("release", [0.0, -1e-7, -1.0])
+    def test_clamp_policy_matches_step_rk4(self, params, cfg, eq, model, release):
+        # a constant release rate: -1e-7 undershoots Ms within the clamp
+        # tolerance, -1.0 beyond it
+        initial = (eq.F_bar, 0.0) if model == "reduced" else (eq.E_bar, eq.M_bar, eq.F_bar, 0.0)
+        spec = s.SimSpec(model=model, law=s.ControlLaw("plus", cfg, params), initial=initial, t_end=1.0, dt=0.1)
+        u = lambda F, Ms: release
+        step = _closed_loop_step(spec, u, _clamp_tol(spec))
+        f = _reference_rhs(spec, u)
+        if release == -1.0:
+            with pytest.raises(s.NonnegativityError):
+                step(initial)
+            with pytest.raises(s.NonnegativityError):
+                s.step_rk4(initial, 0.0, spec.dt, f, _clamp_tol(spec))
+            return
+        (fast, fast_clamp), (ref, ref_clamp) = step(initial), s.step_rk4(initial, 0.0, spec.dt, f, _clamp_tol(spec))
+        assert [x.hex() for x in fast] == [x.hex() for x in ref]
+        assert fast_clamp == ref_clamp
+        assert (fast_clamp > 0.0) == (release < 0.0)
+
+    @pytest.mark.parametrize("model", ["reduced", "full"])
+    def test_subnormal_state_runs_to_horizon(self, params, cfg_strong, model):
+        # g's denominator and the law's underflow to 0 at F = 5e-324
+        initial = (5e-324, 0.0) if model == "reduced" else (0.0, 0.0, 5e-324, 0.0)
+        law = s.ControlLaw("global", cfg_strong, params)
+        traj = s.integrate(s.SimSpec(model=model, law=law, initial=initial, t_end=1.0, dt=0.1))
+        assert traj.termination == "horizon"
+        assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.controls))
 
 
 class TestDetectExtinction:
