@@ -12,8 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .configio import ConfigError, params_from_mapping, read_config, write_trajectory_csv
-from .control import ControllerError
+from .configio import INITIAL_KEYS, SECTION_KEYS, ConfigError, params_from_mapping, read_config, write_trajectory_csv
+from .control import VARIANTS, ControllerError
 from .harness import (
     NOMINAL_PARAMS,
     RobustnessConfig,
@@ -26,62 +26,40 @@ from .model import ParamError, capacity_from_E_bar, persistence_equilibrium, val
 from .verify import AUDIT_CHECKS, audit_grid
 
 
-def _value(section: str, mapping: dict, key: str, default=None, convert=float):
-    """``mapping[key]`` converted, or ``default`` when absent; a bad value is a ConfigError."""
-    if key not in mapping:
-        return default
-    try:
-        return convert(mapping[key])
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: invalid value {mapping[key]!r}") from None
-
-
 def _load(path):
-    """(params, controller_cfg, variant, sim overrides) from a config file."""
+    """(params, controller_cfg, variant, [sim] settings) from a config file."""
     sections = read_config(path)
     p = params_from_mapping(sections["params"]) if "params" in sections else NOMINAL_PARAMS
     validate_params(p)
-    ctrl = sections.get("controller", {})
-    design = {
-        key: _value("controller", ctrl, key)
-        for key in ("F_hat", "F_hat_ratio", "eps", "eta", "rho", "F2")
-        if key in ctrl
-    }
-    if "cutoff_kind" in ctrl:
-        design["cutoff_kind"] = ctrl["cutoff_kind"]
-    return p, nominal_controller(p, **design), ctrl.get("variant", "plus"), sections.get("sim", {})
+    design = dict(sections.get("controller", {}))
+    variant = design.pop("variant", "plus")
+    return p, nominal_controller(p, **design), variant, sections.get("sim", {})
 
 
 def _initial_from_sim(sim: dict, default: tuple) -> tuple:
     """The scenario's default initial state, (F, Ms) or (E, M, F, Ms), with the ``[sim]`` overrides applied."""
     *aquatic, F, Ms = default
-    initial = (_value("sim", sim, "F0", _value("sim", sim, "F0_ratio", 1.0) * F), _value("sim", sim, "Ms0", Ms))
+    initial = (sim.get("F0", sim.get("F0_ratio", 1.0) * F), sim.get("Ms0", Ms))
     if not aquatic:
         return initial
     E, M = aquatic
-    return (_value("sim", sim, "E0", E), _value("sim", sim, "M0", M)) + initial
+    return (sim.get("E0", E), sim.get("M0", M)) + initial
 
 
 def _scenario_from_config(path, args) -> ScenarioConfig:
-    """The config's scenario; settings neither the file nor a flag gives keep ScenarioConfig's defaults."""
+    """The config's scenario: ``[sim]`` keys, then the flags named after them, over ScenarioConfig's defaults."""
     p, cfg, variant, sim = _load(path)
-    settings = {
-        key: _value("sim", sim, key, convert=convert)
-        for key, convert in (
-            ("model", str), ("t_end", float), ("dt", float), ("record_every", int), ("extinction_threshold", float),
-        )
-        if key in sim
-    }
-    settings.update({key: getattr(args, key) for key in ("model", "t_end", "dt") if getattr(args, key) is not None})
+    settings = {key: value for key, value in sim.items() if key not in INITIAL_KEYS}
+    settings |= {key: value for key, value in vars(args).items() if key in SECTION_KEYS["sim"] and value is not None}
     scenario = ScenarioConfig(
         name=Path(path).stem,
         params=p,
         controller=cfg,
         variant=args.variant or variant,
-        out_dir=Path(args.out) if getattr(args, "out", None) else None,
+        out_dir=Path(args.out) if args.out else None,
         **settings,
     )
-    if any(key in sim for key in ("F0", "F0_ratio", "Ms0", "E0", "M0")):
+    if sim.keys() & INITIAL_KEYS:
         scenario = replace(scenario, initial=_initial_from_sim(sim, scenario.resolve_initial()))
     try:
         scenario.sim_spec()
@@ -160,13 +138,16 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("config")
     eq.set_defaults(func=cmd_equilibria)
 
-    sim = sub.add_parser("simulate", help="run one scenario and write its trajectory CSV")
-    sim.add_argument("config")
-    sim.add_argument("--model", choices=["reduced", "full"])
-    sim.add_argument("--variant", choices=["none", "raw", "plus", "global"])
-    sim.add_argument("--t-end", type=float, dest="t_end")
-    sim.add_argument("--dt", type=float)
-    sim.add_argument("--out")
+    # the options simulate and robustness share; --model, --t-end and --dt override their [sim] keys
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("config")
+    scenario.add_argument("--model", choices=["reduced", "full"])
+    scenario.add_argument("--variant", choices=VARIANTS)
+    scenario.add_argument("--t-end", type=float, dest="t_end")
+    scenario.add_argument("--dt", type=float)
+    scenario.add_argument("--out")
+
+    sim = sub.add_parser("simulate", parents=[scenario], help="run one scenario and write its trajectory CSV")
     sim.set_defaults(func=cmd_simulate)
 
     audit = sub.add_parser("audit", help="grid audits of the controller inequalities")
@@ -174,16 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--check", default="all", choices=list(AUDIT_CHECKS) + ["all"])
     audit.set_defaults(func=cmd_audit)
 
-    rob = sub.add_parser("robustness", help="Monte-Carlo uncertainty sweep with the nominal law")
-    rob.add_argument("config")
+    rob = sub.add_parser("robustness", parents=[scenario], help="Monte-Carlo uncertainty sweep with the nominal law")
     rob.add_argument("--trials", type=int, default=20)
     rob.add_argument("--uncertainty", type=float, default=0.10)
     rob.add_argument("--seed", type=int, default=2024)
-    rob.add_argument("--model", choices=["reduced", "full"])
-    rob.add_argument("--variant", choices=["none", "raw", "plus", "global"])
-    rob.add_argument("--t-end", type=float, dest="t_end")
-    rob.add_argument("--dt", type=float)
-    rob.add_argument("--out")
     rob.set_defaults(func=cmd_robustness)
 
     return parser

@@ -1,71 +1,88 @@
-"""Flat `key = value` config files and trajectory CSV I/O.
+"""Config schema and parsing, and trajectory CSV I/O.
 
 Config format: `#` comments, `[params]` / `[controller]` / `[sim]`
-sections, one `key = value` per line.  Parse errors carry the line number
-and, for unknown keys, the nearest valid key.
+sections, one `key = value` per line.  :data:`SECTION_KEYS` is the
+schema: each key and the converter its value goes through.  Parse errors
+carry the line number and, for unknown keys, the nearest valid key.
 """
 from __future__ import annotations
 
 import csv
 import difflib
+import math
 from pathlib import Path
 
 from .model import PARAM_KEYS, BioParams
 from .simulate import Trajectory
 
-CONTROLLER_KEYS = ("F_hat", "F_hat_ratio", "eps", "eta", "rho", "F2", "variant", "cutoff_kind")
-SIM_KEYS = (
-    "model", "t_end", "dt", "record_every",
-    "F0", "F0_ratio", "Ms0", "E0", "M0", "extinction_threshold",
-)
-SECTION_KEYS = {"params": PARAM_KEYS, "controller": CONTROLLER_KEYS, "sim": SIM_KEYS}
+
+def finite_float(text: str) -> float:
+    """``float(text)``; nan and +-inf are a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+#: The ``[sim]`` keys that set the initial state; the others are ScenarioConfig fields.
+INITIAL_KEYS = ("F0", "F0_ratio", "Ms0", "E0", "M0")
+
+#: section -> key -> converter of its value.
+SECTION_KEYS = {
+    "params": dict.fromkeys(PARAM_KEYS, finite_float),
+    "controller": dict.fromkeys(("F_hat", "F_hat_ratio", "eps", "eta", "rho", "F2"), finite_float)
+    | {"variant": str, "cutoff_kind": str},
+    "sim": {"model": str, "t_end": finite_float, "dt": finite_float, "record_every": int}
+    | dict.fromkeys(INITIAL_KEYS + ("extinction_threshold",), finite_float),
+}
 
 
 class ConfigError(ValueError):
     """Malformed config text; message includes the offending line number."""
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, dict[str, str]]:
-    """Parse sectioned key=value text into {section: {key: raw value}}."""
-    sections: dict[str, dict[str, str]] = {}
-    current = None
+def parse_config_text(text: str, source: str = "<config>", section: str | None = None) -> dict[str, dict]:
+    """Parse sectioned key=value text into {section: {key: typed value}}; lines before any header go to ``section``."""
+    sections: dict[str, dict] = {} if section is None else {section: {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in SECTION_KEYS:
+            section = line[1:-1].strip()
+            if section not in SECTION_KEYS:
                 raise ConfigError(
-                    f"{source}:{lineno}: unknown section [{name}]; expected one of "
+                    f"{source}:{lineno}: unknown section [{section}]; expected one of "
                     + ", ".join(f"[{s}]" for s in SECTION_KEYS)
                 )
-            current = sections.setdefault(name, {})
+            sections.setdefault(section, {})
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        if current is None:
+        if section is None:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        section_name = next(name for name, sec in sections.items() if sec is current)
-        valid = SECTION_KEYS[section_name]
-        if key not in valid:
-            hint = difflib.get_close_matches(key, valid, n=1)
+        schema, current = SECTION_KEYS[section], sections[section]
+        if key not in schema:
+            hint = difflib.get_close_matches(key, schema, n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{section_name}]{suggestion}")
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{section}]{suggestion}")
         if key in current:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        current[key] = value
+        try:
+            current[key] = schema[key](value)
+        except ValueError:
+            raise ConfigError(f"{source}:{lineno}: [{section}] {key}: invalid value {value!r}") from None
     return sections
 
 
-def read_config(path) -> dict[str, dict[str, str]]:
+def read_config(path) -> dict[str, dict]:
     path = Path(path)
     return parse_config_text(path.read_text(), source=str(path))
 
 
-def params_from_mapping(mapping: dict[str, str]) -> BioParams:
-    """Build BioParams from a flat key -> value-string mapping (Table naming)."""
+def params_from_mapping(mapping: dict) -> BioParams:
+    """Build BioParams from a flat key -> number (or number string) mapping (Table naming)."""
     missing = [k for k in PARAM_KEYS if k not in mapping]
     if missing:
         raise ConfigError(f"[params] is missing keys: {', '.join(missing)}")
@@ -85,20 +102,7 @@ def params_to_text(p: BioParams) -> str:
 
 def params_from_text(text: str) -> BioParams:
     """Inverse of :func:`params_to_text` (sectionless flat block)."""
-    mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in PARAM_KEYS:
-            hint = difflib.get_close_matches(key, PARAM_KEYS, n=1)
-            suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-            raise ConfigError(f"line {lineno}: unknown key {key!r}{suggestion}")
-        mapping[key] = value
-    return params_from_mapping(mapping)
+    return params_from_mapping(parse_config_text(text, source="<params>", section="params")["params"])
 
 
 def _fmt(x: float) -> str:

@@ -13,6 +13,7 @@ integration loop.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +97,10 @@ class ControllerConfig:
             raise ControllerError(
                 f"achieved offset eps={eps_val} must stay below delta_F={p.delta_F}; increase F_hat"
             )
-        if not eta > 0.0:
-            raise ControllerError(f"gain eta must be positive, got {eta}")
-        if not rho > 0.0:
-            raise ControllerError(f"Lyapunov weight rho must be positive, got {rho}")
+        if not 0.0 < eta < math.inf:
+            raise ControllerError(f"gain eta must be positive and finite, got {eta}")
+        if not 0.0 < rho < math.inf:
+            raise ControllerError(f"Lyapunov weight rho must be positive and finite, got {rho}")
         if F2 is None:
             F2 = 0.5 * (F_bar + F_hat)
         if not F_bar < F2 < F_hat:

@@ -33,6 +33,9 @@ NOMINAL_PARAMS = BioParams(
 #: (robustness to capacity errors is a separate question).
 DEFAULT_PERTURB_SET = ("beta_E", "gamma_s", "nu_E", "nu", "delta_E", "delta_M", "delta_F", "delta_s")
 
+#: Draws perturb_params makes before it gives up on a parameter set.
+MAX_PERTURB_TRIES = 100
+
 #: Below one individual the female population counts as extinct.
 DEFAULT_EXTINCTION_THRESHOLD = 1.0
 
@@ -212,12 +215,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial,))))
 
 
-def perturb_params(
-    p: BioParams,
-    fraction: float,
-    rng: np.random.Generator,
-    max_tries: int = 100,
-):
+def perturb_params(p: BioParams, fraction: float, rng: np.random.Generator):
     """Multiply each rate of DEFAULT_PERTURB_SET by an independent uniform factor in [1-f, 1+f].
 
     Draws are resampled until the perturbed set re-validates (the analysis
@@ -226,7 +224,7 @@ def perturb_params(
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must lie in [0, 1), got {fraction}")
     last_error = None
-    for tries in range(1, max_tries + 1):
+    for tries in range(1, MAX_PERTURB_TRIES + 1):
         factors = rng.uniform(1.0 - fraction, 1.0 + fraction, size=len(DEFAULT_PERTURB_SET))
         candidate = p.replace(**{name: getattr(p, name) * f for name, f in zip(DEFAULT_PERTURB_SET, factors)})
         try:
@@ -234,7 +232,7 @@ def perturb_params(
         except ParamError as err:
             last_error = err
     raise ParamError(
-        f"no admissible perturbation after {max_tries} draws at fraction {fraction}; "
+        f"no admissible perturbation after {MAX_PERTURB_TRIES} draws at fraction {fraction}; "
         f"last violation: {last_error}"
     )
 

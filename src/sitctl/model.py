@@ -7,6 +7,7 @@ nonlinear mating function ``g``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,15 +73,15 @@ def basic_offspring_number(p: BioParams) -> float:
 
 
 def validate_params(p: BioParams) -> BioParams:
-    """Check positivity, nu in (0,1), sterile-male frailty and R0 > 1.
+    """Check positivity and finiteness, nu in (0,1), sterile-male frailty and R0 > 1.
 
     Returns ``p`` unchanged on success; raises :class:`ParamError` naming
     the offending field otherwise.
     """
     for name in PARAM_KEYS:
         value = getattr(p, name)
-        if not value > 0.0:
-            raise ParamError(f"parameter {name} must be strictly positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ParamError(f"parameter {name} must be strictly positive and finite, got {value}")
     if not 0.0 < p.nu < 1.0:
         raise ParamError(f"nu must lie in (0, 1), got {p.nu}")
     if not p.delta_s > max(p.delta_F, p.delta_M):

@@ -44,10 +44,10 @@ class SimSpec:
         expected = 2 if self.model == "reduced" else 4
         if len(self.initial) != expected:
             raise ValueError(f"{self.model} model needs {expected} initial components")
-        if any(x < 0.0 for x in self.initial):
-            raise ValueError("initial state must be nonnegative")
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
+        if not all(0.0 <= x < math.inf for x in self.initial):
+            raise ValueError("initial state must be nonnegative and finite")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not 0.0 < self.dt <= 0.1:
             raise ValueError("dt must lie in (0, 0.1] (stability margin vs the fastest rates)")
         if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:

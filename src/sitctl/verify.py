@@ -36,7 +36,6 @@ class DecayReport:
     lambda_fit: float
     c0_fit: float
     max_violation: float  # worst V(t) / (V(0) e^{-lambda t})
-    window: tuple  # (t_start, t_end) of the log-linear fit
     passed: bool
 
 
@@ -73,13 +72,6 @@ def fit_decay_rate(times, values):
     return float(-slope), float(np.exp(intercept))
 
 
-def _fit_window(traj: Trajectory, values: np.ndarray, floor: float):
-    """Sample mask excluding the initial transient and the float floor."""
-    t = traj.times
-    mask = (t >= 0.05 * t[-1]) & (values > floor)
-    return mask
-
-
 def _max_envelope_ratio(values: np.ndarray, t: np.ndarray, rate: float) -> float:
     """Largest values(t) / (values(0) e^{-rate t}), in log space so the envelope cannot underflow."""
     with np.errstate(divide="ignore"):
@@ -99,16 +91,12 @@ def verify_decay(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> D
     t = traj.times
     V0 = V[0]
     if V0 == 0.0:
-        return DecayReport(lambda_theory, float("nan"), 1.0, 0.0, (0.0, 0.0), True)
+        return DecayReport(lambda_theory, float("nan"), 1.0, 0.0, True)
     max_violation = _max_envelope_ratio(V, t, lambda_theory)
     passed = max_violation <= 1.0 + tol
 
-    mask = _fit_window(traj, V, 1e-12 * V0)
-    if np.count_nonzero(mask) >= 10:
-        lambda_fit, _ = fit_decay_rate(t[mask], V[mask])
-        window = (float(t[mask][0]), float(t[mask][-1]))
-    else:
-        lambda_fit, window = float("nan"), (0.0, 0.0)
+    mask = (t >= 0.05 * t[-1]) & (V > 1e-12 * V0)
+    lambda_fit = fit_decay_rate(t[mask], V[mask])[0] if np.count_nonzero(mask) >= 10 else float("nan")
 
     # Squared-norm convergence estimate: smallest c0 making it hold everywhere.
     norm2 = traj.F**2 + traj.Ms**2
@@ -119,7 +107,6 @@ def verify_decay(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> D
         lambda_fit=lambda_fit,
         c0_fit=c0_fit,
         max_violation=max_violation,
-        window=window,
         passed=passed,
     )
 

@@ -1,9 +1,14 @@
 """Config parsing and trajectory CSV round-trips."""
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 import sitctl as s
 from sitctl.configio import (
+    INITIAL_KEYS,
+    SECTION_KEYS,
     ConfigError,
     params_from_mapping,
     parse_config_text,
@@ -44,6 +49,28 @@ class TestConfigParsing:
         assert p == s.NOMINAL_PARAMS
         assert sections["controller"]["variant"] == "plus"
         assert float(sections["sim"]["t_end"]) == 100.0
+
+    def test_values_are_typed(self):
+        sections = parse_config_text(GOOD_CONFIG + "record_every = 20\n")
+        assert type(sections["params"]["k"]) is float and sections["params"]["k"] == 212370.0
+        assert sections["controller"] == {"F_hat_ratio": 1.35, "eta": 0.1, "rho": 0.5, "variant": "plus"}
+        assert sections["sim"] == {"model": "reduced", "t_end": 100.0, "dt": 0.01, "record_every": 20}
+        assert type(sections["sim"]["record_every"]) is int
+
+    @pytest.mark.parametrize("line", ["t_end = ten", "record_every = 1.5", "dt = inf", "F0 = nan"])
+    def test_bad_value_names_file_line_section_and_key(self, line):
+        key, value = line.split(" = ")
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"# run\n[sim]\n{line}\n", source="run.cfg")
+        assert str(err.value) == f"run.cfg:3: [sim] {key}: invalid value '{value}'"
+
+    def test_every_key_has_a_consumer(self):
+        # the CLI passes these on by name, so a key nothing takes would be a TypeError
+        assert set(SECTION_KEYS["params"]) == set(s.BioParams.__dataclass_fields__)
+        design = inspect.signature(s.ControllerConfig.design).parameters
+        assert set(SECTION_KEYS["controller"]) - {"variant"} <= set(design)
+        fields = {field.name for field in dataclasses.fields(s.ScenarioConfig)}
+        assert set(SECTION_KEYS["sim"]) - set(INITIAL_KEYS) <= fields
 
     def test_unknown_key_names_nearest_match(self):
         bad = GOOD_CONFIG.replace("beta_E = 10", "betaE = 10")
@@ -95,6 +122,13 @@ class TestParamsText:
     def test_unknown_key_suggestion(self):
         with pytest.raises(ConfigError, match="delta_s"):
             s.params_from_text("deltas = 0.12\n")
+
+    def test_errors_count_lines_from_the_first(self, params):
+        with pytest.raises(ConfigError, match=r"^<params>:2: expected"):
+            s.params_from_text("beta_E = 10\nbeta_E 10\n")
+        text = s.params_to_text(params).replace(f"k = {params.k!r}", "k = inf")
+        with pytest.raises(ConfigError, match=r"^<params>:9: \[params\] k: invalid value 'inf'"):
+            s.params_from_text(text)
 
 
 class TestTrajectoryCsv:

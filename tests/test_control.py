@@ -106,6 +106,12 @@ class TestConfigValidation:
         with pytest.raises(s.ControllerError, match="rho"):
             s.ControllerConfig.design(params, F_hat_ratio=1.35, rho=0.0)
 
+    @pytest.mark.parametrize("gain", ["eta", "rho"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_finite_gains_required(self, params, gain, value):
+        with pytest.raises(s.ControllerError, match=gain):
+            s.ControllerConfig.design(params, F_hat_ratio=1.35, **{gain: value})
+
     def test_knee_inside_design_interval(self, params, eq):
         with pytest.raises(s.ControllerError, match="F2"):
             s.ControllerConfig.design(params, F_hat_ratio=1.35, F2=0.5 * eq.F_bar)

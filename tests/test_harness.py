@@ -1,4 +1,6 @@
 """Scenario runner, parameter perturbation, robustness sweep and the CLI."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 import sitctl as s
 from sitctl.cli import _scenario_from_config, build_parser
 from sitctl.cli import main as cli_main
+from sitctl.configio import SECTION_KEYS, finite_float
 from sitctl.harness import (
     DEFAULT_PERTURB_SET,
     RobustnessConfig,
@@ -50,7 +53,7 @@ class TestPerturbParams:
     def test_exhaustion_names_binding_constraint(self, params):
         hopeless = params.replace(delta_s=0.05)  # below delta_M at any 1% draw
         with pytest.raises(s.ParamError, match="delta_s"):
-            s.perturb_params(hopeless, 0.01, trial_rng(0, 0), max_tries=5)
+            s.perturb_params(hopeless, 0.01, trial_rng(0, 0))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50)
@@ -150,6 +153,10 @@ class TestRobustness:
             RobustnessConfig(base=quick_base, uncertainty=1.5)
 
 
+# Every float-valued config key, read off the schema so that a new key is covered too.
+FLOAT_KEYS = [(section, key) for section, schema in SECTION_KEYS.items() for key, convert in schema.items()
+              if convert is finite_float]
+
 # The study configs of the README, each named after the preset it reproduces.
 STUDY_CONFIGS = {
     "nominal-reduced": "[sim]\n",
@@ -220,6 +227,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[sim]" in err and key in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{section}.{key}" for section, key in FLOAT_KEYS])
+    def test_non_finite_config_value_exits_2(self, tmp_path, section, key, value, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        assert cli_main(["simulate", str(path)]) == 2
+        assert f"{path}:2: [{section}] {key}: invalid value '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "robustness"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_t_end_flag_exits_2(self, config_file, command, value, capsys):
+        # --t-end inf used to end in an OverflowError traceback
+        assert cli_main([command, str(config_file), f"--t-end={value}"]) == 2
+        assert "t_end" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--uncertainty", "1.5")])
     def test_bad_robustness_option_exits_2(self, config_file, option, value, capsys):
         assert cli_main(["robustness", str(config_file), option, value]) == 2
@@ -261,12 +283,15 @@ def short_config(tmp_path_factory):
     return path
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
 @given(
     command=st.sampled_from(["simulate", "robustness"]),
     trials=st.integers(min_value=-1, max_value=3),
-    uncertainty=st.floats(min_value=-0.5, max_value=1.5),
-    dt=st.sampled_from([-0.01, 0.0, 0.05, 0.5]),
-    t_end=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(min_value=-1.0, max_value=2.0)),
+    uncertainty=st.one_of(st.floats(min_value=-0.5, max_value=1.5), NON_FINITE),
+    dt=st.one_of(st.sampled_from([-0.01, 0.0, 0.05, 0.5]), NON_FINITE),
+    t_end=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(min_value=-1.0, max_value=2.0), NON_FINITE),
 )
 @settings(max_examples=200, deadline=None)
 def test_cli_exit_code_is_0_1_or_2(short_config, command, trials, uncertainty, dt, t_end):

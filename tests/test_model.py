@@ -31,6 +31,12 @@ class TestValidation:
         with pytest.raises(s.ParamError, match=field):
             s.validate_params(params.replace(**{field: 0.0}))
 
+    @pytest.mark.parametrize("field", PARAM_KEYS)
+    def test_infinite_field_rejected(self, params, field):
+        # k = inf used to pass and then trip the equilibrium balance assertion
+        with pytest.raises(s.ParamError, match=f"parameter {field} must be strictly positive and finite"):
+            s.validate_params(params.replace(**{field: float("inf")}))
+
     def test_nu_outside_unit_interval_rejected(self, params):
         with pytest.raises(s.ParamError, match="nu"):
             s.validate_params(params.replace(nu=1.0))

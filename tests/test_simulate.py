@@ -133,6 +133,15 @@ class TestIntegrate:
         with pytest.raises(s.ParamError):
             s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.0, plant=params.replace(delta_s=0.03))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_t_end_and_initial_rejected(self, params, cfg, eq, bad):
+        law = s.ControlLaw("plus", cfg, params)
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=bad)
+        for initial in ((bad, 0.0), (eq.F_bar, bad)):
+            with pytest.raises(ValueError, match="initial state must be nonnegative and finite"):
+                s.SimSpec(model="reduced", law=law, initial=initial, t_end=10.0)
+
     def test_plant_drives_dynamics_law_keeps_its_target(self, params, cfg, eq):
         law = s.ControlLaw("plus", cfg, params)
         spec = s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=50.0, dt=0.05, record_every=20)
