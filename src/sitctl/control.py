@@ -90,8 +90,8 @@ class ControllerConfig:
         elif eps is not None:
             F_hat = f_hat_for(eps, p)
         assert F_hat is not None
-        if not F_hat > F_bar:
-            raise ControllerError(f"F_hat={F_hat} must exceed the persistence level F_bar={F_bar}")
+        if not F_bar < F_hat < math.inf:
+            raise ControllerError(f"F_hat={F_hat} must exceed the persistence level F_bar={F_bar} and be finite")
         eps_val = epsilon_for(F_hat, p)
         if not eps_val < p.delta_F:
             raise ControllerError(

@@ -20,7 +20,7 @@ import numpy as np
 from .configio import ConfigError, write_trajectory_csv
 from .control import ControlLaw, ControllerConfig, sigma
 from .model import BioParams, ParamError, persistence_equilibrium, validate_params
-from .simulate import SimSpec, Trajectory, integrate, detect_extinction
+from .simulate import TERMINATION_NONNEG, SimSpec, Trajectory, integrate, detect_extinction
 from .verify import DecayReport, control_budget, verify_decay
 
 #: Table of nominal biological rates used throughout the study.
@@ -184,15 +184,15 @@ def run_scenario(scenario: ScenarioConfig) -> ScenarioResult:
     budget = control_budget(traj)
     decay = None
     extinction = detect_extinction(traj, scenario.extinction_threshold)
-    if scenario.model == "reduced" and scenario.variant in ("raw", "plus", "global"):
+    if scenario.model == "reduced" and scenario.variant != "none":
         lam = guaranteed_rate(scenario.controller, scenario.params, scenario.variant == "global")
         decay = verify_decay(traj, lam)
-        passed = decay.passed and control_nonneg and traj.termination != "nonnegativity-violation"
-    elif scenario.model == "full" and scenario.variant in ("raw", "plus", "global"):
+        passed = decay.passed and control_nonneg and traj.termination != TERMINATION_NONNEG
+    elif scenario.model == "full" and scenario.variant != "none":
         passed = extinction is not None and control_nonneg
     else:
         # open loop: success means the run completed (stability claims are test-side)
-        passed = traj.termination != "nonnegativity-violation"
+        passed = traj.termination != TERMINATION_NONNEG
     result = ScenarioResult(
         name=scenario.name,
         trajectory=traj,

@@ -171,18 +171,50 @@ def reduced_rhs(state, u: float, p: BioParams):
     return (g(F, Ms, p) - p.delta_F * F, u - p.delta_s * Ms)
 
 
-def full_rhs(state, u: float, p: BioParams):
-    """Time derivative of the full (E, M, F, Ms) model under release rate u.
+def reduced_field(p: BioParams):
+    """Scalar reduced field ``(F, Ms, u) -> (dF, dMs)`` with the rates of ``p`` bound once.
+
+    Its recruitment term is ``g`` to the last bit; :func:`reduced_rhs` is the array reference.
+    """
+    beta_E, gamma_s, nu_E, nu = p.beta_E, p.gamma_s, p.nu_E, p.nu
+    delta_E, delta_M, delta_F, delta_s, k = p.delta_E, p.delta_M, p.delta_F, p.delta_s, p.k
+    A = nu * (1.0 - nu) * beta_E**2 * nu_E**2
+    male_rate = (1.0 - nu) * nu_E * beta_E
+
+    def field(F, Ms, u):
+        a = beta_E * F / k + nu_E + delta_E
+        scale = a * (male_rate * F + a * delta_M * gamma_s * Ms)
+        gv = 0.0 if F == 0.0 or scale == 0.0 else A * F * F / scale
+        return gv - delta_F * F, u - delta_s * Ms
+
+    return field
+
+
+def full_field(p: BioParams):
+    """Scalar full field ``(E, M, F, Ms, u) -> (dE, dM, dF, dMs)`` with the rates of ``p`` bound once.
 
     The mating fraction M/(M + gamma_s*Ms) is taken as 0 when both male
     compartments are empty, so the extinct state stays a fixed point.
     """
-    E, M, F, Ms = state
-    males = M + p.gamma_s * Ms
-    mating = M / males if males > 0.0 else 0.0
-    return (
-        p.beta_E * F * (1.0 - E / p.k) - (p.nu_E + p.delta_E) * E,
-        (1.0 - p.nu) * p.nu_E * E - p.delta_M * M,
-        p.nu * p.nu_E * E * mating - p.delta_F * F,
-        u - p.delta_s * Ms,
-    )
+    beta_E, gamma_s, nu_E, nu = p.beta_E, p.gamma_s, p.nu_E, p.nu
+    delta_E, delta_M, delta_F, delta_s, k = p.delta_E, p.delta_M, p.delta_F, p.delta_s, p.k
+    egg_loss = nu_E + delta_E
+    male_birth = (1.0 - nu) * nu_E
+    female_birth = nu * nu_E
+
+    def field(E, M, F, Ms, u):
+        males = M + gamma_s * Ms
+        mating = M / males if males > 0.0 else 0.0
+        return (
+            beta_E * F * (1.0 - E / k) - egg_loss * E,
+            male_birth * E - delta_M * M,
+            female_birth * E * mating - delta_F * F,
+            u - delta_s * Ms,
+        )
+
+    return field
+
+
+def full_rhs(state, u: float, p: BioParams):
+    """Time derivative of the full (E, M, F, Ms) model under release rate u."""
+    return full_field(p)(*state, u)

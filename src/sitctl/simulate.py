@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlLaw, lyapunov_V
-from .model import BioParams, validate_params
+from .model import BioParams, full_field, reduced_field, validate_params
 
 TERMINATION_HORIZON = "horizon"
-TERMINATION_EXTINCTION = "extinction-threshold"
 TERMINATION_NONNEG = "nonnegativity-violation"
+MAX_STEPS = 10**8  # 500x a 2000-day run at dt 0.01
 
 
 class NonnegativityError(RuntimeError):
@@ -35,7 +35,6 @@ class SimSpec:
     t_end: float
     dt: float = 0.01
     record_every: int = 100
-    stop_when_F_below: float | None = None
     plant: BioParams | None = None  # drives the dynamics; default: the law's params
 
     def __post_init__(self):
@@ -50,6 +49,8 @@ class SimSpec:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not 0.0 < self.dt <= 0.1:
             raise ValueError("dt must lie in (0, 0.1] (stability margin vs the fastest rates)")
+        if self.t_end / self.dt > MAX_STEPS:
+            raise ValueError(f"t_end/dt = {self.t_end / self.dt:.3g} steps exceeds MAX_STEPS = {MAX_STEPS:.0e}")
         if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"t_end={self.t_end} must be a whole number of dt={self.dt} steps")
         if self.record_every < 1:
@@ -62,9 +63,9 @@ class SimSpec:
 class Trajectory:
     """Recorded samples of one run.
 
-    ``states`` has one row per sample: (F, Ms) for the reduced model,
-    (E, M, F, Ms) for the full one.  ``lyapunov`` is present only for
-    reduced runs whose law carries a controller config.
+    ``states`` has one row per sample, (F, Ms) or (E, M, F, Ms): F and Ms
+    come last in both models.  ``lyapunov`` is present only for reduced
+    runs whose law carries a controller config.
     """
 
     model: str
@@ -77,29 +78,20 @@ class Trajectory:
 
     @property
     def F(self) -> np.ndarray:
-        return self.states[:, 0] if self.model == "reduced" else self.states[:, 2]
+        return self.states[:, -2]
 
     @property
     def Ms(self) -> np.ndarray:
-        return self.states[:, 1] if self.model == "reduced" else self.states[:, 3]
+        return self.states[:, -1]
 
     def columns(self) -> list[str]:
-        cols = ["t", "F", "Ms"]
-        if self.model == "full":
-            cols += ["E", "M"]
-        cols.append("u")
-        if self.lyapunov is not None:
-            cols.append("V")
-        return cols
+        aquatic = ["E", "M"] if self.model == "full" else []
+        return ["t", "F", "Ms", *aquatic, "u"] + (["V"] if self.lyapunov is not None else [])
 
     def rows(self):
         for i, t in enumerate(self.times):
-            row = [t]
-            if self.model == "reduced":
-                row += [self.states[i, 0], self.states[i, 1]]
-            else:
-                row += [self.states[i, 2], self.states[i, 3], self.states[i, 0], self.states[i, 1]]
-            row.append(self.controls[i])
+            *aquatic, F, Ms = self.states[i]
+            row = [t, F, Ms, *aquatic, self.controls[i]]
             if self.lyapunov is not None:
                 row.append(self.lyapunov[i])
             yield row
@@ -153,34 +145,26 @@ def _closed_loop_step(spec: SimSpec, u, clamp_tol: float):
     """RK4 step closure ``state -> (next_state, clamp_amount)`` for the spec's model.
 
     :func:`step_rk4` written out for two (reduced) or four (full)
-    components, with the vector field inlined and the feedback ``u(F,
-    Ms)`` re-evaluated at each stage.  Every sum and product keeps the
-    association of ``step_rk4``, ``g`` and ``full_rhs``, so the result is
-    the same to the last bit.
+    components over the model's scalar field, with the feedback ``u(F, Ms)``
+    re-evaluated at each stage on the values the field sees.  Every sum keeps
+    the association of ``step_rk4``, so the result is the same to the last bit.
     """
     p = spec.law.params if spec.plant is None else spec.plant
-    beta_E, gamma_s, nu_E, nu = p.beta_E, p.gamma_s, p.nu_E, p.nu
-    delta_E, delta_M, delta_F, delta_s, k = p.delta_E, p.delta_M, p.delta_F, p.delta_s, p.k
     dt = spec.dt
-    h2 = 0.5 * dt
-    sixth = dt / 6.0
+    h2, sixth = 0.5 * dt, dt / 6.0
 
     if spec.model == "reduced":
-        A = nu * (1.0 - nu) * beta_E**2 * nu_E**2
-        male_rate = (1.0 - nu) * nu_E * beta_E
-
-        def rates(F, Ms):
-            a = beta_E * F / k + nu_E + delta_E
-            scale = a * (male_rate * F + a * delta_M * gamma_s * Ms)
-            gv = 0.0 if F == 0.0 or scale == 0.0 else A * F * F / scale
-            return gv - delta_F * F, u(F, Ms) - delta_s * Ms
+        field = reduced_field(p)
 
         def step(state):
             F, Ms = state
-            dF1, dMs1 = rates(F, Ms)
-            dF2, dMs2 = rates(F + h2 * dF1, Ms + h2 * dMs1)
-            dF3, dMs3 = rates(F + h2 * dF2, Ms + h2 * dMs2)
-            dF4, dMs4 = rates(F + dt * dF3, Ms + dt * dMs3)
+            dF1, dMs1 = field(F, Ms, u(F, Ms))
+            Fk, Msk = F + h2 * dF1, Ms + h2 * dMs1
+            dF2, dMs2 = field(Fk, Msk, u(Fk, Msk))
+            Fk, Msk = F + h2 * dF2, Ms + h2 * dMs2
+            dF3, dMs3 = field(Fk, Msk, u(Fk, Msk))
+            Fk, Msk = F + dt * dF3, Ms + dt * dMs3
+            dF4, dMs4 = field(Fk, Msk, u(Fk, Msk))
             nxt = (F + sixth * (dF1 + 2.0 * (dF2 + dF3) + dF4), Ms + sixth * (dMs1 + 2.0 * (dMs2 + dMs3) + dMs4))
             if nxt[0] < 0.0 or nxt[1] < 0.0:
                 return _clamp(nxt, clamp_tol)
@@ -188,26 +172,17 @@ def _closed_loop_step(spec: SimSpec, u, clamp_tol: float):
 
         return step
 
-    egg_loss = nu_E + delta_E
-    male_birth = (1.0 - nu) * nu_E
-    female_birth = nu * nu_E
-
-    def rates(E, M, F, Ms):
-        males = M + gamma_s * Ms
-        mating = M / males if males > 0.0 else 0.0
-        return (
-            beta_E * F * (1.0 - E / k) - egg_loss * E,
-            male_birth * E - delta_M * M,
-            female_birth * E * mating - delta_F * F,
-            u(F, Ms) - delta_s * Ms,
-        )
+    field = full_field(p)
 
     def step(state):
         E, M, F, Ms = state
-        dE1, dM1, dF1, dMs1 = rates(E, M, F, Ms)
-        dE2, dM2, dF2, dMs2 = rates(E + h2 * dE1, M + h2 * dM1, F + h2 * dF1, Ms + h2 * dMs1)
-        dE3, dM3, dF3, dMs3 = rates(E + h2 * dE2, M + h2 * dM2, F + h2 * dF2, Ms + h2 * dMs2)
-        dE4, dM4, dF4, dMs4 = rates(E + dt * dE3, M + dt * dM3, F + dt * dF3, Ms + dt * dMs3)
+        dE1, dM1, dF1, dMs1 = field(E, M, F, Ms, u(F, Ms))
+        Fk, Msk = F + h2 * dF1, Ms + h2 * dMs1
+        dE2, dM2, dF2, dMs2 = field(E + h2 * dE1, M + h2 * dM1, Fk, Msk, u(Fk, Msk))
+        Fk, Msk = F + h2 * dF2, Ms + h2 * dMs2
+        dE3, dM3, dF3, dMs3 = field(E + h2 * dE2, M + h2 * dM2, Fk, Msk, u(Fk, Msk))
+        Fk, Msk = F + dt * dF3, Ms + dt * dMs3
+        dE4, dM4, dF4, dMs4 = field(E + dt * dE3, M + dt * dM3, Fk, Msk, u(Fk, Msk))
         nxt = (
             E + sixth * (dE1 + 2.0 * (dE2 + dE3) + dE4),
             M + sixth * (dM1 + 2.0 * (dM2 + dM3) + dM4),
@@ -222,7 +197,7 @@ def _closed_loop_step(spec: SimSpec, u, clamp_tol: float):
 
 
 def integrate(spec: SimSpec) -> Trajectory:
-    """Run the closed loop to the horizon (or early termination).
+    """Run the closed loop to the horizon, or until a step leaves the nonnegative domain.
 
     Deterministic: the same spec always yields bit-identical samples.
     """
@@ -233,16 +208,12 @@ def integrate(spec: SimSpec) -> Trajectory:
     step = _closed_loop_step(spec, u, 1e-9 * math.sqrt(sum(x * x for x in spec.initial)))
     n_steps = max(1, round(spec.t_end / spec.dt))
 
-    def u_of(state):
-        F, Ms = (state[0], state[1]) if spec.model == "reduced" else (state[2], state[3])
-        return u(F, Ms)
-
     times, states, controls, lyap = [], [], [], []
 
     def record(t, state):
         times.append(t)
         states.append(state)
-        controls.append(u_of(state))
+        controls.append(u(*state[-2:]))
         if record_V:
             lyap.append(lyapunov_V(*state, cfg, p))
 
@@ -250,8 +221,7 @@ def integrate(spec: SimSpec) -> Trajectory:
     record(0.0, state)
     termination = TERMINATION_HORIZON
     max_clamp = 0.0
-    F_index = 0 if spec.model == "reduced" else 2
-    dt, every, stop = spec.dt, spec.record_every, spec.stop_when_F_below
+    dt, every = spec.dt, spec.record_every
     for i in range(1, n_steps + 1):
         try:
             state, clamped = step(state)
@@ -259,14 +229,8 @@ def integrate(spec: SimSpec) -> Trajectory:
             termination = TERMINATION_NONNEG
             break
         max_clamp = max(max_clamp, clamped)
-        recorded = i % every == 0 or i == n_steps
-        if recorded:
+        if i % every == 0 or i == n_steps:
             record(i * dt, state)
-        if stop is not None and state[F_index] < stop:
-            if not recorded:
-                record(i * dt, state)
-            termination = TERMINATION_EXTINCTION
-            break
 
     return Trajectory(
         model=spec.model,

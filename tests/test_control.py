@@ -96,6 +96,12 @@ class TestConfigValidation:
         with pytest.raises(s.ControllerError, match="F_hat"):
             s.ControllerConfig.design(params, F_hat=0.5 * eq.F_bar)
 
+    @pytest.mark.parametrize("selector", [{"F_hat_ratio": 1e305}, {"eps": 1e-320}, {"F_hat": float("inf")}])
+    def test_ceiling_must_be_finite(self, params, selector):
+        # each makes F_hat = inf, which used to be reported as a bad knee F2
+        with pytest.raises(s.ControllerError, match="^F_hat=inf must exceed the persistence level"):
+            s.ControllerConfig.design(params, **selector)
+
     def test_exactly_one_selector(self, params):
         with pytest.raises(s.ControllerError, match="exactly one"):
             s.ControllerConfig.design(params, F_hat=2e4, eps=0.01)

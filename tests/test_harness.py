@@ -269,6 +269,22 @@ class TestCli:
         assert cli_main(["robustness", str(path), "--trials", "1", "--t-end", "1"]) in (0, 1)
         assert [str(w.message) for w in recwarn] == []
 
+    @pytest.mark.parametrize("sim", ["dt = 5e-324", "dt = 1e-300", "t_end = 1e9\ndt = 0.1"])
+    def test_step_count_cap_exits_2(self, tmp_path, sim, capsys):
+        # 5e-324 overflowed round(t_end / dt); the others asked for 1e10 steps or more
+        path = tmp_path / "long.cfg"
+        path.write_text(f"[sim]\n{sim}\n")
+        assert cli_main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "[sim]" in err and "MAX_STEPS" in err
+
+    def test_infinite_ceiling_exits_2(self, tmp_path, capsys):
+        # with F2 set, F_hat = inf used to pass design and run to final_F = nan
+        path = tmp_path / "ceiling.cfg"
+        path.write_text("[controller]\nF_hat_ratio = 1e305\nF2 = 20000\n[sim]\nt_end = 1\ndt = 0.1\n")
+        assert cli_main(["simulate", str(path)]) == 2
+        assert "F_hat=inf must exceed the persistence level" in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[params]\nbetaE = 10\n")

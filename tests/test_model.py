@@ -1,4 +1,5 @@
 """Population model: parameters, the mating function g, equilibria, dynamics."""
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -220,3 +221,13 @@ class TestFullRhs:
         # no males of either kind: recruitment is zero, not NaN
         rhs = s.full_rhs((100.0, 0.0, 50.0, 0.0), 0.0, params)
         assert rhs[2] == pytest.approx(-params.delta_F * 50.0, rel=1e-12)
+
+    def test_golden_bits_on_scattered_states(self):
+        # sha256 of float.hex of full_rhs at 2000 points spread over eight
+        # decades, recorded when the field had a second, independent spelling
+        # in simulate.py; a regrouped term changes it
+        points = 10.0 ** np.random.default_rng(2024).uniform(-3.0, 5.0, size=(2000, 5))
+        digest = hashlib.sha256()
+        for *state, u in points.tolist():
+            digest.update("".join(x.hex() for x in s.full_rhs(tuple(state), u, s.NOMINAL_PARAMS)).encode())
+        assert digest.hexdigest() == "e8f95e1ad51bfee85d07185b9e78fa0cb11210efbfa298382c8eb009fbe80948"
