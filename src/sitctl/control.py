@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BioParams, _plain, alpha, dg_dMs, g, persistence_equilibrium, validate_params
+from .model import (
+    MAX_MAGNITUDE, BioParams, _plain, alpha, dg_dMs, g, persistence_equilibrium, reduced_field, validate_params,
+)
 
 VARIANTS = ("none", "raw", "plus", "global")
 
@@ -90,8 +92,11 @@ class ControllerConfig:
         elif eps is not None:
             F_hat = f_hat_for(eps, p)
         assert F_hat is not None
-        if not F_bar < F_hat < math.inf:
-            raise ControllerError(f"F_hat={F_hat} must exceed the persistence level F_bar={F_bar} and be finite")
+        if not F_bar < F_hat <= MAX_MAGNITUDE:
+            raise ControllerError(
+                f"F_hat={F_hat} must exceed the persistence level F_bar={F_bar} "
+                f"and be at most MAX_MAGNITUDE = {MAX_MAGNITUDE:.0e}"
+            )
         eps_val = epsilon_for(F_hat, p)
         if not eps_val < p.delta_F:
             raise ControllerError(
@@ -270,9 +275,23 @@ class ControlLaw:
         pair such as ``nu_E + delta_E`` in ``beta_E F / k + nu_E + delta_E``
         would change the rounding.  Divisions whose denominator underflows
         to 0 near extinction take the limit 0, as in ``g`` and ``dg_dMs``.
+        The same body gives :meth:`_reduced_rates`.
         """
+        return self._fused(None, False)
+
+    def _reduced_rates(self, plant: BioParams | None = None):
+        """Closed-loop reduced rates ``(F, Ms) -> (dF, dMs)`` on ``plant`` (default: the law's params).
+
+        On the law's params the law's drift ``gv - delta_F F`` is the field's
+        ``dF`` to the last bit, so a stage computes ``g`` once; a mismatched
+        plant, and the gated-off region, take u through ``reduced_field``.
+        """
+        return self._fused(reduced_field(self.params if plant is None else plant), plant is None)
+
+    def _fused(self, field, shared: bool):
+        """u(F, Ms) if ``field`` is None, else the rates over ``field`` (``shared``: on the law's params)."""
         if self.variant == "none":
-            return lambda F, Ms: 0.0
+            return (lambda F, Ms: 0.0) if field is None else (lambda F, Ms: field(F, Ms, 0.0))
         cfg, p = self.config, self.params
         gated = self.variant == "global"  # chi cutoff above F2
         clip = self.variant != "raw"  # cut2 on the last term
@@ -285,14 +304,15 @@ class ControlLaw:
         neg_A = -A
         male_rate = (1.0 - nu) * nu_E * beta_E
         two_beta_E = 2.0 * beta_E
-        release_decay = p.delta_s - eta
+        delta_s = p.delta_s
+        release_decay = delta_s - eta
         inv_span = 1.0 / (F_hat - F2)
         switch = PI_SWITCH_TOL
 
-        def evaluate(F: float, Ms: float) -> float:
+        def evaluate(F: float, Ms: float):
             if gated:
                 if F >= F_hat:
-                    return 0.0
+                    return 0.0 if field is None else field(F, Ms, 0.0)
                 if F <= F2:
                     c = 1.0
                 else:
@@ -320,6 +340,9 @@ class ControlLaw:
                     mismatch = 0.0 if d2 == 0.0 else neg_A * F * F * delta_M * gamma_s / d2 * F
             drift = gv - delta_F * F
             last = 0.0 if clip and slope < 0.0 and drift > 0.0 else slope * drift
-            return (release_decay * Ms + eta * target - rho * mismatch + last) * c
+            u = (release_decay * Ms + eta * target - rho * mismatch + last) * c
+            if shared:
+                return drift, u - delta_s * Ms
+            return u if field is None else field(F, Ms, u)
 
         return evaluate

@@ -24,6 +24,13 @@ PARAM_KEYS = (
     "k",
 )
 
+#: Largest accepted parameter value, initial-state component and F_hat.
+#: The law's tightest power is ``lin**3`` with ``lin = beta_E*F + k*(nu_E + delta_E)``:
+#: at the bound lin <= 3e60 and lin**3 <= 2.7e181, far below the 1.8e308 where
+#: a float ``**`` raises OverflowError.  The margin also covers ``ms_star``'s
+#: ``denom**2`` and any product of up to nine bounded factors.
+MAX_MAGNITUDE = 1e30
+
 
 class ParamError(ValueError):
     """A biological parameter set violates a model assumption."""
@@ -73,7 +80,7 @@ def basic_offspring_number(p: BioParams) -> float:
 
 
 def validate_params(p: BioParams) -> BioParams:
-    """Check positivity and finiteness, nu in (0,1), sterile-male frailty and R0 > 1.
+    """Check positivity, the bound MAX_MAGNITUDE, nu in (0,1), sterile-male frailty and R0 > 1.
 
     Returns ``p`` unchanged on success; raises :class:`ParamError` naming
     the offending field otherwise.
@@ -82,6 +89,8 @@ def validate_params(p: BioParams) -> BioParams:
         value = getattr(p, name)
         if not 0.0 < value < math.inf:
             raise ParamError(f"parameter {name} must be strictly positive and finite, got {value}")
+        if value > MAX_MAGNITUDE:
+            raise ParamError(f"parameter {name} = {value} exceeds MAX_MAGNITUDE = {MAX_MAGNITUDE:.0e}")
     if not 0.0 < p.nu < 1.0:
         raise ParamError(f"nu must lie in (0, 1), got {p.nu}")
     if not p.delta_s > max(p.delta_F, p.delta_M):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlLaw, lyapunov_V
-from .model import BioParams, full_field, reduced_field, validate_params
+from .model import MAX_MAGNITUDE, BioParams, full_field, reduced_field, validate_params
 
 TERMINATION_HORIZON = "horizon"
 TERMINATION_NONNEG = "nonnegativity-violation"
@@ -45,6 +45,9 @@ class SimSpec:
             raise ValueError(f"{self.model} model needs {expected} initial components")
         if not all(0.0 <= x < math.inf for x in self.initial):
             raise ValueError("initial state must be nonnegative and finite")
+        for name, x in zip(("E0", "M0", "F0", "Ms0")[-expected:], self.initial):
+            if x > MAX_MAGNITUDE:
+                raise ValueError(f"initial {name} = {x} exceeds MAX_MAGNITUDE = {MAX_MAGNITUDE:.0e}")
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not 0.0 < self.dt <= 0.1:
@@ -146,25 +149,29 @@ def _closed_loop_step(spec: SimSpec, u, clamp_tol: float):
 
     :func:`step_rk4` written out for two (reduced) or four (full)
     components over the model's scalar field, with the feedback ``u(F, Ms)``
-    re-evaluated at each stage on the values the field sees.  Every sum keeps
-    the association of ``step_rk4``, so the result is the same to the last bit.
+    re-evaluated at each stage on the values the field sees.  ``u=None``
+    takes the spec's law; a reduced stage is then one call of the law's
+    rates (``ControlLaw._reduced_rates``), which computes ``g`` once when
+    the plant is the law's.  Every sum keeps the association of
+    ``step_rk4``, so the result is the same to the last bit.
     """
     p = spec.law.params if spec.plant is None else spec.plant
     dt = spec.dt
     h2, sixth = 0.5 * dt, dt / 6.0
 
     if spec.model == "reduced":
-        field = reduced_field(p)
+        if u is None:
+            rates = spec.law._reduced_rates(spec.plant)
+        else:
+            field = reduced_field(p)
+            rates = lambda F, Ms: field(F, Ms, u(F, Ms))
 
         def step(state):
             F, Ms = state
-            dF1, dMs1 = field(F, Ms, u(F, Ms))
-            Fk, Msk = F + h2 * dF1, Ms + h2 * dMs1
-            dF2, dMs2 = field(Fk, Msk, u(Fk, Msk))
-            Fk, Msk = F + h2 * dF2, Ms + h2 * dMs2
-            dF3, dMs3 = field(Fk, Msk, u(Fk, Msk))
-            Fk, Msk = F + dt * dF3, Ms + dt * dMs3
-            dF4, dMs4 = field(Fk, Msk, u(Fk, Msk))
+            dF1, dMs1 = rates(F, Ms)
+            dF2, dMs2 = rates(F + h2 * dF1, Ms + h2 * dMs1)
+            dF3, dMs3 = rates(F + h2 * dF2, Ms + h2 * dMs2)
+            dF4, dMs4 = rates(F + dt * dF3, Ms + dt * dMs3)
             nxt = (F + sixth * (dF1 + 2.0 * (dF2 + dF3) + dF4), Ms + sixth * (dMs1 + 2.0 * (dMs2 + dMs3) + dMs4))
             if nxt[0] < 0.0 or nxt[1] < 0.0:
                 return _clamp(nxt, clamp_tol)
@@ -172,6 +179,8 @@ def _closed_loop_step(spec: SimSpec, u, clamp_tol: float):
 
         return step
 
+    if u is None:
+        u = spec.law.evaluator()
     field = full_field(p)
 
     def step(state):
@@ -199,13 +208,16 @@ def _closed_loop_step(spec: SimSpec, u, clamp_tol: float):
 def integrate(spec: SimSpec) -> Trajectory:
     """Run the closed loop to the horizon, or until a step leaves the nonnegative domain.
 
-    Deterministic: the same spec always yields bit-identical samples.
+    Deterministic: the same spec always yields bit-identical samples.  Steps
+    run in chunks of ``record_every`` (the last one may be shorter), each
+    followed by one sample at ``i * dt``; a reduced step takes the law's own
+    rates, so it computes ``g`` once per stage when ``spec.plant`` is None.
     """
     u = spec.law.evaluator()
     cfg = spec.law.config
     p = spec.law.params  # the Lyapunov target is the law's, whatever the plant
     record_V = spec.model == "reduced" and cfg is not None
-    step = _closed_loop_step(spec, u, 1e-9 * math.sqrt(sum(x * x for x in spec.initial)))
+    step = _closed_loop_step(spec, None, 1e-9 * math.sqrt(sum(x * x for x in spec.initial)))
     n_steps = max(1, round(spec.t_end / spec.dt))
 
     times, states, controls, lyap = [], [], [], []
@@ -222,15 +234,16 @@ def integrate(spec: SimSpec) -> Trajectory:
     termination = TERMINATION_HORIZON
     max_clamp = 0.0
     dt, every = spec.dt, spec.record_every
-    for i in range(1, n_steps + 1):
-        try:
-            state, clamped = step(state)
-        except NonnegativityError:
-            termination = TERMINATION_NONNEG
-            break
-        max_clamp = max(max_clamp, clamped)
-        if i % every == 0 or i == n_steps:
-            record(i * dt, state)
+    try:
+        for start in range(0, n_steps, every):  # a chunk of steps, then one record
+            end = min(start + every, n_steps)
+            for _ in range(start, end):
+                state, clamped = step(state)
+                if clamped > max_clamp:
+                    max_clamp = clamped
+            record(end * dt, state)
+    except NonnegativityError:
+        termination = TERMINATION_NONNEG
 
     return Trajectory(
         model=spec.model,

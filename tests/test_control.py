@@ -102,6 +102,12 @@ class TestConfigValidation:
         with pytest.raises(s.ControllerError, match="^F_hat=inf must exceed the persistence level"):
             s.ControllerConfig.design(params, **selector)
 
+    @pytest.mark.parametrize("selector", [{"F_hat": 1e31}, {"F_hat_ratio": 1e28}])
+    def test_ceiling_within_magnitude_bound(self, params, selector):
+        with pytest.raises(s.ControllerError, match="^F_hat=.* at most MAX_MAGNITUDE = 1e\\+30"):
+            s.ControllerConfig.design(params, **selector)
+        assert s.ControllerConfig.design(params, F_hat=1e30).F_hat == 1e30
+
     def test_exactly_one_selector(self, params):
         with pytest.raises(s.ControllerError, match="exactly one"):
             s.ControllerConfig.design(params, F_hat=2e4, eps=0.01)

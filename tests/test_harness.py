@@ -285,6 +285,20 @@ class TestCli:
         assert cli_main(["simulate", str(path)]) == 2
         assert "F_hat=inf must exceed the persistence level" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits, named", [
+        ({"record_every = 20": "record_every = 20\nF0 = 1e104"}, "initial F0 = 1e+104"),  # was OverflowError, lin**3
+        ({"variant = plus": "variant = none", "record_every = 20": "record_every = 20\nF0 = 1e300"},
+         "initial F0 = 1e+300"),  # was OverflowError from ms_star's denom**2
+        ({"beta_E = 10": "beta_E = 1e308"}, "parameter beta_E = 1e+308"),  # was OverflowError, beta_E**2
+        ({"beta_E = 10": "beta_E = 1e120"}, "parameter beta_E = 1e+120"),  # was OverflowError, lin**3
+        ({"k = 212370": "k = 1e200"}, "parameter k = 1e+200"),  # was AssertionError: equilibrium balance violated
+    ], ids=["F0-plus", "F0-none", "beta_E-1e308", "beta_E-1e120", "k-1e200"])
+    def test_value_beyond_magnitude_bound_exits_2(self, config_file, edits, named, capsys):
+        lines = config_file.read_text().replace("t_end = 200\ndt = 0.05", "t_end = 1\ndt = 0.1").splitlines()
+        config_file.write_text("\n".join(edits.get(line, line) for line in lines) + "\n")
+        assert cli_main(["simulate", str(config_file)]) == 2
+        assert f"{named} exceeds MAX_MAGNITUDE = 1e+30" in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[params]\nbetaE = 10\n")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sitctl as s
-from sitctl.model import PARAM_KEYS
+from sitctl.model import MAX_MAGNITUDE, PARAM_KEYS
 
 
 class TestValidation:
@@ -37,6 +37,15 @@ class TestValidation:
         # k = inf used to pass and then trip the equilibrium balance assertion
         with pytest.raises(s.ParamError, match=f"parameter {field} must be strictly positive and finite"):
             s.validate_params(params.replace(**{field: float("inf")}))
+
+    @pytest.mark.parametrize("field", PARAM_KEYS)
+    def test_field_beyond_magnitude_bound_rejected(self, params, field):
+        # beta_E = 1e120 used to raise OverflowError in lin**3, k = 1e200 an AssertionError
+        with pytest.raises(s.ParamError, match=f"parameter {field} = 1e\\+31 exceeds MAX_MAGNITUDE"):
+            s.validate_params(params.replace(**{field: 1e31}))
+
+    def test_magnitude_bound_is_inclusive(self, params):
+        assert s.validate_params(params.replace(k=MAX_MAGNITUDE, beta_E=MAX_MAGNITUDE)).k == MAX_MAGNITUDE
 
     def test_nu_outside_unit_interval_rejected(self, params):
         with pytest.raises(s.ParamError, match="nu"):

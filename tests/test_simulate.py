@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import sitctl as s
+import sitctl.control
+import sitctl.model
+import sitctl.simulate
 from sitctl.harness import perturb_params, preset_scenario, trial_rng
 from sitctl.simulate import _closed_loop_step
 
@@ -138,6 +141,19 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="initial state must be nonnegative and finite"):
                 s.SimSpec(model="reduced", law=law, initial=initial, t_end=10.0)
 
+    @pytest.mark.parametrize("model, index, name", [("reduced", 0, "F0"), ("reduced", 1, "Ms0"), ("full", 0, "E0"),
+                                                    ("full", 1, "M0"), ("full", 2, "F0"), ("full", 3, "Ms0")])
+    def test_initial_state_within_magnitude_bound(self, params, cfg, model, index, name):
+        # F0 = 1e104 used to raise OverflowError in the law's lin**3, F0 = 1e300 in ms_star's denom**2
+        law = s.ControlLaw("plus", cfg, params)
+        at_bound = [1.0] * (2 if model == "reduced" else 4)
+        at_bound[index] = 1e30
+        s.SimSpec(model=model, law=law, initial=tuple(at_bound), t_end=1.0)
+        beyond = list(at_bound)
+        beyond[index] = 1e104
+        with pytest.raises(ValueError, match=f"^initial {name} = 1e\\+104 exceeds MAX_MAGNITUDE = 1e\\+30$"):
+            s.SimSpec(model=model, law=law, initial=tuple(beyond), t_end=1.0)
+
     def test_plant_drives_dynamics_law_keeps_its_target(self, params, cfg, eq):
         law = s.ControlLaw("plus", cfg, params)
         spec = s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=50.0, dt=0.05, record_every=20)
@@ -201,6 +217,19 @@ GOLDEN_FINAL = {
 }
 
 
+LAW_DESIGNS = {"raw": ("raw", "quintic"), "plus": ("plus", "quintic"),
+               "global": ("global", "quintic"), "global-cubic": ("global", "cubic")}
+
+
+def _outcome(step, state):
+    """``(next_state, clamp)`` of one step as float.hex, or the error it raised."""
+    try:
+        nxt, clamped = step(state)
+    except s.NonnegativityError:
+        return "NonnegativityError"
+    return [x.hex() for x in nxt], clamped.hex()
+
+
 class TestUnrolledStep:
     """integrate's per-model step reproduces step_rk4 over reduced_rhs/full_rhs bit for bit."""
 
@@ -237,6 +266,24 @@ class TestUnrolledStep:
             ref, _ = s.step_rk4(state, 0.0, spec.dt, f, _clamp_tol(spec))
             assert [x.hex() for x in fast] == [x.hex() for x in ref]
 
+    @pytest.mark.parametrize("mismatch", [False, True], ids=["own-plant", "perturbed-plant"])
+    @pytest.mark.parametrize("design", list(LAW_DESIGNS))
+    def test_law_rates_step_matches_step_rk4_on_scattered_states(self, params, design, mismatch):
+        # integrate's reduced stage is one call of the law's rates; on the law's
+        # own plant the law's drift stands in for the field's dF, bit for bit
+        variant, cutoff_kind = LAW_DESIGNS[design]
+        cfg = s.nominal_controller(params, eps=0.01, cutoff_kind=cutoff_kind)
+        law = s.ControlLaw(variant, cfg, params)
+        plant = perturb_params(params, 0.1, trial_rng(2024, 0))[0] if mismatch else None
+        spec = s.SimSpec(model="reduced", law=law, initial=(1.0, 1.0), t_end=1.0, dt=0.1, plant=plant)
+        step = _closed_loop_step(spec, None, _clamp_tol(spec))
+        f = _reference_rhs(spec, law.evaluator())
+        rng = np.random.default_rng(2024)
+        edge = [(cfg.F_hat, 10.0), (3.0 * cfg.F_hat, 0.0), (0.0, 100.0), (0.0, 0.0), (5e-324, 0.0), (5e-324, 1.0)]
+        for state in edge + [tuple(x) for x in (10.0 ** rng.uniform(-3.0, 5.0, size=(2000, 2))).tolist()]:
+            ref = _outcome(lambda st: s.step_rk4(st, 0.0, spec.dt, f, _clamp_tol(spec)), state)
+            assert _outcome(step, state) == ref, state
+
     @pytest.mark.parametrize("model", ["reduced", "full"])
     @pytest.mark.parametrize("release", [0.0, -1e-7, -1.0])
     def test_clamp_policy_matches_step_rk4(self, params, cfg, eq, model, release):
@@ -266,6 +313,113 @@ class TestUnrolledStep:
         traj = s.integrate(s.SimSpec(model=model, law=law, initial=initial, t_end=1.0, dt=0.1))
         assert traj.termination == "horizon"
         assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.controls))
+
+
+def _reference_run(spec):
+    """integrate's record from a plain step_rk4 loop that checks the record rule at every step."""
+    u = spec.law.evaluator()
+    f = _reference_rhs(spec, u)
+    n_steps = round(spec.t_end / spec.dt)
+    state = tuple(float(x) for x in spec.initial)
+    times, states = [0.0], [state]
+    termination, max_clamp = s.simulate.TERMINATION_HORIZON, 0.0
+    for i in range(1, n_steps + 1):
+        try:
+            state, clamped = s.step_rk4(state, (i - 1) * spec.dt, spec.dt, f, _clamp_tol(spec))
+        except s.NonnegativityError:
+            termination = s.simulate.TERMINATION_NONNEG
+            break
+        max_clamp = max(max_clamp, clamped)
+        if i % spec.record_every == 0 or i == n_steps:
+            times.append(i * spec.dt)
+            states.append(state)
+    cfg = spec.law.config
+    lyap = None
+    if spec.model == "reduced" and cfg is not None:
+        lyap = np.array([s.lyapunov_V(*st, cfg, spec.law.params) for st in states])
+    return np.array(times), np.array(states), np.array([u(*st[-2:]) for st in states]), lyap, termination, max_clamp
+
+
+def _record_specs():
+    """Short runs of each model, with and without a plant; some end mid-chunk."""
+    eq = s.persistence_equilibrium(s.NOMINAL_PARAMS)
+    plant, _ = perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(2024, 0))
+    return {
+        "nominal-reduced/every-7": preset_scenario("nominal-reduced", t_end=20.0, record_every=7).sim_spec(),
+        "open-loop/every-1": preset_scenario("open-loop", t_end=2.0, record_every=1).sim_spec(),
+        "nominal-full": preset_scenario("nominal-full", t_end=20.0).sim_spec(),
+        "robust-reduced/perturbed/every-30": preset_scenario("robust-reduced", t_end=20.0, record_every=30).sim_spec(plant),
+        "robust-full/perturbed": preset_scenario("robust-full", t_end=20.0).sim_spec(plant),
+        # the stiff egg compartment undershoots at step 6, inside the second chunk of 4
+        "full-global-55Fbar/nonneg": preset_scenario(
+            "nominal-full", initial=(eq.E_bar, eq.M_bar, 55.0 * eq.F_bar, 0.0), t_end=10.0, dt=0.1, record_every=4,
+        ).sim_spec(),
+    }
+
+
+RECORD_SPECS = _record_specs()
+
+
+class TestChunkedRecords:
+    """integrate records in chunks of record_every steps; the record is the per-step rule's."""
+
+    @pytest.mark.parametrize("spec", RECORD_SPECS.values(), ids=list(RECORD_SPECS))
+    def test_whole_record_matches_step_rk4_loop(self, spec):
+        times, states, controls, lyap, termination, max_clamp = _reference_run(spec)
+        traj = s.integrate(spec)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.controls.tobytes() == controls.tobytes()
+        assert (traj.lyapunov is None) == (lyap is None)
+        if lyap is not None:
+            assert traj.lyapunov.tobytes() == lyap.tobytes()
+        assert (traj.termination, traj.max_clamp) == (termination, max_clamp)
+
+    def test_specs_cover_short_last_chunk_and_mid_chunk_stop(self):
+        n_steps = {name: round(spec.t_end / spec.dt) for name, spec in RECORD_SPECS.items()}
+        assert n_steps["nominal-reduced/every-7"] % 7 != 0
+        traj = s.integrate(RECORD_SPECS["full-global-55Fbar/nonneg"])
+        assert traj.termination == s.simulate.TERMINATION_NONNEG
+        assert traj.times[-1] == pytest.approx(0.4)  # the run stopped during steps 5-8
+
+
+class TestSharedRecruitment:
+    """A reduced run on the law's own plant evaluates g once per stage, inside the law."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"field": 0, "g": 0}
+
+        def counting_field(p):
+            inner = sitctl.model.reduced_field(p)
+
+            def field(F, Ms, u):
+                counts["field"] += 1
+                return inner(F, Ms, u)
+
+            return field
+
+        def counting_g(F, Ms, p, _g=sitctl.model.g):
+            counts["g"] += 1
+            return _g(F, Ms, p)
+
+        for module in (sitctl.control, sitctl.simulate):
+            monkeypatch.setattr(module, "reduced_field", counting_field, raising=False)
+        for module in (sitctl.model, sitctl.control):
+            monkeypatch.setattr(module, "g", counting_g)
+        return counts
+
+    @pytest.mark.parametrize("variant", ["raw", "plus", "global"])
+    def test_own_plant_makes_no_separate_field_call(self, params, cfg, eq, calls, variant):
+        law = s.ControlLaw(variant, cfg, params)
+        s.integrate(s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.0, dt=0.1))
+        assert calls == {"field": 0, "g": 0}
+
+    def test_perturbed_plant_takes_one_field_call_per_stage(self, params, cfg, eq, calls):
+        plant, _ = perturb_params(params, 0.1, trial_rng(2024, 0))
+        law = s.ControlLaw("plus", cfg, params)
+        s.integrate(s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.0, dt=0.1, plant=plant))
+        assert calls == {"field": 4 * 100, "g": 0}
 
 
 class TestDetectExtinction:
