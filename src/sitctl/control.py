@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    MAX_MAGNITUDE, BioParams, _plain, alpha, dg_dMs, g, persistence_equilibrium, reduced_field, validate_params,
-)
+from .model import MAX_MAGNITUDE, BioParams, _plain, alpha, dg_dMs, g, persistence_equilibrium, validate_params
 
 VARIANTS = ("none", "raw", "plus", "global")
 
@@ -177,15 +175,21 @@ def cut2(x, y):
     return _plain(np.where((x < 0.0) & (y > 0.0), 0.0, x * y))
 
 
-def u_star(F, Ms, cfg: ControllerConfig, p: BioParams):
-    """Raw backstepping release rate; may be negative in places."""
+def _backstepping(F, Ms, cfg: ControllerConfig, p: BioParams, clip: bool):
+    """The body of ``u_star`` and, with ``clip``, of ``u_star_plus``: cut2 on the last term."""
     gv = g(F, Ms, p)
+    slope, drift = dms_star_dF(F, cfg, p), gv - p.delta_F * F
     return (
         (p.delta_s - cfg.eta) * Ms
         + cfg.eta * ms_star(F, cfg, p)
         - cfg.rho * pi(F, Ms, cfg, p)
-        + dms_star_dF(F, cfg, p) * (gv - p.delta_F * F)
+        + (cut2(slope, drift) if clip else slope * drift)
     )
+
+
+def u_star(F, Ms, cfg: ControllerConfig, p: BioParams):
+    """Raw backstepping release rate; may be negative in places."""
+    return _backstepping(F, Ms, cfg, p, False)
 
 
 def u_star_plus(F, Ms, cfg: ControllerConfig, p: BioParams):
@@ -193,13 +197,7 @@ def u_star_plus(F, Ms, cfg: ControllerConfig, p: BioParams):
 
     Nonnegative on [0, F_hat] x R+ whenever eta lies in (delta_F, delta_s).
     """
-    gv = g(F, Ms, p)
-    return (
-        (p.delta_s - cfg.eta) * Ms
-        + cfg.eta * ms_star(F, cfg, p)
-        - cfg.rho * pi(F, Ms, cfg, p)
-        + cut2(dms_star_dF(F, cfg, p), gv - p.delta_F * F)
-    )
+    return _backstepping(F, Ms, cfg, p, True)
 
 
 def chi(F, cfg: ControllerConfig):
@@ -277,42 +275,43 @@ class ControlLaw:
         to 0 near extinction take the limit 0, as in ``g`` and ``dg_dMs``.
         The same body gives :meth:`_reduced_rates`.
         """
-        return self._fused(None, False)
+        return self._fused(False)
 
-    def _reduced_rates(self, plant: BioParams | None = None):
-        """Closed-loop reduced rates ``(F, Ms) -> (dF, dMs)`` on ``plant`` (default: the law's params).
+    def _reduced_rates(self):
+        """Closed-loop reduced rates ``(F, Ms) -> (dF, dMs)`` on the law's own params, not for 'none'.
 
-        On the law's params the law's drift ``gv - delta_F F`` is the field's
-        ``dF`` to the last bit, so a stage computes ``g`` once; a mismatched
-        plant, and the gated-off region, take u through ``reduced_field``.
+        The law's drift ``gv - delta_F F`` is the field's ``dF`` to the last bit, so a stage computes ``g`` once.
         """
-        return self._fused(reduced_field(self.params if plant is None else plant), plant is None)
+        return self._fused(True)
 
-    def _fused(self, field, shared: bool):
-        """u(F, Ms) if ``field`` is None, else the rates over ``field`` (``shared``: on the law's params)."""
+    def _fused(self, rates: bool):
+        """u(F, Ms), or with ``rates`` the pair ``(drift, u - delta_s Ms)``."""
         if self.variant == "none":
-            return (lambda F, Ms: 0.0) if field is None else (lambda F, Ms: field(F, Ms, 0.0))
+            return lambda F, Ms: 0.0
         cfg, p = self.config, self.params
         gated = self.variant == "global"  # chi cutoff above F2
         clip = self.variant != "raw"  # cut2 on the last term
         beta_E, gamma_s, nu_E, nu = p.beta_E, p.gamma_s, p.nu_E, p.nu
-        delta_E, delta_M, delta_F, k = p.delta_E, p.delta_M, p.delta_F, p.k
+        delta_E, delta_M, delta_F, delta_s, k = p.delta_E, p.delta_M, p.delta_F, p.delta_s, p.k
         F_hat, eps, eta, rho, F2 = cfg.F_hat, cfg.eps, cfg.eta, cfg.rho, cfg.F2
         cubic = cfg.cutoff_kind == "cubic"
         B, C = ms_star_coefficients(p)
         A = nu * (1.0 - nu) * beta_E**2 * nu_E**2
-        neg_A = -A
         male_rate = (1.0 - nu) * nu_E * beta_E
         two_beta_E = 2.0 * beta_E
-        delta_s = p.delta_s
         release_decay = delta_s - eta
         inv_span = 1.0 / (F_hat - F2)
         switch = PI_SWITCH_TOL
 
         def evaluate(F: float, Ms: float):
+            a = beta_E * F / k + nu_E + delta_E
+            denom = male_rate * F + a * delta_M * gamma_s * Ms
+            scale = a * denom
+            gv = 0.0 if F == 0.0 or scale == 0.0 else A * F * F / scale
+            drift = gv - delta_F * F
             if gated:
                 if F >= F_hat:
-                    return 0.0 if field is None else field(F, Ms, 0.0)
+                    return (drift, 0.0 - delta_s * Ms) if rates else 0.0
                 if F <= F2:
                     c = 1.0
                 else:
@@ -324,10 +323,6 @@ class ControlLaw:
             room = F_hat - F
             target = C * F * room / (lin * lin)
             slope = C * ((F_hat - 2.0 * F) * lin - two_beta_E * F * room) / lin**3
-            a = beta_E * F / k + nu_E + delta_E
-            denom = male_rate * F + a * delta_M * gamma_s * Ms
-            scale = a * denom
-            gv = 0.0 if F == 0.0 or scale == 0.0 else A * F * F / scale
             if F == 0.0 and Ms == 0.0:
                 mismatch = 0.0
             else:
@@ -337,12 +332,9 @@ class ControlLaw:
                     mismatch = (gv - eps * F) / gap * F
                 else:
                     d2 = denom * denom
-                    mismatch = 0.0 if d2 == 0.0 else neg_A * F * F * delta_M * gamma_s / d2 * F
-            drift = gv - delta_F * F
+                    mismatch = 0.0 if d2 == 0.0 else -A * F * F * delta_M * gamma_s / d2 * F
             last = 0.0 if clip and slope < 0.0 and drift > 0.0 else slope * drift
             u = (release_decay * Ms + eta * target - rho * mismatch + last) * c
-            if shared:
-                return drift, u - delta_s * Ms
-            return u if field is None else field(F, Ms, u)
+            return (drift, u - delta_s * Ms) if rates else u
 
         return evaluate

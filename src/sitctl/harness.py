@@ -276,10 +276,23 @@ class TrialSummary:
 @dataclass
 class RobustnessResult:
     trials: list[TrialSummary]
-    n_extinct: int
-    n_nonneg: int
-    n_decreasing: int
-    resample_rate: float
+
+    @property
+    def n_extinct(self) -> int:
+        return sum(t.extinct for t in self.trials)
+
+    @property
+    def n_nonneg(self) -> int:
+        return sum(t.control_nonneg for t in self.trials)
+
+    @property
+    def n_decreasing(self) -> int:
+        return sum(t.control_decreasing for t in self.trials)
+
+    @property
+    def resample_rate(self) -> float:
+        """Extra parameter draws per trial."""
+        return sum(t.resamples for t in self.trials) / len(self.trials)
 
     @property
     def all_passed(self) -> bool:
@@ -316,11 +329,9 @@ def run_robustness(config: RobustnessConfig) -> RobustnessResult:
     """Drive perturbed plants with the unperturbed nominal law, trial by trial."""
     base = config.base
     summaries = []
-    total_draws = 0
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
         plant, tries = perturb_params(base.params, config.uncertainty, rng)
-        total_draws += tries
         traj = integrate(base.sim_spec(plant))
         ext = detect_extinction(traj, base.extinction_threshold)
         summaries.append(
@@ -335,10 +346,4 @@ def run_robustness(config: RobustnessConfig) -> RobustnessResult:
                 extinct=ext is not None,
             )
         )
-    return RobustnessResult(
-        trials=summaries,
-        n_extinct=sum(s.extinct for s in summaries),
-        n_nonneg=sum(s.control_nonneg for s in summaries),
-        n_decreasing=sum(s.control_decreasing for s in summaries),
-        resample_rate=(total_draws - config.trials) / config.trials,
-    )
+    return RobustnessResult(trials=summaries)

@@ -24,11 +24,13 @@ PARAM_KEYS = (
     "k",
 )
 
-#: Largest accepted parameter value, initial-state component and F_hat.
-#: The law's tightest power is ``lin**3`` with ``lin = beta_E*F + k*(nu_E + delta_E)``:
-#: at the bound lin <= 3e60 and lin**3 <= 2.7e181, far below the 1.8e308 where
-#: a float ``**`` raises OverflowError.  The margin also covers ``ms_star``'s
-#: ``denom**2`` and any product of up to nine bounded factors.
+#: Largest accepted parameter value, initial-state component and F_hat; its
+#: inverse 1e-30 is the smallest accepted parameter value.  The law's tightest
+#: power is ``lin**3`` with ``lin = beta_E*F + k*(nu_E + delta_E)``: at the
+#: bound lin <= 3e60 and lin**3 <= 2.7e181, far below the 1.8e308 where a float
+#: ``**`` raises OverflowError.  The margin also covers ``ms_star``'s
+#: ``denom**2`` and any product of up to nine bounded factors; at the floor a
+#: product of up to nine parameters stays above 1e-270, a normal float.
 MAX_MAGNITUDE = 1e30
 
 
@@ -80,7 +82,7 @@ def basic_offspring_number(p: BioParams) -> float:
 
 
 def validate_params(p: BioParams) -> BioParams:
-    """Check positivity, the bound MAX_MAGNITUDE, nu in (0,1), sterile-male frailty and R0 > 1.
+    """Check each value lies in [1/MAX_MAGNITUDE, MAX_MAGNITUDE], nu in (0,1), sterile-male frailty and R0 > 1.
 
     Returns ``p`` unchanged on success; raises :class:`ParamError` naming
     the offending field otherwise.
@@ -91,6 +93,8 @@ def validate_params(p: BioParams) -> BioParams:
             raise ParamError(f"parameter {name} must be strictly positive and finite, got {value}")
         if value > MAX_MAGNITUDE:
             raise ParamError(f"parameter {name} = {value} exceeds MAX_MAGNITUDE = {MAX_MAGNITUDE:.0e}")
+        if value < 1.0 / MAX_MAGNITUDE:
+            raise ParamError(f"parameter {name} = {value} is below 1/MAX_MAGNITUDE = {1.0 / MAX_MAGNITUDE:.0e}")
     if not 0.0 < p.nu < 1.0:
         raise ParamError(f"nu must lie in (0, 1), got {p.nu}")
     if not p.delta_s > max(p.delta_F, p.delta_M):
@@ -180,8 +184,8 @@ def reduced_rhs(state, u: float, p: BioParams):
     return (g(F, Ms, p) - p.delta_F * F, u - p.delta_s * Ms)
 
 
-def reduced_field(p: BioParams):
-    """Scalar reduced field ``(F, Ms, u) -> (dF, dMs)`` with the rates of ``p`` bound once.
+def reduced_field(p: BioParams, u):
+    """Closed-loop reduced rates ``(F, Ms) -> (dF, dMs)`` under the feedback ``u(F, Ms)``, ``p`` bound once.
 
     Its recruitment term is ``g`` to the last bit; :func:`reduced_rhs` is the array reference.
     """
@@ -190,17 +194,17 @@ def reduced_field(p: BioParams):
     A = nu * (1.0 - nu) * beta_E**2 * nu_E**2
     male_rate = (1.0 - nu) * nu_E * beta_E
 
-    def field(F, Ms, u):
+    def field(F, Ms):
         a = beta_E * F / k + nu_E + delta_E
         scale = a * (male_rate * F + a * delta_M * gamma_s * Ms)
         gv = 0.0 if F == 0.0 or scale == 0.0 else A * F * F / scale
-        return gv - delta_F * F, u - delta_s * Ms
+        return gv - delta_F * F, u(F, Ms) - delta_s * Ms
 
     return field
 
 
-def full_field(p: BioParams):
-    """Scalar full field ``(E, M, F, Ms, u) -> (dE, dM, dF, dMs)`` with the rates of ``p`` bound once.
+def full_field(p: BioParams, u):
+    """Closed-loop full rates ``(E, M, F, Ms) -> (dE, dM, dF, dMs)`` under the feedback ``u(F, Ms)``, ``p`` bound once.
 
     The mating fraction M/(M + gamma_s*Ms) is taken as 0 when both male
     compartments are empty, so the extinct state stays a fixed point.
@@ -211,14 +215,14 @@ def full_field(p: BioParams):
     male_birth = (1.0 - nu) * nu_E
     female_birth = nu * nu_E
 
-    def field(E, M, F, Ms, u):
+    def field(E, M, F, Ms):
         males = M + gamma_s * Ms
         mating = M / males if males > 0.0 else 0.0
         return (
             beta_E * F * (1.0 - E / k) - egg_loss * E,
             male_birth * E - delta_M * M,
             female_birth * E * mating - delta_F * F,
-            u - delta_s * Ms,
+            u(F, Ms) - delta_s * Ms,
         )
 
     return field
@@ -226,4 +230,4 @@ def full_field(p: BioParams):
 
 def full_rhs(state, u: float, p: BioParams):
     """Time derivative of the full (E, M, F, Ms) model under release rate u."""
-    return full_field(p)(*state, u)
+    return full_field(p, lambda F, Ms: u)(*state)

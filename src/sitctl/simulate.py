@@ -1,7 +1,8 @@
 """Fixed-step closed-loop integration with nonnegativity guards.
 
-The feedback is re-evaluated from the state at every Runge-Kutta stage
-(pure continuous-time state feedback, no sample-and-hold).  Tiny negative
+The law gives ``u``, a field takes it (:func:`_closed_loop_rates`), and
+:func:`_rk4_step` steps the rates, so the feedback is re-evaluated at every
+Runge-Kutta stage (no sample-and-hold).  Tiny negative
 overshoots after a step are integrator artifacts and get clamped to zero;
 anything beyond the clamp tolerance signals a genuinely negative release
 rate or an oversized step and aborts the run.
@@ -119,8 +120,8 @@ def _clamp(nxt, clamp_tol, t=None):
 def step_rk4(state, t, dt, f, clamp_tol=0.0):
     """One classical RK4 step of ds/dt = f(t, s) with boundary clamping.
 
-    The generic reference stepper: :func:`integrate` runs an unrolled
-    per-model copy of this step and matches it bit for bit.  ``state`` is
+    The generic reference stepper: :func:`_rk4_step`, which
+    :func:`integrate` runs, is its unrolled copy, bit for bit.  ``state`` is
     a tuple; ``f`` returns a tuple of the same length and is expected to
     fold the feedback in, so the control is re-evaluated at each stage.
     Components in (-clamp_tol, 0) after the step are set to 0; larger
@@ -144,59 +145,54 @@ def step_rk4(state, t, dt, f, clamp_tol=0.0):
     return nxt, 0.0
 
 
-def _closed_loop_step(spec: SimSpec, u, clamp_tol: float):
-    """RK4 step closure ``state -> (next_state, clamp_amount)`` for the spec's model.
+def _closed_loop_rates(spec: SimSpec):
+    """The spec's closed-loop rates ``state -> d(state)/dt``, feedback folded in.
 
-    :func:`step_rk4` written out for two (reduced) or four (full)
-    components over the model's scalar field, with the feedback ``u(F, Ms)``
-    re-evaluated at each stage on the values the field sees.  ``u=None``
-    takes the spec's law; a reduced stage is then one call of the law's
-    rates (``ControlLaw._reduced_rates``), which computes ``g`` once when
-    the plant is the law's.  Every sum keeps the association of
-    ``step_rk4``, so the result is the same to the last bit.
+    The one place that picks them: a reduced run of a feedback law on the
+    law's own params takes the law's rates (``ControlLaw._reduced_rates``,
+    ``g`` once per stage); every other run takes the model's field on the
+    plant under ``law.evaluator()``.
     """
-    p = spec.law.params if spec.plant is None else spec.plant
-    dt = spec.dt
+    law = spec.law
+    if spec.model == "reduced" and spec.plant is None and law.variant != "none":
+        return law._reduced_rates()
+    field = reduced_field if spec.model == "reduced" else full_field
+    return field(law.params if spec.plant is None else spec.plant, law.evaluator())
+
+
+def _rk4_step(rates, n: int, dt: float, clamp_tol: float):
+    """:func:`step_rk4` over ``rates`` unrolled for ``n`` = 2 or 4 components: ``state -> (next, clamp)``.
+
+    The two bodies have the same shape and call only ``rates``; every sum
+    keeps the association of ``step_rk4``, so the result is the same to
+    the last bit.
+    """
     h2, sixth = 0.5 * dt, dt / 6.0
-
-    if spec.model == "reduced":
-        if u is None:
-            rates = spec.law._reduced_rates(spec.plant)
-        else:
-            field = reduced_field(p)
-            rates = lambda F, Ms: field(F, Ms, u(F, Ms))
-
+    if n == 2:
         def step(state):
-            F, Ms = state
-            dF1, dMs1 = rates(F, Ms)
-            dF2, dMs2 = rates(F + h2 * dF1, Ms + h2 * dMs1)
-            dF3, dMs3 = rates(F + h2 * dF2, Ms + h2 * dMs2)
-            dF4, dMs4 = rates(F + dt * dF3, Ms + dt * dMs3)
-            nxt = (F + sixth * (dF1 + 2.0 * (dF2 + dF3) + dF4), Ms + sixth * (dMs1 + 2.0 * (dMs2 + dMs3) + dMs4))
+            x, y = state
+            dx1, dy1 = rates(x, y)
+            dx2, dy2 = rates(x + h2 * dx1, y + h2 * dy1)
+            dx3, dy3 = rates(x + h2 * dx2, y + h2 * dy2)
+            dx4, dy4 = rates(x + dt * dx3, y + dt * dy3)
+            nxt = (x + sixth * (dx1 + 2.0 * (dx2 + dx3) + dx4), y + sixth * (dy1 + 2.0 * (dy2 + dy3) + dy4))
             if nxt[0] < 0.0 or nxt[1] < 0.0:
                 return _clamp(nxt, clamp_tol)
             return nxt, 0.0
 
         return step
 
-    if u is None:
-        u = spec.law.evaluator()
-    field = full_field(p)
-
     def step(state):
-        E, M, F, Ms = state
-        dE1, dM1, dF1, dMs1 = field(E, M, F, Ms, u(F, Ms))
-        Fk, Msk = F + h2 * dF1, Ms + h2 * dMs1
-        dE2, dM2, dF2, dMs2 = field(E + h2 * dE1, M + h2 * dM1, Fk, Msk, u(Fk, Msk))
-        Fk, Msk = F + h2 * dF2, Ms + h2 * dMs2
-        dE3, dM3, dF3, dMs3 = field(E + h2 * dE2, M + h2 * dM2, Fk, Msk, u(Fk, Msk))
-        Fk, Msk = F + dt * dF3, Ms + dt * dMs3
-        dE4, dM4, dF4, dMs4 = field(E + dt * dE3, M + dt * dM3, Fk, Msk, u(Fk, Msk))
+        w, x, y, z = state
+        dw1, dx1, dy1, dz1 = rates(w, x, y, z)
+        dw2, dx2, dy2, dz2 = rates(w + h2 * dw1, x + h2 * dx1, y + h2 * dy1, z + h2 * dz1)
+        dw3, dx3, dy3, dz3 = rates(w + h2 * dw2, x + h2 * dx2, y + h2 * dy2, z + h2 * dz2)
+        dw4, dx4, dy4, dz4 = rates(w + dt * dw3, x + dt * dx3, y + dt * dy3, z + dt * dz3)
         nxt = (
-            E + sixth * (dE1 + 2.0 * (dE2 + dE3) + dE4),
-            M + sixth * (dM1 + 2.0 * (dM2 + dM3) + dM4),
-            F + sixth * (dF1 + 2.0 * (dF2 + dF3) + dF4),
-            Ms + sixth * (dMs1 + 2.0 * (dMs2 + dMs3) + dMs4),
+            w + sixth * (dw1 + 2.0 * (dw2 + dw3) + dw4),
+            x + sixth * (dx1 + 2.0 * (dx2 + dx3) + dx4),
+            y + sixth * (dy1 + 2.0 * (dy2 + dy3) + dy4),
+            z + sixth * (dz1 + 2.0 * (dz2 + dz3) + dz4),
         )
         if nxt[0] < 0.0 or nxt[1] < 0.0 or nxt[2] < 0.0 or nxt[3] < 0.0:
             return _clamp(nxt, clamp_tol)
@@ -209,15 +205,16 @@ def integrate(spec: SimSpec) -> Trajectory:
     """Run the closed loop to the horizon, or until a step leaves the nonnegative domain.
 
     Deterministic: the same spec always yields bit-identical samples.  Steps
-    run in chunks of ``record_every`` (the last one may be shorter), each
-    followed by one sample at ``i * dt``; a reduced step takes the law's own
-    rates, so it computes ``g`` once per stage when ``spec.plant`` is None.
+    of :func:`_rk4_step` over :func:`_closed_loop_rates` run in chunks of
+    ``record_every`` (the last one may be shorter), each followed by one
+    sample at ``i * dt``.
     """
     u = spec.law.evaluator()
     cfg = spec.law.config
     p = spec.law.params  # the Lyapunov target is the law's, whatever the plant
     record_V = spec.model == "reduced" and cfg is not None
-    step = _closed_loop_step(spec, None, 1e-9 * math.sqrt(sum(x * x for x in spec.initial)))
+    clamp_tol = 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
+    step = _rk4_step(_closed_loop_rates(spec), len(spec.initial), spec.dt, clamp_tol)
     n_steps = max(1, round(spec.t_end / spec.dt))
 
     times, states, controls, lyap = [], [], [], []

@@ -1,5 +1,7 @@
 """Scenario runner, parameter perturbation, robustness sweep and the CLI."""
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +182,15 @@ def config_file(tmp_path):
     return path
 
 
+def _set_keys(path, **values):
+    """Rewrite the ``key = value`` lines of the config at ``path`` named in ``values``."""
+    lines = []
+    for line in path.read_text().splitlines():
+        key = line.split(" = ")[0]
+        lines.append(f"{key} = {values[key]}" if key in values else line)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestCli:
     def test_equilibria(self, config_file, capsys):
         assert cli_main(["equilibria", str(config_file)]) == 0
@@ -299,6 +310,25 @@ class TestCli:
         assert cli_main(["simulate", str(config_file)]) == 2
         assert f"{named} exceeds MAX_MAGNITUDE = 1e+30" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["plus", "global"])
+    @pytest.mark.parametrize("key, value", [
+        ("gamma_s", 5e-324), ("delta_F", 5e-324),  # were ZeroDivisionError
+        ("delta_F", 1e-300), ("k", 1e-300),  # were AssertionError: equilibrium balance violated
+        ("gamma_s", 1e-300), ("delta_M", 1e-300),  # were RuntimeWarning: invalid value encountered in subtract
+    ])
+    def test_value_below_magnitude_floor_exits_2(self, config_file, key, value, variant, capsys):
+        _set_keys(config_file, variant=variant, t_end=20, dt=0.1, **{key: value})
+        assert cli_main(["simulate", str(config_file)]) == 2
+        assert f"parameter {key} = {value} is below 1/MAX_MAGNITUDE = 1e-30" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["plus", "global"])
+    @pytest.mark.parametrize("key", PARAM_KEYS)
+    def test_value_at_magnitude_floor_passes_the_floor(self, config_file, key, variant, capsys):
+        # a warning or traceback would fail the test; exit 2 may still come from R0 or nu
+        _set_keys(config_file, variant=variant, t_end=20, dt=0.1, **{key: 1e-30})
+        assert cli_main(["simulate", str(config_file)]) in (0, 1, 2)
+        assert "1/MAX_MAGNITUDE" not in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[params]\nbetaE = 10\n")
@@ -329,3 +359,23 @@ def test_cli_exit_code_is_0_1_or_2(short_config, command, trials, uncertainty, d
     if command == "robustness":
         argv += [f"--trials={trials}", f"--uncertainty={uncertainty!r}"]
     assert cli_main(argv) in (0, 1, 2)
+
+
+EXTREME_PARAMS = [5e-324, 1e-300, 1e-30, 1e30, 1e308, math.nan, math.inf]
+
+
+@given(
+    extremes=st.dictionaries(st.sampled_from(PARAM_KEYS), st.sampled_from(EXTREME_PARAMS)),
+    variant=st.sampled_from(s.control.VARIANTS),
+    model=st.sampled_from(["reduced", "full"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_cli_exit_code_is_0_1_or_2_for_extreme_params(extremes, variant, model):
+    # every [params] value is nominal or extreme; pyproject.toml turns warnings
+    # into errors, so a RuntimeWarning fails here too
+    values = {key: extremes.get(key, getattr(s.NOMINAL_PARAMS, key)) for key in PARAM_KEYS}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "extreme.cfg"
+        params = "".join(f"{key} = {value!r}\n" for key, value in values.items())
+        path.write_text(f"[params]\n{params}[controller]\nvariant = {variant}\n[sim]\nmodel = {model}\nt_end = 20\ndt = 0.1\n")
+        assert cli_main(["simulate", str(path)]) in (0, 1, 2)

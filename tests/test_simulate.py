@@ -10,7 +10,7 @@ import sitctl.control
 import sitctl.model
 import sitctl.simulate
 from sitctl.harness import perturb_params, preset_scenario, trial_rng
-from sitctl.simulate import _closed_loop_step
+from sitctl.simulate import _closed_loop_rates, _rk4_step
 
 
 def _reduced_spec(params, cfg, variant, initial, t_end, dt=0.01, record_every=100):
@@ -176,6 +176,11 @@ def _clamp_tol(spec):
     return 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
 
 
+def _step(spec, rates=None):
+    """integrate's step for ``spec``, over ``rates`` if given."""
+    return _rk4_step(_closed_loop_rates(spec) if rates is None else rates, len(spec.initial), spec.dt, _clamp_tol(spec))
+
+
 def _reference_rhs(spec, u):
     """The closed-loop field from the public vector fields, for step_rk4."""
     plant = spec.law.params if spec.plant is None else spec.plant
@@ -256,9 +261,8 @@ class TestUnrolledStep:
         law = s.ControlLaw("global", cfg_strong, params)
         initial = (1.0, 1.0) if model == "reduced" else (1.0, 1.0, 1.0, 1.0)
         spec = s.SimSpec(model=model, law=law, initial=initial, t_end=1.0, dt=0.1)
-        u = law.evaluator()
-        step = _closed_loop_step(spec, u, _clamp_tol(spec))
-        f = _reference_rhs(spec, u)
+        step = _step(spec)
+        f = _reference_rhs(spec, law.evaluator())
         rng = np.random.default_rng(2024)
         for state in 10.0 ** rng.uniform(-3.0, 5.0, size=(2000, len(initial))):
             state = tuple(state.tolist())
@@ -276,7 +280,7 @@ class TestUnrolledStep:
         law = s.ControlLaw(variant, cfg, params)
         plant = perturb_params(params, 0.1, trial_rng(2024, 0))[0] if mismatch else None
         spec = s.SimSpec(model="reduced", law=law, initial=(1.0, 1.0), t_end=1.0, dt=0.1, plant=plant)
-        step = _closed_loop_step(spec, None, _clamp_tol(spec))
+        step = _step(spec)
         f = _reference_rhs(spec, law.evaluator())
         rng = np.random.default_rng(2024)
         edge = [(cfg.F_hat, 10.0), (3.0 * cfg.F_hat, 0.0), (0.0, 100.0), (0.0, 0.0), (5e-324, 0.0), (5e-324, 1.0)]
@@ -292,7 +296,7 @@ class TestUnrolledStep:
         initial = (eq.F_bar, 0.0) if model == "reduced" else (eq.E_bar, eq.M_bar, eq.F_bar, 0.0)
         spec = s.SimSpec(model=model, law=s.ControlLaw("plus", cfg, params), initial=initial, t_end=1.0, dt=0.1)
         u = lambda F, Ms: release
-        step = _closed_loop_step(spec, u, _clamp_tol(spec))
+        step = _step(spec, (sitctl.model.reduced_field if model == "reduced" else sitctl.model.full_field)(params, u))
         f = _reference_rhs(spec, u)
         if release == -1.0:
             with pytest.raises(s.NonnegativityError):
@@ -390,12 +394,12 @@ class TestSharedRecruitment:
     def calls(self, monkeypatch):
         counts = {"field": 0, "g": 0}
 
-        def counting_field(p):
-            inner = sitctl.model.reduced_field(p)
+        def counting_field(p, u):
+            inner = sitctl.model.reduced_field(p, u)
 
-            def field(F, Ms, u):
+            def field(F, Ms):
                 counts["field"] += 1
-                return inner(F, Ms, u)
+                return inner(F, Ms)
 
             return field
 
