@@ -9,71 +9,31 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .configio import INITIAL_KEYS, SECTION_KEYS, ConfigError, params_from_mapping, read_config, write_trajectory_csv
+from .configio import ConfigError, params_from_mapping, read_config, write_trajectory_csv
 from .control import VARIANTS, ControllerError
-from .harness import (
-    NOMINAL_PARAMS,
-    RobustnessConfig,
-    ScenarioConfig,
-    nominal_controller,
-    run_robustness,
-    run_scenario,
-)
-from .model import ParamError, capacity_from_E_bar, persistence_equilibrium, validate_params
+from .harness import RobustnessConfig, design_from_config, run_robustness, run_scenario, scenario_from_config
+from .model import ParamError, capacity_from_E_bar, persistence_equilibrium
 from .verify import AUDIT_CHECKS, audit_grid
 
 
 def _load(path):
-    """(params, controller_cfg, variant, [sim] settings) from a config file."""
+    """(sections, [params] as BioParams or None) of a config file."""
     sections = read_config(path)
-    p = params_from_mapping(sections["params"]) if "params" in sections else NOMINAL_PARAMS
-    validate_params(p)
-    design = dict(sections.get("controller", {}))
-    variant = design.pop("variant", "plus")
-    return p, nominal_controller(p, **design), variant, sections.get("sim", {})
+    return sections, params_from_mapping(sections["params"]) if "params" in sections else None
 
 
-def _initial_from_sim(sim: dict, default: tuple) -> tuple:
-    """The scenario's default initial state, (F, Ms) or (E, M, F, Ms), with the ``[sim]`` overrides applied."""
-    *aquatic, F, Ms = default
-    initial = (sim.get("F0", sim.get("F0_ratio", 1.0) * F), sim.get("Ms0", Ms))
-    if not aquatic:
-        return initial
-    E, M = aquatic
-    return (sim.get("E0", E), sim.get("M0", M)) + initial
-
-
-def _scenario_from_config(path, args) -> ScenarioConfig:
-    """The config's scenario: ``[sim]`` keys, then the flags named after them, over ScenarioConfig's defaults."""
-    p, cfg, variant, sim = _load(path)
-    settings = {key: value for key, value in sim.items() if key not in INITIAL_KEYS}
-    settings |= {key: value for key, value in vars(args).items() if key in SECTION_KEYS["sim"] and value is not None}
-    scenario = ScenarioConfig(
-        name=Path(path).stem,
-        params=p,
-        controller=cfg,
-        variant=args.variant or variant,
-        out_dir=Path(args.out) if args.out else None,
-        **settings,
-    )
-    if sim.keys() & INITIAL_KEYS:
-        scenario = replace(scenario, initial=_initial_from_sim(sim, scenario.resolve_initial()))
-    try:
-        scenario.sim_spec()
-        if not scenario.extinction_threshold > 0.0:
-            raise ValueError("extinction_threshold must be positive")
-    except ControllerError:
-        raise
-    except ValueError as err:  # the message names the offending setting
-        raise ConfigError(f"[sim] {err}") from None
-    return scenario
+def _scenario(args):
+    """The config's scenario, with the flags named after a [controller] or [sim] key as overrides."""
+    flags = {key: value for key in ("model", "variant", "t_end", "dt") if (value := getattr(args, key)) is not None}
+    sections, params = _load(args.config)
+    out_dir = Path(args.out) if args.out else None
+    return scenario_from_config(sections, Path(args.config).stem, params, out_dir, **flags)
 
 
 def cmd_equilibria(args) -> int:
-    p, cfg, _, _ = _load(args.config)
+    p, cfg, _ = design_from_config(*_load(args.config))
     eq = persistence_equilibrium(p)
     k_check = capacity_from_E_bar(eq.E_bar, p)
     print(f"R0 = {eq.R0:.10g}")
@@ -86,7 +46,7 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _scenario_from_config(args.config, args)
+    scenario = _scenario(args)
     result = run_scenario(scenario)
     for line in result.summary_lines():
         print(line)
@@ -99,7 +59,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    p, cfg, _, _ = _load(args.config)
+    p, cfg, _ = design_from_config(*_load(args.config))
     checks = AUDIT_CHECKS if args.check == "all" else (args.check,)
     all_passed = True
     print("check,grid,pass,worst_value,witness_F,witness_Ms")
@@ -111,9 +71,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    scenario = _scenario_from_config(args.config, args)
+    scenario = _scenario(args)
+    given = {key: value for key in ("trials", "uncertainty", "seed") if (value := getattr(args, key)) is not None}
     try:
-        config = RobustnessConfig(base=scenario, trials=args.trials, uncertainty=args.uncertainty, seed=args.seed)
+        config = RobustnessConfig(base=scenario, **given)
     except ValueError as err:  # the message starts with the field, which is also the option's name
         raise ConfigError(f"--{err}") from None
     result = run_robustness(config)
@@ -156,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(func=cmd_audit)
 
     rob = sub.add_parser("robustness", parents=[scenario], help="Monte-Carlo uncertainty sweep with the nominal law")
-    rob.add_argument("--trials", type=int, default=20)
-    rob.add_argument("--uncertainty", type=float, default=0.10)
-    rob.add_argument("--seed", type=int, default=2024)
+    rob.add_argument("--trials", type=int)
+    rob.add_argument("--uncertainty", type=float)
+    rob.add_argument("--seed", type=int)
     rob.set_defaults(func=cmd_robustness)
 
     return parser

@@ -13,7 +13,6 @@ integration loop.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +87,8 @@ class ControllerConfig:
         if F_hat_ratio is not None:
             F_hat = F_hat_ratio * F_bar
         elif eps is not None:
+            if not eps > 0.0:
+                raise ControllerError(f"offset eps must be positive, got {eps}")
             F_hat = f_hat_for(eps, p)
         assert F_hat is not None
         if not F_bar < F_hat <= MAX_MAGNITUDE:
@@ -100,10 +101,11 @@ class ControllerConfig:
             raise ControllerError(
                 f"achieved offset eps={eps_val} must stay below delta_F={p.delta_F}; increase F_hat"
             )
-        if not 0.0 < eta < math.inf:
-            raise ControllerError(f"gain eta must be positive and finite, got {eta}")
-        if not 0.0 < rho < math.inf:
-            raise ControllerError(f"Lyapunov weight rho must be positive and finite, got {rho}")
+        for name, gain in (("gain eta", eta), ("Lyapunov weight rho", rho)):
+            if not 0.0 < gain <= MAX_MAGNITUDE:
+                raise ControllerError(
+                    f"{name} must be positive and at most MAX_MAGNITUDE = {MAX_MAGNITUDE:.0e}, got {gain}"
+                )
         if F2 is None:
             F2 = 0.5 * (F_bar + F_hat)
         if not F_bar < F2 < F_hat:

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import ConfigError, write_trajectory_csv
-from .control import ControlLaw, ControllerConfig, sigma
+from .configio import INITIAL_KEYS, ConfigError, parse_config_text, write_trajectory_csv
+from .control import ControlLaw, ControllerConfig, ControllerError, sigma
 from .model import BioParams, ParamError, persistence_equilibrium, validate_params
 from .simulate import TERMINATION_NONNEG, SimSpec, Trajectory, integrate, detect_extinction
 from .verify import DecayReport, control_budget, verify_decay
@@ -104,36 +104,65 @@ class ScenarioConfig:
         )
 
 
-def preset_scenario(name: str, **overrides) -> ScenarioConfig:
-    """Named study setups: nominal-reduced, nominal-full, open-loop, robust-reduced, robust-full.
+#: The study presets, written as the config files of the README's "Study runs".  The full-model and
+#: robustness presets run the aggressive design (offset 0.01); the reduced one keeps the study gains.
+PRESETS = {
+    "nominal-reduced": "[sim]\n",
+    "nominal-full": "[controller]\neps = 0.01\nvariant = global\n[sim]\nmodel = full\n",
+    "open-loop": "[controller]\nvariant = none\n[sim]\nF0_ratio = 0.9\n",
+    "robust-reduced": "[controller]\neps = 0.01\nvariant = global\n[sim]\ndt = 0.05\nrecord_every = 20\n",
+    "robust-full": "[controller]\neps = 0.01\nvariant = global\n[sim]\nmodel = full\ndt = 0.05\nrecord_every = 20\n",
+}
 
-    The full-model and robustness presets run the aggressive controller
-    (offset 0.01); the reduced nominal preset keeps the ceiling-primary
-    gains whose certificates the verification suite checks.
+
+def design_from_config(sections: dict, params: BioParams | None = None) -> tuple[BioParams, ControllerConfig, str]:
+    """(plant, controller, variant) of a parsed config whose ``[params]`` built ``params`` (None: the table).
+
+    ``[controller]`` overrides the gains of :func:`nominal_controller`; ``variant`` defaults to ``plus``.
     """
-    p = NOMINAL_PARAMS
-    if name == "nominal-reduced":
-        base = ScenarioConfig(name=name, params=p, controller=nominal_controller(p), variant="plus", model="reduced")
-    elif name == "nominal-full":
-        base = ScenarioConfig(name=name, params=p, controller=strong_controller(p), variant="global", model="full")
-    elif name == "open-loop":
-        eq = persistence_equilibrium(p)
-        base = ScenarioConfig(
-            name=name, params=p, controller=nominal_controller(p), variant="none", model="reduced",
-            initial=(0.9 * eq.F_bar, 0.0),
-        )
-    elif name in ("robust-reduced", "robust-full"):
-        model = name.removeprefix("robust-")
-        base = ScenarioConfig(
-            name=name, params=p, controller=strong_controller(p), variant="global", model=model,
-            dt=0.05, record_every=20,
-        )
-    else:
-        raise ConfigError(
-            f"unknown preset {name!r}; expected nominal-reduced, nominal-full, open-loop, "
-            "robust-reduced or robust-full"
-        )
-    return replace(base, **overrides) if overrides else base
+    p = NOMINAL_PARAMS if params is None else params
+    design = dict(sections.get("controller", {}))
+    variant = design.pop("variant", "plus")
+    return p, nominal_controller(p, **design), variant
+
+
+def scenario_from_config(sections: dict, name: str, params=None, out_dir=None, **overrides) -> ScenarioConfig:
+    """The scenario of a parsed config, as :func:`design_from_config` and ``[sim]`` over ScenarioConfig's defaults.
+
+    An override replaces ``[controller] variant`` or a ``[sim]`` key and is
+    parsed as that config line would be.  ``F0_ratio`` scales the default
+    F0.  A setting the integrator rejects is a ConfigError.
+    """
+    text = "".join(f"[{'controller' if key == 'variant' else 'sim'}]\n{key} = {value}\n"
+                   for key, value in overrides.items())
+    sections = dict(sections)
+    for section, values in parse_config_text(text, source="override").items():
+        sections[section] = sections.get(section, {}) | values
+    p, cfg, variant = design_from_config(sections, params)
+    sim = sections.get("sim", {})
+    settings = {key: value for key, value in sim.items() if key not in INITIAL_KEYS}
+    scenario = ScenarioConfig(name, p, cfg, variant, out_dir=out_dir, **settings)
+    if sim.keys() & INITIAL_KEYS:
+        *aquatic, F, Ms = scenario.resolve_initial()
+        aquatic = tuple(sim.get(key, x) for key, x in zip(("E0", "M0"), aquatic))
+        initial = aquatic + (sim.get("F0", sim.get("F0_ratio", 1.0) * F), sim.get("Ms0", Ms))
+        scenario = replace(scenario, initial=initial)
+    try:
+        scenario.sim_spec()
+        if not scenario.extinction_threshold > 0.0:
+            raise ValueError("extinction_threshold must be positive")
+    except ControllerError:
+        raise
+    except ValueError as err:  # the message names the offending setting
+        raise ConfigError(f"[sim] {err}") from None
+    return scenario
+
+
+def preset_scenario(name: str, **overrides) -> ScenarioConfig:
+    """The :data:`PRESETS` entry ``name`` as a scenario; ``overrides`` as for :func:`scenario_from_config`."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}")
+    return scenario_from_config(parse_config_text(PRESETS[name], source=name), name, **overrides)
 
 
 def guaranteed_rate(cfg: ControllerConfig, p: BioParams, global_variant: bool) -> float:
@@ -251,6 +280,8 @@ class RobustnessConfig:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.uncertainty < 1.0:
             raise ValueError("uncertainty must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -1,19 +1,20 @@
 """Scenario runner, parameter perturbation, robustness sweep and the CLI."""
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sitctl as s
-from sitctl.cli import _scenario_from_config, build_parser
 from sitctl.cli import main as cli_main
 from sitctl.configio import SECTION_KEYS, finite_float
 from sitctl.harness import (
     DEFAULT_PERTURB_SET,
+    PRESETS,
     RobustnessConfig,
     ScenarioConfig,
     preset_scenario,
@@ -69,6 +70,9 @@ class TestPerturbParams:
             s.perturb_params(params, 1.0, trial_rng(0, 0))
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 class TestPresets:
     def test_known_presets(self):
         for name in ("nominal-reduced", "nominal-full", "open-loop", "robust-reduced", "robust-full"):
@@ -78,6 +82,36 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(s.ConfigError):
             preset_scenario("nominal-spatial")
+
+    def test_readme_study_configs_are_the_presets(self):
+        configs = re.findall(r"^printf '(.*)' > study/(.*)\.cfg$", README.read_text(), flags=re.MULTILINE)
+        assert {name: text.replace("\\n", "\n") for text, name in configs} == PRESETS
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_fields(self, name, params, eq, cfg, cfg_strong):
+        # every field of each preset as it was when the presets were written as ScenarioConfigs
+        controller, variant, model, initial, dt, record_every = {
+            "nominal-reduced": (cfg, "plus", "reduced", None, 0.01, 100),
+            "nominal-full": (cfg_strong, "global", "full", None, 0.01, 100),
+            "open-loop": (cfg, "none", "reduced", (0.9 * eq.F_bar, 0.0), 0.01, 100),
+            "robust-reduced": (cfg_strong, "global", "reduced", None, 0.05, 20),
+            "robust-full": (cfg_strong, "global", "full", None, 0.05, 20),
+        }[name]
+        assert preset_scenario(name) == ScenarioConfig(
+            name=name, params=params, controller=controller, variant=variant, model=model, initial=initial,
+            t_end=2000.0, dt=dt, record_every=record_every, extinction_threshold=1.0, out_dir=None,
+        )
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"initial": (1.0, 0.0)}, "unknown key 'initial' in [sim]"),
+        ({"t_end": math.inf}, "[sim] t_end: invalid value 'inf'"),
+        ({"record_every": 1.5}, "[sim] record_every: invalid value '1.5'"),
+        ({"dt": 0.5}, "[sim] dt must lie in (0, 0.1]"),
+    ])
+    def test_overrides_are_checked_as_config_values(self, overrides, named):
+        with pytest.raises(s.ConfigError) as err:
+            preset_scenario("nominal-reduced", **overrides)
+        assert named in str(err.value)
 
     def test_sim_spec_drives_the_given_plant(self, params):
         plant, _ = s.perturb_params(params, 0.10, trial_rng(2024, 0))
@@ -158,16 +192,6 @@ class TestRobustness:
 # Every float-valued config key, read off the schema so that a new key is covered too.
 FLOAT_KEYS = [(section, key) for section, schema in SECTION_KEYS.items() for key, convert in schema.items()
               if convert is finite_float]
-
-# The study configs of the README, each named after the preset it reproduces.
-STUDY_CONFIGS = {
-    "nominal-reduced": "[sim]\n",
-    "nominal-full": "[controller]\neps = 0.01\nvariant = global\n[sim]\nmodel = full\n",
-    "open-loop": "[controller]\nvariant = none\n[sim]\nF0_ratio = 0.9\n",
-    "robust-reduced": "[controller]\neps = 0.01\nvariant = global\n[sim]\ndt = 0.05\nrecord_every = 20\n",
-    "robust-full": "[controller]\neps = 0.01\nvariant = global\n[sim]\nmodel = full\ndt = 0.05\nrecord_every = 20\n",
-}
-
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -253,30 +277,23 @@ class TestCli:
         assert cli_main([command, str(config_file), f"--t-end={value}"]) == 2
         assert "t_end" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--uncertainty", "1.5")])
+    @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--uncertainty", "1.5"), ("--seed", "-1")])
     def test_bad_robustness_option_exits_2(self, config_file, option, value, capsys):
         assert cli_main(["robustness", str(config_file), option, value]) == 2
         assert option in capsys.readouterr().err
-
-    @pytest.mark.parametrize("name, text", STUDY_CONFIGS.items(), ids=list(STUDY_CONFIGS))
-    def test_study_config_builds_its_preset(self, tmp_path, name, text):
-        path = tmp_path / f"{name}.cfg"
-        path.write_text(text)
-        scenario = _scenario_from_config(path, build_parser().parse_args(["simulate", str(path)]))
-        assert scenario == preset_scenario(name)
 
     def test_simulate_near_extinction(self, tmp_path, capsys):
         # by t = 16000 F and Ms are ~1e-160 and smaller, where the law's
         # denominators underflow to 0
         path = tmp_path / "robust-reduced.cfg"
-        path.write_text(STUDY_CONFIGS["robust-reduced"].replace("dt = 0.05", "dt = 0.1"))
+        path.write_text(PRESETS["robust-reduced"].replace("dt = 0.05", "dt = 0.1"))
         assert cli_main(["simulate", str(path), "--t-end", "16000"]) == 0
         assert "termination = horizon" in capsys.readouterr().out
 
     def test_robustness_one_sample_window_fits_without_warning(self, tmp_path, recwarn):
         # dt 0.05, record_every 20, t_end 1: samples at t = 0 and 1 only
         path = tmp_path / "robust-reduced.cfg"
-        path.write_text(STUDY_CONFIGS["robust-reduced"])
+        path.write_text(PRESETS["robust-reduced"])
         assert cli_main(["robustness", str(path), "--trials", "1", "--t-end", "1"]) in (0, 1)
         assert [str(w.message) for w in recwarn] == []
 
@@ -329,6 +346,39 @@ class TestCli:
         assert cli_main(["simulate", str(config_file)]) in (0, 1, 2)
         assert "1/MAX_MAGNITUDE" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["equilibria", "simulate", "audit", "robustness"])
+    @pytest.mark.parametrize("eps", ["0", "-0.0"])
+    def test_non_positive_eps_exits_2(self, tmp_path, command, eps, capsys):
+        # was a ZeroDivisionError in f_hat_for
+        path = tmp_path / "eps.cfg"
+        path.write_text(f"[controller]\neps = {eps}\n[sim]\nt_end = 1\ndt = 0.1\n")
+        assert cli_main([command, str(path)]) == 2
+        assert f"offset eps must be positive, got {float(eps)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, model, variant", [
+        ("eta = 1e308", "reduced", "plus"), ("eta = 1e308", "reduced", "global"),  # ran to final_F = nan
+        ("eta = 1e308", "full", "global"),  # ran to budget_total = nan
+        ("rho = 1e308", "reduced", "plus"),  # RuntimeWarning: invalid value encountered in subtract
+        ("rho = 1e200", "reduced", "plus"),  # RuntimeWarning: overflow encountered in square
+    ])
+    def test_gain_beyond_magnitude_bound_exits_2(self, tmp_path, line, model, variant, capsys):
+        path = tmp_path / "gain.cfg"
+        path.write_text(f"[controller]\n{line}\nvariant = {variant}\n[sim]\nmodel = {model}\nt_end = 20\ndt = 0.1\n")
+        assert cli_main(["simulate", str(path)]) == 2
+        key, value = line.split(" = ")
+        assert f"{key} must be positive and at most MAX_MAGNITUDE = 1e+30, got {float(value)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["reduced", "full"])
+    @pytest.mark.parametrize("variant", ["raw", "plus", "global"])
+    @pytest.mark.parametrize("key", ["eta", "rho"])
+    def test_gain_at_magnitude_bound_stays_finite(self, tmp_path, key, variant, model, capsys):
+        # a warning or traceback would fail the test; lambda_fit is nan for any run this short
+        path = tmp_path / "gain.cfg"
+        path.write_text(f"[controller]\n{key} = 1e30\nvariant = {variant}\n[sim]\nmodel = {model}\nt_end = 20\ndt = 0.1\n")
+        assert cli_main(["simulate", str(path)]) in (0, 1)
+        summary = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert math.isfinite(float(summary["final_F"])) and math.isfinite(float(summary["budget_total"]))
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[params]\nbetaE = 10\n")
@@ -350,14 +400,16 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
     command=st.sampled_from(["simulate", "robustness"]),
     trials=st.integers(min_value=-1, max_value=3),
     uncertainty=st.one_of(st.floats(min_value=-0.5, max_value=1.5), NON_FINITE),
+    seed=st.one_of(st.integers(max_value=-1), st.integers(min_value=0, max_value=2**32 - 1)),
     dt=st.one_of(st.sampled_from([-0.01, 0.0, 0.05, 0.5]), NON_FINITE),
     t_end=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(min_value=-1.0, max_value=2.0), NON_FINITE),
 )
+@example(command="robustness", trials=1, uncertainty=0.1, seed=-1, dt=0.05, t_end=1.0)  # was a ValueError traceback
 @settings(max_examples=200, deadline=None)
-def test_cli_exit_code_is_0_1_or_2(short_config, command, trials, uncertainty, dt, t_end):
+def test_cli_exit_code_is_0_1_or_2(short_config, command, trials, uncertainty, seed, dt, t_end):
     argv = [command, str(short_config), f"--dt={dt!r}", f"--t-end={t_end!r}"]
     if command == "robustness":
-        argv += [f"--trials={trials}", f"--uncertainty={uncertainty!r}"]
+        argv += [f"--trials={trials}", f"--uncertainty={uncertainty!r}", f"--seed={seed}"]
     assert cli_main(argv) in (0, 1, 2)
 
 
@@ -378,4 +430,30 @@ def test_cli_exit_code_is_0_1_or_2_for_extreme_params(extremes, variant, model):
         path = Path(tmp) / "extreme.cfg"
         params = "".join(f"{key} = {value!r}\n" for key, value in values.items())
         path.write_text(f"[params]\n{params}[controller]\nvariant = {variant}\n[sim]\nmodel = {model}\nt_end = 20\ndt = 0.1\n")
+        assert cli_main(["simulate", str(path)]) in (0, 1, 2)
+
+
+# Every [controller] and [sim] float key; one left out of a draw keeps its study default.
+SETTING_KEYS = [(section, key) for section, key in FLOAT_KEYS if section != "params"]
+EXTREME_SETTINGS = [0.0, -0.0, 5e-324, 1e-300, 1e-30, 1e30, 1e308]
+
+
+@given(
+    extremes=st.dictionaries(st.sampled_from(SETTING_KEYS), st.sampled_from(EXTREME_SETTINGS)),
+    variant=st.sampled_from(s.control.VARIANTS),
+    model=st.sampled_from(["reduced", "full"]),
+)
+@example(extremes={("controller", "eps"): 0.0}, variant="plus", model="reduced")  # was a ZeroDivisionError
+@example(extremes={("controller", "rho"): 1e308}, variant="plus", model="reduced")  # was a RuntimeWarning
+@settings(max_examples=200, deadline=None)
+def test_cli_exit_code_is_0_1_or_2_for_extreme_settings(extremes, variant, model):
+    sections = {"controller": {"variant": variant}, "sim": {"model": model, "t_end": 20, "dt": 0.1}}
+    for (section, key), value in extremes.items():
+        sections[section][key] = repr(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "extreme.cfg"
+        path.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
+            for section, values in sections.items()
+        ))
         assert cli_main(["simulate", str(path)]) in (0, 1, 2)

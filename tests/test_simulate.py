@@ -197,8 +197,7 @@ def _bit_specs():
     for name in ("robust-reduced", "robust-full"):
         plant, _ = perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(2024, 0))
         specs[name + "/perturbed"] = preset_scenario(name).sim_spec(plant)
-    eq = s.persistence_equilibrium(s.NOMINAL_PARAMS)
-    specs["global-2Fbar"] = preset_scenario("nominal-reduced", variant="global", initial=(2 * eq.F_bar, 0.0)).sim_spec()
+    specs["global-2Fbar"] = preset_scenario("nominal-reduced", variant="global", F0_ratio=2).sim_spec()
     return {name: dataclasses.replace(spec, t_end=50.0) for name, spec in specs.items()}
 
 
@@ -346,7 +345,6 @@ def _reference_run(spec):
 
 def _record_specs():
     """Short runs of each model, with and without a plant; some end mid-chunk."""
-    eq = s.persistence_equilibrium(s.NOMINAL_PARAMS)
     plant, _ = perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(2024, 0))
     return {
         "nominal-reduced/every-7": preset_scenario("nominal-reduced", t_end=20.0, record_every=7).sim_spec(),
@@ -356,7 +354,7 @@ def _record_specs():
         "robust-full/perturbed": preset_scenario("robust-full", t_end=20.0).sim_spec(plant),
         # the stiff egg compartment undershoots at step 6, inside the second chunk of 4
         "full-global-55Fbar/nonneg": preset_scenario(
-            "nominal-full", initial=(eq.E_bar, eq.M_bar, 55.0 * eq.F_bar, 0.0), t_end=10.0, dt=0.1, record_every=4,
+            "nominal-full", F0_ratio=55.0, t_end=10.0, dt=0.1, record_every=4,
         ).sim_spec(),
     }
 
