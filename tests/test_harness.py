@@ -433,7 +433,7 @@ def test_cli_exit_code_is_0_1_or_2_for_extreme_params(extremes, variant, model):
         assert cli_main(["simulate", str(path)]) in (0, 1, 2)
 
 
-# Every [controller] and [sim] float key; one left out of a draw keeps its study default.
+# Every [controller] and [sim] float key; one left out of a draw keeps its default, or t_end 20 and dt 0.1.
 SETTING_KEYS = [(section, key) for section, key in FLOAT_KEYS if section != "params"]
 EXTREME_SETTINGS = [0.0, -0.0, 5e-324, 1e-300, 1e-30, 1e30, 1e308]
 
