@@ -46,7 +46,6 @@ from .simulate import (
 )
 from .verify import (
     AuditReport,
-    ControlBudget,
     DecayReport,
     audit_grid,
     control_budget,

@@ -13,27 +13,24 @@ from pathlib import Path
 
 from .configio import ConfigError, params_from_mapping, read_config, write_trajectory_csv
 from .control import VARIANTS, ControllerError
-from .harness import RobustnessConfig, design_from_config, run_robustness, run_scenario, scenario_from_config
+from .harness import RobustnessConfig, run_robustness, run_scenario, scenario_from_config
 from .model import ParamError, capacity_from_E_bar, persistence_equilibrium
 from .verify import AUDIT_CHECKS, audit_grid
 
 
-def _load(path):
-    """(sections, [params] as BioParams or None) of a config file."""
-    sections = read_config(path)
-    return sections, params_from_mapping(sections["params"]) if "params" in sections else None
-
-
 def _scenario(args):
     """The config's scenario, with the flags named after a [controller] or [sim] key as overrides."""
-    flags = {key: value for key in ("model", "variant", "t_end", "dt") if (value := getattr(args, key)) is not None}
-    sections, params = _load(args.config)
-    out_dir = Path(args.out) if args.out else None
+    given = vars(args)  # equilibria and audit have none of these flags
+    flags = {key: given[key] for key in ("model", "variant", "t_end", "dt") if given.get(key) is not None}
+    sections = read_config(args.config)
+    params = params_from_mapping(sections["params"]) if "params" in sections else None
+    out_dir = Path(given["out"]) if given.get("out") else None
     return scenario_from_config(sections, Path(args.config).stem, params, out_dir, **flags)
 
 
 def cmd_equilibria(args) -> int:
-    p, cfg, _ = design_from_config(*_load(args.config))
+    scenario = _scenario(args)
+    p, cfg = scenario.params, scenario.controller
     eq = persistence_equilibrium(p)
     k_check = capacity_from_E_bar(eq.E_bar, p)
     print(f"R0 = {eq.R0:.10g}")
@@ -59,7 +56,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    p, cfg, _ = design_from_config(*_load(args.config))
+    scenario = _scenario(args)
+    p, cfg = scenario.params, scenario.controller
     checks = AUDIT_CHECKS if args.check == "all" else (args.check,)
     all_passed = True
     print("check,grid,pass,worst_value,witness_F,witness_Ms")

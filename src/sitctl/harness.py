@@ -115,34 +115,31 @@ PRESETS = {
 }
 
 
-def design_from_config(sections: dict, params: BioParams | None = None) -> tuple[BioParams, ControllerConfig, str]:
-    """(plant, controller, variant) of a parsed config whose ``[params]`` built ``params`` (None: the table).
-
-    ``[controller]`` overrides the gains of :func:`nominal_controller`; ``variant`` defaults to ``plus``.
-    """
-    p = NOMINAL_PARAMS if params is None else params
-    design = dict(sections.get("controller", {}))
-    variant = design.pop("variant", "plus")
-    return p, nominal_controller(p, **design), variant
-
-
 def scenario_from_config(sections: dict, name: str, params=None, out_dir=None, **overrides) -> ScenarioConfig:
-    """The scenario of a parsed config, as :func:`design_from_config` and ``[sim]`` over ScenarioConfig's defaults.
+    """The scenario of a parsed config whose ``[params]`` built ``params`` (None: the table).
 
-    An override replaces ``[controller] variant`` or a ``[sim]`` key and is
-    parsed as that config line would be.  ``F0_ratio`` scales the default
-    F0.  A setting the integrator rejects is a ConfigError.
+    ``[controller]`` overrides the gains of :func:`nominal_controller`, ``variant`` defaulting to
+    ``plus``, and ``[sim]`` overrides ScenarioConfig's defaults.  An override replaces
+    ``[controller] variant`` or a ``[sim]`` key and is parsed as that config line would be.
+    ``F0_ratio`` scales the default F0 and excludes ``F0``; ``E0`` and ``M0`` need the full
+    model.  A setting the integrator rejects is a ConfigError.
     """
     text = "".join(f"[{'controller' if key == 'variant' else 'sim'}]\n{key} = {value}\n"
                    for key, value in overrides.items())
     sections = dict(sections)
     for section, values in parse_config_text(text, source="override").items():
         sections[section] = sections.get(section, {}) | values
-    p, cfg, variant = design_from_config(sections, params)
+    p = NOMINAL_PARAMS if params is None else params
+    design = dict(sections.get("controller", {}))
+    variant = design.pop("variant", "plus")
     sim = sections.get("sim", {})
     settings = {key: value for key, value in sim.items() if key not in INITIAL_KEYS}
-    scenario = ScenarioConfig(name, p, cfg, variant, out_dir=out_dir, **settings)
+    scenario = ScenarioConfig(name, p, nominal_controller(p, **design), variant, out_dir=out_dir, **settings)
     if sim.keys() & INITIAL_KEYS:
+        if "F0" in sim and "F0_ratio" in sim:
+            raise ConfigError("[sim] specify at most one of F0, F0_ratio")
+        if scenario.model == "reduced" and (full_only := [key for key in ("E0", "M0") if key in sim]):
+            raise ConfigError(f"[sim] {' and '.join(full_only)}: full model only, got model = reduced")
         *aquatic, F, Ms = scenario.resolve_initial()
         aquatic = tuple(sim.get(key, x) for key, x in zip(("E0", "M0"), aquatic))
         initial = aquatic + (sim.get("F0", sim.get("F0_ratio", 1.0) * F), sim.get("Ms0", Ms))
@@ -228,7 +225,7 @@ def run_scenario(scenario: ScenarioConfig) -> ScenarioResult:
         decay=decay,
         extinction_time=extinction,
         control_nonneg=control_nonneg,
-        budget_total=budget.total,
+        budget_total=budget,
         passed=passed,
     )
     if scenario.out_dir is not None:
@@ -371,7 +368,7 @@ def run_robustness(config: RobustnessConfig) -> RobustnessResult:
                 resamples=tries - 1,
                 extinction_time=ext,
                 max_control=float(np.max(traj.controls)),
-                total_control=control_budget(traj).total,
+                total_control=control_budget(traj),
                 control_nonneg=bool(np.all(traj.controls >= 0.0)),
                 control_decreasing=_control_decreasing(traj),
                 extinct=ext is not None,

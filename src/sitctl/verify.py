@@ -135,26 +135,9 @@ def vdot_check(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> Aud
     )
 
 
-@dataclass
-class ControlBudget:
-    """Trapezoidal release total over the horizon plus an exponential tail estimate."""
-
-    total: float
-    tail: float
-
-
-def control_budget(traj: Trajectory) -> ControlBudget:
-    """Integrate the release rate; estimate the post-horizon tail from the last decade."""
-    total = float(np.trapezoid(traj.controls, traj.times))
-    tail = 0.0
-    n = len(traj.times)
-    last = slice(max(0, n - max(10, n // 10)), n)
-    u_last = traj.controls[last]
-    if np.all(u_last > 0.0) and len(u_last) >= 10:
-        rate, _ = fit_decay_rate(traj.times[last], u_last)
-        if rate > 0.0:
-            tail = float(traj.controls[-1] / rate)
-    return ControlBudget(total=total, tail=tail)
+def control_budget(traj: Trajectory) -> float:
+    """Total release over the horizon: the trapezoidal integral of the recorded rate."""
+    return float(np.trapezoid(traj.controls, traj.times))
 
 
 def _grid_extent_ms(cfg: ControllerConfig, p: BioParams, factor: float) -> float:

@@ -125,7 +125,7 @@ def test_criterion_9_robustness_study():
         nominal = s.integrate(base.sim_spec())
         outcomes[preset + "-identical"] = (
             zero.trials[0].max_control == float(np.max(nominal.controls))
-            and zero.trials[0].total_control == s.control_budget(nominal).total
+            and zero.trials[0].total_control == s.control_budget(nominal)
             and zero.trials[0].extinction_time == s.detect_extinction(nominal, base.extinction_threshold)
         )
     ok = all(

@@ -1,6 +1,8 @@
 """Config parsing and trajectory CSV round-trips."""
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ from sitctl.configio import (
     INITIAL_KEYS,
     SECTION_KEYS,
     ConfigError,
+    finite_float,
     params_from_mapping,
     parse_config_text,
     read_trajectory_csv,
     write_trajectory_csv,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 GOOD_CONFIG = """\
 # nominal study parameters
@@ -71,6 +76,16 @@ class TestConfigParsing:
         assert set(SECTION_KEYS["controller"]) - {"variant"} <= set(design)
         fields = {field.name for field in dataclasses.fields(s.ScenarioConfig)}
         assert set(SECTION_KEYS["sim"]) - set(INITIAL_KEYS) <= fields
+
+    def test_readme_key_table_is_the_schema(self):
+        # each row of the README's key table: section, backquoted keys (notes included), value type
+        rows = re.findall(r"^\| `\[(\w+)\]` \| (.*) \| (.*) \|$", README.read_text(), flags=re.MULTILINE)
+        table = {}
+        for section, keys, value in rows:
+            convert = finite_float if value.startswith("finite float") else int if value == "integer" else str
+            for key in " ".join(re.findall(r"`([^`]*)`", keys)).split():
+                table.setdefault(section, {})[key] = convert
+        assert table == SECTION_KEYS
 
     def test_unknown_key_names_nearest_match(self):
         bad = GOOD_CONFIG.replace("beta_E = 10", "betaE = 10")

@@ -107,6 +107,8 @@ class TestPresets:
         ({"t_end": math.inf}, "[sim] t_end: invalid value 'inf'"),
         ({"record_every": 1.5}, "[sim] record_every: invalid value '1.5'"),
         ({"dt": 0.5}, "[sim] dt must lie in (0, 0.1]"),
+        ({"E0": 5.0}, "[sim] E0: full model only, got model = reduced"),  # was dropped silently
+        ({"F0": 5.0, "F0_ratio": 0.9}, "[sim] specify at most one of F0, F0_ratio"),  # F0 won silently
     ])
     def test_overrides_are_checked_as_config_values(self, overrides, named):
         with pytest.raises(s.ConfigError) as err:
@@ -173,7 +175,7 @@ class TestRobustness:
         for trial in result.trials:
             assert trial.extinction_time == expected_ext
             assert trial.max_control == float(np.max(nominal.controls))
-            assert trial.total_control == s.control_budget(nominal).total
+            assert trial.total_control == s.control_budget(nominal)
 
     def test_perturbed_trials_extinct_with_nonnegative_control(self, quick_base):
         config = RobustnessConfig(base=quick_base, trials=5, uncertainty=0.10, seed=2024)
@@ -261,6 +263,30 @@ class TestCli:
         assert cli_main(["simulate", str(config_file)]) == 2
         err = capsys.readouterr().err
         assert "[sim]" in err and key in err
+
+    @pytest.mark.parametrize("command", ["equilibria", "simulate", "audit", "robustness"])
+    @pytest.mark.parametrize("text, keys", [
+        ("[controller]\nvariant = bogus\n[sim]\n", ["variant"]),
+        ("[sim]\nmodel = planar\n", ["model"]),
+        ("[sim]\ndt = 0.5\n", ["dt"]),
+        ("[sim]\nE0 = 5\nM0 = 7\n", ["E0", "M0"]),
+        ("[sim]\nF0 = 5\nF0_ratio = 0.9\n", ["F0", "F0_ratio"]),
+    ], ids=["variant", "model", "dt", "E0-reduced", "F0-and-F0_ratio"])
+    def test_every_subcommand_rejects_a_bad_config(self, tmp_path, command, text, keys, capsys):
+        # equilibria and audit used to read only [params] and the [controller] gains and exited 0 on all five;
+        # the other two let E0 on a reduced run and F0 next to F0_ratio pass without a word
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "t_end = 1\n")
+        assert cli_main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
+
+    @pytest.mark.parametrize("command", ["simulate", "robustness"])
+    def test_aquatic_state_under_model_flag_reduced_exits_2(self, tmp_path, command, capsys):
+        path = tmp_path / "full.cfg"
+        path.write_text("[sim]\nmodel = full\nE0 = 5\nt_end = 1\ndt = 0.1\n")
+        assert cli_main([command, str(path), "--model", "reduced"]) == 2
+        assert "[sim] E0: full model only, got model = reduced" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{section}.{key}" for section, key in FLOAT_KEYS])
@@ -386,31 +412,46 @@ class TestCli:
         assert "beta_E" in capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def short_config(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "short.cfg"
-    path.write_text("[controller]\neps = 0.01\nvariant = global\n")
-    return path
-
-
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
+def usually(valid, invalid):
+    """``valid`` four draws in five, else ``invalid``: most examples get past the checks to a run.
+
+    ``valid`` is the branch hypothesis shrinks towards, so a failing example keeps its valid options.
+    """
+    return st.integers(min_value=0, max_value=4).flatmap(lambda i: invalid if i == 4 else valid)
+
+
 @given(
-    command=st.sampled_from(["simulate", "robustness"]),
-    trials=st.integers(min_value=-1, max_value=3),
-    uncertainty=st.one_of(st.floats(min_value=-0.5, max_value=1.5), NON_FINITE),
-    seed=st.one_of(st.integers(max_value=-1), st.integers(min_value=0, max_value=2**32 - 1)),
-    dt=st.one_of(st.sampled_from([-0.01, 0.0, 0.05, 0.5]), NON_FINITE),
-    t_end=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(min_value=-1.0, max_value=2.0), NON_FINITE),
+    trials=usually(st.integers(min_value=1, max_value=3), st.integers(min_value=-1, max_value=0)),
+    uncertainty=usually(st.floats(min_value=0.0, max_value=0.3),
+                        st.one_of(st.floats(min_value=-0.5, max_value=1.5), NON_FINITE)),
+    seed=usually(st.integers(min_value=0, max_value=2**32 - 1), st.integers(max_value=-1)),
+    dt=usually(st.sampled_from([0.05, 0.1]), st.one_of(st.sampled_from([-0.01, 0.0, 0.5]), NON_FINITE)),
+    t_end=usually(st.sampled_from([1.0, 2.0]), st.one_of(st.floats(min_value=-1.0, max_value=2.0), NON_FINITE)),
 )
-@example(command="robustness", trials=1, uncertainty=0.1, seed=-1, dt=0.05, t_end=1.0)  # was a ValueError traceback
-@settings(max_examples=200, deadline=None)
-def test_cli_exit_code_is_0_1_or_2(short_config, command, trials, uncertainty, seed, dt, t_end):
-    argv = [command, str(short_config), f"--dt={dt!r}", f"--t-end={t_end!r}"]
-    if command == "robustness":
-        argv += [f"--trials={trials}", f"--uncertainty={uncertainty!r}", f"--seed={seed}"]
-    assert cli_main(argv) in (0, 1, 2)
+@example(trials=1, uncertainty=0.1, seed=-1, dt=0.05, t_end=1.0)  # robustness: was a ValueError traceback
+@settings(max_examples=100, deadline=None)
+def test_cli_exit_code_is_0_1_or_2(trials, uncertainty, seed, dt, t_end):
+    # equilibria and audit take no flags, so they read dt and t_end from the config; the other two
+    # take them as flags, which override the config line of the same name
+    short = "[controller]\neps = 0.01\nvariant = global\n[sim]\n"
+    sim = [f"--dt={dt!r}", f"--t-end={t_end!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        written, flagged = Path(tmp) / "written.cfg", Path(tmp) / "flagged.cfg"
+        written.write_text(short + f"dt = {dt!r}\nt_end = {t_end!r}\n")
+        flagged.write_text(short)
+        codes = {
+            "equilibria": cli_main(["equilibria", str(written)]),
+            "audit": cli_main(["audit", str(written), "--check=mstar_identity"]),
+            "simulate": cli_main(["simulate", str(flagged), *sim]),
+            "robustness": cli_main(["robustness", str(flagged), *sim, f"--trials={trials}",
+                                    f"--uncertainty={uncertainty!r}", f"--seed={seed}"]),
+        }
+    assert set(codes.values()) <= {0, 1, 2}, codes
+    # one gate: a scenario simulate rejects is rejected by equilibria and audit too
+    assert (codes["equilibria"] == 2) == (codes["audit"] == 2) == (codes["simulate"] == 2), codes
 
 
 EXTREME_PARAMS = [5e-324, 1e-300, 1e-30, 1e30, 1e308, math.nan, math.inf]
