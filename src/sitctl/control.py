@@ -8,8 +8,10 @@ sign-indefinite term via the second-quadrant-zeroed product ``cut2``;
 and nonnegative for arbitrarily large female densities.
 
 The composed functions broadcast over numpy arrays (scalar inputs give a
-float); :meth:`ControlLaw.evaluator` is the fused scalar version for the
-integration loop.
+float); their integer powers are written as products, so an array rounds
+exactly like its points passed one float at a time (numpy's vectorised
+``power`` need not round like libm's ``pow``).  :meth:`ControlLaw.evaluator`
+is the fused scalar version for the integration loop.
 """
 from __future__ import annotations
 
@@ -136,7 +138,7 @@ def ms_star(F: float, cfg: ControllerConfig, p: BioParams) -> float:
     denom = p.beta_E * F + p.k * (p.nu_E + p.delta_E)
     return (
         (1.0 - p.nu) * p.nu_E * p.beta_E**2 * p.k * F * (cfg.F_hat - F)
-        / (p.gamma_s * p.delta_M * denom**2)
+        / (p.gamma_s * p.delta_M * (denom * denom))
     )
 
 
@@ -150,7 +152,7 @@ def dms_star_dF(F: float, cfg: ControllerConfig, p: BioParams) -> float:
     """Closed-form slope of the virtual feedback (quotient rule)."""
     B, C = ms_star_coefficients(p)
     lin = p.beta_E * F + B
-    return C * ((cfg.F_hat - 2.0 * F) * lin - 2.0 * p.beta_E * F * (cfg.F_hat - F)) / lin**3
+    return C * ((cfg.F_hat - 2.0 * F) * lin - 2.0 * p.beta_E * F * (cfg.F_hat - F)) / (lin * lin * lin)
 
 
 def pi(F, Ms, cfg: ControllerConfig, p: BioParams):
@@ -208,7 +210,7 @@ def chi(F, cfg: ControllerConfig):
     if cfg.cutoff_kind == "cubic":
         ramp = 1.0 - s * s * (3.0 - 2.0 * s)
     else:
-        ramp = 1.0 - s**3 * (6.0 * s * s - 15.0 * s + 10.0)
+        ramp = 1.0 - s * s * s * (6.0 * s * s - 15.0 * s + 10.0)
     return _plain(np.where(F <= cfg.F2, 1.0, np.where(F >= cfg.F_hat, 0.0, ramp)))
 
 

@@ -26,10 +26,11 @@ PARAM_KEYS = (
 
 #: Largest accepted parameter value, initial-state component and F_hat; its
 #: inverse 1e-30 is the smallest accepted parameter value.  The law's tightest
-#: power is ``lin**3`` with ``lin = beta_E*F + k*(nu_E + delta_E)``: at the
-#: bound lin <= 3e60 and lin**3 <= 2.7e181, far below the 1.8e308 where a float
-#: ``**`` raises OverflowError.  The margin also covers ``ms_star``'s
-#: ``denom**2`` and any product of up to nine bounded factors; at the floor a
+#: power is the cube of ``lin = beta_E*F + k*(nu_E + delta_E)``: at the bound
+#: lin <= 3e60 and lin**3 <= 2.7e181, far below the 1.8e308 where the fused
+#: law's float ``**`` raises OverflowError and ``dms_star_dF``'s ``lin * lin * lin``
+#: overflows to inf.  The margin also covers ``ms_star``'s ``denom * denom``
+#: and any product of up to nine bounded factors; at the floor a
 #: product of up to nine parameters stays above 1e-270, a normal float.
 MAX_MAGNITUDE = 1e30
 

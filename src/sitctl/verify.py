@@ -144,13 +144,32 @@ def _grid_extent_ms(cfg: ControllerConfig, p: BioParams, factor: float) -> float
     return factor * float(np.max(ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, p)))
 
 
-def _fold_row(row, F: float, Mss, worst: float, witness: tuple, highest: bool = False):
-    """Fold one F row into the running worst value and witness; the first point in scan order wins a tie."""
-    j = int(np.argmax(row) if highest else np.argmin(row))
-    value = float(row[j])
-    if (value > worst) if highest else (value < worst):
-        return value, (F, float(Mss[j]))
-    return worst, witness
+# F rows per law call in the 2-D audits: a block of the default 400-point rows holds 4000 points.
+_BLOCK_ROWS = 10
+
+
+def _scan_2d(law, cfg: ControllerConfig, p: BioParams, Fs, Mss, highest: bool = False, growth: bool = False):
+    """(worst value, witness, max |value|, K) of ``law`` on the grid Fs x Mss, one block of F rows per call.
+
+    The first point in row-major scan order wins a tie.  A NaN is worse than
+    any number: the first one is the worst value and the witness, so the
+    check fails.  With ``growth``, K is the largest (value - (delta_s - eta) Ms) / F
+    over F > 0, else 0.0; the largest |value| and K skip NaNs.
+    """
+    worst, witness, scale, K = -np.inf if highest else np.inf, (float(Fs[0]), float(Mss[0])), 0.0, 0.0
+    for i in range(0, len(Fs), _BLOCK_ROWS):
+        F = Fs[i:i + _BLOCK_ROWS, None]
+        block = law(F, Mss[None, :], cfg, p)
+        r, j = np.unravel_index(np.argmax(block) if highest else np.argmin(block), block.shape)
+        value = float(block[r, j])
+        if not np.isnan(worst) and (np.isnan(value) or (value > worst if highest else value < worst)):
+            worst, witness = value, (float(F[r, 0]), float(Mss[j]))
+        scale = float(np.fmax.reduce(np.abs(block), axis=None, initial=scale))
+        if growth:
+            rows = F[:, 0] > 0.0
+            slack = (block[rows] - (p.delta_s - cfg.eta) * Mss) / F[rows]
+            K = float(np.fmax.reduce(slack, axis=None, initial=K))
+    return worst, witness, scale, K
 
 
 def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000, n_2d: int = 400) -> AuditReport:
@@ -161,9 +180,14 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
     'pi_sign' (mismatch rate nonpositive), 'mstar_identity'
     (g(F, ms*(F)) = eps F on a log grid), 'utilde_bound' (global law under
     a linear bound (delta_s - eta) Ms + K F, K estimated on the grid).
-    The 1-D checks evaluate their whole grid at once; the 2-D checks one
-    F row of Ms values at a time, which bounds the memory they use.
+    The 1-D checks evaluate their whole grid at once; the 2-D checks a
+    block of F rows at a time, which bounds the memory they use.  Both
+    grid sizes must be at least 2.
     """
+    for name, size in (("n_1d", n_1d), ("n_2d", n_2d)):
+        if not size >= 2:
+            raise ValueError(f"audit grid size {name} must be at least 2, got {size}")
+
     if which == "mstar_identity":
         Fs = np.logspace(-6, np.log10(cfg.F_hat), 1000)
         rel = np.abs(g(Fs, ms_star(Fs, cfg, p), p) - cfg.eps * Fs) / (cfg.eps * Fs)
@@ -177,47 +201,31 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
         levels = ms_star(Fs, cfg, p)
         scale = float(np.max(levels))
         lhs = levels - Fs * dms_star_dF(Fs, cfg, p)
-        closed = C * Fs * Fs * (p.beta_E * (2.0 * cfg.F_hat - Fs) + B) / (p.beta_E * Fs + B) ** 3
+        lin = p.beta_E * Fs + B
+        closed = C * Fs * Fs * (p.beta_E * (2.0 * cfg.F_hat - Fs) + B) / (lin * lin * lin)
         worst_id = float(np.max(np.abs(lhs - closed) / np.maximum(1.0, np.abs(closed))))
         j = int(np.argmin(lhs))
         worst_gap, witness = float(lhs[j]), (float(Fs[j]),)
         passed = worst_gap >= -1e-12 * scale and worst_id <= 1e-9
         return AuditReport("lemma4", f"{n_1d} points on [0..F_hat]", passed, worst_gap, witness, 1e-12 * scale)
 
-    if which == "pi_sign":
+    if which in ("pi_sign", "nonneg_plus"):
         Fs = np.linspace(0.0, cfg.F_hat, n_2d)
         Mss = np.linspace(0.0, _grid_extent_ms(cfg, p, 10.0), n_2d)
-        worst, witness = -np.inf, (0.0, 0.0)
-        for F in Fs.tolist():
-            worst, witness = _fold_row(pi(F, Mss, cfg, p), F, Mss, worst, witness, highest=True)
-        return AuditReport("pi_sign", f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]", worst <= 1e-12, worst, witness, 1e-12)
-
-    if which == "nonneg_plus":
-        Fs = np.linspace(0.0, cfg.F_hat, n_2d)
-        Mss = np.linspace(0.0, _grid_extent_ms(cfg, p, 10.0), n_2d)
-        worst, witness, scale = np.inf, (0.0, 0.0), 0.0
-        for F in Fs.tolist():
-            row = u_star_plus(F, Mss, cfg, p)
-            scale = max(scale, float(np.max(np.abs(row))))
-            worst, witness = _fold_row(row, F, Mss, worst, witness)
-        return AuditReport(
-            "nonneg_plus", f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]",
-            worst >= -1e-9 * scale, worst, witness, 1e-9 * scale,
-        )
+        grid = f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]"
+        if which == "pi_sign":
+            worst, witness, _, _ = _scan_2d(pi, cfg, p, Fs, Mss, highest=True)
+            return AuditReport("pi_sign", grid, worst <= 1e-12, worst, witness, 1e-12)
+        worst, witness, scale, _ = _scan_2d(u_star_plus, cfg, p, Fs, Mss)
+        return AuditReport("nonneg_plus", grid, worst >= -1e-9 * scale, worst, witness, 1e-9 * scale)
 
     if which == "utilde_bound":
         Fs = np.linspace(0.0, 3.0 * cfg.F_hat, n_2d)
         Mss = np.linspace(0.0, 1e5, n_2d)
-        worst, witness, K = np.inf, (0.0, 0.0), 0.0
-        for F in Fs.tolist():
-            row = u_tilde(F, Mss, cfg, p)
-            worst, witness = _fold_row(row, F, Mss, worst, witness)
-            if F > 0.0:
-                K = max(K, float(np.max((row - (p.delta_s - cfg.eta) * Mss) / F)))
+        worst, witness, _, K = _scan_2d(u_tilde, cfg, p, Fs, Mss, growth=True)
         passed = worst >= 0.0 and bool(np.isfinite(K))
-        report = AuditReport("utilde_bound", f"{n_2d}x{n_2d} on [0..3 F_hat]x[0..1e5]", passed, worst, witness, 0.0)
-        report.grid += f"; K={K:.6g}"
-        return report
+        grid = f"{n_2d}x{n_2d} on [0..3 F_hat]x[0..1e5]; K={K:.6g}"
+        return AuditReport("utilde_bound", grid, passed, worst, witness, 0.0)
 
     raise ValueError(f"unknown audit check {which!r}; expected one of {AUDIT_CHECKS}")
 

@@ -373,3 +373,34 @@ class TestControlLaw:
         # denom * denom and a * denom underflow to 0 here; the limit is taken
         law = s.ControlLaw(variant, cfg, params)
         assert law.evaluator()(F, Ms) == pytest.approx(law(F, Ms), rel=1e-12, abs=0.0)
+
+
+class TestArrayEvaluation:
+    """An F column against an Ms row rounds exactly like per-point float calls; the grid audits rely on it."""
+
+    @pytest.mark.parametrize("design", ["nominal", "strong", "cubic"])
+    def test_array_matches_scalar_bits(self, params, cfg, cfg_strong, design):
+        c = {"nominal": cfg, "strong": cfg_strong, "cubic": s.nominal_controller(params, cutoff_kind="cubic")}[design]
+        Fs = np.sort(np.concatenate([np.linspace(0.0, 3.0 * c.F_hat, 61), [c.F2, c.F_hat]]))
+        Mss = np.linspace(0.0, 10.0 * float(np.max(s.ms_star(np.linspace(0.0, c.F_hat, 401), c, params))), 21)
+        one = {
+            "ms_star": lambda F: s.ms_star(F, c, params),
+            "dms_star_dF": lambda F: s.dms_star_dF(F, c, params),
+            "chi": lambda F: s.chi(F, c),
+        }
+        two = {
+            "g": lambda F, Ms: s.g(F, Ms, params),
+            "dg_dMs": lambda F, Ms: s.dg_dMs(F, Ms, params),
+            **{fn.__name__: (lambda fn: lambda F, Ms: fn(F, Ms, c, params))(fn)
+               for fn in (s.pi, s.u_star, s.u_star_plus, s.u_tilde)},
+        }
+        cases = [(name, fn(Fs), [fn(F) for F in Fs.tolist()]) for name, fn in one.items()]
+        for name, fn in two.items():
+            Ms = Mss[1:] if name == "dg_dMs" else Mss  # dg_dMs is undefined at the origin
+            cases.append((name, fn(Fs[:, None], Ms[None, :]), [[fn(F, M) for M in Ms.tolist()] for F in Fs.tolist()]))
+        differing = {}
+        for name, array, points in cases:
+            points = np.array(points)
+            if array.tobytes() != points.tobytes():
+                differing[name] = f"{np.count_nonzero(array.view(np.int64) != points.view(np.int64))} of {points.size}"
+        assert differing == {}

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 import sitctl as s
+from sitctl import verify
 from sitctl.simulate import Trajectory
-from sitctl.verify import AUDIT_CHECKS, chi_sandwich
+from sitctl.verify import _BLOCK_ROWS, AUDIT_CHECKS, chi_sandwich
 
 
 def _synthetic_reduced(times, F, Ms, u=None, V=None):
@@ -202,10 +203,47 @@ class TestAuditGrid:
             "strong": cfg_strong,
             "cubic": s.ControllerConfig.design(params, F_hat=cfg.F_hat, eta=cfg.eta, rho=cfg.rho, cutoff_kind="cubic"),
         }[design]
-        report = s.audit_grid(design_cfg, params, check, n_1d=200, n_2d=25)
-        fields = (report.passed, report.worst_value, report.witness, report.tolerance, report.grid)
-        assert fields == _pointwise_audit(design_cfg, params, check, n_1d=200, n_2d=25)
-        assert type(report.worst_value) is float
+        # 2 * _BLOCK_ROWS + 3 rows make three F blocks, the last one ragged
+        for n_2d in (25, 2 * _BLOCK_ROWS + 3):
+            report = s.audit_grid(design_cfg, params, check, n_1d=200, n_2d=n_2d)
+            fields = (report.passed, report.worst_value, report.witness, report.tolerance, report.grid)
+            assert fields == _pointwise_audit(design_cfg, params, check, n_1d=200, n_2d=n_2d)
+            assert type(report.worst_value) is float
+
+    @pytest.mark.parametrize("check, law, bad", [("nonneg_plus", "u_star_plus", -1.0), ("pi_sign", "pi", 1.0)])
+    def test_nan_fails_with_first_nan_as_witness(self, params, cfg, monkeypatch, check, law, bad):
+        # row F = 0 violates the check everywhere; NaNs at its 8th point, at the
+        # 3rd point of the next row and in a later block must not hide the violation
+        extent = 10.0 * float(np.max(s.ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, params)))
+        Fs, Mss = np.linspace(0.0, cfg.F_hat, 50), np.linspace(0.0, extent, 50)
+        real = getattr(verify, law)
+
+        def spoiled(F, Ms, cfg, p):
+            F, Ms = np.broadcast_arrays(F, Ms)
+            value = np.where(F == 0.0, bad, real(F, Ms, cfg, p))
+            nan = ((F == 0.0) & (Ms == Mss[7])) | ((F == Fs[1]) & (Ms == Mss[2])) | ((F == Fs[30]) & (Ms == 0.0))
+            return np.where(nan, np.nan, value)
+
+        monkeypatch.setattr(verify, law, spoiled)
+        report = s.audit_grid(cfg, params, check, n_2d=50)
+        assert not report.passed
+        assert np.isnan(report.worst_value)
+        assert report.witness == (0.0, float(Mss[7]))
+
+    @pytest.mark.parametrize(
+        "check, law", [("nonneg_plus", "u_star_plus"), ("pi_sign", "pi"), ("utilde_bound", "u_tilde")],
+    )
+    def test_tie_goes_to_first_point_in_scan_order(self, params, cfg, monkeypatch, check, law):
+        monkeypatch.setattr(verify, law, lambda F, Ms, cfg, p: np.zeros(np.broadcast_shapes(np.shape(F), np.shape(Ms))))
+        report = s.audit_grid(cfg, params, check, n_2d=2 * _BLOCK_ROWS + 3)
+        assert (report.worst_value, report.witness) == (0.0, (0.0, 0.0))
+
+    @pytest.mark.parametrize("check", AUDIT_CHECKS)
+    @pytest.mark.parametrize("name", ["n_1d", "n_2d"])
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_grid_smaller_than_two_points_rejected(self, params, cfg, check, name, size):
+        with pytest.raises(ValueError, match=f"{name} must be at least 2"):
+            s.audit_grid(cfg, params, check, **{name: size})
 
     def test_chi_sandwich_matches_pointwise_scan(self, cfg):
         vals = [s.chi(float(F), cfg) for F in np.linspace(0.0, 2.0 * cfg.F_hat, 1000)]
