@@ -44,12 +44,13 @@ def cmd_equilibria(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _scenario(args)
+    out = Path(args.config).with_suffix(".csv")  # the CSV goes next to the config when no directory is given
+    if scenario.out_dir is None and out.exists() and out.samefile(args.config):
+        raise ConfigError(f"{out}: the trajectory CSV would overwrite the config; pass --out DIR")
     result = run_scenario(scenario)
     for line in result.summary_lines():
         print(line)
     if scenario.out_dir is None:
-        # still emit the CSV next to the config when no directory was given
-        out = Path(args.config).with_suffix(".csv")
         write_trajectory_csv(result.trajectory, out)
         print(f"trajectory = {out}")
     return 0 if result.passed else 1
@@ -128,7 +129,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ControllerError, ParamError, FileNotFoundError) as err:
+    except (ConfigError, ControllerError, ParamError, OSError) as err:  # OSError: a path that cannot be read or made
         print(f"error: {err}", file=sys.stderr)
         return 2
 

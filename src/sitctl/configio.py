@@ -7,10 +7,11 @@ carry the line number and, for unknown keys, the nearest valid key.
 """
 from __future__ import annotations
 
-import csv
 import difflib
 import math
 from pathlib import Path
+
+import numpy as np
 
 from .model import PARAM_KEYS, BioParams
 from .simulate import Trajectory
@@ -78,7 +79,11 @@ def parse_config_text(text: str, source: str = "<config>", section: str | None =
 
 def read_config(path) -> dict[str, dict]:
     path = Path(path)
-    return parse_config_text(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+    return parse_config_text(text, source=str(path))
 
 
 def params_from_mapping(mapping: dict) -> BioParams:
@@ -105,25 +110,14 @@ def params_from_text(text: str) -> BioParams:
     return params_from_mapping(parse_config_text(text, source="<params>", section="params")["params"])
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """RFC-4180 CSV, header t,F,Ms[,E,M],u[,V], 17 significant digits."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(traj.columns())
-        for row in traj.rows():
-            writer.writerow(_fmt(x) for x in row)
+    """RFC-4180 CSV of :meth:`Trajectory.table`: header t,F,Ms[,E,M],u[,V], 17 significant digits."""
+    header, data = traj.table()
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", newline="\r\n", header=",".join(header), comments="")
 
 
 def read_trajectory_csv(path):
-    """Read a trajectory CSV back as (header, rows of floats)."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader]
-    return header, rows
+    """Read a trajectory CSV back as (header, 2-D array with one row per sample)."""
+    with Path(path).open() as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        return header, np.loadtxt(fh, delimiter=",", ndmin=2)

@@ -68,8 +68,9 @@ class Trajectory:
     """Recorded samples of one run.
 
     ``states`` has one row per sample, (F, Ms) or (E, M, F, Ms): F and Ms
-    come last in both models.  ``lyapunov`` is present only for reduced
-    runs whose law carries a controller config.
+    come last in both models.  ``controls`` is u and ``lyapunov`` is V at
+    each sample; V is present only for reduced runs whose law carries a
+    controller config.
     """
 
     model: str
@@ -88,17 +89,12 @@ class Trajectory:
     def Ms(self) -> np.ndarray:
         return self.states[:, -1]
 
-    def columns(self) -> list[str]:
-        aquatic = ["E", "M"] if self.model == "full" else []
-        return ["t", "F", "Ms", *aquatic, "u"] + (["V"] if self.lyapunov is not None else [])
-
-    def rows(self):
-        for i, t in enumerate(self.times):
-            *aquatic, F, Ms = self.states[i]
-            row = [t, F, Ms, *aquatic, self.controls[i]]
-            if self.lyapunov is not None:
-                row.append(self.lyapunov[i])
-            yield row
+    def table(self) -> tuple[list[str], np.ndarray]:
+        """The run record in CSV order: header t,F,Ms[,E,M],u[,V] and one row per sample."""
+        aquatic = {"E": self.states[:, 0], "M": self.states[:, 1]} if self.model == "full" else {}
+        V = {} if self.lyapunov is None else {"V": self.lyapunov}
+        columns = {"t": self.times, "F": self.F, "Ms": self.Ms, **aquatic, "u": self.controls, **V}
+        return list(columns), np.column_stack(list(columns.values()))
 
 
 def _clamp(nxt, clamp_tol, t=None):
@@ -207,47 +203,45 @@ def integrate(spec: SimSpec) -> Trajectory:
     Deterministic: the same spec always yields bit-identical samples.  Steps
     of :func:`_rk4_step` over :func:`_closed_loop_rates` run in chunks of
     ``record_every`` (the last one may be shorter), each followed by one
-    sample at ``i * dt``.
+    sample ``(i * dt, state)``; the loop records nothing else.  After it,
+    ``controls`` maps ``law.evaluator()`` over the sampled (F, Ms) and
+    ``lyapunov`` is one array call of :func:`lyapunov_V`, both rounding
+    exactly as per-sample float calls would.
     """
-    u = spec.law.evaluator()
-    cfg = spec.law.config
-    p = spec.law.params  # the Lyapunov target is the law's, whatever the plant
-    record_V = spec.model == "reduced" and cfg is not None
     clamp_tol = 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
     step = _rk4_step(_closed_loop_rates(spec), len(spec.initial), spec.dt, clamp_tol)
     n_steps = max(1, round(spec.t_end / spec.dt))
 
-    times, states, controls, lyap = [], [], [], []
-
-    def record(t, state):
-        times.append(t)
-        states.append(state)
-        controls.append(u(*state[-2:]))
-        if record_V:
-            lyap.append(lyapunov_V(*state, cfg, p))
-
     state = tuple(float(x) for x in spec.initial)
-    record(0.0, state)
+    times, states = [0.0], [state]
     termination = TERMINATION_HORIZON
     max_clamp = 0.0
     dt, every = spec.dt, spec.record_every
     try:
-        for start in range(0, n_steps, every):  # a chunk of steps, then one record
+        for start in range(0, n_steps, every):  # a chunk of steps, then one sample
             end = min(start + every, n_steps)
             for _ in range(start, end):
                 state, clamped = step(state)
                 if clamped > max_clamp:
                     max_clamp = clamped
-            record(end * dt, state)
+            times.append(end * dt)
+            states.append(state)
     except NonnegativityError:
         termination = TERMINATION_NONNEG
 
+    states = np.array(states)
+    F, Ms = states[:, -2], states[:, -1]
+    u, cfg = spec.law.evaluator(), spec.law.config
+    lyapunov = None
+    if spec.model == "reduced" and cfg is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # float arithmetic: inf and nan, no warning
+            lyapunov = lyapunov_V(F, Ms, cfg, spec.law.params)  # the law's target, whatever the plant
     return Trajectory(
         model=spec.model,
         times=np.array(times),
-        states=np.array(states),
-        controls=np.array(controls),
-        lyapunov=np.array(lyap) if record_V else None,
+        states=states,
+        controls=np.array([u(f, m) for f, m in zip(F.tolist(), Ms.tolist())]),
+        lyapunov=lyapunov,
         termination=termination,
         max_clamp=max_clamp,
     )

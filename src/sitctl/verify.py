@@ -117,11 +117,14 @@ def vdot_check(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> Aud
     dV/dt is estimated by central differences on the recorded samples, so
     the tolerance absorbs an O(dt^2) discretization term; the check runs
     against the trajectory actually integrated, not a symbolic closed loop.
+    Needs at least 3 samples.
     """
     if traj.lyapunov is None:
         raise ValueError("trajectory has no Lyapunov samples")
     V = traj.lyapunov
     t = traj.times
+    if len(t) < 3:
+        raise ValueError(f"need at least 3 samples for the vdot check, got {len(t)}")
     vdot = (V[2:] - V[:-2]) / (t[2:] - t[:-2])
     slack = vdot + lambda_theory * V[1:-1] - tol * (1.0 + V[1:-1])
     worst = int(np.argmax(slack))
@@ -191,9 +194,9 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
     if which == "mstar_identity":
         Fs = np.logspace(-6, np.log10(cfg.F_hat), 1000)
         rel = np.abs(g(Fs, ms_star(Fs, cfg, p), p) - cfg.eps * Fs) / (cfg.eps * Fs)
-        j = int(np.argmax(rel))
-        worst, witness = (float(rel[j]), (float(Fs[j]),)) if rel[j] > 0.0 else (0.0, (0.0,))
-        return AuditReport("mstar_identity", "1000 log-spaced F in (0..F_hat]", worst <= 1e-9, worst, witness, 1e-9)
+        j = int(np.argmax(rel))  # the first NaN if there is one, and a NaN fails the check
+        worst = float(rel[j])
+        return AuditReport("mstar_identity", "1000 log-spaced F in (0..F_hat]", worst <= 1e-9, worst, (float(Fs[j]),), 1e-9)
 
     if which == "lemma4":
         Fs = np.linspace(0.0, cfg.F_hat, n_1d)

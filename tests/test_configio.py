@@ -1,5 +1,6 @@
 """Config parsing and trajectory CSV round-trips."""
 import dataclasses
+import hashlib
 import inspect
 import re
 from pathlib import Path
@@ -18,6 +19,7 @@ from sitctl.configio import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
+from sitctl.harness import preset_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -167,7 +169,9 @@ class TestTrajectoryCsv:
         assert header == ["t", "F", "Ms", "E", "M", "u"]
         data = np.array(rows)
         assert np.array_equal(data[:, 1], full_strong_run.F)
+        assert np.array_equal(data[:, 3], full_strong_run.states[:, 0])
         assert np.array_equal(data[:, 4], full_strong_run.states[:, 1])
+        assert np.array_equal(data[:, 5], full_strong_run.controls)
 
     def test_row_count_matches_sampling(self, params, cfg, eq, tmp_path):
         law = s.ControlLaw("plus", cfg, params)
@@ -178,3 +182,16 @@ class TestTrajectoryCsv:
         _, rows = read_trajectory_csv(path)
         # header excluded: initial sample + floor(500/100) recorded steps
         assert len(rows) == 1 + 5
+
+    @pytest.mark.parametrize("preset, header, digest", [
+        ("nominal-reduced", b"t,F,Ms,u,V", "51b13191228197e45237ba019e6bf779e84e42abbe9028288233b8501b3baa2e"),
+        ("nominal-full", b"t,F,Ms,E,M,u", "f096a0ab6d1a5b6625f1801bd894d3a089c637b575c9fa3f319c5744ae778a2c"),
+    ], ids=["reduced", "full"])
+    def test_bytes_are_pinned(self, preset, header, digest, tmp_path):
+        # CRLF line ends, %.17g cells, "0" for zero and the header: the round trips above compare only values
+        path = tmp_path / "run.csv"
+        write_trajectory_csv(s.integrate(preset_scenario(preset, t_end=5.0).sim_spec()), path)
+        raw = path.read_bytes()
+        assert raw.startswith(header + b"\r\n0,12264.3675,0,")
+        assert raw.endswith(b"\r\n") and raw.count(b"\r\n") == 1 + 6
+        assert hashlib.sha256(raw).hexdigest() == digest

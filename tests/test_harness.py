@@ -308,6 +308,35 @@ class TestCli:
         assert cli_main(["robustness", str(config_file), option, value]) == 2
         assert option in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, case", [
+        ("simulate", "directory"), ("equilibria", "directory"), ("simulate", "not-utf8"), ("equilibria", "not-utf8"),
+        ("simulate", "out-is-a-file"), ("robustness", "out-is-a-file"),
+    ])
+    def test_file_error_exits_2_and_names_the_path(self, config_file, tmp_path, command, case, capsys):
+        # each of these used to end in a traceback (IsADirectoryError, UnicodeDecodeError, FileExistsError)
+        config, extra = config_file, ["--t-end", "20"] if command != "equilibria" else []
+        if case == "directory":
+            config = bad = tmp_path / "dir.cfg"
+            bad.mkdir()
+        elif case == "not-utf8":
+            config = bad = tmp_path / "latin1.cfg"
+            bad.write_bytes(config_file.read_bytes() + "# caf\u00e9\n".encode("latin-1"))
+        else:
+            bad = tmp_path / "taken"
+            bad.write_text("")
+            extra += ["--out", str(bad)] + (["--trials", "1"] if command == "robustness" else [])
+        assert cli_main([command, str(config), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err, err
+
+    def test_simulate_csv_config_without_out_exits_2_and_keeps_the_config(self, config_file, tmp_path, capsys):
+        # the CSV goes to the config's name with suffix .csv, which used to be the config itself
+        path = tmp_path / "run.csv"
+        path.write_bytes(config_file.read_bytes())
+        assert cli_main(["simulate", str(path)]) == 2
+        assert path.read_bytes() == config_file.read_bytes()
+        assert "pass --out" in capsys.readouterr().err
+
     def test_simulate_near_extinction(self, tmp_path, capsys):
         # by t = 16000 F and Ms are ~1e-160 and smaller, where the law's
         # denominators underflow to 0

@@ -24,7 +24,7 @@ def _pointwise_audit(cfg, p, which, n_1d, n_2d):
     """
     extent = 10.0 * max(s.ms_star(float(F), cfg, p) for F in np.linspace(0.0, cfg.F_hat, 2001))
     if which == "mstar_identity":
-        worst, witness = 0.0, (0.0,)
+        worst, witness = -np.inf, None  # the first grid point wins a tie
         for F in np.logspace(-6, np.log10(cfg.F_hat), 1000).tolist():
             rel = abs(s.g(F, s.ms_star(F, cfg, p), p) - cfg.eps * F) / (cfg.eps * F)
             if rel > worst:
@@ -163,6 +163,15 @@ class TestVdotCheck:
         report = s.vdot_check(open_loop_run, lam)
         assert not report.passed
 
+    def test_fewer_than_three_samples_rejected(self, params, cfg, eq):
+        # two samples used to end in numpy's "attempt to get argmax of an empty sequence"
+        law = s.ControlLaw("plus", cfg, params)
+        spec = s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=1.0, dt=0.01, record_every=100)
+        traj = s.integrate(spec)
+        assert len(traj.times) == 2
+        with pytest.raises(ValueError, match="need at least 3 samples for the vdot check, got 2"):
+            s.vdot_check(traj, 0.01)
+
     def test_raw_variant_passes(self, params, cfg, eq):
         law = s.ControlLaw("raw", cfg, params)
         spec = s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=500.0, dt=0.01, record_every=100)
@@ -229,6 +238,27 @@ class TestAuditGrid:
         assert not report.passed
         assert np.isnan(report.worst_value)
         assert report.witness == (0.0, float(Mss[7]))
+
+    def test_mstar_identity_nan_fails_with_first_nan_as_witness(self, params, cfg, monkeypatch):
+        # a NaN at grid index 500 used to pass, with worst value 0 and witness F = 0, which is off the grid
+        Fs = np.logspace(-6, np.log10(cfg.F_hat), 1000)
+        real = verify.g
+
+        def spoiled(F, Ms, p):
+            value = np.array(real(F, Ms, p))
+            value[[500, 700]] = np.nan
+            return value
+
+        monkeypatch.setattr(verify, "g", spoiled)
+        report = s.audit_grid(cfg, params, "mstar_identity")
+        assert not report.passed
+        assert np.isnan(report.worst_value)
+        assert report.witness == (float(Fs[500]),)
+
+    def test_mstar_identity_witness_is_a_grid_point(self, params, cfg, monkeypatch):
+        monkeypatch.setattr(verify, "g", lambda F, Ms, p: cfg.eps * F)  # the identity holds exactly everywhere
+        report = s.audit_grid(cfg, params, "mstar_identity")
+        assert (report.passed, report.worst_value, report.witness) == (True, 0.0, (1e-6,))
 
     @pytest.mark.parametrize(
         "check, law", [("nonneg_plus", "u_star_plus"), ("pi_sign", "pi"), ("utilde_bound", "u_tilde")],
