@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .configio import ConfigError, params_from_mapping, read_config, write_trajectory_csv
+from .configio import ConfigError, params_from_mapping, read_config
 from .control import VARIANTS, ControllerError
 from .harness import RobustnessConfig, run_robustness, run_scenario, scenario_from_config
 from .model import ParamError, capacity_from_E_bar, persistence_equilibrium
@@ -24,8 +24,17 @@ def _scenario(args):
     flags = {key: given[key] for key in ("model", "variant", "t_end", "dt") if given.get(key) is not None}
     sections = read_config(args.config)
     params = params_from_mapping(sections["params"]) if "params" in sections else None
-    out_dir = Path(given["out"]) if given.get("out") else None
-    return scenario_from_config(sections, Path(args.config).stem, params, out_dir, **flags)
+    return scenario_from_config(sections, Path(args.config).stem, params, **flags)
+
+
+def _outputs(args, *names) -> list[Path]:
+    """``names`` in the --out directory, made before any run, or next to the config; never the config itself."""
+    out = Path(args.out or Path(args.config).parent)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / name for name in names]
+    if any(path.exists() and path.samefile(args.config) for path in paths):
+        raise ConfigError(f"{args.config}: an output would overwrite the config; pass --out with another directory")
+    return paths
 
 
 def cmd_equilibria(args) -> int:
@@ -44,15 +53,14 @@ def cmd_equilibria(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _scenario(args)
-    out = Path(args.config).with_suffix(".csv")  # the CSV goes next to the config when no directory is given
-    if scenario.out_dir is None and out.exists() and out.samefile(args.config):
-        raise ConfigError(f"{out}: the trajectory CSV would overwrite the config; pass --out DIR")
-    result = run_scenario(scenario)
-    for line in result.summary_lines():
-        print(line)
-    if scenario.out_dir is None:
-        write_trajectory_csv(result.trajectory, out)
-        print(f"trajectory = {out}")
+    csv, summary = _outputs(args, f"{scenario.name}.csv", f"{scenario.name}.summary.txt")
+    result = run_scenario(scenario, csv)
+    text = "\n".join(result.summary_lines())
+    print(text)
+    if args.out:
+        summary.write_text(text + "\n")
+    else:
+        print(f"trajectory = {csv}")
     return 0 if result.passed else 1
 
 
@@ -76,14 +84,12 @@ def cmd_robustness(args) -> int:
         config = RobustnessConfig(base=scenario, **given)
     except ValueError as err:  # the message starts with the field, which is also the option's name
         raise ConfigError(f"--{err}") from None
+    report = _outputs(args, "robustness.txt")[0] if args.out else None
     result = run_robustness(config)
-    lines = result.summary_lines()
-    for line in lines:
-        print(line)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "robustness.txt").write_text("\n".join(lines) + "\n")
+    text = "\n".join(result.summary_lines())
+    print(text)
+    if report:
+        report.write_text(text + "\n")
     return 0 if result.all_passed else 1
 
 

@@ -3,7 +3,7 @@
 A scenario bundles plant parameters, a controller variant and simulation
 settings; running one integrates the closed loop, verifies the decay
 certificate (reduced model) or the extinction threshold (full model) and
-writes the trajectory CSV plus a machine-readable summary.
+writes the trajectory CSV to the path its caller gives.
 
 The robustness sweep feeds the *nominal* control law to plants whose
 parameters carry independent uniform multiplicative perturbations;
@@ -13,7 +13,6 @@ resample rate is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -80,7 +79,6 @@ class ScenarioConfig:
     dt: float = 0.01
     record_every: int = 100
     extinction_threshold: float = DEFAULT_EXTINCTION_THRESHOLD
-    out_dir: Path | None = None
 
     def resolve_initial(self) -> tuple:
         if self.initial is not None:
@@ -115,7 +113,7 @@ PRESETS = {
 }
 
 
-def scenario_from_config(sections: dict, name: str, params=None, out_dir=None, **overrides) -> ScenarioConfig:
+def scenario_from_config(sections: dict, name: str, params=None, **overrides) -> ScenarioConfig:
     """The scenario of a parsed config whose ``[params]`` built ``params`` (None: the table).
 
     ``[controller]`` overrides the gains of :func:`nominal_controller`, ``variant`` defaulting to
@@ -134,7 +132,7 @@ def scenario_from_config(sections: dict, name: str, params=None, out_dir=None, *
     variant = design.pop("variant", "plus")
     sim = sections.get("sim", {})
     settings = {key: value for key, value in sim.items() if key not in INITIAL_KEYS}
-    scenario = ScenarioConfig(name, p, nominal_controller(p, **design), variant, out_dir=out_dir, **settings)
+    scenario = ScenarioConfig(name, p, nominal_controller(p, **design), variant, **settings)
     if sim.keys() & INITIAL_KEYS:
         if "F0" in sim and "F0_ratio" in sim:
             raise ConfigError("[sim] specify at most one of F0, F0_ratio")
@@ -203,8 +201,8 @@ class ScenarioResult:
         return lines
 
 
-def run_scenario(scenario: ScenarioConfig) -> ScenarioResult:
-    """Integrate, verify and (optionally) write artifacts for one scenario."""
+def run_scenario(scenario: ScenarioConfig, csv=None) -> ScenarioResult:
+    """Integrate and verify one scenario; write its trajectory CSV to the path ``csv`` when given."""
     traj = integrate(scenario.sim_spec())
     control_nonneg = bool(np.all(traj.controls >= 0.0))
     budget = control_budget(traj)
@@ -219,7 +217,9 @@ def run_scenario(scenario: ScenarioConfig) -> ScenarioResult:
     else:
         # open loop: success means the run completed (stability claims are test-side)
         passed = traj.termination != TERMINATION_NONNEG
-    result = ScenarioResult(
+    if csv is not None:
+        write_trajectory_csv(traj, csv)
+    return ScenarioResult(
         name=scenario.name,
         trajectory=traj,
         decay=decay,
@@ -228,12 +228,6 @@ def run_scenario(scenario: ScenarioConfig) -> ScenarioResult:
         budget_total=budget,
         passed=passed,
     )
-    if scenario.out_dir is not None:
-        out = Path(scenario.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(traj, out / f"{scenario.name}.csv")
-        (out / f"{scenario.name}.summary.txt").write_text("\n".join(result.summary_lines()) + "\n")
-    return result
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -99,7 +99,7 @@ class TestPresets:
         }[name]
         assert preset_scenario(name) == ScenarioConfig(
             name=name, params=params, controller=controller, variant=variant, model=model, initial=initial,
-            t_end=2000.0, dt=dt, record_every=record_every, extinction_threshold=1.0, out_dir=None,
+            t_end=2000.0, dt=dt, record_every=record_every, extinction_threshold=1.0,
         )
 
     @pytest.mark.parametrize("overrides, named", [
@@ -130,16 +130,16 @@ class TestPresets:
 
 class TestRunScenario:
     def test_nominal_reduced_passes_and_writes_artifacts(self, tmp_path):
-        scenario = preset_scenario("nominal-reduced", t_end=400.0, out_dir=tmp_path)
-        result = s.run_scenario(scenario)
+        # the one artifact is the CSV at the given path; the summary file is the CLI's (TestCli)
+        scenario = preset_scenario("nominal-reduced", t_end=400.0)
+        result = s.run_scenario(scenario, tmp_path / "run.csv")
         assert result.passed
         assert result.control_nonneg
         assert result.decay is not None and result.decay.passed
         assert type(result.decay.lambda_fit) is float
-        assert (tmp_path / "nominal-reduced.csv").exists()
-        summary = (tmp_path / "nominal-reduced.summary.txt").read_text()
-        assert "passed = True" in summary
-        assert "np.float64" not in summary
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.csv"]
+        header, rows = s.read_trajectory_csv(tmp_path / "run.csv")
+        assert header == ["t", "F", "Ms", "u", "V"] and len(rows) == len(result.trajectory.times)
 
     def test_open_loop_returns_to_persistence(self, eq):
         scenario = preset_scenario("open-loop", t_end=2000.0, dt=0.05, record_every=20)
@@ -148,8 +148,8 @@ class TestRunScenario:
         assert result.trajectory.F[-1] == pytest.approx(eq.F_bar, rel=0.01)
         assert result.extinction_time is None
 
-    def test_nominal_full_reaches_extinction(self, tmp_path):
-        scenario = preset_scenario("nominal-full", dt=0.05, record_every=20, out_dir=tmp_path)
+    def test_nominal_full_reaches_extinction(self):
+        scenario = preset_scenario("nominal-full", dt=0.05, record_every=20)
         result = s.run_scenario(scenario)
         assert result.passed
         assert result.extinction_time is not None
@@ -232,6 +232,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "passed = True" in out
         assert "lambda_fit = 0.0" in out  # a plain float, not np.float64(...)
+
+    def test_simulate_out_writes_the_summary_file(self, tmp_path, capsys):
+        # the summary-file checks of TestRunScenario, now that the CLI writes the file
+        path = tmp_path / "nominal-reduced.cfg"
+        path.write_text(PRESETS["nominal-reduced"])
+        out_dir = tmp_path / "out"
+        assert cli_main(["simulate", str(path), "--t-end", "400", "--out", str(out_dir)]) == 0
+        summary = (out_dir / "nominal-reduced.summary.txt").read_text()
+        assert "passed = True" in summary
+        assert "np.float64" not in summary
+        assert summary == capsys.readouterr().out  # stdout and the file carry the same lines
+        assert sorted(p.name for p in out_dir.iterdir()) == ["nominal-reduced.csv", "nominal-reduced.summary.txt"]
 
     def test_audit_single_check(self, config_file, capsys):
         assert cli_main(["audit", str(config_file), "--check", "mstar_identity"]) == 0
