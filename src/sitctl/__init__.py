@@ -37,6 +37,7 @@ from .control import (
     u_tilde,
 )
 from .simulate import (
+    NonFiniteError,
     NonnegativityError,
     SimSpec,
     Trajectory,

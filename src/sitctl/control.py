@@ -240,18 +240,18 @@ class ControlLaw:
 
     ``variant`` is one of 'none' (u = 0), 'raw', 'plus' or 'global'.  Only
     the 'global' variant is guaranteed total and nonnegative on the whole
-    quadrant; 'none' still carries a config when Lyapunov values are wanted
-    along open-loop runs.
+    quadrant.  Every variant carries a config, 'none' too: it gives the
+    Lyapunov values along an open-loop run.
     """
 
     variant: str
-    config: ControllerConfig | None
+    config: ControllerConfig
     params: BioParams
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ControllerError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.variant != "none" and self.config is None:
+        if self.config is None:
             raise ControllerError(f"variant {self.variant!r} requires a ControllerConfig")
         validate_params(self.params)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .configio import INITIAL_KEYS, ConfigError, parse_config_text, write_trajectory_csv
 from .control import ControlLaw, ControllerConfig, ControllerError, sigma
 from .model import BioParams, ParamError, persistence_equilibrium, validate_params
-from .simulate import TERMINATION_NONNEG, SimSpec, Trajectory, integrate, detect_extinction
+from .simulate import TERMINATION_HORIZON, SimSpec, Trajectory, integrate, detect_extinction
 from .verify import DecayReport, control_budget, verify_decay
 
 #: Table of nominal biological rates used throughout the study.
@@ -71,7 +71,7 @@ class ScenarioConfig:
 
     name: str
     params: BioParams
-    controller: ControllerConfig | None
+    controller: ControllerConfig
     variant: str
     model: str = "reduced"
     initial: tuple | None = None  # default: persistence equilibrium, Ms = 0
@@ -207,16 +207,17 @@ def run_scenario(scenario: ScenarioConfig, csv=None) -> ScenarioResult:
     control_nonneg = bool(np.all(traj.controls >= 0.0))
     budget = control_budget(traj)
     decay = None
-    extinction = detect_extinction(traj, scenario.extinction_threshold)
+    extinction = detect_extinction(traj, scenario.extinction_threshold)  # None unless the run reached its horizon
+    completed = traj.termination == TERMINATION_HORIZON
     if scenario.model == "reduced" and scenario.variant != "none":
         lam = guaranteed_rate(scenario.controller, scenario.params, scenario.variant == "global")
         decay = verify_decay(traj, lam)
-        passed = decay.passed and control_nonneg and traj.termination != TERMINATION_NONNEG
+        passed = decay.passed and control_nonneg and completed
     elif scenario.model == "full" and scenario.variant != "none":
         passed = extinction is not None and control_nonneg
     else:
         # open loop: success means the run completed (stability claims are test-side)
-        passed = traj.termination != TERMINATION_NONNEG
+        passed = completed
     if csv is not None:
         write_trajectory_csv(traj, csv)
     return ScenarioResult(

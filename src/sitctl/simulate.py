@@ -5,7 +5,7 @@ The law gives ``u``, a field takes it (:func:`_closed_loop_rates`), and
 Runge-Kutta stage (no sample-and-hold).  Tiny negative
 overshoots after a step are integrator artifacts and get clamped to zero;
 anything beyond the clamp tolerance signals a genuinely negative release
-rate or an oversized step and aborts the run.
+rate or an oversized step and aborts the run, and so does a NaN state.
 """
 from __future__ import annotations
 
@@ -19,11 +19,16 @@ from .model import MAX_MAGNITUDE, BioParams, full_field, reduced_field, validate
 
 TERMINATION_HORIZON = "horizon"
 TERMINATION_NONNEG = "nonnegativity-violation"
+TERMINATION_NONFINITE = "non-finite"
 MAX_STEPS = 10**8  # 500x a 2000-day run at dt 0.01
 
 
 class NonnegativityError(RuntimeError):
     """A state component left the nonnegative domain by more than clamp_tol."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A state component became NaN."""
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,7 @@ class Trajectory:
 
     ``states`` has one row per sample, (F, Ms) or (E, M, F, Ms): F and Ms
     come last in both models.  ``controls`` is u and ``lyapunov`` is V at
-    each sample; V is present only for reduced runs whose law carries a
-    controller config.
+    each sample; V is present for reduced runs only.
     """
 
     model: str
@@ -98,14 +102,16 @@ class Trajectory:
 
 
 def _clamp(nxt, clamp_tol, t=None):
-    """Zero the components of ``nxt`` in (-clamp_tol, 0); raise beyond that.
+    """Zero the components of ``nxt`` in (-clamp_tol, 0); raise beyond that or on a NaN.
 
     ``t``, the time the step reached, only goes into the error message.
     Returns ``(clamped_state, largest_clamped_magnitude)``.
     """
+    at = "" if t is None else f" at t={t}"
+    if any(x != x for x in nxt):
+        raise NonFiniteError(f"state component is NaN{at}: {nxt}")
     worst = -min(nxt)
     if worst > clamp_tol:
-        at = "" if t is None else f" at t={t}"
         raise NonnegativityError(
             f"state component undershot to {-worst} (beyond clamp_tol={clamp_tol}){at}; "
             "the control is negative somewhere or dt is too large"
@@ -121,7 +127,8 @@ def step_rk4(state, t, dt, f, clamp_tol=0.0):
     a tuple; ``f`` returns a tuple of the same length and is expected to
     fold the feedback in, so the control is re-evaluated at each stage.
     Components in (-clamp_tol, 0) after the step are set to 0; larger
-    undershoots raise :class:`NonnegativityError`.
+    undershoots raise :class:`NonnegativityError`, and a NaN component
+    raises :class:`NonFiniteError`.
 
     Returns ``(next_state, clamp_amount)`` where the second entry is the
     largest clamped magnitude (0.0 when nothing was clamped).
@@ -136,7 +143,7 @@ def step_rk4(state, t, dt, f, clamp_tol=0.0):
         s + sixth * (a + 2.0 * (b + c) + d)
         for s, a, b, c, d in zip(state, k1, k2, k3, k4)
     )
-    if any(x < 0.0 for x in nxt):
+    if any(not x >= 0.0 for x in nxt):  # NaN fails the test too
         return _clamp(nxt, clamp_tol, t + dt)
     return nxt, 0.0
 
@@ -172,7 +179,7 @@ def _rk4_step(rates, n: int, dt: float, clamp_tol: float):
             dx3, dy3 = rates(x + h2 * dx2, y + h2 * dy2)
             dx4, dy4 = rates(x + dt * dx3, y + dt * dy3)
             nxt = (x + sixth * (dx1 + 2.0 * (dx2 + dx3) + dx4), y + sixth * (dy1 + 2.0 * (dy2 + dy3) + dy4))
-            if nxt[0] < 0.0 or nxt[1] < 0.0:
+            if not nxt[0] >= 0.0 or not nxt[1] >= 0.0:  # NaN fails the test too
                 return _clamp(nxt, clamp_tol)
             return nxt, 0.0
 
@@ -190,7 +197,7 @@ def _rk4_step(rates, n: int, dt: float, clamp_tol: float):
             y + sixth * (dy1 + 2.0 * (dy2 + dy3) + dy4),
             z + sixth * (dz1 + 2.0 * (dz2 + dz3) + dz4),
         )
-        if nxt[0] < 0.0 or nxt[1] < 0.0 or nxt[2] < 0.0 or nxt[3] < 0.0:
+        if not nxt[0] >= 0.0 or not nxt[1] >= 0.0 or not nxt[2] >= 0.0 or not nxt[3] >= 0.0:
             return _clamp(nxt, clamp_tol)
         return nxt, 0.0
 
@@ -198,7 +205,7 @@ def _rk4_step(rates, n: int, dt: float, clamp_tol: float):
 
 
 def integrate(spec: SimSpec) -> Trajectory:
-    """Run the closed loop to the horizon, or until a step leaves the nonnegative domain.
+    """Run the closed loop to the horizon, or until a step leaves the nonnegative domain or turns NaN.
 
     Deterministic: the same spec always yields bit-identical samples.  Steps
     of :func:`_rk4_step` over :func:`_closed_loop_rates` run in chunks of
@@ -228,14 +235,16 @@ def integrate(spec: SimSpec) -> Trajectory:
             states.append(state)
     except NonnegativityError:
         termination = TERMINATION_NONNEG
+    except NonFiniteError:
+        termination = TERMINATION_NONFINITE
 
     states = np.array(states)
     F, Ms = states[:, -2], states[:, -1]
-    u, cfg = spec.law.evaluator(), spec.law.config
+    u = spec.law.evaluator()
     lyapunov = None
-    if spec.model == "reduced" and cfg is not None:
+    if spec.model == "reduced":
         with np.errstate(over="ignore", invalid="ignore"):  # float arithmetic: inf and nan, no warning
-            lyapunov = lyapunov_V(F, Ms, cfg, spec.law.params)  # the law's target, whatever the plant
+            lyapunov = lyapunov_V(F, Ms, spec.law.config, spec.law.params)  # the law's target, whatever the plant
     return Trajectory(
         model=spec.model,
         times=np.array(times),
@@ -248,9 +257,14 @@ def integrate(spec: SimSpec) -> Trajectory:
 
 
 def detect_extinction(traj: Trajectory, threshold: float):
-    """Earliest sample time after which F stays below ``threshold``, else None."""
+    """Earliest sample time after which F stays below ``threshold`` up to the horizon, else None.
+
+    A run that stopped before its horizon has no extinction time.
+    """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
+    if traj.termination != TERMINATION_HORIZON:
+        return None
     F = traj.F
     below = F < threshold
     if not below[-1]:

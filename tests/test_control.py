@@ -350,6 +350,11 @@ class TestControlLaw:
         with pytest.raises(s.ControllerError):
             s.ControlLaw("plus", None, params)
 
+    def test_config_required_for_none_too(self, params):
+        # 'none' took None and then recorded no V along its run
+        with pytest.raises(s.ControllerError, match="variant 'none' requires a ControllerConfig"):
+            s.ControlLaw("none", None, params)
+
     @pytest.mark.parametrize("variant", ["raw", "plus", "global"])
     def test_fused_evaluator_matches_composition(self, params, cfg, variant):
         law = s.ControlLaw(variant, cfg, params)

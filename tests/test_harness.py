@@ -148,6 +148,15 @@ class TestRunScenario:
         assert result.trajectory.F[-1] == pytest.approx(eq.F_bar, rel=0.01)
         assert result.extinction_time is None
 
+    def test_full_run_that_stops_early_fails(self):
+        # F starts below this threshold, but the run stops on a nonnegativity violation at t = 0.4;
+        # the full-model verdict used to ignore the termination and pass it
+        scenario = preset_scenario("nominal-full", F0_ratio=55.0, t_end=10.0, dt=0.1, extinction_threshold=1e30)
+        result = s.run_scenario(scenario)
+        assert result.trajectory.termination == "nonnegativity-violation"
+        assert result.extinction_time is None
+        assert not result.passed
+
     def test_nominal_full_reaches_extinction(self):
         scenario = preset_scenario("nominal-full", dt=0.05, record_every=20)
         result = s.run_scenario(scenario)
@@ -194,6 +203,10 @@ class TestRobustness:
 # Every float-valued config key, read off the schema so that a new key is covered too.
 FLOAT_KEYS = [(section, key) for section, schema in SECTION_KEYS.items() for key, convert in schema.items()
               if convert is finite_float]
+
+# eta = 30 at dt 0.1 is past RK4's stability limit: the full-model state turns NaN after t = 210
+NON_FINITE_WITNESS = "[controller]\neps = 0.01\neta = 30\nvariant = global\n[sim]\nmodel = full\nF0 = 0.5\nt_end = 400\ndt = 0.1\n"
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -348,6 +361,51 @@ class TestCli:
         assert cli_main(["simulate", str(path)]) == 2
         assert path.read_bytes() == config_file.read_bytes()
         assert "pass --out" in capsys.readouterr().err
+
+    def test_simulate_out_onto_the_config_exits_2_and_keeps_the_config(self, config_file, tmp_path, capsys):
+        # simulate d/run.csv --out d wrote the CSV over the config and exited 0
+        out_dir = tmp_path / "d"
+        out_dir.mkdir()
+        path = out_dir / "run.csv"
+        path.write_bytes(config_file.read_bytes())
+        assert cli_main(["simulate", str(path), "--out", str(out_dir), "--t-end", "20"]) == 2
+        assert path.read_bytes() == config_file.read_bytes()
+        out, err = capsys.readouterr()
+        assert out == "" and "pass --out" in err
+        assert list(out_dir.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", ["simulate", "robustness"])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["a-file", "under-a-file"])
+    def test_unusable_out_exits_2_before_any_run(self, config_file, tmp_path, monkeypatch, command, out, capsys):
+        # the --out directory used to be made after the whole run, and robustness printed every trial first
+        calls = []
+        monkeypatch.setattr(s.harness, "integrate", lambda spec: calls.append(spec))
+        (tmp_path / "taken").write_text("")
+        argv = [command, str(config_file), "--out", str(tmp_path / out)]
+        assert cli_main(argv + (["--trials", "2"] if command == "robustness" else [])) == 2
+        stdout, err = capsys.readouterr()
+        assert calls == [] and stdout == ""
+        assert err.startswith("error: ") and str(tmp_path / "taken") in err
+
+    def test_simulate_non_finite_run_ends_non_finite(self, tmp_path, capsys):
+        # it ended 'horizon' with Ms and u nan in the CSV, budget_total = nan and extinction_time = 130.0
+        path = tmp_path / "witness.cfg"
+        path.write_text(NON_FINITE_WITNESS)
+        assert cli_main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+        out = capsys.readouterr().out
+        assert "termination = non-finite\n" in out and "passed = False\n" in out
+        assert "nan" not in out and "extinction_time" not in out
+        header, rows = s.read_trajectory_csv(tmp_path / "out" / "witness.csv")
+        assert np.all(np.isfinite(rows)) and rows[-1, 0] == 210.0
+
+    def test_robustness_non_finite_trials_are_not_extinct(self, tmp_path, capsys):
+        # every trial used to read extinct=True u_max=nan
+        path = tmp_path / "witness.cfg"
+        path.write_text(NON_FINITE_WITNESS)
+        assert cli_main(["robustness", str(path), "--trials", "2"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("extinct=False t_ext=None") == 2 and "extinct=0/2" in out
+        assert "nan" not in out
 
     def test_simulate_near_extinction(self, tmp_path, capsys):
         # by t = 16000 F and Ms are ~1e-160 and smaller, where the law's

@@ -1,4 +1,5 @@
-"""Layering: model.py spells the vector fields, simulate.py only integrates them, control.py knows no plant."""
+"""Layering: model.py spells the vector fields, simulate.py only integrates them, control.py knows no plant,
+and cli.py decides where run output goes."""
 import ast
 from pathlib import Path
 
@@ -7,6 +8,8 @@ from sitctl.model import PARAM_KEYS
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "sitctl"
 SIMULATE = SOURCE / "simulate.py"
 VECTOR_FIELDS = {"reduced_field", "full_field", "reduced_rhs", "full_rhs"}
+OUTPUT_CALLS = {"mkdir", "makedirs", "open", "write_text", "write_bytes"}
+OUTPUT_SUFFIXES = (".csv", ".txt")
 
 
 def parameter_reads(source: str) -> list[str]:
@@ -23,6 +26,18 @@ def imported_names(source: str) -> set[str]:
     tree = ast.parse(source)
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def output_decisions(source: str) -> list[str]:
+    """Names that make a directory or write a file, and string literals naming a .csv or .txt file, as ``line:what``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+        if name in OUTPUT_CALLS:
+            found.append(f"{node.lineno}:{name}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.endswith(OUTPUT_SUFFIXES):
+            found.append(f"{node.lineno}:{node.value}")
+    return found
 
 
 def test_detector_flags_a_parameter_read():
@@ -42,3 +57,27 @@ def test_detector_flags_an_imported_field():
 def test_control_imports_no_vector_field():
     # the law gives u; a plant's field takes it in simulate.py, never inside the law
     assert imported_names((SOURCE / "control.py").read_text()) & VECTOR_FIELDS == set()
+
+
+def test_detector_flags_an_output_decision():
+    source = 'out.mkdir(parents=True)\nsummary = out / f"{name}.summary.txt"\nopen(out / "run.csv", "w")\n'
+    assert sorted(output_decisions(source)) == ["1:mkdir", "2:.summary.txt", "3:open", "3:run.csv"]
+
+
+def test_harness_makes_no_directory_and_names_no_output_file():
+    # where a run's files go is cli.py's decision; run_scenario writes only to the path it is given
+    assert output_decisions((SOURCE / "harness.py").read_text()) == []
+
+
+def test_trajectory_csv_is_written_in_run_scenario_only():
+    calls = [
+        (path.stem, node.lineno)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "write_trajectory_csv"
+    ]
+    run_scenario = next(node for node in ast.walk(ast.parse((SOURCE / "harness.py").read_text()))
+                        if isinstance(node, ast.FunctionDef) and node.name == "run_scenario")
+    assert [(module, run_scenario.lineno < line <= run_scenario.end_lineno) for module, line in calls] == [
+        ("harness", True)
+    ]

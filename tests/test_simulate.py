@@ -229,8 +229,8 @@ def _outcome(step, state):
     """``(next_state, clamp)`` of one step as float.hex, or the error it raised."""
     try:
         nxt, clamped = step(state)
-    except s.NonnegativityError:
-        return "NonnegativityError"
+    except (s.NonnegativityError, s.NonFiniteError) as err:
+        return type(err).__name__
     return [x.hex() for x in nxt], clamped.hex()
 
 
@@ -309,6 +309,17 @@ class TestUnrolledStep:
         assert (fast_clamp > 0.0) == (release < 0.0)
 
     @pytest.mark.parametrize("model", ["reduced", "full"])
+    def test_nan_state_raises_non_finite_in_both_steppers(self, params, cfg, eq, model):
+        # nan < 0.0 is False, so a NaN state used to pass the nonnegativity test and ride to the horizon
+        initial = (eq.F_bar, 0.0) if model == "reduced" else (eq.E_bar, eq.M_bar, eq.F_bar, 0.0)
+        spec = s.SimSpec(model=model, law=s.ControlLaw("plus", cfg, params), initial=initial, t_end=1.0, dt=0.1)
+        u = lambda F, Ms: math.nan
+        step = _step(spec, (sitctl.model.reduced_field if model == "reduced" else sitctl.model.full_field)(params, u))
+        f = _reference_rhs(spec, u)
+        assert _outcome(step, initial) == "NonFiniteError"
+        assert _outcome(lambda st: s.step_rk4(st, 0.0, spec.dt, f, _clamp_tol(spec)), initial) == "NonFiniteError"
+
+    @pytest.mark.parametrize("model", ["reduced", "full"])
     def test_subnormal_state_runs_to_horizon(self, params, cfg_strong, model):
         # g's denominator and the law's underflow to 0 at F = 5e-324
         initial = (5e-324, 0.0) if model == "reduced" else (0.0, 0.0, 5e-324, 0.0)
@@ -332,14 +343,16 @@ def _reference_run(spec):
         except s.NonnegativityError:
             termination = s.simulate.TERMINATION_NONNEG
             break
+        except s.NonFiniteError:
+            termination = s.simulate.TERMINATION_NONFINITE
+            break
         max_clamp = max(max_clamp, clamped)
         if i % spec.record_every == 0 or i == n_steps:
             times.append(i * spec.dt)
             states.append(state)
-    cfg = spec.law.config
     lyap = None
-    if spec.model == "reduced" and cfg is not None:
-        lyap = np.array([s.lyapunov_V(*st, cfg, spec.law.params) for st in states])
+    if spec.model == "reduced":
+        lyap = np.array([s.lyapunov_V(*st, spec.law.config, spec.law.params) for st in states])
     return np.array(times), np.array(states), np.array([u(*st[-2:]) for st in states]), lyap, termination, max_clamp
 
 
@@ -356,6 +369,11 @@ def _record_specs():
         "full-global-55Fbar/nonneg": preset_scenario(
             "nominal-full", F0_ratio=55.0, t_end=10.0, dt=0.1, record_every=4,
         ).sim_spec(),
+        # eta = 30 at dt 0.1 is past RK4's stability limit: Ms grows to ~1e294 and turns NaN after t = 210
+        "full-eta30/non-finite": dataclasses.replace(
+            preset_scenario("nominal-full", F0=0.5, t_end=400.0, dt=0.1).sim_spec(),
+            law=s.ControlLaw("global", s.nominal_controller(eps=0.01, eta=30.0), s.NOMINAL_PARAMS),
+        ),
     }
 
 
@@ -383,6 +401,13 @@ class TestChunkedRecords:
         traj = s.integrate(RECORD_SPECS["full-global-55Fbar/nonneg"])
         assert traj.termination == s.simulate.TERMINATION_NONNEG
         assert traj.times[-1] == pytest.approx(0.4)  # the run stopped during steps 5-8
+
+    def test_non_finite_run_ends_before_its_first_nan(self):
+        # it used to end 'horizon' with Ms and u nan in the last 19 samples
+        traj = s.integrate(RECORD_SPECS["full-eta30/non-finite"])
+        assert traj.termination == s.simulate.TERMINATION_NONFINITE == "non-finite"
+        assert traj.times[-1] == 210.0
+        assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.controls))
 
 
 class TestSharedRecruitment:
@@ -443,3 +468,11 @@ class TestDetectExtinction:
     def test_requires_positive_threshold(self, nominal_plus_run):
         with pytest.raises(ValueError):
             s.detect_extinction(nominal_plus_run, 0.0)
+
+    @pytest.mark.parametrize("name", ["full-global-55Fbar/nonneg", "full-eta30/non-finite"])
+    def test_run_that_stopped_early_has_none(self, name):
+        # F is below the threshold at every sample, but the run never reached its horizon
+        traj = s.integrate(RECORD_SPECS[name])
+        assert traj.termination != s.simulate.TERMINATION_HORIZON
+        assert s.detect_extinction(traj, 1e30) is None
+        assert s.detect_extinction(dataclasses.replace(traj, termination="horizon"), 1e30) == 0.0
