@@ -28,12 +28,18 @@ def _scenario(args):
 
 
 def _outputs(args, *names) -> list[Path]:
-    """``names`` in the --out directory, made before any run, or next to the config; never the config itself."""
+    """``names`` in the --out directory, made before any run, or next to the config.
+
+    Refused before any run: an output that is the config itself, or that exists and is not a regular file.
+    """
     out = Path(args.out or Path(args.config).parent)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in names]
-    if any(path.exists() and path.samefile(args.config) for path in paths):
-        raise ConfigError(f"{args.config}: an output would overwrite the config; pass --out with another directory")
+    for path in filter(Path.exists, paths):
+        if not path.is_file():
+            raise OSError(f"{path}: exists and is not a regular file")
+        if path.samefile(args.config):
+            raise ConfigError(f"{args.config}: an output would overwrite the config; pass --out with another directory")
     return paths
 
 
@@ -53,12 +59,13 @@ def cmd_equilibria(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _scenario(args)
-    csv, summary = _outputs(args, f"{scenario.name}.csv", f"{scenario.name}.summary.txt")
+    names = [f"{scenario.name}.csv"] + ([f"{scenario.name}.summary.txt"] if args.out else [])
+    csv, *summary = _outputs(args, *names)
     result = run_scenario(scenario, csv)
     text = "\n".join(result.summary_lines())
     print(text)
-    if args.out:
-        summary.write_text(text + "\n")
+    if summary:
+        summary[0].write_text(text + "\n")
     else:
         print(f"trajectory = {csv}")
     return 0 if result.passed else 1

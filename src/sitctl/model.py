@@ -112,6 +112,17 @@ def validate_params(p: BioParams) -> BioParams:
     return p
 
 
+def loss_rates(p: BioParams, model: str) -> dict[str, float]:
+    """Each compartment's linear loss rate, by name: the plant's share of a fixed step's stability bound.
+
+    The egg compartment's rate also grows with ``beta_E * F / k``, which depends on the state and is left out.
+    """
+    rates = {"delta_F": p.delta_F, "delta_s": p.delta_s}
+    if model == "full":
+        rates = {"nu_E + delta_E": p.nu_E + p.delta_E, "delta_M": p.delta_M, **rates}
+    return rates
+
+
 def _plain(x):
     """A plain float for a 0-d result, the array itself otherwise."""
     return float(x) if np.ndim(x) == 0 else x

@@ -5,7 +5,7 @@ The law gives ``u``, a field takes it (:func:`_closed_loop_rates`), and
 Runge-Kutta stage (no sample-and-hold).  Tiny negative
 overshoots after a step are integrator artifacts and get clamped to zero;
 anything beyond the clamp tolerance signals a genuinely negative release
-rate or an oversized step and aborts the run, and so does a NaN state.
+rate or an oversized step and aborts the run, and so does a NaN or infinite state.
 """
 from __future__ import annotations
 
@@ -15,12 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlLaw, lyapunov_V
-from .model import MAX_MAGNITUDE, BioParams, full_field, reduced_field, validate_params
+from .model import MAX_MAGNITUDE, BioParams, full_field, loss_rates, reduced_field, validate_params
 
 TERMINATION_HORIZON = "horizon"
 TERMINATION_NONNEG = "nonnegativity-violation"
 TERMINATION_NONFINITE = "non-finite"
 MAX_STEPS = 10**8  # 500x a 2000-day run at dt 0.01
+#: RK4 damps a linear decay at rate r only while dt * r stays below about 2.785 (its stability interval on the
+#: negative real axis ends at the root 2.78529... of x^3 - 4x^2 + 12x - 24); beyond it the step amplifies.
+RK4_REAL_LIMIT = 2.785
 
 
 class NonnegativityError(RuntimeError):
@@ -28,7 +31,7 @@ class NonnegativityError(RuntimeError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A state component became NaN."""
+    """A state component became NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,25 @@ class SimSpec:
             raise ValueError("record_every must be >= 1")
         if self.plant is not None:
             validate_params(self.plant)
+        self.check_step()
+
+    def check_step(self, plant_scale: float = 1.0):
+        """Raise ValueError when ``dt`` times a linear decay rate of the closed loop passes :data:`RK4_REAL_LIMIT`.
+
+        The rates are the plant's loss rates (:func:`~sitctl.model.loss_rates`), each times
+        ``plant_scale``, and the gain ``eta`` of a feedback law; ``Ms`` then relaxes at ``eta``.
+        """
+        plant = self.law.params if self.plant is None else self.plant
+        rates = {name: plant_scale * rate for name, rate in loss_rates(plant, self.model).items()}
+        if self.law.variant != "none":
+            rates["eta"] = self.law.config.eta
+        name, rate = max(rates.items(), key=lambda item: item[1])
+        if self.dt * rate > RK4_REAL_LIMIT:
+            scaled = f" ({plant_scale!r} times the plant's)" if name != "eta" and plant_scale != 1.0 else ""
+            raise ValueError(
+                f"dt = {self.dt!r} times the decay rate {name} = {rate!r}{scaled} is {self.dt * rate:.4g}, "
+                f"past RK4's stability limit {RK4_REAL_LIMIT} on the real axis"
+            )
 
 
 @dataclass
@@ -102,14 +124,14 @@ class Trajectory:
 
 
 def _clamp(nxt, clamp_tol, t=None):
-    """Zero the components of ``nxt`` in (-clamp_tol, 0); raise beyond that or on a NaN.
+    """Zero the components of ``nxt`` in (-clamp_tol, 0); raise beyond that or on a NaN or infinity.
 
     ``t``, the time the step reached, only goes into the error message.
     Returns ``(clamped_state, largest_clamped_magnitude)``.
     """
     at = "" if t is None else f" at t={t}"
-    if any(x != x for x in nxt):
-        raise NonFiniteError(f"state component is NaN{at}: {nxt}")
+    if not all(abs(x) < math.inf for x in nxt):
+        raise NonFiniteError(f"state component is not finite{at}: {nxt}")
     worst = -min(nxt)
     if worst > clamp_tol:
         raise NonnegativityError(
@@ -127,8 +149,8 @@ def step_rk4(state, t, dt, f, clamp_tol=0.0):
     a tuple; ``f`` returns a tuple of the same length and is expected to
     fold the feedback in, so the control is re-evaluated at each stage.
     Components in (-clamp_tol, 0) after the step are set to 0; larger
-    undershoots raise :class:`NonnegativityError`, and a NaN component
-    raises :class:`NonFiniteError`.
+    undershoots raise :class:`NonnegativityError`, and a NaN or infinite
+    component raises :class:`NonFiniteError`.
 
     Returns ``(next_state, clamp_amount)`` where the second entry is the
     largest clamped magnitude (0.0 when nothing was clamped).
@@ -143,7 +165,7 @@ def step_rk4(state, t, dt, f, clamp_tol=0.0):
         s + sixth * (a + 2.0 * (b + c) + d)
         for s, a, b, c, d in zip(state, k1, k2, k3, k4)
     )
-    if any(not x >= 0.0 for x in nxt):  # NaN fails the test too
+    if any(not 0.0 <= x < math.inf for x in nxt):  # NaN fails the test too, and so does inf
         return _clamp(nxt, clamp_tol, t + dt)
     return nxt, 0.0
 
@@ -170,7 +192,7 @@ def _rk4_step(rates, n: int, dt: float, clamp_tol: float):
     keeps the association of ``step_rk4``, so the result is the same to
     the last bit.
     """
-    h2, sixth = 0.5 * dt, dt / 6.0
+    h2, sixth, inf = 0.5 * dt, dt / 6.0, math.inf
     if n == 2:
         def step(state):
             x, y = state
@@ -179,7 +201,7 @@ def _rk4_step(rates, n: int, dt: float, clamp_tol: float):
             dx3, dy3 = rates(x + h2 * dx2, y + h2 * dy2)
             dx4, dy4 = rates(x + dt * dx3, y + dt * dy3)
             nxt = (x + sixth * (dx1 + 2.0 * (dx2 + dx3) + dx4), y + sixth * (dy1 + 2.0 * (dy2 + dy3) + dy4))
-            if not nxt[0] >= 0.0 or not nxt[1] >= 0.0:  # NaN fails the test too
+            if not 0.0 <= nxt[0] < inf or not 0.0 <= nxt[1] < inf:  # NaN fails the test too, and so does inf
                 return _clamp(nxt, clamp_tol)
             return nxt, 0.0
 
@@ -197,7 +219,7 @@ def _rk4_step(rates, n: int, dt: float, clamp_tol: float):
             y + sixth * (dy1 + 2.0 * (dy2 + dy3) + dy4),
             z + sixth * (dz1 + 2.0 * (dz2 + dz3) + dz4),
         )
-        if not nxt[0] >= 0.0 or not nxt[1] >= 0.0 or not nxt[2] >= 0.0 or not nxt[3] >= 0.0:
+        if not 0.0 <= nxt[0] < inf or not 0.0 <= nxt[1] < inf or not 0.0 <= nxt[2] < inf or not 0.0 <= nxt[3] < inf:
             return _clamp(nxt, clamp_tol)
         return nxt, 0.0
 
@@ -205,7 +227,7 @@ def _rk4_step(rates, n: int, dt: float, clamp_tol: float):
 
 
 def integrate(spec: SimSpec) -> Trajectory:
-    """Run the closed loop to the horizon, or until a step leaves the nonnegative domain or turns NaN.
+    """Run the closed loop to the horizon, or until a step leaves the nonnegative domain or turns NaN or infinite.
 
     Deterministic: the same spec always yields bit-identical samples.  Steps
     of :func:`_rk4_step` over :func:`_closed_loop_rates` run in chunks of

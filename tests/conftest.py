@@ -1,6 +1,16 @@
+import multiprocessing
+
 import pytest
 
 import sitctl as s
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process alive, such as a sweep worker that outlived its sweep."""
+    yield
+    left = multiprocessing.active_children()
+    assert left == [], f"child processes still running after the test: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Scenario runner, parameter perturbation, robustness sweep and the CLI."""
 import math
+import multiprocessing
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -11,12 +13,14 @@ from hypothesis import strategies as st
 
 import sitctl as s
 from sitctl.cli import main as cli_main
-from sitctl.configio import SECTION_KEYS, finite_float
+from sitctl.configio import SECTION_KEYS, finite_float, params_to_text
 from sitctl.harness import (
     DEFAULT_PERTURB_SET,
     PRESETS,
     RobustnessConfig,
+    RobustnessResult,
     ScenarioConfig,
+    _trial,
     preset_scenario,
     run_robustness,
     trial_rng,
@@ -200,12 +204,117 @@ class TestRobustness:
             RobustnessConfig(base=quick_base, uncertainty=1.5)
 
 
+def _fail_on_trial(seed: int, trial: int):
+    """A stand-in for perturb_params that raises on the stream of ``trial`` and perturbs as usual otherwise."""
+    perturb, marked = s.harness.perturb_params, trial_rng(seed, trial).bit_generator.state
+
+    def perturb_or_fail(p, fraction, rng):
+        if rng.bit_generator.state == marked:
+            raise s.ParamError(f"trial {trial} refused")
+        return perturb(p, fraction, rng)
+
+    return perturb_or_fail
+
+
+class TestParallelSweep:
+    """run_robustness maps _trial over worker processes; what it returns is the one-process loop's."""
+
+    @pytest.mark.parametrize("trials", [3, 5])
+    @pytest.mark.parametrize("seed", [2024, 7])
+    @pytest.mark.parametrize("preset", ["robust-reduced", "robust-full"])
+    def test_summaries_equal_the_one_process_loop(self, monkeypatch, preset, seed, trials):
+        monkeypatch.setattr(s.harness, "_usable_cpus", lambda: 2)  # a pool, even on a one-CPU machine
+        config = RobustnessConfig(base=preset_scenario(preset, t_end=100.0), trials=trials, seed=seed)
+        expected = RobustnessResult(trials=[_trial(config, i) for i in range(trials)]).summary_lines()
+        assert run_robustness(config).summary_lines() == expected
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_trials_run_in_workers_unless_one_cpu(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.setattr(s.harness, "_usable_cpus", lambda: cpus)
+        integrate = s.harness.integrate
+
+        def integrate_noting_pid(spec):
+            (tmp_path / str(os.getpid())).touch()
+            return integrate(spec)
+
+        monkeypatch.setattr(s.harness, "integrate", integrate_noting_pid)
+        run_robustness(RobustnessConfig(base=preset_scenario("robust-reduced", t_end=20.0), trials=3))
+        pids = {int(path.name) for path in tmp_path.iterdir()}
+        if cpus == 1 or "fork" not in multiprocessing.get_all_start_methods():
+            assert pids == {os.getpid()}
+        else:
+            assert pids and os.getpid() not in pids
+
+    def test_usable_cpus_is_the_affinity_mask(self):
+        expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert s.harness._usable_cpus() == expected
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "workers"])
+    def test_failing_trial_fails_the_sweep(self, monkeypatch, tmp_path, cpus, capsys):
+        monkeypatch.setattr(s.harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(s.harness, "perturb_params", _fail_on_trial(2024, 1))  # forked workers inherit it
+        config = RobustnessConfig(base=preset_scenario("robust-reduced", t_end=20.0), trials=4)
+        with pytest.raises(s.ParamError, match="^trial 1 refused$"):
+            run_robustness(config)
+        assert multiprocessing.active_children() == []
+        path = tmp_path / "robust-reduced.cfg"
+        path.write_text(PRESETS["robust-reduced"])
+        assert cli_main(["robustness", str(path), "--trials", "4", "--t-end", "20"]) == 2
+        assert capsys.readouterr() == ("", "error: trial 1 refused\n")
+        assert multiprocessing.active_children() == []
+
+    def test_failing_trial_cancels_the_pending_trials(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(s.harness, "_usable_cpus", lambda: 2)
+        failing = _fail_on_trial(2024, 0)
+
+        def perturb_noting_trial(p, fraction, rng):
+            (tmp_path / str(rng.bit_generator.state["state"]["state"])).touch()
+            return failing(p, fraction, rng)
+
+        monkeypatch.setattr(s.harness, "perturb_params", perturb_noting_trial)
+        with pytest.raises(s.ParamError, match="trial 0 refused"):
+            run_robustness(RobustnessConfig(base=preset_scenario("robust-reduced"), trials=20))
+        # when trial 0 fails, the workers hold at most two running and three queued trials; the rest never start
+        assert len(list(tmp_path.iterdir())) <= 6
+        assert multiprocessing.active_children() == []
+
+
 # Every float-valued config key, read off the schema so that a new key is covered too.
 FLOAT_KEYS = [(section, key) for section, schema in SECTION_KEYS.items() for key, convert in schema.items()
               if convert is finite_float]
 
-# eta = 30 at dt 0.1 is past RK4's stability limit: the full-model state turns NaN after t = 210
-NON_FINITE_WITNESS = "[controller]\neps = 0.01\neta = 30\nvariant = global\n[sim]\nmodel = full\nF0 = 0.5\nt_end = 400\ndt = 0.1\n"
+# A law designed for delta_s = 20 releases 19.9 Ms.  On the table plant, whose sterile males die at 0.12, Ms grows
+# 20-fold a day and the full-model state turns NaN after t = 30.
+NON_FINITE_WITNESS = (
+    f"[params]\n{params_to_text(s.NOMINAL_PARAMS.replace(delta_s=20.0))}"
+    "[controller]\neps = 0.01\neta = 0.1\nvariant = global\n[sim]\nmodel = full\nF0 = 0.5\nt_end = 400\ndt = 0.1\n"
+)
+
+
+@pytest.fixture
+def table_plant(monkeypatch):
+    """Every scenario drives the table plant, whatever its law was designed for; sweep workers inherit this.
+
+    A config gives the law and the plant the same [params], and the step gate keeps such a run finite, so a
+    run that turns NaN needs a plant that the law was not designed for.
+    """
+    sim_spec = ScenarioConfig.sim_spec
+    monkeypatch.setattr(ScenarioConfig, "sim_spec", lambda self, plant=None: sim_spec(self, s.NOMINAL_PARAMS))
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Sweeps run their trials in this process, so calls counted here see every trial."""
+    monkeypatch.setattr(s.harness, "_usable_cpus", lambda: 1)
+
+
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """The specs passed to integrate, which is replaced by a recorder: a test using this expects no run."""
+    calls = []
+    monkeypatch.setattr(s.harness, "integrate", lambda spec: calls.append(spec))
+    return calls
 
 
 @pytest.fixture
@@ -376,19 +485,39 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["simulate", "robustness"])
     @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["a-file", "under-a-file"])
-    def test_unusable_out_exits_2_before_any_run(self, config_file, tmp_path, monkeypatch, command, out, capsys):
+    def test_unusable_out_exits_2_before_any_run(self, config_file, tmp_path, one_worker, integrate_calls, command,
+                                                 out, capsys):
         # the --out directory used to be made after the whole run, and robustness printed every trial first
-        calls = []
-        monkeypatch.setattr(s.harness, "integrate", lambda spec: calls.append(spec))
         (tmp_path / "taken").write_text("")
         argv = [command, str(config_file), "--out", str(tmp_path / out)]
         assert cli_main(argv + (["--trials", "2"] if command == "robustness" else [])) == 2
         stdout, err = capsys.readouterr()
-        assert calls == [] and stdout == ""
+        assert integrate_calls == [] and stdout == ""
         assert err.startswith("error: ") and str(tmp_path / "taken") in err
 
-    def test_simulate_non_finite_run_ends_non_finite(self, tmp_path, capsys):
-        # it ended 'horizon' with Ms and u nan in the CSV, budget_total = nan and extinction_time = 130.0
+    @pytest.mark.parametrize("command, name, out", [
+        ("simulate", "study.csv", True), ("simulate", "study.summary.txt", True), ("simulate", "study.csv", False),
+        ("robustness", "robustness.txt", True),
+    ], ids=["csv", "summary", "csv-next-to-config", "robustness-report"])
+    def test_output_that_is_not_a_regular_file_exits_2_before_any_run(
+            self, config_file, tmp_path, one_worker, integrate_calls, command, name, out, capsys):
+        # simulate integrated the whole run and only then exited 2 with "Is a directory"
+        out_dir = tmp_path / "out" if out else tmp_path
+        (out_dir / name).mkdir(parents=True)
+        argv = [command, str(config_file)] + (["--out", str(out_dir)] if out else [])
+        assert cli_main(argv + (["--trials", "2"] if command == "robustness" else [])) == 2
+        stdout, err = capsys.readouterr()
+        assert integrate_calls == [] and stdout == ""
+        assert err == f"error: {out_dir / name}: exists and is not a regular file\n"
+
+    def test_summary_path_is_not_checked_without_out(self, config_file, tmp_path, capsys):
+        # without --out no summary file is written, so a directory of that name is no obstacle
+        (tmp_path / "study.summary.txt").mkdir()
+        assert cli_main(["simulate", str(config_file), "--t-end", "20"]) in (0, 1)
+        assert f"trajectory = {tmp_path / 'study.csv'}" in capsys.readouterr().out
+
+    def test_simulate_non_finite_run_ends_non_finite(self, tmp_path, table_plant, capsys):
+        # it ended 'horizon' with Ms and u nan in the CSV, budget_total = nan and an extinction_time
         path = tmp_path / "witness.cfg"
         path.write_text(NON_FINITE_WITNESS)
         assert cli_main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -396,9 +525,9 @@ class TestCli:
         assert "termination = non-finite\n" in out and "passed = False\n" in out
         assert "nan" not in out and "extinction_time" not in out
         header, rows = s.read_trajectory_csv(tmp_path / "out" / "witness.csv")
-        assert np.all(np.isfinite(rows)) and rows[-1, 0] == 210.0
+        assert np.all(np.isfinite(rows)) and rows[-1, 0] == 30.0
 
-    def test_robustness_non_finite_trials_are_not_extinct(self, tmp_path, capsys):
+    def test_robustness_non_finite_trials_are_not_extinct(self, tmp_path, table_plant, capsys):
         # every trial used to read extinct=True u_max=nan
         path = tmp_path / "witness.cfg"
         path.write_text(NON_FINITE_WITNESS)
@@ -497,9 +626,11 @@ class TestCli:
     @pytest.mark.parametrize("variant", ["raw", "plus", "global"])
     @pytest.mark.parametrize("key", ["eta", "rho"])
     def test_gain_at_magnitude_bound_stays_finite(self, tmp_path, key, variant, model, capsys):
-        # a warning or traceback would fail the test; lambda_fit is nan for any run this short
+        # a warning or traceback would fail the test; lambda_fit is nan for any run this short.
+        # eta is a decay rate of the loop, so eta = 1e30 passes the step gate only with dt <= 2.785e-30
+        sim = "t_end = 2e-29\ndt = 1e-30" if key == "eta" else "t_end = 20\ndt = 0.1"
         path = tmp_path / "gain.cfg"
-        path.write_text(f"[controller]\n{key} = 1e30\nvariant = {variant}\n[sim]\nmodel = {model}\nt_end = 20\ndt = 0.1\n")
+        path.write_text(f"[controller]\n{key} = 1e30\nvariant = {variant}\n[sim]\nmodel = {model}\n{sim}\n")
         assert cli_main(["simulate", str(path)]) in (0, 1)
         summary = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
         assert math.isfinite(float(summary["final_F"])) and math.isfinite(float(summary["budget_total"]))
@@ -509,6 +640,91 @@ class TestCli:
         bad.write_text("[params]\nbetaE = 10\n")
         assert cli_main(["equilibria", str(bad)]) == 2
         assert "beta_E" in capsys.readouterr().err
+
+
+# The fixed-step witnesses: each exited 1 after a run that ended nonnegativity-violation or non-finite.
+NOMINAL_PARAMS_SECTION = f"[params]\n{params_to_text(s.NOMINAL_PARAMS)}"
+UNSTABLE_STEP_WITNESSES = {
+    "eta28-reduced": ("[controller]\neps = 0.01\neta = 28\nvariant = global\n[sim]\n", "eta = 28.0", "2.8"),
+    "eta30-full": ("[controller]\neps = 0.01\neta = 30\nvariant = global\n[sim]\nmodel = full\n", "eta = 30.0", "3"),
+    "delta_s30-reduced": (
+        NOMINAL_PARAMS_SECTION.replace("delta_s = 0.12", "delta_s = 30")
+        + "[controller]\neps = 0.001\nvariant = global\n[sim]\n", "delta_s = 30.0", "3"),
+    "nu_E30-full": (
+        NOMINAL_PARAMS_SECTION.replace("nu_E = 0.005", "nu_E = 30")
+        + "[controller]\neps = 0.001\nvariant = global\n[sim]\nmodel = full\n", "nu_E + delta_E = 30.03", "3.003"),
+}
+
+
+class TestStepGate:
+    """dt times a linear decay rate of the loop past RK4's real-axis limit is a config error, found before any run."""
+
+    @pytest.mark.parametrize("command", ["simulate", "robustness", "equilibria"])
+    @pytest.mark.parametrize("witness", list(UNSTABLE_STEP_WITNESSES))
+    def test_witness_exits_2_naming_rate_and_dt(self, tmp_path, one_worker, integrate_calls, witness, command,
+                                                capsys):
+        text, rate, product = UNSTABLE_STEP_WITNESSES[witness]
+        path = tmp_path / "witness.cfg"
+        path.write_text(text + "F0 = 0.5\nt_end = 400\ndt = 0.1\n")
+        assert cli_main([command, str(path)]) == 2
+        stdout, err = capsys.readouterr()
+        assert integrate_calls == [] and stdout == ""
+        assert err == (f"error: [sim] dt = 0.1 times the decay rate {rate} is {product}, "
+                       "past RK4's stability limit 2.785 on the real axis\n")
+
+    @pytest.mark.parametrize("witness", list(UNSTABLE_STEP_WITNESSES))
+    def test_witness_runs_at_half_the_step(self, tmp_path, witness):
+        text, _, _ = UNSTABLE_STEP_WITNESSES[witness]
+        path = tmp_path / "witness.cfg"
+        path.write_text(text + "F0 = 0.5\nt_end = 1\ndt = 0.05\n")
+        assert cli_main(["simulate", str(path)]) in (0, 1)
+
+    def test_limit_is_rk4s_real_axis_bound(self):
+        # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R(-x)| <= 1 up to x = 2.78529..., the root of x^3 - 4x^2 + 12x - 24
+        R = lambda x: 1 - x + x * x / 2 - x ** 3 / 6 + x ** 4 / 24
+        limit = s.simulate.RK4_REAL_LIMIT
+        assert abs(R(limit)) < 1.0 < R(2.7853)
+        assert 0.0 < 2.78529 - limit < 0.001  # just inside the root
+
+    def test_edge_of_the_limit(self):
+        # eta * dt = 2.78 runs; 2.79 is refused
+        law = s.ControlLaw("global", s.nominal_controller(eps=0.01, eta=27.8), s.NOMINAL_PARAMS)
+        s.SimSpec(model="reduced", law=law, initial=(1.0, 0.0), t_end=1.0, dt=0.1)
+        law = s.ControlLaw("global", s.nominal_controller(eps=0.01, eta=27.9), s.NOMINAL_PARAMS)
+        with pytest.raises(ValueError, match="eta = 27.9 is 2.79, past RK4's stability limit"):
+            s.SimSpec(model="reduced", law=law, initial=(1.0, 0.0), t_end=1.0, dt=0.1)
+
+    def test_open_loop_is_bounded_by_delta_s_not_eta(self):
+        p = s.NOMINAL_PARAMS.replace(delta_s=27.9)
+        law = s.ControlLaw("none", s.nominal_controller(p, eta=100.0), p)
+        with pytest.raises(ValueError, match="delta_s = 27.9 is 2.79"):
+            s.SimSpec(model="reduced", law=law, initial=(1.0, 0.0), t_end=1.0, dt=0.1)
+        s.SimSpec(model="reduced", law=law, initial=(1.0, 0.0), t_end=0.9, dt=0.09)
+
+    def test_plant_rates_are_the_plants(self):
+        # a sweep trial drives a perturbed plant with the nominal law: the plant's delta_s bounds the step
+        law = s.ControlLaw("global", s.strong_controller(), s.NOMINAL_PARAMS)
+        with pytest.raises(ValueError, match="delta_s = 30.0 is 3"):
+            s.SimSpec(model="reduced", law=law, initial=(1.0, 0.0), t_end=1.0, dt=0.1,
+                      plant=s.NOMINAL_PARAMS.replace(delta_s=30.0))
+
+    def test_sweep_checks_the_perturbed_rates_before_any_trial(self, tmp_path, one_worker, integrate_calls, capsys):
+        # delta_s = 26 at dt 0.1 runs (2.6), but a trial may perturb it up to 28.6 (2.86)
+        path = tmp_path / "fast.cfg"
+        path.write_text(NOMINAL_PARAMS_SECTION.replace("delta_s = 0.12", "delta_s = 26")
+                        + "[controller]\neps = 0.001\nvariant = global\n[sim]\nt_end = 20\ndt = 0.1\n")
+        assert cli_main(["robustness", str(path), "--uncertainty", "0.1"]) == 2
+        stdout, err = capsys.readouterr()
+        assert integrate_calls == [] and stdout == ""
+        assert err == ("error: [sim] dt = 0.1 times the decay rate delta_s = 28.6 (1.1 times the plant's) is 2.86, "
+                       "past RK4's stability limit 2.785 on the real axis, at uncertainty 0.1\n")
+
+    def test_sweep_at_zero_uncertainty_needs_only_the_nominal_rates(self, tmp_path, capsys):
+        path = tmp_path / "fast.cfg"
+        path.write_text(NOMINAL_PARAMS_SECTION.replace("delta_s = 0.12", "delta_s = 26")
+                        + "[controller]\neps = 0.001\nvariant = global\n[sim]\nt_end = 20\ndt = 0.1\n")
+        assert cli_main(["robustness", str(path), "--uncertainty", "0", "--trials", "2"]) in (0, 1)
+        assert capsys.readouterr().out.count("trial=") == 2
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

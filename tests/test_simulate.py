@@ -320,6 +320,17 @@ class TestUnrolledStep:
         assert _outcome(lambda st: s.step_rk4(st, 0.0, spec.dt, f, _clamp_tol(spec)), initial) == "NonFiniteError"
 
     @pytest.mark.parametrize("model", ["reduced", "full"])
+    def test_infinite_state_raises_non_finite_in_both_steppers(self, params, cfg, eq, model):
+        # inf >= 0.0 is True, so an overflowed state passed the test and was recorded, one step before the NaN
+        initial = (eq.F_bar, 0.0) if model == "reduced" else (eq.E_bar, eq.M_bar, eq.F_bar, 0.0)
+        spec = s.SimSpec(model=model, law=s.ControlLaw("plus", cfg, params), initial=initial, t_end=1.0, dt=0.1)
+        u = lambda F, Ms: 1e308  # dMs1 + 2 * (dMs2 + dMs3) overflows
+        step = _step(spec, (sitctl.model.reduced_field if model == "reduced" else sitctl.model.full_field)(params, u))
+        f = _reference_rhs(spec, u)
+        assert _outcome(step, initial) == "NonFiniteError"
+        assert _outcome(lambda st: s.step_rk4(st, 0.0, spec.dt, f, _clamp_tol(spec)), initial) == "NonFiniteError"
+
+    @pytest.mark.parametrize("model", ["reduced", "full"])
     def test_subnormal_state_runs_to_horizon(self, params, cfg_strong, model):
         # g's denominator and the law's underflow to 0 at F = 5e-324
         initial = (5e-324, 0.0) if model == "reduced" else (0.0, 0.0, 5e-324, 0.0)
@@ -356,6 +367,9 @@ def _reference_run(spec):
     return np.array(times), np.array(states), np.array([u(*st[-2:]) for st in states]), lyap, termination, max_clamp
 
 
+FAST_STERILE = s.NOMINAL_PARAMS.replace(delta_s=20.0)
+
+
 def _record_specs():
     """Short runs of each model, with and without a plant; some end mid-chunk."""
     plant, _ = perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(2024, 0))
@@ -369,10 +383,11 @@ def _record_specs():
         "full-global-55Fbar/nonneg": preset_scenario(
             "nominal-full", F0_ratio=55.0, t_end=10.0, dt=0.1, record_every=4,
         ).sim_spec(),
-        # eta = 30 at dt 0.1 is past RK4's stability limit: Ms grows to ~1e294 and turns NaN after t = 210
-        "full-eta30/non-finite": dataclasses.replace(
-            preset_scenario("nominal-full", F0=0.5, t_end=400.0, dt=0.1).sim_spec(),
-            law=s.ControlLaw("global", s.nominal_controller(eps=0.01, eta=30.0), s.NOMINAL_PARAMS),
+        # a law designed for delta_s = 20 releases 19.9 Ms on a plant whose sterile males die at 0.12:
+        # Ms grows 20-fold a day, reaches inf at t = 36.4, the last step of a chunk, and NaN a step later
+        "ds20/non-finite": dataclasses.replace(
+            preset_scenario("nominal-full", F0=0.5, t_end=400.0, dt=0.1, record_every=4).sim_spec(s.NOMINAL_PARAMS),
+            law=s.ControlLaw("global", s.nominal_controller(FAST_STERILE, eps=0.01, eta=0.1), FAST_STERILE),
         ),
     }
 
@@ -403,10 +418,11 @@ class TestChunkedRecords:
         assert traj.times[-1] == pytest.approx(0.4)  # the run stopped during steps 5-8
 
     def test_non_finite_run_ends_before_its_first_nan(self):
-        # it used to end 'horizon' with Ms and u nan in the last 19 samples
-        traj = s.integrate(RECORD_SPECS["full-eta30/non-finite"])
+        # it used to end 'horizon' with Ms and u nan in the last samples; then 'non-finite', but with Ms = inf and
+        # u = inf recorded at t = 36.4, the step before the NaN
+        traj = s.integrate(RECORD_SPECS["ds20/non-finite"])
         assert traj.termination == s.simulate.TERMINATION_NONFINITE == "non-finite"
-        assert traj.times[-1] == 210.0
+        assert traj.times[-1] == 36.0
         assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.controls))
 
 
@@ -469,7 +485,7 @@ class TestDetectExtinction:
         with pytest.raises(ValueError):
             s.detect_extinction(nominal_plus_run, 0.0)
 
-    @pytest.mark.parametrize("name", ["full-global-55Fbar/nonneg", "full-eta30/non-finite"])
+    @pytest.mark.parametrize("name", ["full-global-55Fbar/nonneg", "ds20/non-finite"])
     def test_run_that_stopped_early_has_none(self, name):
         # F is below the threshold at every sample, but the run never reached its horizon
         traj = s.integrate(RECORD_SPECS[name])

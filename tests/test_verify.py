@@ -148,6 +148,13 @@ class TestVerifyDecay:
         with pytest.raises(ValueError):
             s.verify_decay(full_strong_run, 0.01)
 
+    def test_run_that_blew_up_fails_without_warning(self):
+        # F^2 + Ms^2 overflowed with a RuntimeWarning on a run whose Ms passed 1e154
+        t = np.linspace(0.0, 40.0, 5)
+        Ms = np.array([0.0, 1e100, 1e200, 1e300, 1e305])
+        traj = _synthetic_reduced(t, np.full_like(t, 0.5), Ms, V=np.exp(-0.03 * t))
+        assert s.verify_decay(traj, lambda_theory=0.02).c0_fit == np.inf
+
 
 class TestVdotCheck:
     def test_nominal_closed_loop_passes(self, nominal_plus_run, params, cfg):
@@ -183,6 +190,12 @@ class TestVdotCheck:
 class TestControlBudget:
     def test_zero_control(self, open_loop_run):
         assert s.control_budget(open_loop_run) == 0.0
+
+    def test_total_past_the_float_range_is_inf_without_warning(self):
+        # the trapezoid sum overflowed with a RuntimeWarning on a sweep trial whose u reached 1.76e308
+        t = np.array([0.0, 1.0, 2.0])
+        traj = _synthetic_reduced(t, np.ones_like(t), np.zeros_like(t), u=np.array([1.0, 1.7e308, 1.7e308]))
+        assert s.control_budget(traj) == np.inf
 
     def test_constant_control_exact(self):
         t = np.linspace(0.0, 40.0, 81)
