@@ -159,19 +159,37 @@ def pi(F, Ms, cfg: ControllerConfig, p: BioParams):
     """Mismatch rate between actual and virtual recruitment, times F.
 
     Divided difference of g between Ms and ms_star(F) away from the
-    diagonal; the exact partial derivative on it.  Nonpositive on the
-    whole nonnegative quadrant; 0 at the origin, where the derivative
-    branch is undefined.
+    diagonal; the exact partial derivative on it, evaluated at those
+    points only.  Nonpositive on the whole nonnegative quadrant; 0 at the
+    origin, where the derivative branch is undefined.  The backstepping
+    laws share its body, ``_mismatch``, and hand it the g and ms_star
+    they computed.
+    """
+    return _mismatch(F, Ms, g(F, Ms, p), ms_star(F, cfg, p), cfg, p)
+
+
+def _mismatch(F, Ms, gv, target, cfg: ControllerConfig, p: BioParams):
+    """The body of ``pi`` on ``gv = g(F, Ms)`` and ``target = ms_star(F)`` computed by the caller.
+
+    ``dg_dMs`` runs only on the switch band: the points that fail the
+    off-diagonal test, a NaN gap among them, less the origin.
     """
     origin = (F == 0.0) & (Ms == 0.0)
-    target = ms_star(F, cfg, p)
     gap = Ms - target
     with np.errstate(divide="ignore", invalid="ignore"):
-        divided = np.divide(g(F, Ms, p) - cfg.eps * F, gap) * F
-        # the origin is swapped for a harmless point; its value is discarded below
-        on_diagonal = dg_dMs(np.where(origin, 1.0, F), Ms, p) * F
-    off_diagonal = np.abs(gap) > PI_SWITCH_TOL * np.maximum(1.0, np.abs(target))
-    return _plain(np.where(origin, 0.0, np.where(off_diagonal, divided, on_diagonal)))
+        value = np.where(origin, 0.0, np.divide(gv - cfg.eps * F, gap) * F)
+    band = ~((np.abs(gap) > PI_SWITCH_TOL * np.maximum(1.0, np.abs(target))) | origin)
+    if band.any():
+        value[band] = _on(band, lambda F, Ms: dg_dMs(F, Ms, p) * F, F, Ms)
+    return _plain(value)
+
+
+def _on(mask, fn, *args):
+    """``fn`` of ``args``, each broadcast to ``mask``'s shape, at the points where ``mask`` holds only, as a flat array.
+
+    Each operation of ``fn`` is elementwise, so a point rounds as it does in the whole block.
+    """
+    return fn(*(np.broadcast_to(x, mask.shape)[mask] for x in args))
 
 
 def cut2(x, y):
@@ -180,13 +198,16 @@ def cut2(x, y):
 
 
 def _backstepping(F, Ms, cfg: ControllerConfig, p: BioParams, clip: bool):
-    """The body of ``u_star`` and, with ``clip``, of ``u_star_plus``: cut2 on the last term."""
-    gv = g(F, Ms, p)
+    """The body of ``u_star`` and, with ``clip``, of ``u_star_plus``: cut2 on the last term.
+
+    ``g`` and ``ms_star`` are computed once, for the law and its mismatch rate both.
+    """
+    gv, target = g(F, Ms, p), ms_star(F, cfg, p)
     slope, drift = dms_star_dF(F, cfg, p), gv - p.delta_F * F
     return (
         (p.delta_s - cfg.eta) * Ms
-        + cfg.eta * ms_star(F, cfg, p)
-        - cfg.rho * pi(F, Ms, cfg, p)
+        + cfg.eta * target
+        - cfg.rho * _mismatch(F, Ms, gv, target, cfg, p)
         + (cut2(slope, drift) if clip else slope * drift)
     )
 
@@ -205,21 +226,33 @@ def u_star_plus(F, Ms, cfg: ControllerConfig, p: BioParams):
 
 
 def chi(F, cfg: ControllerConfig):
-    """Smooth nonincreasing gate: 1 below the knee F2, 0 above F_hat."""
+    """Smooth nonincreasing gate: 1 below the knee F2, 0 above F_hat.
+
+    The ramp is clamped at 0: the quintic rounds to about -1.6e-15 in the last floats below F_hat.
+    """
     s = (F - cfg.F2) / (cfg.F_hat - cfg.F2)
     if cfg.cutoff_kind == "cubic":
         ramp = 1.0 - s * s * (3.0 - 2.0 * s)
     else:
         ramp = 1.0 - s * s * s * (6.0 * s * s - 15.0 * s + 10.0)
-    return _plain(np.where(F <= cfg.F2, 1.0, np.where(F >= cfg.F_hat, 0.0, ramp)))
+    return _plain(np.where(F <= cfg.F2, 1.0, np.where(F >= cfg.F_hat, 0.0, np.maximum(ramp, 0.0))))
 
 
 def u_tilde(F, Ms, cfg: ControllerConfig, p: BioParams):
-    """Globally defined nonnegative law: the clipped controller gated by chi."""
+    """Globally defined nonnegative law: the clipped controller gated by chi.
+
+    ``u_star_plus`` runs only where chi is nonzero; the law is 0 elsewhere.
+    """
     c = chi(F, cfg)
+    keep = c != 0.0
     with np.errstate(invalid="ignore", over="ignore"):
-        gated = u_star_plus(F, Ms, cfg, p) * c
-    return _plain(np.where(c == 0.0, 0.0, gated))
+        if np.all(keep):  # a scalar F below F_hat, or no F at or past it: no subset to take
+            return _plain(u_star_plus(F, Ms, cfg, p) * c)
+        value = np.zeros(np.broadcast_shapes(np.shape(F), np.shape(Ms)))
+        if np.any(keep):
+            keep = np.broadcast_to(keep, value.shape)
+            value[keep] = _on(keep, lambda F, Ms, c: u_star_plus(F, Ms, cfg, p) * c, F, Ms, c)
+    return _plain(value)
 
 
 def sigma(F2: float, p: BioParams) -> float:
@@ -313,14 +346,14 @@ class ControlLaw:
             scale = a * denom
             gv = 0.0 if F == 0.0 or scale == 0.0 else A * F * F / scale
             drift = gv - delta_F * F
-            if gated:
+            if gated and F > F2:
                 if F >= F_hat:
-                    return (drift, 0.0 - delta_s * Ms) if rates else 0.0
-                if F <= F2:
-                    c = 1.0
+                    c = 0.0
                 else:
                     s = (F - F2) * inv_span
                     c = 1.0 - s * s * (3.0 - 2.0 * s) if cubic else 1.0 - s**3 * (6.0 * s * s - 15.0 * s + 10.0)
+                if c <= 0.0:  # from F_hat on, and where the quintic ramp rounds below 0 just under it
+                    return (drift, 0.0 - delta_s * Ms) if rates else 0.0
             else:
                 c = 1.0
             lin = beta_E * F + B

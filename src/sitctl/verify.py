@@ -51,9 +51,8 @@ class AuditReport:
     tolerance: float
 
     def csv_row(self) -> str:
-        wF = self.witness[0]
-        wMs = self.witness[1] if len(self.witness) > 1 else ""
-        return f"{self.check},{self.grid},{self.passed},{self.worst_value!r},{wF!r},{wMs!r}"
+        wMs = repr(self.witness[1]) if len(self.witness) > 1 else ""  # the 1-D checks leave the field empty
+        return f"{self.check},{self.grid},{self.passed},{self.worst_value!r},{self.witness[0]!r},{wMs}"
 
 
 def fit_decay_rate(times, values):
@@ -186,8 +185,10 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
     (g(F, ms*(F)) = eps F on a log grid), 'utilde_bound' (global law under
     a linear bound (delta_s - eta) Ms + K F, K estimated on the grid).
     The 1-D checks evaluate their whole grid at once; the 2-D checks a
-    block of F rows at a time, which bounds the memory they use.  Both
-    grid sizes must be at least 2.
+    block of F rows at a time, which bounds the memory they use.  Within
+    a block the law computes g and ms* once, the derivative branch of pi
+    only on its switch band and u~ only on rows below F_hat (chi > 0).
+    Both grid sizes must be at least 2.
     """
     for name, size in (("n_1d", n_1d), ("n_2d", n_2d)):
         if not size >= 2:

@@ -66,6 +66,11 @@ GOLDEN_BITS = {
 }
 
 
+def floats_below(x, n):
+    """The n floats just below the positive float x, nearest first."""
+    return (np.float64(x).view(np.int64) - np.arange(1, n + 1)).view(np.float64)
+
+
 class TestContractionOffset:
     def test_study_value(self, params, eq):
         F_hat = 27.0 / 20.0 * eq.F_bar
@@ -292,6 +297,19 @@ class TestCutoffGate:
         from sitctl.verify import chi_sandwich
         assert chi_sandwich(cfg)
 
+    @pytest.mark.parametrize("design", ["nominal", "strong"])
+    @pytest.mark.parametrize("k", [None, 1e30], ids=["table", "k=1e30"])
+    def test_gate_and_global_law_nonnegative_just_below_ceiling(self, params, design, k):
+        # the quintic ramp rounded to -1.55e-15 within about 20 floats below F_hat, and the global law
+        # released a negative u there at Ms = 1e5: down to -3.5e-12 on the table parameters, -7.43e12 at k = 1e30
+        p = params if k is None else params.replace(k=k)
+        c = {"nominal": s.nominal_controller, "strong": s.strong_controller}[design](p)
+        below = floats_below(c.F_hat, 200)
+        fused = s.ControlLaw("global", c, p).evaluator()
+        assert np.all(s.chi(below, c) >= 0.0)
+        assert np.all(s.u_tilde(below, 1e5, c, p) >= 0.0)
+        assert all(fused(F, 1e5) >= 0.0 for F in below.tolist())
+
 
 class TestGlobalLaw:
     def test_zero_above_ceiling(self, params, cfg):
@@ -386,8 +404,14 @@ class TestArrayEvaluation:
     @pytest.mark.parametrize("design", ["nominal", "strong", "cubic"])
     def test_array_matches_scalar_bits(self, params, cfg, cfg_strong, design):
         c = {"nominal": cfg, "strong": cfg_strong, "cubic": s.nominal_controller(params, cutoff_kind="cubic")}[design]
-        Fs = np.sort(np.concatenate([np.linspace(0.0, 3.0 * c.F_hat, 61), [c.F2, c.F_hat]]))
-        Mss = np.linspace(0.0, 10.0 * float(np.max(s.ms_star(np.linspace(0.0, c.F_hat, 401), c, params))), 21)
+        # the origin, F on pi's switch band (Ms at and within 1e-9 of ms*(F)), and the floats just below
+        # F_hat, where the quintic ramp rounds below 0, are points where the law evaluates a subset
+        grid = np.linspace(0.0, 3.0 * c.F_hat, 61)
+        Fs = np.sort(np.concatenate([grid, [c.F2, c.F_hat], floats_below(c.F_hat, 4)]))
+        Mss = np.sort(np.concatenate([
+            np.linspace(0.0, 10.0 * float(np.max(s.ms_star(np.linspace(0.0, c.F_hat, 401), c, params))), 21),
+            np.outer(s.ms_star(grid[[4, 10, 18]], c, params), [1.0, 1.0 + 1e-9, 1.0 - 1e-9]).ravel(),
+        ]))
         one = {
             "ms_star": lambda F: s.ms_star(F, c, params),
             "dms_star_dF": lambda F: s.dms_star_dF(F, c, params),

@@ -1,4 +1,6 @@
 """Scenario runner, parameter perturbation, robustness sweep and the CLI."""
+import csv
+import io
 import math
 import multiprocessing
 import os
@@ -26,6 +28,7 @@ from sitctl.harness import (
     trial_rng,
 )
 from sitctl.model import PARAM_KEYS
+from sitctl.verify import AUDIT_CHECKS
 
 
 class TestPerturbParams:
@@ -372,6 +375,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("check,grid,pass,worst_value,witness_F,witness_Ms")
         assert "mstar_identity" in out
+
+    def test_audit_stdout_is_csv_with_empty_one_dimensional_witness_ms(self, config_file, capsys):
+        # the 1-D rows printed '' where the witness_Ms field is empty
+        assert cli_main(["audit", str(config_file)]) == 0
+        rows = {row["check"]: row for row in csv.DictReader(io.StringIO(capsys.readouterr().out))}
+        assert list(rows) == list(AUDIT_CHECKS)
+        for check, row in rows.items():
+            float(row["witness_F"])
+            if check in ("lemma4", "mstar_identity"):
+                assert row["witness_Ms"] == ""
+            else:
+                float(row["witness_Ms"])
+
+    def test_audit_passes_at_the_largest_capacity(self, config_file, capsys):
+        # at k = 1e30 the quintic cutoff rounded below 0 just under F_hat, and utilde_bound failed
+        # with u = -7.43e12 at (7.79625e28, 1e5)
+        _set_keys(config_file, k="1e30")
+        assert cli_main(["audit", str(config_file)]) == 0, capsys.readouterr().out
 
     def test_robustness_exit_code(self, config_file, tmp_path, capsys):
         # a tighter recruitment target is needed to reach the extinction

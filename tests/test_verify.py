@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 import sitctl as s
-from sitctl import verify
+from sitctl import control, verify
+from sitctl.control import PI_SWITCH_TOL
 from sitctl.simulate import Trajectory
 from sitctl.verify import _BLOCK_ROWS, AUDIT_CHECKS, chi_sandwich
 
@@ -301,3 +302,45 @@ class TestAuditGrid:
         row = report.csv_row()
         assert row.startswith("mstar_identity,")
         assert len(row.split(",")) == 6
+
+
+class TestAuditWork:
+    """A law call of a 2-D audit computes g once, and the derivative branch of pi on its switch band only."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"law": 0, "g": 0, "dg_dMs": []}
+
+        def counting_g(F, Ms, p, _g=control.g):
+            counts["g"] += 1
+            return _g(F, Ms, p)
+
+        def recording_dg_dMs(F, Ms, p, _dg_dMs=control.dg_dMs):
+            counts["dg_dMs"] += zip(*(x.ravel().tolist() for x in np.broadcast_arrays(F, Ms)))
+            return _dg_dMs(F, Ms, p)
+
+        def counting(law):
+            def call(F, Ms, cfg, p):
+                counts["law"] += 1
+                return law(F, Ms, cfg, p)
+            return call
+
+        monkeypatch.setattr(control, "g", counting_g)
+        monkeypatch.setattr(control, "dg_dMs", recording_dg_dMs)
+        for law in ("pi", "u_star_plus"):
+            monkeypatch.setattr(verify, law, counting(getattr(verify, law)))
+        return counts
+
+    @pytest.mark.parametrize("check", ["pi_sign", "nonneg_plus"])
+    def test_one_g_per_call_and_dg_dMs_on_the_band(self, params, cfg, calls, check):
+        # pi passed all 160 000 grid points to dg_dMs, and u_star_plus called g twice, once more inside pi
+        assert s.audit_grid(cfg, params, check).passed
+        Fs = np.linspace(0.0, cfg.F_hat, 400)
+        Mss = np.linspace(0.0, 10.0 * float(np.max(s.ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, params))), 400)
+        target = s.ms_star(Fs, cfg, params)[:, None]
+        band = ~(np.abs(Mss - target) > PI_SWITCH_TOL * np.maximum(1.0, np.abs(target)))
+        band[0, 0] = False  # the origin, where pi is 0
+        rows, cols = np.nonzero(band)
+        assert calls["law"] == 400 // _BLOCK_ROWS
+        assert calls["g"] == calls["law"]
+        assert sorted(calls["dg_dMs"]) == sorted(zip(Fs[rows].tolist(), Mss[cols].tolist()))
