@@ -43,7 +43,6 @@ from .simulate import (
     Trajectory,
     detect_extinction,
     integrate,
-    step_rk4,
 )
 from .verify import (
     AuditReport,

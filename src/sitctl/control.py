@@ -10,8 +10,9 @@ and nonnegative for arbitrarily large female densities.
 The composed functions broadcast over numpy arrays (scalar inputs give a
 float); their integer powers are written as products, so an array rounds
 exactly like its points passed one float at a time (numpy's vectorised
-``power`` need not round like libm's ``pow``).  :meth:`ControlLaw.evaluator`
-is the fused scalar version for the integration loop.
+``power`` need not round like libm's ``pow``).  :data:`LAW` is the law's
+scalar body as statement text; :meth:`ControlLaw.evaluator` compiles it, and
+the integration kernels write it into every Runge-Kutta stage.
 """
 from __future__ import annotations
 
@@ -19,13 +20,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAX_MAGNITUDE, BioParams, _plain, alpha, dg_dMs, g, persistence_equilibrium, validate_params
+from .model import (
+    MAX_MAGNITUDE,
+    REDUCED_FEMALES,
+    BioParams,
+    _plain,
+    alpha,
+    define,
+    dg_dMs,
+    field_constants,
+    g,
+    persistence_equilibrium,
+    validate_params,
+)
 
 VARIANTS = ("none", "raw", "plus", "global")
 
 # Relative width of the near-diagonal band where the divided difference in
 # pi() is replaced by the exact partial derivative (cancellation guard).
 PI_SWITCH_TOL = 1e-8
+
+
+#: The feedback law's scalar body: statement text that sets ``u`` from (F, Ms) and the constants of
+#: :meth:`ControlLaw.body`, flags ``gated`` and ``clip`` among them.  Its drift is the reduced field's ``dF``
+#: text on the law's params, whose ``gv`` and ``denom`` it reuses.  Only constants that lead a left-associated
+#: product or sum are precomputed (``delta_s - eta``): folding ``nu_E + delta_E`` in ``beta_E F / k + nu_E +
+#: delta_E`` would change the rounding.  A denominator that underflows to 0 takes the limit 0, as in ``g``.
+LAW = REDUCED_FEMALES + """\
+c = 1.0
+if gated and F > F2:
+    if F >= F_hat:
+        c = 0.0
+    else:
+        s = (F - F2) * inv_span
+        c = 1.0 - s * s * (3.0 - 2.0 * s) if cubic else 1.0 - s**3 * (6.0 * s * s - 15.0 * s + 10.0)
+if c <= 0.0:  # from F_hat on, and where the quintic ramp rounds below 0 just under it
+    u = 0.0
+else:
+    lin = beta_E * F + B
+    room = F_hat - F
+    target = C * F * room / (lin * lin)
+    slope = C * ((F_hat - 2.0 * F) * lin - two_beta_E * F * room) / lin**3
+    if F == 0.0 and Ms == 0.0:
+        mismatch = 0.0
+    else:
+        gap = Ms - target
+        size = abs(target)
+        if abs(gap) > switch * (size if size > 1.0 else 1.0):
+            mismatch = (gv - eps * F) / gap * F
+        else:
+            d2 = denom * denom
+            mismatch = 0.0 if d2 == 0.0 else -A * F * F * delta_M * gamma_s / d2 * F
+    last = 0.0 if clip and slope < 0.0 and dF > 0.0 else slope * dF
+    u = (release_decay * Ms + eta * target - rho * mismatch + last) * c
+"""
 
 
 class ControllerError(ValueError):
@@ -297,81 +345,31 @@ class ControlLaw:
             return u_star_plus(F, Ms, self.config, self.params)
         return u_tilde(F, Ms, self.config, self.params)
 
-    def evaluator(self):
-        """Return a fused closure u(F, Ms) for tight integration loops.
+    def body(self) -> tuple[str, dict]:
+        """The law's scalar body and the constants it reads: statement text that sets ``u`` from ``F`` and ``Ms``.
 
-        Algebraically identical to calling the law; parameters are unpacked
-        into locals once so the per-step cost is plain float arithmetic
-        (tests pin the closure against the composed functions on a grid,
-        and its outputs bit for bit on fixed points).  The variant is
-        resolved into two flags when the closure is built.  Only constants
-        that lead a left-associated product or sum are precomputed
-        (``delta_s - eta``, ``(1 - nu) nu_E beta_E``): folding a trailing
-        pair such as ``nu_E + delta_E`` in ``beta_E F / k + nu_E + delta_E``
-        would change the rounding.  Divisions whose denominator underflows
-        to 0 near extinction take the limit 0, as in ``g`` and ``dg_dMs``.
-        The same body gives :meth:`_reduced_rates`.
+        A feedback variant's body is :data:`LAW`; 'none' sets ``u = 0.0``.  :meth:`evaluator` compiles it,
+        and so does every integration kernel, so the two cannot diverge.
         """
-        return self._fused(False)
-
-    def _reduced_rates(self):
-        """Closed-loop reduced rates ``(F, Ms) -> (dF, dMs)`` on the law's own params, not for 'none'.
-
-        The law's drift ``gv - delta_F F`` is the field's ``dF`` to the last bit, so a stage computes ``g`` once.
-        """
-        return self._fused(True)
-
-    def _fused(self, rates: bool):
-        """u(F, Ms), or with ``rates`` the pair ``(drift, u - delta_s Ms)``."""
         if self.variant == "none":
-            return lambda F, Ms: 0.0
+            return "u = 0.0\n", {}
         cfg, p = self.config, self.params
-        gated = self.variant == "global"  # chi cutoff above F2
-        clip = self.variant != "raw"  # cut2 on the last term
-        beta_E, gamma_s, nu_E, nu = p.beta_E, p.gamma_s, p.nu_E, p.nu
-        delta_E, delta_M, delta_F, delta_s, k = p.delta_E, p.delta_M, p.delta_F, p.delta_s, p.k
-        F_hat, eps, eta, rho, F2 = cfg.F_hat, cfg.eps, cfg.eta, cfg.rho, cfg.F2
-        cubic = cfg.cutoff_kind == "cubic"
         B, C = ms_star_coefficients(p)
-        A = nu * (1.0 - nu) * beta_E**2 * nu_E**2
-        male_rate = (1.0 - nu) * nu_E * beta_E
-        two_beta_E = 2.0 * beta_E
-        release_decay = delta_s - eta
-        inv_span = 1.0 / (F_hat - F2)
-        switch = PI_SWITCH_TOL
+        return LAW, {
+            **field_constants(p),
+            "F_hat": cfg.F_hat, "eps": cfg.eps, "eta": cfg.eta, "rho": cfg.rho, "F2": cfg.F2, "B": B, "C": C,
+            "two_beta_E": 2.0 * p.beta_E, "release_decay": p.delta_s - cfg.eta, "inv_span": 1.0 / (cfg.F_hat - cfg.F2),
+            "switch": PI_SWITCH_TOL, "cubic": cfg.cutoff_kind == "cubic",
+            "gated": self.variant == "global",  # chi cutoff above F2
+            "clip": self.variant != "raw",  # cut2 on the last term
+        }
 
-        def evaluate(F: float, Ms: float):
-            a = beta_E * F / k + nu_E + delta_E
-            denom = male_rate * F + a * delta_M * gamma_s * Ms
-            scale = a * denom
-            gv = 0.0 if F == 0.0 or scale == 0.0 else A * F * F / scale
-            drift = gv - delta_F * F
-            if gated and F > F2:
-                if F >= F_hat:
-                    c = 0.0
-                else:
-                    s = (F - F2) * inv_span
-                    c = 1.0 - s * s * (3.0 - 2.0 * s) if cubic else 1.0 - s**3 * (6.0 * s * s - 15.0 * s + 10.0)
-                if c <= 0.0:  # from F_hat on, and where the quintic ramp rounds below 0 just under it
-                    return (drift, 0.0 - delta_s * Ms) if rates else 0.0
-            else:
-                c = 1.0
-            lin = beta_E * F + B
-            room = F_hat - F
-            target = C * F * room / (lin * lin)
-            slope = C * ((F_hat - 2.0 * F) * lin - two_beta_E * F * room) / lin**3
-            if F == 0.0 and Ms == 0.0:
-                mismatch = 0.0
-            else:
-                gap = Ms - target
-                size = abs(target)
-                if abs(gap) > switch * (size if size > 1.0 else 1.0):
-                    mismatch = (gv - eps * F) / gap * F
-                else:
-                    d2 = denom * denom
-                    mismatch = 0.0 if d2 == 0.0 else -A * F * F * delta_M * gamma_s / d2 * F
-            last = 0.0 if clip and slope < 0.0 and drift > 0.0 else slope * drift
-            u = (release_decay * Ms + eta * target - rho * mismatch + last) * c
-            return (drift, u - delta_s * Ms) if rates else u
+    def evaluator(self):
+        """The law as a plain-float function u(F, Ms) for tight loops, compiled from :meth:`body`.
 
-        return evaluate
+        Algebraically identical to calling the law; its constants are locals of the function, so a call
+        costs plain float arithmetic (tests pin it against the composed functions on a grid, and its
+        outputs bit for bit on fixed points).
+        """
+        body, constants = self.body()
+        return define("evaluate", "F, Ms", body + "return u\n", constants)

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from textwrap import indent
+from types import CodeType
 
 import numpy as np
 
@@ -190,56 +193,79 @@ def capacity_from_E_bar(E_bar: float, p: BioParams) -> float:
     return E_bar / (1.0 - p.delta_F * (p.nu_E + p.delta_E) / (p.beta_E * p.nu * p.nu_E))
 
 
+#: The recruitment ``gv = g(F, Ms)`` as statement text, to the last bit (``g`` is its array form); it also
+#: leaves ``denom``, the mating denominator, which the law's derivative branch reuses.
+RECRUITMENT = """\
+a = beta_E * F / k + nu_E + delta_E
+denom = male_rate * F + a * delta_M * gamma_s * Ms
+scale = a * denom
+gv = 0.0 if F == 0.0 or scale == 0.0 else A * F * F / scale
+"""
+#: The reduced model's female rate ``dF``; the law's drift is this text on the law's own params.
+REDUCED_FEMALES = RECRUITMENT + "dF = gv - delta_F * F\n"
+#: Sterile males, released at ``u`` and dying at ``delta_s``.
+RELEASE = "dMs = u - delta_s * Ms\n"
+#: Each model's field as statement text: it sets ``d<name>`` for each state name from the state and ``u``.
+#: The mating fraction M/(M + gamma_s*Ms) is 0 when both male compartments are empty, so the extinct
+#: state stays a fixed point of the full model.
+FIELDS = {
+    "reduced": REDUCED_FEMALES + RELEASE,
+    "full": """\
+males = M + gamma_s * Ms
+mating = M / males if males > 0.0 else 0.0
+dE = beta_E * F * (1.0 - E / k) - egg_loss * E
+dM = male_birth * E - delta_M * M
+dF = female_birth * E * mating - delta_F * F
+""" + RELEASE,
+}
+#: Each model's state names in order; F and Ms come last in both.
+STATE_NAMES = {"reduced": ("F", "Ms"), "full": ("E", "M", "F", "Ms")}
+
+#: The compiled code of each generated function, by its source text (see :func:`define`).
+_CODE: dict[str, CodeType] = {}
+
+
+def define(name: str, args: str, body: str, constants: dict):
+    """The function ``def name(args): body``, each constant bound as one of its locals.
+
+    The constants are default values of trailing parameters, read from ``constants`` when the ``def``
+    runs.  The source names them but holds none of their values, so it depends only on the texts and
+    the names, and one compiled code (kept in :data:`_CODE`) serves every parameter set.
+    """
+    source = f"def {name}({', '.join([args, *(f'{c}={c}' for c in constants)])}):\n{indent(body, '    ')}"
+    code = _CODE.get(source)
+    if code is None:
+        code = _CODE[source] = compile(source, f"<sitctl {name}>", "exec")
+    namespace = dict(constants)
+    exec(code, namespace)
+    return namespace[name]
+
+
+def field_constants(p: BioParams) -> dict[str, float]:
+    """The names the field texts read, bound to ``p``: its parameters and the products the fields precompute."""
+    beta_E, nu_E, nu = p.beta_E, p.nu_E, p.nu
+    return {
+        **{name: getattr(p, name) for name in PARAM_KEYS},
+        "A": nu * (1.0 - nu) * beta_E**2 * nu_E**2,
+        "male_rate": (1.0 - nu) * nu_E * beta_E,
+        "egg_loss": nu_E + p.delta_E,
+        "male_birth": (1.0 - nu) * nu_E,
+        "female_birth": nu * nu_E,
+    }
+
+
 def reduced_rhs(state, u: float, p: BioParams):
     """Time derivative of the reduced (F, Ms) model under release rate u."""
     F, Ms = state
     return (g(F, Ms, p) - p.delta_F * F, u - p.delta_s * Ms)
 
 
-def reduced_field(p: BioParams, u):
-    """Closed-loop reduced rates ``(F, Ms) -> (dF, dMs)`` under the feedback ``u(F, Ms)``, ``p`` bound once.
-
-    Its recruitment term is ``g`` to the last bit; :func:`reduced_rhs` is the array reference.
-    """
-    beta_E, gamma_s, nu_E, nu = p.beta_E, p.gamma_s, p.nu_E, p.nu
-    delta_E, delta_M, delta_F, delta_s, k = p.delta_E, p.delta_M, p.delta_F, p.delta_s, p.k
-    A = nu * (1.0 - nu) * beta_E**2 * nu_E**2
-    male_rate = (1.0 - nu) * nu_E * beta_E
-
-    def field(F, Ms):
-        a = beta_E * F / k + nu_E + delta_E
-        scale = a * (male_rate * F + a * delta_M * gamma_s * Ms)
-        gv = 0.0 if F == 0.0 or scale == 0.0 else A * F * F / scale
-        return gv - delta_F * F, u(F, Ms) - delta_s * Ms
-
-    return field
-
-
-def full_field(p: BioParams, u):
-    """Closed-loop full rates ``(E, M, F, Ms) -> (dE, dM, dF, dMs)`` under the feedback ``u(F, Ms)``, ``p`` bound once.
-
-    The mating fraction M/(M + gamma_s*Ms) is taken as 0 when both male
-    compartments are empty, so the extinct state stays a fixed point.
-    """
-    beta_E, gamma_s, nu_E, nu = p.beta_E, p.gamma_s, p.nu_E, p.nu
-    delta_E, delta_M, delta_F, delta_s, k = p.delta_E, p.delta_M, p.delta_F, p.delta_s, p.k
-    egg_loss = nu_E + delta_E
-    male_birth = (1.0 - nu) * nu_E
-    female_birth = nu * nu_E
-
-    def field(E, M, F, Ms):
-        males = M + gamma_s * Ms
-        mating = M / males if males > 0.0 else 0.0
-        return (
-            beta_E * F * (1.0 - E / k) - egg_loss * E,
-            male_birth * E - delta_M * M,
-            female_birth * E * mating - delta_F * F,
-            u(F, Ms) - delta_s * Ms,
-        )
-
-    return field
-
-
 def full_rhs(state, u: float, p: BioParams):
     """Time derivative of the full (E, M, F, Ms) model under release rate u."""
-    return full_field(p, lambda F, Ms: u)(*state)
+    return _full_rhs(p)(*state, u)
+
+
+@lru_cache(maxsize=8)
+def _full_rhs(p: BioParams):
+    """``FIELDS['full']`` on ``p`` as a function ``(E, M, F, Ms, u) -> rates``, kept for the last few ``p``."""
+    return define("rhs", "E, M, F, Ms, u", FIELDS["full"] + "return dE, dM, dF, dMs\n", field_constants(p))

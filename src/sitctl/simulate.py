@@ -1,8 +1,9 @@
 """Fixed-step closed-loop integration with nonnegativity guards.
 
-The law gives ``u``, a field takes it (:func:`_closed_loop_rates`), and
-:func:`_rk4_step` steps the rates, so the feedback is re-evaluated at every
-Runge-Kutta stage (no sample-and-hold).  Tiny negative
+One generated RK4 kernel per closed loop (:func:`_kernel`) writes each stage
+out as the law's body, which gives ``u``, then the plant's field, which takes
+it, so the feedback is re-evaluated at every Runge-Kutta stage (no
+sample-and-hold).  Tiny negative
 overshoots after a step are integrator artifacts and get clamped to zero;
 anything beyond the clamp tolerance signals a genuinely negative release
 rate or an oversized step and aborts the run, and so does a NaN or infinite state.
@@ -10,12 +11,15 @@ rate or an oversized step and aborts the run, and so does a NaN or infinite stat
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from textwrap import indent
 
 import numpy as np
 
 from .control import ControlLaw, lyapunov_V
-from .model import MAX_MAGNITUDE, BioParams, full_field, loss_rates, reduced_field, validate_params
+from .model import (FIELDS, MAX_MAGNITUDE, RELEASE, STATE_NAMES, BioParams, define, field_constants, loss_rates,
+                    validate_params)
 
 TERMINATION_HORIZON = "horizon"
 TERMINATION_NONNEG = "nonnegativity-violation"
@@ -123,122 +127,95 @@ class Trajectory:
         return list(columns), np.column_stack(list(columns.values()))
 
 
-def _clamp(nxt, clamp_tol, t=None):
+def _clamp(nxt, clamp_tol, worst):
     """Zero the components of ``nxt`` in (-clamp_tol, 0); raise beyond that or on a NaN or infinity.
 
-    ``t``, the time the step reached, only goes into the error message.
-    Returns ``(clamped_state, largest_clamped_magnitude)``.
+    ``worst`` is the largest clamp of the chunk's earlier steps.  Returns ``(clamped_state, the larger of
+    worst and this clamp)``; an error carries ``worst`` as ``max_clamp``, so integrate's count stays whole.
     """
-    at = "" if t is None else f" at t={t}"
+    low = min(nxt)
     if not all(abs(x) < math.inf for x in nxt):
-        raise NonFiniteError(f"state component is not finite{at}: {nxt}")
-    worst = -min(nxt)
-    if worst > clamp_tol:
-        raise NonnegativityError(
-            f"state component undershot to {-worst} (beyond clamp_tol={clamp_tol}){at}; "
-            "the control is negative somewhere or dt is too large"
-        )
-    return tuple(x if x >= 0.0 else 0.0 for x in nxt), worst
+        err = NonFiniteError(f"state component is not finite: {nxt}")
+    elif -low > clamp_tol:
+        err = NonnegativityError(f"state component undershot to {low} (beyond clamp_tol={clamp_tol}); "
+                                 "the control is negative somewhere or dt is too large")
+    else:
+        return tuple(x if x >= 0.0 else 0.0 for x in nxt), max(worst, -low)
+    err.max_clamp = worst
+    raise err
 
 
-def step_rk4(state, t, dt, f, clamp_tol=0.0):
-    """One classical RK4 step of ds/dt = f(t, s) with boundary clamping.
+def _rk4(names, stage: str) -> str:
+    """The body of ``advance(state, n)``: ``n`` classical RK4 steps of the ODE whose rates ``stage`` sets.
 
-    The generic reference stepper: :func:`_rk4_step`, which
-    :func:`integrate` runs, is its unrolled copy, bit for bit.  ``state`` is
-    a tuple; ``f`` returns a tuple of the same length and is expected to
-    fold the feedback in, so the control is re-evaluated at each stage.
-    Components in (-clamp_tol, 0) after the step are set to 0; larger
-    undershoots raise :class:`NonnegativityError`, and a NaN or infinite
-    component raises :class:`NonFiniteError`.
-
-    Returns ``(next_state, clamp_amount)`` where the second entry is the
-    largest clamped magnitude (0.0 when nothing was clamped).
+    ``stage`` is statement text that sets ``d<name>`` from the state ``names``; it is written out once per
+    stage.  Every sum keeps the association of the textbook step ``s + h/6 (k1 + 2 (k2 + k3) + k4)``, so the
+    result is that step's to the last bit.  A step that leaves [0, inf) in any component goes to
+    :func:`_clamp`; the body returns the state and the largest clamp, ``worst``.
     """
-    h2 = 0.5 * dt
-    k1 = f(t, state)
-    k2 = f(t + h2, tuple(s + h2 * d for s, d in zip(state, k1)))
-    k3 = f(t + h2, tuple(s + h2 * d for s, d in zip(state, k2)))
-    k4 = f(t + dt, tuple(s + dt * d for s, d in zip(state, k3)))
-    sixth = dt / 6.0
-    nxt = tuple(
-        s + sixth * (a + 2.0 * (b + c) + d)
-        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-    )
-    if any(not 0.0 <= x < math.inf for x in nxt):  # NaN fails the test too, and so does inf
-        return _clamp(nxt, clamp_tol, t + dt)
-    return nxt, 0.0
+    y = [f"y{i}" for i in range(len(names))]
+    rates = ["d" + name for name in names]
+
+    def assign(targets, values):  # one statement each: a tuple of four would be built and unpacked
+        return "".join(f"    {target} = {value}\n" for target, value in zip(targets, values))
+
+    def k(j):
+        return [f"k{j}_{i}" for i in range(len(names))]
+
+    text = f"{', '.join(y)} = state\nworst = 0.0\nfor _ in range(n):\n" + assign(names, y)
+    for j, h in ((1, "h2"), (2, "h2"), (3, "dt")):
+        text += indent(stage, "    ") + assign(k(j), rates)
+        text += assign(names, [f"{s} + {h} * {d}" for s, d in zip(y, k(j))])
+    text += indent(stage, "    ") + assign(y, [
+        f"{s} + sixth * ({a} + 2.0 * ({b} + {c}) + {d})" for s, a, b, c, d in zip(y, k(1), k(2), k(3), rates)
+    ])
+    text += "    if " + " or ".join(f"not 0.0 <= {s} < inf" for s in y) + ":  # NaN fails the test too, and inf\n"
+    text += f"        ({', '.join(y)}), worst = _clamp(({', '.join(y)}), clamp_tol, worst)\n"
+    return text + f"return ({', '.join(y)}), worst\n"
 
 
-def _closed_loop_rates(spec: SimSpec):
-    """The spec's closed-loop rates ``state -> d(state)/dt``, feedback folded in.
+def _kernel(model: str, law: str, constants: dict, plant: BioParams | None, dt: float, clamp_tol: float):
+    """The RK4 kernel ``advance(state, n) -> (state, largest clamp)`` of one closed loop: ``n`` steps of ``dt``.
 
-    The one place that picks them: a reduced run of a feedback law on the
-    law's own params takes the law's rates (``ControlLaw._reduced_rates``,
-    ``g`` once per stage); every other run takes the model's field on the
-    plant under ``law.evaluator()``.
+    ``law`` and ``constants`` are a law's body and the values it reads (:meth:`ControlLaw.body`).  With a
+    ``plant``, each stage is the law, then the model's field with the plant's constants renamed
+    ``plant_<name>``.  With ``plant`` None, a reduced stage is the law, whose ``dF`` is the field's on the
+    law's own params, then :data:`~sitctl.model.RELEASE`: ``g`` is computed once per stage.  Values enter the
+    function only as defaults (:func:`~sitctl.model.define`), so its source depends on the loop's shape only.
+    """
+    if plant is None:
+        stage = law + RELEASE
+    else:
+        values = field_constants(plant)
+        stage = law + re.sub(r"\b(" + "|".join(values) + r")\b", r"plant_\1", FIELDS[model])
+        constants = {**constants, **{"plant_" + name: value for name, value in values.items()}}
+    steps = {"h2": 0.5 * dt, "sixth": dt / 6.0, "dt": dt, "clamp_tol": clamp_tol, "inf": math.inf, "_clamp": _clamp}
+    return define("advance", "state, n", _rk4(STATE_NAMES[model], stage), {**constants, **steps})
+
+
+def _advance(spec: SimSpec):
+    """The spec's kernel, clamping within 1e-9 of the initial state's norm.
+
+    A reduced run of a feedback law on its own params (``plant`` None) takes the law's ``dF``; every
+    other run takes the model's field on the plant.
     """
     law = spec.law
-    if spec.model == "reduced" and spec.plant is None and law.variant != "none":
-        return law._reduced_rates()
-    field = reduced_field if spec.model == "reduced" else full_field
-    return field(law.params if spec.plant is None else spec.plant, law.evaluator())
-
-
-def _rk4_step(rates, n: int, dt: float, clamp_tol: float):
-    """:func:`step_rk4` over ``rates`` unrolled for ``n`` = 2 or 4 components: ``state -> (next, clamp)``.
-
-    The two bodies have the same shape and call only ``rates``; every sum
-    keeps the association of ``step_rk4``, so the result is the same to
-    the last bit.
-    """
-    h2, sixth, inf = 0.5 * dt, dt / 6.0, math.inf
-    if n == 2:
-        def step(state):
-            x, y = state
-            dx1, dy1 = rates(x, y)
-            dx2, dy2 = rates(x + h2 * dx1, y + h2 * dy1)
-            dx3, dy3 = rates(x + h2 * dx2, y + h2 * dy2)
-            dx4, dy4 = rates(x + dt * dx3, y + dt * dy3)
-            nxt = (x + sixth * (dx1 + 2.0 * (dx2 + dx3) + dx4), y + sixth * (dy1 + 2.0 * (dy2 + dy3) + dy4))
-            if not 0.0 <= nxt[0] < inf or not 0.0 <= nxt[1] < inf:  # NaN fails the test too, and so does inf
-                return _clamp(nxt, clamp_tol)
-            return nxt, 0.0
-
-        return step
-
-    def step(state):
-        w, x, y, z = state
-        dw1, dx1, dy1, dz1 = rates(w, x, y, z)
-        dw2, dx2, dy2, dz2 = rates(w + h2 * dw1, x + h2 * dx1, y + h2 * dy1, z + h2 * dz1)
-        dw3, dx3, dy3, dz3 = rates(w + h2 * dw2, x + h2 * dx2, y + h2 * dy2, z + h2 * dz2)
-        dw4, dx4, dy4, dz4 = rates(w + dt * dw3, x + dt * dx3, y + dt * dy3, z + dt * dz3)
-        nxt = (
-            w + sixth * (dw1 + 2.0 * (dw2 + dw3) + dw4),
-            x + sixth * (dx1 + 2.0 * (dx2 + dx3) + dx4),
-            y + sixth * (dy1 + 2.0 * (dy2 + dy3) + dy4),
-            z + sixth * (dz1 + 2.0 * (dz2 + dz3) + dz4),
-        )
-        if not 0.0 <= nxt[0] < inf or not 0.0 <= nxt[1] < inf or not 0.0 <= nxt[2] < inf or not 0.0 <= nxt[3] < inf:
-            return _clamp(nxt, clamp_tol)
-        return nxt, 0.0
-
-    return step
+    own = spec.model == "reduced" and spec.plant is None and law.variant != "none"
+    plant = None if own else law.params if spec.plant is None else spec.plant
+    clamp_tol = 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
+    return _kernel(spec.model, *law.body(), plant, spec.dt, clamp_tol)
 
 
 def integrate(spec: SimSpec) -> Trajectory:
     """Run the closed loop to the horizon, or until a step leaves the nonnegative domain or turns NaN or infinite.
 
-    Deterministic: the same spec always yields bit-identical samples.  Steps
-    of :func:`_rk4_step` over :func:`_closed_loop_rates` run in chunks of
-    ``record_every`` (the last one may be shorter), each followed by one
-    sample ``(i * dt, state)``; the loop records nothing else.  After it,
-    ``controls`` maps ``law.evaluator()`` over the sampled (F, Ms) and
-    ``lyapunov`` is one array call of :func:`lyapunov_V`, both rounding
-    exactly as per-sample float calls would.
+    Deterministic: the same spec always yields bit-identical samples.  The spec's kernel (:func:`_advance`)
+    runs the steps in chunks of ``record_every`` (the last one may be shorter), one call per chunk, each
+    followed by one sample ``(i * dt, state)``; the loop records nothing else.  After it, ``controls`` maps
+    ``law.evaluator()`` over the sampled (F, Ms) and ``lyapunov`` is one array call of :func:`lyapunov_V`,
+    both rounding exactly as per-sample float calls would.
     """
-    clamp_tol = 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
-    step = _rk4_step(_closed_loop_rates(spec), len(spec.initial), spec.dt, clamp_tol)
+    advance = _advance(spec)
     n_steps = max(1, round(spec.t_end / spec.dt))
 
     state = tuple(float(x) for x in spec.initial)
@@ -249,16 +226,15 @@ def integrate(spec: SimSpec) -> Trajectory:
     try:
         for start in range(0, n_steps, every):  # a chunk of steps, then one sample
             end = min(start + every, n_steps)
-            for _ in range(start, end):
-                state, clamped = step(state)
-                if clamped > max_clamp:
-                    max_clamp = clamped
+            state, clamped = advance(state, end - start)
+            if clamped > max_clamp:
+                max_clamp = clamped
             times.append(end * dt)
             states.append(state)
-    except NonnegativityError:
-        termination = TERMINATION_NONNEG
-    except NonFiniteError:
-        termination = TERMINATION_NONFINITE
+    except NonnegativityError as err:
+        termination, max_clamp = TERMINATION_NONNEG, max(max_clamp, err.max_clamp)
+    except NonFiniteError as err:
+        termination, max_clamp = TERMINATION_NONFINITE, max(max_clamp, err.max_clamp)
 
     states = np.array(states)
     F, Ms = states[:, -2], states[:, -1]

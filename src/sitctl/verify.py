@@ -14,7 +14,6 @@ import numpy as np
 
 from .control import (
     ControllerConfig,
-    chi,
     dms_star_dF,
     ms_star,
     ms_star_coefficients,
@@ -235,8 +234,3 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
 
     raise ValueError(f"unknown audit check {which!r}; expected one of {AUDIT_CHECKS}")
 
-
-def chi_sandwich(cfg: ControllerConfig, n: int = 1000) -> bool:
-    """0 <= chi <= 1 and nonincreasing on a dense grid."""
-    vals = chi(np.linspace(0.0, 2.0 * cfg.F_hat, n), cfg)
-    return bool(np.all((0.0 <= vals) & (vals <= 1.0)) and np.all(vals[:-1] >= vals[1:]))

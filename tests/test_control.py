@@ -294,7 +294,7 @@ class TestCutoffGate:
         assert s.chi(mid, cubic) == pytest.approx(0.5, rel=1e-12)
 
     def test_monotone_and_sandwiched(self, cfg):
-        from sitctl.verify import chi_sandwich
+        from reference import chi_sandwich
         assert chi_sandwich(cfg)
 
     @pytest.mark.parametrize("design", ["nominal", "strong"])

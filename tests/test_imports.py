@@ -39,3 +39,11 @@ def test_import_sitctl_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_import_sitctl_compiles_no_generated_function():
+    # laws, fields and integration kernels are compiled when a run first needs them, never in set-up
+    code = "import sitctl, sitctl.model; print(len(sitctl.model._CODE))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "0\n"

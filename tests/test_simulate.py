@@ -1,6 +1,8 @@
 """Integrator: RK4 stepping, clamping policy, trajectories, extinction detection."""
 import dataclasses
 import math
+import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,7 +12,10 @@ import sitctl.control
 import sitctl.model
 import sitctl.simulate
 from sitctl.harness import perturb_params, preset_scenario, trial_rng
-from sitctl.simulate import _closed_loop_rates, _rk4_step
+from sitctl.model import FIELDS, RECRUITMENT, field_constants
+from sitctl.simulate import _advance, _kernel
+
+from reference import step_rk4
 
 
 def _reduced_spec(params, cfg, variant, initial, t_end, dt=0.01, record_every=100):
@@ -21,24 +26,24 @@ def _reduced_spec(params, cfg, variant, initial, t_end, dt=0.01, record_every=10
 class TestStepRk4:
     def test_fixed_point_stays_put(self, params, eq):
         f = lambda t, st: s.reduced_rhs(st, 0.0, params)
-        nxt, clamped = s.step_rk4((eq.F_bar, 0.0), 0.0, 0.01, f)
+        nxt, clamped = step_rk4((eq.F_bar, 0.0), 0.0, 0.01, f)
         assert clamped == 0.0
         assert nxt[0] == pytest.approx(eq.F_bar, rel=1e-9)
         assert nxt[1] == 0.0
 
     def test_exponential_decay_exact_to_rk4_order(self):
-        nxt, _ = s.step_rk4((1.0,), 0.0, 0.01, lambda t, st: (-0.12 * st[0],))
+        nxt, _ = step_rk4((1.0,), 0.0, 0.01, lambda t, st: (-0.12 * st[0],))
         assert abs(nxt[0] - math.exp(-0.0012)) <= 1e-12
 
     def test_small_undershoot_clamped(self):
         # constant downward drift pushes the state slightly negative
-        nxt, clamped = s.step_rk4((1e-12,), 0.0, 0.01, lambda t, st: (-1e-9,), clamp_tol=1e-9)
+        nxt, clamped = step_rk4((1e-12,), 0.0, 0.01, lambda t, st: (-1e-9,), clamp_tol=1e-9)
         assert nxt[0] == 0.0
         assert 0.0 < clamped <= 1e-9
 
     def test_large_undershoot_raises(self):
         with pytest.raises(s.NonnegativityError):
-            s.step_rk4((0.0,), 0.0, 0.01, lambda t, st: (-10.0,), clamp_tol=1e-9)
+            step_rk4((0.0,), 0.0, 0.01, lambda t, st: (-10.0,), clamp_tol=1e-9)
 
     def test_order_four_convergence(self, params, cfg, eq):
         def end_state(dt):
@@ -176,9 +181,16 @@ def _clamp_tol(spec):
     return 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
 
 
-def _step(spec, rates=None):
-    """integrate's step for ``spec``, over ``rates`` if given."""
-    return _rk4_step(_closed_loop_rates(spec) if rates is None else rates, len(spec.initial), spec.dt, _clamp_tol(spec))
+def _step(spec):
+    """integrate's kernel for ``spec`` as one step ``state -> (next, clamp)``."""
+    advance = _advance(spec)
+    return lambda state: advance(state, 1)
+
+
+def _release_step(spec, release):
+    """One step of the kernel for ``spec``'s model on the law's params, under the constant release rate ``release``."""
+    advance = _kernel(spec.model, "u = release\n", {"release": release}, spec.law.params, spec.dt, _clamp_tol(spec))
+    return lambda state: advance(state, 1)
 
 
 def _reference_rhs(spec, u):
@@ -235,12 +247,12 @@ def _outcome(step, state):
 
 
 class TestUnrolledStep:
-    """integrate's per-model step reproduces step_rk4 over reduced_rhs/full_rhs bit for bit."""
+    """integrate's generated kernel reproduces step_rk4 over reduced_rhs/full_rhs bit for bit."""
 
     @pytest.mark.parametrize("name", list(BIT_SPECS))
     def test_integrate_golden_bits(self, name):
-        # full_rhs delegates to the field integrate runs, so for the full model
-        # the step_rk4 comparison below checks that field against itself
+        # full_rhs is compiled from the field text the kernel inlines, so for the full
+        # model the step_rk4 comparison below checks that text against itself
         traj = s.integrate(BIT_SPECS[name])
         assert ([float(x).hex() for x in traj.states[-1]], float(traj.controls[-1]).hex()) == GOLDEN_FINAL[name]
 
@@ -249,7 +261,7 @@ class TestUnrolledStep:
         f = _reference_rhs(spec, spec.law.evaluator())
         state = tuple(float(x) for x in spec.initial)
         for i in range(round(spec.t_end / spec.dt)):
-            state, _ = s.step_rk4(state, i * spec.dt, spec.dt, f, _clamp_tol(spec))
+            state, _ = step_rk4(state, i * spec.dt, spec.dt, f, _clamp_tol(spec))
         final = s.integrate(spec).states[-1]
         assert [float(x).hex() for x in final] == [x.hex() for x in state]
 
@@ -266,14 +278,14 @@ class TestUnrolledStep:
         for state in 10.0 ** rng.uniform(-3.0, 5.0, size=(2000, len(initial))):
             state = tuple(state.tolist())
             fast, _ = step(state)
-            ref, _ = s.step_rk4(state, 0.0, spec.dt, f, _clamp_tol(spec))
+            ref, _ = step_rk4(state, 0.0, spec.dt, f, _clamp_tol(spec))
             assert [x.hex() for x in fast] == [x.hex() for x in ref]
 
     @pytest.mark.parametrize("mismatch", [False, True], ids=["own-plant", "perturbed-plant"])
     @pytest.mark.parametrize("design", list(LAW_DESIGNS))
     def test_law_rates_step_matches_step_rk4_on_scattered_states(self, params, design, mismatch):
-        # integrate's reduced stage is one call of the law's rates; on the law's
-        # own plant the law's drift stands in for the field's dF, bit for bit
+        # on the law's own plant, integrate's reduced stage is the law's body and the
+        # release line: the law's drift stands in for the field's dF, bit for bit
         variant, cutoff_kind = LAW_DESIGNS[design]
         cfg = s.nominal_controller(params, eps=0.01, cutoff_kind=cutoff_kind)
         law = s.ControlLaw(variant, cfg, params)
@@ -284,7 +296,7 @@ class TestUnrolledStep:
         rng = np.random.default_rng(2024)
         edge = [(cfg.F_hat, 10.0), (3.0 * cfg.F_hat, 0.0), (0.0, 100.0), (0.0, 0.0), (5e-324, 0.0), (5e-324, 1.0)]
         for state in edge + [tuple(x) for x in (10.0 ** rng.uniform(-3.0, 5.0, size=(2000, 2))).tolist()]:
-            ref = _outcome(lambda st: s.step_rk4(st, 0.0, spec.dt, f, _clamp_tol(spec)), state)
+            ref = _outcome(lambda st: step_rk4(st, 0.0, spec.dt, f, _clamp_tol(spec)), state)
             assert _outcome(step, state) == ref, state
 
     @pytest.mark.parametrize("model", ["reduced", "full"])
@@ -295,18 +307,38 @@ class TestUnrolledStep:
         initial = (eq.F_bar, 0.0) if model == "reduced" else (eq.E_bar, eq.M_bar, eq.F_bar, 0.0)
         spec = s.SimSpec(model=model, law=s.ControlLaw("plus", cfg, params), initial=initial, t_end=1.0, dt=0.1)
         u = lambda F, Ms: release
-        step = _step(spec, (sitctl.model.reduced_field if model == "reduced" else sitctl.model.full_field)(params, u))
+        step = _release_step(spec, release)
         f = _reference_rhs(spec, u)
         if release == -1.0:
             with pytest.raises(s.NonnegativityError):
                 step(initial)
             with pytest.raises(s.NonnegativityError):
-                s.step_rk4(initial, 0.0, spec.dt, f, _clamp_tol(spec))
+                step_rk4(initial, 0.0, spec.dt, f, _clamp_tol(spec))
             return
-        (fast, fast_clamp), (ref, ref_clamp) = step(initial), s.step_rk4(initial, 0.0, spec.dt, f, _clamp_tol(spec))
+        (fast, fast_clamp), (ref, ref_clamp) = step(initial), step_rk4(initial, 0.0, spec.dt, f, _clamp_tol(spec))
         assert [x.hex() for x in fast] == [x.hex() for x in ref]
         assert fast_clamp == ref_clamp
         assert (fast_clamp > 0.0) == (release < 0.0)
+
+    def test_error_carries_the_clamp_of_the_chunks_earlier_steps(self, params, cfg, eq, monkeypatch):
+        # step 1 undershoots Ms within the clamp tolerance; step 2, in the same chunk, releases -1 at its first
+        # stage, the only one with F == F1, and fails
+        initial = (2.0 * eq.F_bar, 0.0)
+        spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=initial, t_end=1.0, dt=0.1,
+                         plant=params.replace())
+        (F1, _), clamp1 = _release_step(spec, -1e-7)(initial)
+        law = "u = -1.0 if F == F1 else -1e-7\n"
+        u = lambda F, Ms: -1.0 if F == F1 else -1e-7
+        state, ref_clamp = step_rk4(initial, 0.0, spec.dt, _reference_rhs(spec, u), _clamp_tol(spec))
+        assert ref_clamp == clamp1 > 0.0
+        with pytest.raises(s.NonnegativityError):
+            step_rk4(state, spec.dt, spec.dt, _reference_rhs(spec, u), _clamp_tol(spec))
+        with pytest.raises(s.NonnegativityError) as err:
+            _kernel("reduced", law, {"F1": F1}, params, spec.dt, _clamp_tol(spec))(initial, 2)
+        assert err.value.max_clamp == clamp1
+        monkeypatch.setattr(s.ControlLaw, "body", lambda self: (law, {"F1": F1}))
+        traj = s.integrate(spec)
+        assert (traj.termination, traj.max_clamp, len(traj.times)) == (s.simulate.TERMINATION_NONNEG, clamp1, 1)
 
     @pytest.mark.parametrize("model", ["reduced", "full"])
     def test_nan_state_raises_non_finite_in_both_steppers(self, params, cfg, eq, model):
@@ -314,10 +346,10 @@ class TestUnrolledStep:
         initial = (eq.F_bar, 0.0) if model == "reduced" else (eq.E_bar, eq.M_bar, eq.F_bar, 0.0)
         spec = s.SimSpec(model=model, law=s.ControlLaw("plus", cfg, params), initial=initial, t_end=1.0, dt=0.1)
         u = lambda F, Ms: math.nan
-        step = _step(spec, (sitctl.model.reduced_field if model == "reduced" else sitctl.model.full_field)(params, u))
+        step = _release_step(spec, math.nan)
         f = _reference_rhs(spec, u)
         assert _outcome(step, initial) == "NonFiniteError"
-        assert _outcome(lambda st: s.step_rk4(st, 0.0, spec.dt, f, _clamp_tol(spec)), initial) == "NonFiniteError"
+        assert _outcome(lambda st: step_rk4(st, 0.0, spec.dt, f, _clamp_tol(spec)), initial) == "NonFiniteError"
 
     @pytest.mark.parametrize("model", ["reduced", "full"])
     def test_infinite_state_raises_non_finite_in_both_steppers(self, params, cfg, eq, model):
@@ -325,10 +357,10 @@ class TestUnrolledStep:
         initial = (eq.F_bar, 0.0) if model == "reduced" else (eq.E_bar, eq.M_bar, eq.F_bar, 0.0)
         spec = s.SimSpec(model=model, law=s.ControlLaw("plus", cfg, params), initial=initial, t_end=1.0, dt=0.1)
         u = lambda F, Ms: 1e308  # dMs1 + 2 * (dMs2 + dMs3) overflows
-        step = _step(spec, (sitctl.model.reduced_field if model == "reduced" else sitctl.model.full_field)(params, u))
+        step = _release_step(spec, 1e308)
         f = _reference_rhs(spec, u)
         assert _outcome(step, initial) == "NonFiniteError"
-        assert _outcome(lambda st: s.step_rk4(st, 0.0, spec.dt, f, _clamp_tol(spec)), initial) == "NonFiniteError"
+        assert _outcome(lambda st: step_rk4(st, 0.0, spec.dt, f, _clamp_tol(spec)), initial) == "NonFiniteError"
 
     @pytest.mark.parametrize("model", ["reduced", "full"])
     def test_subnormal_state_runs_to_horizon(self, params, cfg_strong, model):
@@ -350,7 +382,7 @@ def _reference_run(spec):
     termination, max_clamp = s.simulate.TERMINATION_HORIZON, 0.0
     for i in range(1, n_steps + 1):
         try:
-            state, clamped = s.step_rk4(state, (i - 1) * spec.dt, spec.dt, f, _clamp_tol(spec))
+            state, clamped = step_rk4(state, (i - 1) * spec.dt, spec.dt, f, _clamp_tol(spec))
         except s.NonnegativityError:
             termination = s.simulate.TERMINATION_NONNEG
             break
@@ -426,43 +458,106 @@ class TestChunkedRecords:
         assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.controls))
 
 
+def _source(function):
+    """The generated source text that ``function`` was compiled from."""
+    return next(text for text, code in sitctl.model._CODE.items() if function.__code__ in code.co_consts)
+
+
+def _stage(text):
+    """``text`` as the kernel's RK4 loop writes it out in a stage."""
+    return textwrap.indent(text, " " * 8)
+
+
 class TestSharedRecruitment:
-    """A reduced run on the law's own plant evaluates g once per stage, inside the law."""
+    """A reduced run on the law's own plant evaluates g once per stage, inside the law; on a perturbed plant,
+    the plant's field follows the law in every stage."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        counts = {"field": 0, "g": 0}
-
-        def counting_field(p, u):
-            inner = sitctl.model.reduced_field(p, u)
-
-            def field(F, Ms):
-                counts["field"] += 1
-                return inner(F, Ms)
-
-            return field
+    def g_calls(self, monkeypatch):
+        counts = {"g": 0}
 
         def counting_g(F, Ms, p, _g=sitctl.model.g):
             counts["g"] += 1
             return _g(F, Ms, p)
 
-        for module in (sitctl.control, sitctl.simulate):
-            monkeypatch.setattr(module, "reduced_field", counting_field, raising=False)
         for module in (sitctl.model, sitctl.control):
             monkeypatch.setattr(module, "g", counting_g)
         return counts
 
     @pytest.mark.parametrize("variant", ["raw", "plus", "global"])
-    def test_own_plant_makes_no_separate_field_call(self, params, cfg, eq, calls, variant):
+    def test_own_plant_splices_no_field(self, params, cfg, eq, g_calls, variant):
         law = s.ControlLaw(variant, cfg, params)
-        s.integrate(s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.0, dt=0.1))
-        assert calls == {"field": 0, "g": 0}
+        spec = s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.0, dt=0.1)
+        source = _source(_advance(spec))
+        assert source.count(_stage(sitctl.control.LAW)) == 4  # the law, once per stage
+        assert source.count(_stage(RECRUITMENT)) == 4  # g's text, inside the law only
+        assert _stage(FIELDS["reduced"]) not in source and "plant_" not in source  # no field text, plain or renamed
+        s.integrate(spec)
+        assert g_calls == {"g": 0}
 
-    def test_perturbed_plant_takes_one_field_call_per_stage(self, params, cfg, eq, calls):
+    @pytest.mark.parametrize("model", ["reduced", "full"])
+    def test_perturbed_plant_splices_the_field_once_per_stage(self, params, cfg, eq, g_calls, model):
         plant, _ = perturb_params(params, 0.1, trial_rng(2024, 0))
+        initial = (eq.F_bar, 0.0) if model == "reduced" else (eq.E_bar, eq.M_bar, eq.F_bar, 0.0)
         law = s.ControlLaw("plus", cfg, params)
-        s.integrate(s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.0, dt=0.1, plant=plant))
-        assert calls == {"field": 4 * 100, "g": 0}
+        spec = s.SimSpec(model=model, law=law, initial=initial, t_end=10.0, dt=0.1, plant=plant)
+        source = _source(_advance(spec))
+        field = FIELDS[model]
+        for name in field_constants(plant):  # the plant's constants, renamed beside the law's
+            field = re.sub(rf"\b{name}\b", "plant_" + name, field)
+        assert source.count(_stage(field)) == 4
+        assert source.count(_stage(sitctl.control.LAW)) == 4
+        assert source.count(_stage(RECRUITMENT)) == 4  # the law's; the field's reads the plant's names
+        s.integrate(spec)
+        assert g_calls == {"g": 0}
+
+
+class TestKernelSource:
+    """A kernel's source depends on the loop's shape only; values enter as the defaults of its constants."""
+
+    SHAPES = [("reduced", None), ("reduced", "perturbed"), ("full", None), ("full", "perturbed")]
+
+    @staticmethod
+    def _spec(design, plant, model, variant="global", p=s.NOMINAL_PARAMS):
+        cfg = s.nominal_controller(p) if design == "nominal" else s.strong_controller(p)
+        eq = s.persistence_equilibrium(p)
+        initial = (eq.F_bar, 0.0) if model == "reduced" else (eq.E_bar, eq.M_bar, eq.F_bar, 0.0)
+        return s.SimSpec(model=model, law=s.ControlLaw(variant, cfg, p), initial=initial, t_end=1.0, dt=0.05,
+                         plant=plant)
+
+    @pytest.mark.parametrize("model, plant", SHAPES)
+    def test_two_plants_and_designs_compile_once(self, monkeypatch, model, plant):
+        compiled = []
+
+        def counting_compile(source, *args):
+            compiled.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(sitctl.model, "_CODE", {})
+        monkeypatch.setattr(sitctl.model, "compile", counting_compile, raising=False)
+        draws = [None, None] if plant is None else [perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(2024, i))[0]
+                                                     for i in range(2)]
+        a, b = (_advance(self._spec(design, draw, model)) for design, draw in zip(("nominal", "strong"), draws))
+        assert a.__code__ is b.__code__
+        assert len(compiled) == 1 and list(sitctl.model._CODE) == compiled
+        assert a.__defaults__ != b.__defaults__
+
+    @pytest.mark.parametrize("model, plant", SHAPES)
+    def test_no_value_reaches_the_source(self, model, plant):
+        # the law's params and the plant are draws, so no value is a round number that a literal could spell
+        law_params = perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(7, 0))[0]
+        plant = None if plant is None else perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(7, 1))[0]
+        advance = _advance(self._spec("strong", plant, model, p=law_params))
+        source = _source(advance)
+        values = [v for v in advance.__defaults__ if type(v) is float and v != math.inf]
+        # the law's 25 constants, 14 of the plant's unless the law runs on its own reduced plant, dt, h2, sixth, clamp_tol
+        assert len(values) == 25 + (0 if (model, plant) == ("reduced", None) else 14) + 4
+        assert [repr(v) for v in values if repr(v) in source] == []
+        assert set(map(type, advance.__defaults__)) == {float, bool, type(sitctl.simulate._clamp)}
+
+    def test_variants_of_a_feedback_law_share_one_source(self):
+        advances = [_advance(self._spec("nominal", None, "reduced", variant)) for variant in ("raw", "plus", "global")]
+        assert len({a.__code__ for a in advances}) == 1
 
 
 class TestDetectExtinction:

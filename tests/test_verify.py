@@ -6,7 +6,9 @@ import sitctl as s
 from sitctl import control, verify
 from sitctl.control import PI_SWITCH_TOL
 from sitctl.simulate import Trajectory
-from sitctl.verify import _BLOCK_ROWS, AUDIT_CHECKS, chi_sandwich
+from sitctl.verify import _BLOCK_ROWS, AUDIT_CHECKS
+
+from reference import chi_sandwich
 
 
 def _synthetic_reduced(times, F, Ms, u=None, V=None):
