@@ -21,7 +21,7 @@ import numpy as np
 from .configio import INITIAL_KEYS, ConfigError, parse_config_text, write_trajectory_csv
 from .control import ControlLaw, ControllerConfig, ControllerError, sigma
 from .model import BioParams, ParamError, persistence_equilibrium, validate_params
-from .simulate import TERMINATION_HORIZON, SimSpec, Trajectory, integrate, detect_extinction
+from .simulate import TERMINATION_HORIZON, SimSpec, Trajectory, integrate, detect_extinction, kernel
 from .verify import DecayReport, control_budget, verify_decay
 
 #: Table of nominal biological rates used throughout the study.
@@ -380,6 +380,8 @@ def run_robustness(config: RobustnessConfig) -> RobustnessResult:
 
     The step gate of :meth:`SimSpec.check_step` is checked once, at the plant's rates times
     ``1 + uncertainty``, before any trial runs (a ConfigError), so no trial fails on it part way.
+    The trials' kernel is built once, in this process, on the nominal plant: every perturbed plant has
+    its shape, so the workers inherit the build.
     Trials run in ``min(trials, usable CPUs)`` worker processes started with ``fork``; usable CPUs
     are the process's affinity mask where the OS has one (so ``taskset -c 0`` gives one process),
     else ``os.cpu_count()``.  With one worker, or no ``fork`` start method, the trials run in this
@@ -392,6 +394,7 @@ def run_robustness(config: RobustnessConfig) -> RobustnessResult:
         config.base.sim_spec().check_step(1.0 + config.uncertainty)
     except ValueError as err:
         raise ConfigError(f"[sim] {err}, at uncertainty {config.uncertainty!r}") from None
+    kernel(config.base.sim_spec(config.base.params))  # every trial's kernel shape: built here, before any fork
     trial = partial(_trial, config)
     workers = min(config.trials, _usable_cpus())
     if workers > 1:

@@ -1,0 +1,339 @@
+"""Generated RK4 kernels as compiled C, bit for bit.
+
+:func:`kernel` takes a kernel ``advance(state, n) -> (state, largest clamp)`` of
+:func:`sitctl.simulate._kernel` and returns a function with the same contract
+that runs the steps in C.  :func:`translate` writes that C from the kernel's
+Python source, node by node over the fixed subset that the RK4 template, the
+law and the field texts use; any other construct raises
+:class:`TranslationError`.  Each C operation is the IEEE operation that
+Python's float performs, on the same operands in the same order: the build
+turns FMA contraction off, and ``x**3`` calls the libm ``pow`` that Python's
+float power calls, after the same special cases.  So the states are the Python
+kernel's to the last bit.
+
+Where Python would raise inside a chunk (a ``pow`` that overflows from a finite
+base, a division by zero), the C kernel says so and the chunk reruns on the
+Python kernel, which raises the same error.  A step that leaves [0, inf)
+returns to Python at that step, and the kernel's ``_clamp`` runs on it.  With
+no C compiler on ``PATH``, or a failed build, the Python kernel runs.
+"""
+from __future__ import annotations
+
+import ast
+import ctypes
+import os
+import re
+import shutil
+import tempfile
+import warnings
+from functools import cache
+
+from . import model
+
+#: The build: no contraction into FMA (it would change the bits), no fast-math, no host-specific code.
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pipe")
+_ARITHMETIC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
+_COMPARE = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+_PRELUDE = """\
+#include <errno.h>
+#include <float.h>
+#include <math.h>
+#if FLT_EVAL_METHOD != 0
+#error "double arithmetic would round through a wider type"
+#endif
+
+/* float.__truediv__: a zero divisor raises ZeroDivisionError */
+static double py_div(double x, double y, int *raised)
+{
+    if (y == 0.0)
+        *raised = 1;
+    return x / y;
+}
+
+/* float.__pow__ for a positive whole exponent y, as CPython's float_pow: its special cases, then libm pow of |x|;
+   an infinite result or an errno that Python keeps raises OverflowError */
+static double py_pow(double x, double y, int *raised)
+{
+    int odd = fmod(y, 2.0) == 1.0, negate = 0;
+    double r;
+    if (isnan(x))
+        return x;
+    if (isinf(x))
+        return odd ? x : fabs(x);
+    if (x == 0.0)
+        return odd ? x : 0.0;
+    if (x < 0.0) {
+        x = -x;
+        negate = odd;
+    }
+    if (x == 1.0)
+        return negate ? -1.0 : 1.0;
+    errno = 0;
+    r = pow(x, y);
+    if (isinf(r) || (errno != 0 && !(errno == ERANGE && r == 0.0)))
+        *raised = 1;
+    return negate ? -r : r;
+}
+
+"""
+
+
+class TranslationError(ValueError):
+    """The kernel text uses a construct outside the subset that translates to C."""
+
+
+def _name(identifier: str) -> str:
+    """``identifier`` as a C name: prefixed, so no Python name is a C keyword (the law reads ``switch``)."""
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", identifier):
+        raise TranslationError(f"identifier {identifier!r} is not ASCII")
+    return "v_" + identifier
+
+
+def _literal(value) -> str:
+    """A float or int literal as an exact C99 hex float."""
+    if type(value) not in (int, float) or not abs(value) < float("inf") or float(value) != value:
+        raise TranslationError(f"literal {value!r} is not a finite float")
+    return float(value).hex()
+
+
+def _names(node) -> list[str]:
+    """The names of a tuple of plain names."""
+    if not isinstance(node, ast.Tuple) or not all(isinstance(e, ast.Name) for e in node.elts):
+        raise TranslationError(f"expected a tuple of names, got {ast.unparse(node)!r}")
+    return [e.id for e in node.elts]
+
+
+class _Translator:
+    """The C function ``long advance(double *state, long n, const double *values)`` of one kernel source.
+
+    The source is ``def advance(state, n, <constants>=...)`` whose body is the unpack ``<ys> = state``, the
+    accumulator ``<worst> = 0.0``, one ``for _ in range(n)`` loop and ``return (<ys>), <worst>``.  The loop's
+    last statement may be ``if <test>: (<ys>), <worst> = _clamp((<ys>), <tol>, <worst>)``.  So the state is
+    carried from step to step in ``<ys>`` alone, and the C stops where that ``_clamp`` would run.
+
+    The C returns 0 after ``n`` steps, with the state in ``state``; ``k > 0`` when step ``k`` left [0, inf),
+    with that step's unclamped state in ``state``; -1 when Python would have raised in some step.  The
+    constants other than ``_clamp`` are ``values``, in signature order.
+    """
+
+    def __init__(self, source: str):
+        body = ast.parse(source).body
+        function = body[0] if len(body) == 1 and isinstance(body[0], ast.FunctionDef) else None
+        args = function.args if function else None
+        names = [arg.arg for arg in args.args] if args else []
+        if names[:2] != ["state", "n"] or len(args.defaults) != len(names) - 2 or args.vararg or args.kwarg \
+                or args.kwonlyargs:
+            raise TranslationError("the source must be one 'def advance(state, n, constant=constant, ...)'")
+        self.constants = names[2:]
+        self.values = [name for name in self.constants if name != "_clamp"]
+        end = function.body[-1]
+        if not (isinstance(end, ast.Return) and isinstance(end.value, ast.Tuple) and len(end.value.elts) == 2
+                and isinstance(end.value.elts[1], ast.Name)):
+            raise TranslationError("the body must end with 'return (<state names>), <accumulator>'")
+        self.state, self.worst = _names(end.value.elts[0]), end.value.elts[1].id
+        ys = ", ".join(self.state)
+        opening = [f"{ys} = state", f"{self.worst} = 0.0"]
+        if len(function.body) != 4 or [ast.unparse(node) for node in function.body[:2]] != opening:
+            raise TranslationError(f"the body must be {opening}, one loop and the return")
+        self.clamp_stop = re.compile(rf"\({ys}\), {self.worst} = _clamp\(\({ys}\), (\w+), {self.worst}\)")
+        self.locals, self.assigned, self.tol = set(self.state), set(self.state), None
+        self.lines = [f"{_name(y)} = state[{i}];" for i, y in enumerate(self.state)]
+        self.loop(function.body[2])
+        self.lines += ["if (raised)", "    return -1;", *self.store(), "return 0;"]
+
+    def c_source(self) -> str:
+        reads = [f"    const double {_name(name)} = values[{i}];" for i, name in enumerate(self.values)]
+        return _PRELUDE + "\n".join([
+            "long advance(double *state, long n, const double *values)",
+            "{",
+            *reads,
+            f"    double {', '.join(map(_name, sorted(self.locals)))};",
+            "    int raised = 0;",
+            *("    " + line for line in self.lines),
+            "}",
+            "",
+        ])
+
+    def store(self) -> list[str]:
+        return [f"state[{i}] = {_name(y)};" for i, y in enumerate(self.state)]
+
+    def loop(self, node):
+        """``for _ in range(n)``; a last ``if <test>: <the clamp>`` becomes a stop that hands the step to Python."""
+        if not (isinstance(node, ast.For) and ast.unparse(node.target) == "_" and ast.unparse(node.iter) == "range(n)"
+                and not node.orelse):
+            raise TranslationError("the third statement must be the loop 'for _ in range(n)'")
+        *body, last = node.body
+        stop = (isinstance(last, ast.If) and not last.orelse and len(last.body) == 1 and "_clamp" in self.constants
+                and self.clamp_stop.fullmatch(ast.unparse(last.body[0])))
+        if stop and stop[1] in self.values:
+            self.tol = stop[1]
+        else:
+            body.append(last)  # translated as it stands: a clamp elsewhere, or of another form, raises there
+        self.lines.append("for (long i = 0; i < n; i++) {")
+        self.block(body, "    ")
+        if self.tol:
+            self.lines += [f"    if ({self.test(last.test)}) {{", "        if (raised)", "            return -1;",
+                           *("        " + line for line in self.store()), "        return i + 1;", "    }"]
+        self.lines.append("}")
+
+    def block(self, statements, pad: str):
+        for node in statements:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                name = node.targets[0].id
+                if name in self.constants or name in ("state", "n", "_", self.worst):
+                    raise TranslationError(f"assignment to {name!r}")
+                value = self.expr(node.value)
+                self.locals.add(name)
+                self.assigned.add(name)
+                self.lines.append(f"{pad}{_name(name)} = {value};")
+            elif isinstance(node, ast.If):
+                self.lines.append(f"{pad}if ({self.test(node.test)}) {{")
+                before = set(self.assigned)
+                self.block(node.body, pad + "    ")
+                after, self.assigned = self.assigned, before
+                if node.orelse:
+                    self.lines.append(f"{pad}}} else {{")
+                    self.block(node.orelse, pad + "    ")
+                self.assigned &= after  # assigned on both branches
+                self.lines.append(f"{pad}}}")
+            else:
+                raise TranslationError(f"unsupported statement {ast.unparse(node)!r}")
+
+    def test(self, node) -> str:
+        """``node`` as a C condition: Python's truth value of a float is C's of a double (nonzero, or NaN)."""
+        if isinstance(node, ast.BoolOp):
+            op = " && " if isinstance(node.op, ast.And) else " || "
+            return "(" + op.join(self.test(value) for value in node.values) + ")"
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            return f"(!{self.test(node.operand)})"
+        if isinstance(node, ast.Compare):
+            terms = [self.expr(node.left), *map(self.expr, node.comparators)]
+            pairs = []
+            for op, left, right in zip(node.ops, terms, terms[1:]):
+                if type(op) not in _COMPARE:
+                    raise TranslationError(f"unsupported comparison in {ast.unparse(node)!r}")
+                pairs.append(f"({left} {_COMPARE[type(op)]} {right})")
+            return "(" + " && ".join(pairs) + ")"
+        return self.expr(node)
+
+    def expr(self, node) -> str:
+        """``node`` as a C double expression, parenthesised as the tree is."""
+        if isinstance(node, ast.Constant):
+            return _literal(node.value)
+        if isinstance(node, ast.Name):
+            if node.id in self.values or node.id in self.assigned:
+                return _name(node.id)
+            raise TranslationError(f"{node.id!r} is read before it is assigned, or is no constant")
+        if isinstance(node, ast.BinOp):
+            left, right = self.expr(node.left), node.right
+            if isinstance(node.op, ast.Pow):
+                if not (isinstance(right, ast.Constant) and type(right.value) in (int, float) and right.value > 0
+                        and float(right.value).is_integer()):
+                    raise TranslationError(f"unsupported power {ast.unparse(node)!r}: only a positive whole exponent")
+                return f"py_pow({left}, {_literal(right.value)}, &raised)"
+            if isinstance(node.op, ast.Div):
+                return f"py_div({left}, {self.expr(right)}, &raised)"
+            if type(node.op) in _ARITHMETIC:
+                return f"({left} {_ARITHMETIC[type(node.op)]} {self.expr(right)})"
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            return f"({'-' if isinstance(node.op, ast.USub) else '+'}{self.expr(node.operand)})"
+        elif isinstance(node, ast.IfExp):
+            return f"({self.test(node.test)} ? {self.expr(node.body)} : {self.expr(node.orelse)})"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "abs"
+              and "abs" not in self.constants and len(node.args) == 1 and not node.keywords):
+            return f"fabs({self.expr(node.args[0])})"
+        raise TranslationError(f"unsupported expression {ast.unparse(node)!r}")
+
+
+def translate(source: str) -> str:
+    """The C of the kernel ``source`` (see :class:`_Translator`); raises :class:`TranslationError` outside the subset."""
+    return _Translator(source).c_source()
+
+
+@cache
+def compiler() -> str | None:
+    """The C compiler on ``PATH`` (``cc``, else ``gcc`` or ``clang``), looked up once per process; None if none."""
+    return next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
+
+
+#: Each kernel source text's build: the loaded C function (None without a compiler or where the build failed),
+#: the state's length and the name of the clamp tolerance.
+_BUILT: dict[str, tuple] = {}
+
+
+def _source(advance) -> str:
+    """The generated source text that ``advance`` was compiled from (:func:`sitctl.model.define`)."""
+    for text, code in model._CODE.items():
+        if advance.__code__ in code.co_consts:
+            return text
+    raise ValueError(f"{advance.__name__} is not a generated function")
+
+
+def _build(c_source: str):
+    """Compile ``c_source`` in a private temporary directory and load it: the C function, or None on failure."""
+    import subprocess  # imported here: ``import sitctl`` starts no process and need not pay for it
+
+    with tempfile.TemporaryDirectory(prefix="sitctl-", ignore_cleanup_errors=True) as tmp:
+        c_path, library = os.path.join(tmp, "kernel.c"), os.path.join(tmp, "kernel.so")
+        with open(c_path, "w") as out:
+            out.write(c_source)
+        command = [compiler(), *FLAGS, "-o", library, c_path, "-lm"]
+        try:  # TMPDIR: what the compiler writes stays in the private directory too
+            result = subprocess.run(command, capture_output=True, text=True, env={**os.environ, "TMPDIR": tmp})
+            function = ctypes.CDLL(library).advance if result.returncode == 0 else None
+        except OSError as err:
+            result, function = err, None
+    if function is None:
+        warnings.warn(f"building a native kernel failed, the Python kernel runs: {result}", RuntimeWarning)
+        return None
+    function.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_long, ctypes.POINTER(ctypes.c_double))
+    function.restype = ctypes.c_long
+    return function
+
+
+def _value(name: str, value) -> float:
+    """A constant as the double the C reads: a float, a bool as 0.0 or 1.0, or an int that a double holds exactly."""
+    if type(value) in (float, bool) or type(value) is int and float(value) == value:
+        return float(value)
+    raise TypeError(f"constant {name} = {value!r} is not a float")
+
+
+def kernel(advance):
+    """``advance``'s twin that runs in C, or ``advance`` itself where no C compiler is found or the build fails.
+
+    The C is built once per process and per source text (:data:`_BUILT`); a sweep builds before it forks, so
+    its workers inherit the build.  A construct outside the translated subset raises
+    :class:`TranslationError`, with or without a compiler.  ``advance`` stays the reference: the twin returns
+    its results bit for bit, and runs ``advance`` itself on a chunk in which Python raises.
+    """
+    source = _source(advance)
+    if source not in _BUILT:
+        translator = _Translator(source)
+        function = None if compiler() is None else _build(translator.c_source())
+        _BUILT[source] = function, len(translator.state), translator.tol
+    function, size, tol = _BUILT[source]
+    if function is None:
+        return advance
+    code = advance.__code__
+    constants = dict(zip(code.co_varnames[2:code.co_argcount], advance.__defaults__))
+    numbers = [_value(name, value) for name, value in constants.items() if name != "_clamp"]
+    values = (ctypes.c_double * len(numbers))(*numbers)
+    state_type, clamp, clamp_tol = ctypes.c_double * size, constants.get("_clamp"), constants.get(tol)
+
+    def run(state, n):
+        if len(state) != size:  # the Python kernel raises on the unpack
+            return advance(state, n)
+        y = state_type(*state)
+        worst, left = 0.0, n
+        while left > 0:
+            stop = function(y, left, values)
+            if stop == 0:
+                break
+            if stop < 0:  # Python raises in this chunk: rerun it there, from its start, for the same error
+                return advance(state, n)
+            left -= stop  # step ``stop`` left [0, inf): clamp it as the Python kernel does, then go on
+            clamped, worst = clamp(tuple(y), clamp_tol, worst)
+            y[:] = clamped
+        return tuple(y), worst
+
+    return run

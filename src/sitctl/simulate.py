@@ -3,7 +3,8 @@
 One generated RK4 kernel per closed loop (:func:`_kernel`) writes each stage
 out as the law's body, which gives ``u``, then the plant's field, which takes
 it, so the feedback is re-evaluated at every Runge-Kutta stage (no
-sample-and-hold).  Tiny negative
+sample-and-hold).  :func:`kernel` runs it as compiled C where a C compiler is
+found (:mod:`sitctl.native`), with the same bits.  Tiny negative
 overshoots after a step are integrator artifacts and get clamped to zero;
 anything beyond the clamp tolerance signals a genuinely negative release
 rate or an oversized step and aborts the run, and so does a NaN or infinite state.
@@ -206,16 +207,23 @@ def _advance(spec: SimSpec):
     return _kernel(spec.model, *law.body(), plant, spec.dt, clamp_tol)
 
 
+def kernel(spec: SimSpec):
+    """The spec's kernel as :func:`integrate` runs it: :func:`_advance`'s, in C where it builds (:func:`native.kernel`)."""
+    from . import native  # imported on first use, so set-up does not load the translator
+
+    return native.kernel(_advance(spec))
+
+
 def integrate(spec: SimSpec) -> Trajectory:
     """Run the closed loop to the horizon, or until a step leaves the nonnegative domain or turns NaN or infinite.
 
-    Deterministic: the same spec always yields bit-identical samples.  The spec's kernel (:func:`_advance`)
+    Deterministic: the same spec always yields bit-identical samples.  The spec's kernel (:func:`kernel`)
     runs the steps in chunks of ``record_every`` (the last one may be shorter), one call per chunk, each
     followed by one sample ``(i * dt, state)``; the loop records nothing else.  After it, ``controls`` maps
     ``law.evaluator()`` over the sampled (F, Ms) and ``lyapunov`` is one array call of :func:`lyapunov_V`,
     both rounding exactly as per-sample float calls would.
     """
-    advance = _advance(spec)
+    advance = kernel(spec)
     n_steps = max(1, round(spec.t_end / spec.dt))
 
     state = tuple(float(x) for x in spec.initial)

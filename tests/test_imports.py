@@ -47,3 +47,12 @@ def test_import_sitctl_compiles_no_generated_function():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "0\n"
+
+
+def test_import_sitctl_starts_no_compiler():
+    # a native kernel is built when a run first needs it; set-up neither imports subprocess nor looks for a compiler
+    code = ("import sys, sitctl, sitctl.native as n; "
+            "print('subprocess' in sys.modules, n.compiler.cache_info().currsize, len(n._BUILT))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False 0 0\n"

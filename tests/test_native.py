@@ -1,0 +1,245 @@
+"""The native kernel: each generated RK4 kernel translated to C, built once, bit for bit the Python kernel's."""
+import importlib
+import math
+import os
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import sitctl as s
+import sitctl.harness
+import sitctl.native as native
+from sitctl.configio import params_from_mapping, parse_config_text
+from sitctl.harness import PRESETS, RobustnessConfig, perturb_params, preset_scenario, scenario_from_config, trial_rng
+from sitctl.model import PARAM_KEYS, ParamError
+from sitctl.simulate import _advance, _kernel
+
+needs_cc = pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _study_specs():
+    """The perfbench study configs, cut to 20 days."""
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
+    specs = {}
+    for name in workloads.STUDY_CONFIGS:
+        sections = parse_config_text(workloads.study_config_text(name))
+        specs[name] = scenario_from_config(sections, name, params_from_mapping(sections["params"]), t_end=20.0).sim_spec()
+    return specs
+
+
+def _shape_specs():
+    """Every kernel shape that a preset, a robust preset's perturbed plant, a study config or a kernel-source test runs."""
+    plant, _ = perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(2024, 0))
+    specs = {name: preset_scenario(name, t_end=20.0).sim_spec() for name in PRESETS}
+    specs.update({f"{name}/perturbed": preset_scenario(name, t_end=20.0).sim_spec(plant)
+                  for name in ("robust-reduced", "robust-full")})
+    specs.update(_study_specs())
+    for model in ("reduced", "full"):
+        for plant_name, draw in (("own", None), ("perturbed", plant)):
+            specs[f"{model}/{plant_name}/global"] = preset_scenario(
+                "nominal-full", model=model, variant="global", t_end=1.0, dt=0.05).sim_spec(draw)
+    return specs
+
+
+SHAPE_SPECS = _shape_specs()
+
+
+def _outcome(advance, state, n):
+    """``advance(state, n)`` as float.hex, or the error it raised: type, message and, from _clamp, max_clamp."""
+    try:
+        nxt, worst = advance(state, n)
+    except ArithmeticError as err:  # NonFiniteError, OverflowError, ZeroDivisionError
+        return type(err), str(err), getattr(err, "max_clamp", None)
+    except s.NonnegativityError as err:
+        return type(err), str(err), err.max_clamp
+    return [x.hex() for x in nxt], worst.hex()
+
+
+class TestTranslation:
+    SOURCE = native._source(_advance(SHAPE_SPECS["robust-full/perturbed"]))
+
+    def test_every_identifier_is_prefixed(self):
+        # the law reads the constant ``switch``, a C keyword
+        c = native.translate(self.SOURCE)
+        assert "v_switch" in c and " switch " not in c and "(switch " not in c
+
+    def test_values_and_literals_reach_the_c_only_as_exact_hex(self):
+        c = native.translate(self.SOURCE)
+        assert "0x1.8000000000000p+1" in c  # the exponent 3 of lin**3, as pow(lin, 3.0)
+        assert "pow(" in c and "fabs(" in c
+
+    @pytest.mark.parametrize("old, new", [
+        ("size = abs(target)", "size = max(target, -target)"),  # a call other than abs
+        ("lin**3", "lin**0.5"),  # a power other than a positive whole one
+        ("lin**3", "lin % 3.0"),  # an operator outside + - * / **
+        ("c = 1.0\n", "c = 1.0\n        while c:\n            c = 0.0\n"),  # a statement outside the subset
+        ("room = F_hat - F", "room = F_hat - F_unknown"),  # a name that is neither a constant nor assigned
+        ("gap = Ms - target", "gap = Ms - target if slope else 1e999"),  # an infinite literal
+        ("worst = 0.0", "worst = 1.0"),  # a clamp accumulator that does not start at 0
+        ("last = 0.0 if", "last = (F and Ms) * 0.0 if"),  # and/or as a value
+        ("for _ in range(n):", "for _ in range(n + 1):"),  # another loop
+        ("clamp_tol, worst)", "2.0 * clamp_tol, worst)"),  # another clamp statement
+        ("return (y0, y1, y2, y3), worst", "return (y0, y1, y2, y3), 0.0"),  # another return
+    ])
+    def test_a_construct_outside_the_subset_raises(self, old, new):
+        assert old in self.SOURCE
+        with pytest.raises(native.TranslationError):
+            native.translate(self.SOURCE.replace(old, new, 1))
+
+    def test_a_read_before_assignment_raises(self):
+        # Python would raise UnboundLocalError where C would read an undefined double
+        with pytest.raises(native.TranslationError, match="read before it is assigned"):
+            native.translate(self.SOURCE.replace("            u = 0.0\n", "            u = u\n", 1))
+
+    @pytest.mark.parametrize("found", [False, True], ids=["no-compiler", "compiler"])
+    def test_translation_errors_do_not_fall_back(self, params, monkeypatch, found):
+        if not found:
+            monkeypatch.setattr(native, "compiler", lambda: None)
+        advance = _kernel("reduced", "u = F % 2.0\n", {}, params, 0.1, 1e-9)
+        with pytest.raises(native.TranslationError, match="unsupported expression"):
+            native.kernel(advance)
+
+
+class TestBuild:
+    @needs_cc
+    @pytest.mark.parametrize("name", list(SHAPE_SPECS))
+    def test_every_shape_builds_natively(self, name):
+        advance = _advance(SHAPE_SPECS[name])
+        assert native.kernel(advance) is not advance
+
+    def test_no_compiler_runs_the_python_kernel_with_the_same_bits(self, monkeypatch):
+        specs = [SHAPE_SPECS["nominal-reduced"], SHAPE_SPECS["robust-full/perturbed"]]
+        native_runs = [s.integrate(spec) for spec in specs]
+        monkeypatch.setattr(native, "compiler", lambda: None)
+        monkeypatch.setattr(native, "_BUILT", {})
+        for spec, fast in zip(specs, native_runs):
+            advance = _advance(spec)
+            assert native.kernel(advance) is advance
+            slow = s.integrate(spec)
+            assert slow.states.tobytes() == fast.states.tobytes()
+            assert (slow.termination, slow.max_clamp) == (fast.termination, fast.max_clamp)
+
+    def test_a_failed_build_warns_and_runs_the_python_kernel(self, monkeypatch):
+        monkeypatch.setattr(native, "compiler", lambda: sys.executable)  # rejects every compiler flag
+        monkeypatch.setattr(native, "_BUILT", {})
+        advance = _advance(SHAPE_SPECS["nominal-reduced"])
+        with pytest.warns(RuntimeWarning, match="building a native kernel failed"):
+            assert native.kernel(advance) is advance
+        assert native.kernel(advance) is advance  # decided once: no second build, no second warning
+
+    @needs_cc
+    def test_a_build_leaves_no_file(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(native.tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(native, "_BUILT", {})
+        advance = _advance(SHAPE_SPECS["nominal-full"])
+        assert native.kernel(advance) is not advance
+        assert list(tmp_path.iterdir()) == []
+
+    @needs_cc
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks its workers")
+    def test_a_two_worker_sweep_builds_once(self, monkeypatch, tmp_path):
+        log = tmp_path / "runs"
+        counting = tmp_path / "cc"
+        counting.write_text(f'#!/bin/sh\necho run >> "{log}"\nexec "{native.compiler()}" "$@"\n')
+        counting.chmod(0o755)
+        monkeypatch.setattr(native, "compiler", lambda: str(counting))
+        monkeypatch.setattr(native, "_BUILT", {})
+        monkeypatch.setattr(sitctl.harness, "_usable_cpus", lambda: 2)
+        config = RobustnessConfig(base=preset_scenario("robust-reduced", t_end=20.0), trials=2)
+        result = s.run_robustness(config)
+        assert len(result.trials) == 2
+        assert log.read_text() == "run\n"
+
+
+def _scaled(factors, base=s.NOMINAL_PARAMS):
+    params = base.replace(**{name: getattr(base, name) * f for name, f in zip(PARAM_KEYS, factors)})
+    try:
+        return s.validate_params(params)
+    except ParamError:
+        assume(False)
+
+
+FACTORS = st.lists(st.floats(0.5, 2.0), min_size=len(PARAM_KEYS), max_size=len(PARAM_KEYS))
+
+
+@st.composite
+def closed_loops(draw):
+    """A law, a plant and a start: rates times U[0.5, 2], a design, a variant, a model and a chunk length."""
+    params = _scaled(draw(FACTORS))
+    variant, cutoff_kind = draw(st.sampled_from(
+        [("none", "quintic"), ("raw", "quintic"), ("plus", "quintic"), ("global", "quintic"), ("global", "cubic")]))
+    try:
+        cfg = s.ControllerConfig.design(params, F_hat_ratio=draw(st.floats(1.05, 6.0)), eta=draw(st.floats(0.01, 1.0)),
+                                        rho=draw(st.floats(0.1, 2.0)), cutoff_kind=cutoff_kind)
+    except s.ControllerError:
+        assume(False)
+    model = draw(st.sampled_from(["reduced", "full"]))
+    plant = _scaled(draw(FACTORS), params) if draw(st.booleans()) else None
+    F_bar = s.persistence_equilibrium(params).F_bar
+    near = [cfg.F2, cfg.F_hat, F_bar]
+    F = draw(st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-310, 2.2e-308]),
+        st.sampled_from(near).flatmap(lambda x: st.sampled_from([math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)])),
+        st.floats(0.0, 10.0 * cfg.F_hat),
+    ))
+    target = s.ms_star(F, cfg, params)
+    Ms = draw(st.one_of(
+        st.sampled_from([0.0, 5e-324]),
+        st.floats(-1e-8, 1e-8).map(lambda d: max(0.0, target * (1.0 + d))),  # the pi switch band
+        st.floats(0.0, 1e6),
+    ))
+    aquatic = tuple(draw(st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1e7))) for _ in range(2))
+    initial = (F, Ms) if model == "reduced" else (*aquatic, F, Ms)
+    dt, every = draw(st.sampled_from([0.01, 0.05, 0.1])), draw(st.integers(1, 40))
+    try:
+        return s.SimSpec(model=model, law=s.ControlLaw(variant, cfg, params), initial=initial, t_end=3 * every * dt,
+                         dt=dt, record_every=every, plant=plant)
+    except ValueError:
+        assume(False)
+
+
+@given(closed_loops())
+@settings(max_examples=150, deadline=None)
+def test_native_kernel_matches_python_chunk_by_chunk(spec):
+    python = _advance(spec)
+    fast = native.kernel(python)
+    assert (fast is python) == (native.compiler() is None)
+    state = spec.initial
+    for _ in range(3):
+        expected = _outcome(python, state, spec.record_every)
+        assert _outcome(fast, state, spec.record_every) == expected
+        if not isinstance(expected[0], list):
+            break
+        state = tuple(float.fromhex(x) for x in expected[0])
+
+
+class TestPythonErrors:
+    """Where Python raises inside a chunk, the native kernel raises the same error."""
+
+    def test_pow_overflow(self, params, cfg):
+        spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(1.0, 0.0), t_end=1.0, dt=0.1)
+        python = _advance(spec)
+        fast = native.kernel(python)
+        outcomes = [_outcome(advance, (1e120, 0.0), 1) for advance in (python, fast)]
+        assert outcomes[0][0] is OverflowError and outcomes[1] == outcomes[0]
+
+    def test_division_by_zero_after_a_clamp_in_the_same_chunk(self, params, eq):
+        # step 1 undershoots Ms within the clamp tolerance and is clamped; step 2 divides by zero at its first
+        # stage, the only one with F == F1 (as in test_simulate's clamp carried within a chunk)
+        initial, tol = (2.0 * eq.F_bar, 0.0), 2e-9 * eq.F_bar
+        (F1, _), clamp1 = _kernel("reduced", "u = -1e-7\n", {}, params, 0.1, tol)(initial, 1)
+        assert clamp1 > 0.0
+        python = _kernel("reduced", "u = 1.0 / (F - F1) if F == F1 else -1e-7\n", {"F1": F1}, params, 0.1, tol)
+        fast = native.kernel(python)
+        outcomes = [_outcome(advance, initial, 3) for advance in (python, fast)]
+        assert outcomes[0][0] is ZeroDivisionError and outcomes[1] == outcomes[0]

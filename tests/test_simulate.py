@@ -10,6 +10,7 @@ import pytest
 import sitctl as s
 import sitctl.control
 import sitctl.model
+import sitctl.native
 import sitctl.simulate
 from sitctl.harness import perturb_params, preset_scenario, trial_rng
 from sitctl.model import FIELDS, RECRUITMENT, field_constants
@@ -183,13 +184,14 @@ def _clamp_tol(spec):
 
 def _step(spec):
     """integrate's kernel for ``spec`` as one step ``state -> (next, clamp)``."""
-    advance = _advance(spec)
+    advance = sitctl.native.kernel(_advance(spec))
     return lambda state: advance(state, 1)
 
 
 def _release_step(spec, release):
     """One step of the kernel for ``spec``'s model on the law's params, under the constant release rate ``release``."""
     advance = _kernel(spec.model, "u = release\n", {"release": release}, spec.law.params, spec.dt, _clamp_tol(spec))
+    advance = sitctl.native.kernel(advance)
     return lambda state: advance(state, 1)
 
 
@@ -247,7 +249,24 @@ def _outcome(step, state):
 
 
 class TestUnrolledStep:
-    """integrate's generated kernel reproduces step_rk4 over reduced_rhs/full_rhs bit for bit."""
+    """integrate's generated kernel reproduces step_rk4 over reduced_rhs/full_rhs bit for bit.
+
+    Here the kernel is the Python one; :class:`TestNativeUnrolledStep` runs every test on its C twin.
+    """
+
+    in_c = False
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, monkeypatch):
+        """Make ``sitctl.native.kernel``, which integrate and the step helpers call, return the kernel under test."""
+        built = sitctl.native.kernel
+
+        def in_c(advance):
+            fast = built(advance)
+            assert fast is not advance, "the kernel did not build natively"
+            return fast
+
+        monkeypatch.setattr(sitctl.native, "kernel", in_c if self.in_c else lambda advance: advance)
 
     @pytest.mark.parametrize("name", list(BIT_SPECS))
     def test_integrate_golden_bits(self, name):
@@ -334,7 +353,7 @@ class TestUnrolledStep:
         with pytest.raises(s.NonnegativityError):
             step_rk4(state, spec.dt, spec.dt, _reference_rhs(spec, u), _clamp_tol(spec))
         with pytest.raises(s.NonnegativityError) as err:
-            _kernel("reduced", law, {"F1": F1}, params, spec.dt, _clamp_tol(spec))(initial, 2)
+            sitctl.native.kernel(_kernel("reduced", law, {"F1": F1}, params, spec.dt, _clamp_tol(spec)))(initial, 2)
         assert err.value.max_clamp == clamp1
         monkeypatch.setattr(s.ControlLaw, "body", lambda self: (law, {"F1": F1}))
         traj = s.integrate(spec)
@@ -370,6 +389,13 @@ class TestUnrolledStep:
         traj = s.integrate(s.SimSpec(model=model, law=law, initial=initial, t_end=1.0, dt=0.1))
         assert traj.termination == "horizon"
         assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.controls))
+
+
+@pytest.mark.skipif(sitctl.native.compiler() is None, reason="no C compiler on PATH")
+class TestNativeUnrolledStep(TestUnrolledStep):
+    """Every test of :class:`TestUnrolledStep` on the native kernel, which must build."""
+
+    in_c = True
 
 
 def _reference_run(spec):
