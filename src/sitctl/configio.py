@@ -111,9 +111,11 @@ def params_from_text(text: str) -> BioParams:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """RFC-4180 CSV of :meth:`Trajectory.table`: header t,F,Ms[,E,M],u[,V], 17 significant digits."""
+    """RFC-4180 CSV of :meth:`Trajectory.table`: header t,F,Ms[,E,M],u[,V], 17 significant digits, CRLF line ends."""
     header, data = traj.table()
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", newline="\r\n", header=",".join(header), comments="")
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with open(path, "w", encoding="ascii", newline="") as out:
+        out.write(",".join(header) + "\r\n" + "".join(row % tuple(values) for values in data.tolist()))
 
 
 def read_trajectory_csv(path):

@@ -371,5 +371,10 @@ class ControlLaw:
         costs plain float arithmetic (tests pin it against the composed functions on a grid, and its
         outputs bit for bit on fixed points).
         """
+        return define(*self.evaluator_definition())
+
+    def evaluator_definition(self) -> tuple[str, str, str, dict]:
+        """:meth:`evaluator` as the arguments of :func:`~sitctl.model.define`: its name, arguments, body and
+        constants.  The native recorder translates the same text to C without compiling it in Python."""
         body, constants = self.body()
-        return define("evaluate", "F, Ms", body + "return u\n", constants)
+        return "evaluate", "F, Ms", body + "return u\n", constants

@@ -225,17 +225,22 @@ STATE_NAMES = {"reduced": ("F", "Ms"), "full": ("E", "M", "F", "Ms")}
 _CODE: dict[str, CodeType] = {}
 
 
+def source(name: str, args: str, body: str, constants) -> str:
+    """The source text ``def name(args, <constant>=<constant>, ...): body`` that :func:`define` compiles."""
+    return f"def {name}({', '.join([args, *(f'{c}={c}' for c in constants)])}):\n{indent(body, '    ')}"
+
+
 def define(name: str, args: str, body: str, constants: dict):
     """The function ``def name(args): body``, each constant bound as one of its locals.
 
     The constants are default values of trailing parameters, read from ``constants`` when the ``def``
-    runs.  The source names them but holds none of their values, so it depends only on the texts and
-    the names, and one compiled code (kept in :data:`_CODE`) serves every parameter set.
+    runs.  The source (:func:`source`) names them but holds none of their values, so it depends only on
+    the texts and the names, and one compiled code (kept in :data:`_CODE`) serves every parameter set.
     """
-    source = f"def {name}({', '.join([args, *(f'{c}={c}' for c in constants)])}):\n{indent(body, '    ')}"
-    code = _CODE.get(source)
+    source_text = source(name, args, body, constants)
+    code = _CODE.get(source_text)
     if code is None:
-        code = _CODE[source] = compile(source, f"<sitctl {name}>", "exec")
+        code = _CODE[source_text] = compile(source_text, f"<sitctl {name}>", "exec")
     namespace = dict(constants)
     exec(code, namespace)
     return namespace[name]

@@ -1,21 +1,26 @@
-"""Generated RK4 kernels as compiled C, bit for bit.
+"""Generated RK4 kernels and the record of a whole run as compiled C, bit for bit.
 
 :func:`kernel` takes a kernel ``advance(state, n) -> (state, largest clamp)`` of
 :func:`sitctl.simulate._kernel` and returns a function with the same contract
-that runs the steps in C.  :func:`translate` writes that C from the kernel's
-Python source, node by node over the fixed subset that the RK4 template, the
-law and the field texts use; any other construct raises
+that runs the steps in C.  :func:`recorder` takes the same kernel and the
+law's evaluator text and returns the C twin of the record rule
+:func:`sitctl.simulate._record`: one call of a fixed C driver runs every chunk
+and writes every sample's state and ``u``.  :func:`translate` writes that C
+from the Python source, node by node over the fixed subset that the RK4
+template, the law and the field texts use; any other construct raises
 :class:`TranslationError`.  Each C operation is the IEEE operation that
 Python's float performs, on the same operands in the same order: the build
 turns FMA contraction off, and ``x**3`` calls the libm ``pow`` that Python's
-float power calls, after the same special cases.  So the states are the Python
-kernel's to the last bit.
+float power calls, after the same special cases.  So the states and the
+controls are the Python kernel's and law's to the last bit.
 
 Where Python would raise inside a chunk (a ``pow`` that overflows from a finite
 base, a division by zero), the C kernel says so and the chunk reruns on the
 Python kernel, which raises the same error.  A step that leaves [0, inf)
-returns to Python at that step, and the kernel's ``_clamp`` runs on it.  With
-no C compiler on ``PATH``, or a failed build, the Python kernel runs.
+returns to Python at that step, and the kernel's ``_clamp`` runs on it; the
+driver returns to Python there too, and resumes after the chunk.  Everything
+else of a run stays in C.  With no C compiler on ``PATH``, or a failed build,
+the Python kernel and record function run.
 """
 from __future__ import annotations
 
@@ -28,7 +33,10 @@ import tempfile
 import warnings
 from functools import cache
 
+import numpy as np
+
 from . import model
+from .simulate import TERMINATION_HORIZON, NonFiniteError, NonnegativityError
 
 #: The build: no contraction into FMA (it would change the bits), no fast-math, no host-specific code.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pipe")
@@ -104,47 +112,72 @@ def _names(node) -> list[str]:
 
 
 class _Translator:
-    """The C function ``long advance(double *state, long n, const double *values)`` of one kernel source.
+    """The C function of one generated function's source: an RK4 kernel ``advance`` or a law ``evaluate``.
 
-    The source is ``def advance(state, n, <constants>=...)`` whose body is the unpack ``<ys> = state``, the
-    accumulator ``<worst> = 0.0``, one ``for _ in range(n)`` loop and ``return (<ys>), <worst>``.  The loop's
-    last statement may be ``if <test>: (<ys>), <worst> = _clamp((<ys>), <tol>, <worst>)``.  So the state is
-    carried from step to step in ``<ys>`` alone, and the C stops where that ``_clamp`` would run.
+    The source is ``def <name>(<inputs>, <constants>=...)``: the parameters without a default are its inputs.
 
-    The C returns 0 after ``n`` steps, with the state in ``state``; ``k > 0`` when step ``k`` left [0, inf),
-    with that step's unclamped state in ``state``; -1 when Python would have raised in some step.  The
-    constants other than ``_clamp`` are ``values``, in signature order.
+    A kernel's inputs are ``state, n``, and its body is the unpack ``<ys> = state``, the accumulator
+    ``<worst> = 0.0``, one ``for _ in range(n)`` loop and ``return (<ys>), <worst>``.  The loop's last
+    statement may be ``if <test>: (<ys>), <worst> = _clamp((<ys>), <tol>, <worst>)``.  So the state is carried
+    from step to step in ``<ys>`` alone, and the C stops where that ``_clamp`` would run.  Its C is
+    ``long sitctl_advance(double *state, long n, const double *values)``: it returns 0 after ``n`` steps, with the
+    state in ``state``; ``k > 0`` when step ``k`` left [0, inf), with that step's unclamped state in ``state``;
+    -1 when Python would have raised in some step.
+
+    A law's body is statements and then ``return <name>``.  Its C is ``static double evaluate(double <input>, ...,
+    const double *values, int *flag)``, which sets ``*flag`` to 1 where Python would have raised, else to 0.
+
+    The constants other than ``_clamp`` are ``values``, in signature order.
     """
 
     def __init__(self, source: str):
         body = ast.parse(source).body
         function = body[0] if len(body) == 1 and isinstance(body[0], ast.FunctionDef) else None
         args = function.args if function else None
-        names = [arg.arg for arg in args.args] if args else []
-        if names[:2] != ["state", "n"] or len(args.defaults) != len(names) - 2 or args.vararg or args.kwarg \
-                or args.kwonlyargs:
-            raise TranslationError("the source must be one 'def advance(state, n, constant=constant, ...)'")
-        self.constants = names[2:]
+        if not args or args.vararg or args.kwarg or args.kwonlyargs or args.posonlyargs:
+            raise TranslationError("the source must be one 'def name(input, ..., constant=constant, ...)'")
+        names = [arg.arg for arg in args.args]
+        split = len(names) - len(args.defaults)
+        self.function, self.inputs, self.constants = function, names[:split], names[split:]
         self.values = [name for name in self.constants if name != "_clamp"]
-        end = function.body[-1]
+        self.locals, self.assigned, self.lines, self.tol, self.worst = set(), set(self.inputs), [], None, None
+
+    def advance(self) -> str:
+        """The C of a kernel (see the class)."""
+        body = self.function.body
+        end = body[-1]
+        if self.inputs != ["state", "n"]:
+            raise TranslationError("a kernel must be one 'def advance(state, n, constant=constant, ...)'")
         if not (isinstance(end, ast.Return) and isinstance(end.value, ast.Tuple) and len(end.value.elts) == 2
                 and isinstance(end.value.elts[1], ast.Name)):
             raise TranslationError("the body must end with 'return (<state names>), <accumulator>'")
         self.state, self.worst = _names(end.value.elts[0]), end.value.elts[1].id
         ys = ", ".join(self.state)
         opening = [f"{ys} = state", f"{self.worst} = 0.0"]
-        if len(function.body) != 4 or [ast.unparse(node) for node in function.body[:2]] != opening:
+        if len(body) != 4 or [ast.unparse(node) for node in body[:2]] != opening:
             raise TranslationError(f"the body must be {opening}, one loop and the return")
         self.clamp_stop = re.compile(rf"\({ys}\), {self.worst} = _clamp\(\({ys}\), (\w+), {self.worst}\)")
-        self.locals, self.assigned, self.tol = set(self.state), set(self.state), None
+        self.locals.update(self.state)
+        self.assigned.update(self.state)
         self.lines = [f"{_name(y)} = state[{i}];" for i, y in enumerate(self.state)]
-        self.loop(function.body[2])
+        self.loop(body[2])
         self.lines += ["if (raised)", "    return -1;", *self.store(), "return 0;"]
+        return self.c_function("long sitctl_advance(double *state, long n, const double *values)")
 
-    def c_source(self) -> str:
+    def law(self) -> str:
+        """The C of a law (see the class)."""
+        *statements, end = self.function.body
+        if not (isinstance(end, ast.Return) and isinstance(end.value, ast.Name)):
+            raise TranslationError("a law's body must end with 'return <name>'")
+        self.block(statements, "")
+        self.lines += ["*flag = raised;", f"return {self.expr(end.value)};"]
+        inputs = "".join(f"double {_name(name)}, " for name in self.inputs)
+        return self.c_function(f"static double evaluate({inputs}const double *values, int *flag)")
+
+    def c_function(self, signature: str) -> str:
         reads = [f"    const double {_name(name)} = values[{i}];" for i, name in enumerate(self.values)]
-        return _PRELUDE + "\n".join([
-            "long advance(double *state, long n, const double *values)",
+        return "\n".join([
+            signature,
             "{",
             *reads,
             f"    double {', '.join(map(_name, sorted(self.locals)))};",
@@ -180,7 +213,7 @@ class _Translator:
         for node in statements:
             if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
                 name = node.targets[0].id
-                if name in self.constants or name in ("state", "n", "_", self.worst):
+                if name in self.constants or name in self.inputs or name in ("_", self.worst):
                     raise TranslationError(f"assignment to {name!r}")
                 value = self.expr(node.value)
                 self.locals.add(name)
@@ -245,9 +278,55 @@ class _Translator:
         raise TranslationError(f"unsupported expression {ast.unparse(node)!r}")
 
 
+#: The whole run's record, in C beside a kernel's ``advance`` and a law's ``evaluate`` (see :func:`recorder`).
+_DRIVER = """\
+/* The record of a run of n steps from states[start], a sample after each `every` steps and at the end:
+   states[j] (size doubles) and controls[j], the law at the state's last two components, F and Ms, for j from
+   start.  Returns `records` when all are written; j > 0 when the chunk that ends at record j stopped
+   (sitctl_advance returned nonzero), with every record before j written; -1 - j when the law raised at record j. */
+long sitctl_record(double *states, double *controls, long start, long records, long size, long n, long every,
+                   const double *values, const double *law_values)
+{
+    for (long j = start;; j++) {
+        double *y = states + j * size;
+        int raised = 0;
+        controls[j] = evaluate(y[size - 2], y[size - 1], law_values, &raised);
+        if (raised)
+            return -1 - j;
+        if (j + 1 == records)
+            return records;
+        for (long i = 0; i < size; i++)
+            y[size + i] = y[i];
+        if (sitctl_advance(y + size, n - j * every < every ? n - j * every : every, values) != 0)
+            return j + 1;
+    }
+}
+"""
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+#: The ctypes signature of each exported C function.  Their names are prefixed: the C library exports a legacy
+#: ``advance`` (regexp.h), which would take the driver's call.
+_SIGNATURES = {
+    "sitctl_advance": (_DOUBLES, ctypes.c_long, _DOUBLES),
+    "sitctl_record": (ctypes.c_void_p, ctypes.c_void_p, *[ctypes.c_long] * 5, _DOUBLES, _DOUBLES),
+}
+
+
+def _translate(kernel_source: str, law_source: str | None = None) -> tuple[str, int, str | None]:
+    """The C of the kernel ``kernel_source`` and, given a ``law_source``, of that law and the driver that records a
+    whole run with the two; the kernel's state length and the name of its clamp tolerance."""
+    kernel = _Translator(kernel_source)
+    parts = [_PRELUDE, kernel.advance()]
+    if law_source is not None:
+        law = _Translator(law_source)
+        if len(law.inputs) != 2:
+            raise TranslationError("the recorded law must take two inputs, the state's last two components")
+        parts += [law.law(), _DRIVER]
+    return "\n".join(parts), len(kernel.state), kernel.tol
+
+
 def translate(source: str) -> str:
     """The C of the kernel ``source`` (see :class:`_Translator`); raises :class:`TranslationError` outside the subset."""
-    return _Translator(source).c_source()
+    return _translate(source)[0]
 
 
 @cache
@@ -256,9 +335,9 @@ def compiler() -> str | None:
     return next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
 
 
-#: Each kernel source text's build: the loaded C function (None without a compiler or where the build failed),
-#: the state's length and the name of the clamp tolerance.
-_BUILT: dict[str, tuple] = {}
+#: Each build, by its source texts (a kernel's, or a kernel's and a law's): the loaded C functions (None without
+#: a compiler or where the build failed), the state's length and the name of the clamp tolerance.
+_BUILT: dict[tuple[str, ...], tuple] = {}
 
 
 def _source(advance) -> str:
@@ -269,26 +348,43 @@ def _source(advance) -> str:
     raise ValueError(f"{advance.__name__} is not a generated function")
 
 
-def _build(c_source: str):
-    """Compile ``c_source`` in a private temporary directory and load it: the C function, or None on failure."""
+def _build(c_source: str, names: tuple[str, ...]):
+    """Compile ``c_source`` in a private temporary directory and load it: its functions ``names``; None on failure."""
     import subprocess  # imported here: ``import sitctl`` starts no process and need not pay for it
 
     with tempfile.TemporaryDirectory(prefix="sitctl-", ignore_cleanup_errors=True) as tmp:
-        c_path, library = os.path.join(tmp, "kernel.c"), os.path.join(tmp, "kernel.so")
+        c_path, path = os.path.join(tmp, "kernel.c"), os.path.join(tmp, "kernel.so")
         with open(c_path, "w") as out:
             out.write(c_source)
-        command = [compiler(), *FLAGS, "-o", library, c_path, "-lm"]
+        command = [compiler(), *FLAGS, "-o", path, c_path, "-lm"]
         try:  # TMPDIR: what the compiler writes stays in the private directory too
             result = subprocess.run(command, capture_output=True, text=True, env={**os.environ, "TMPDIR": tmp})
-            function = ctypes.CDLL(library).advance if result.returncode == 0 else None
+            library = ctypes.CDLL(path) if result.returncode == 0 else None
         except OSError as err:
-            result, function = err, None
-    if function is None:
+            result, library = err, None
+    if library is None:
         warnings.warn(f"building a native kernel failed, the Python kernel runs: {result}", RuntimeWarning)
         return None
-    function.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_long, ctypes.POINTER(ctypes.c_double))
-    function.restype = ctypes.c_long
-    return function
+    functions = tuple(getattr(library, name) for name in names)
+    for name, function in zip(names, functions):
+        function.argtypes, function.restype = _SIGNATURES[name], ctypes.c_long
+    return functions
+
+
+def _built(sources: tuple[str, ...]) -> tuple:
+    """The build of ``sources``, made once per process (:data:`_BUILT`): a kernel's ``sitctl_advance`` or, with a
+    law, its ``sitctl_advance`` and ``sitctl_record``."""
+    if sources not in _BUILT:
+        c_source, size, tol = _translate(*sources)
+        functions = None if compiler() is None else _build(c_source, tuple(_SIGNATURES)[:len(sources)])
+        _BUILT[sources] = functions, size, tol
+    return _BUILT[sources]
+
+
+def _doubles(constants: dict):
+    """The constants other than ``_clamp``, in order, as the C array ``values`` of doubles."""
+    numbers = [_value(name, value) for name, value in constants.items() if name != "_clamp"]
+    return (ctypes.c_double * len(numbers))(*numbers)
 
 
 def _value(name: str, value) -> float:
@@ -298,26 +394,10 @@ def _value(name: str, value) -> float:
     raise TypeError(f"constant {name} = {value!r} is not a float")
 
 
-def kernel(advance):
-    """``advance``'s twin that runs in C, or ``advance`` itself where no C compiler is found or the build fails.
-
-    The C is built once per process and per source text (:data:`_BUILT`); a sweep builds before it forks, so
-    its workers inherit the build.  A construct outside the translated subset raises
-    :class:`TranslationError`, with or without a compiler.  ``advance`` stays the reference: the twin returns
-    its results bit for bit, and runs ``advance`` itself on a chunk in which Python raises.
-    """
-    source = _source(advance)
-    if source not in _BUILT:
-        translator = _Translator(source)
-        function = None if compiler() is None else _build(translator.c_source())
-        _BUILT[source] = function, len(translator.state), translator.tol
-    function, size, tol = _BUILT[source]
-    if function is None:
-        return advance
-    code = advance.__code__
-    constants = dict(zip(code.co_varnames[2:code.co_argcount], advance.__defaults__))
-    numbers = [_value(name, value) for name, value in constants.items() if name != "_clamp"]
-    values = (ctypes.c_double * len(numbers))(*numbers)
+def _twin(advance, function, size: int, tol: str | None):
+    """The chunk function ``run(state, n)`` of ``advance`` on its C ``function``; see :func:`kernel`."""
+    constants = _constants(advance)
+    values = _doubles(constants)
     state_type, clamp, clamp_tol = ctypes.c_double * size, constants.get("_clamp"), constants.get(tol)
 
     def run(state, n):
@@ -337,3 +417,67 @@ def kernel(advance):
         return tuple(y), worst
 
     return run
+
+
+def _constants(advance) -> dict:
+    """A kernel's constants by name: the defaults of the parameters after ``state, n``."""
+    code = advance.__code__
+    return dict(zip(code.co_varnames[2:code.co_argcount], advance.__defaults__))
+
+
+def kernel(advance):
+    """``advance``'s twin that runs in C, or ``advance`` itself where no C compiler is found or the build fails.
+
+    The C is built once per process and per source text (:data:`_BUILT`).  A construct outside the translated
+    subset raises :class:`TranslationError`, with or without a compiler.  ``advance`` stays the reference: the
+    twin returns its results bit for bit, and runs ``advance`` itself on a chunk in which Python raises.
+    """
+    functions, size, tol = _built((_source(advance),))
+    return advance if functions is None else _twin(advance, functions[0], size, tol)
+
+
+def recorder(advance, law: tuple, reference):
+    """The C twin of the record function ``reference``, on the kernel ``advance`` and the law ``law``; None where no
+    C compiler is found or the build fails.
+
+    ``law`` is the law's :func:`~sitctl.model.define` arguments, whose body returns ``u`` from ``(F, Ms)``
+    (:meth:`~sitctl.control.ControlLaw.evaluator_definition`); it is translated to C, never compiled in Python.
+    ``reference(chunk, initial, n_steps, every) -> (states, controls, termination, max_clamp)`` is the record
+    rule in Python (:func:`sitctl.simulate._record`).  The returned ``record(initial, n_steps, every)`` gives
+    its results bit for bit, in one call of the C driver (``sitctl_record`` in :data:`_DRIVER`) that writes every
+    sample's state and ``u`` into preallocated arrays.  It returns to Python only where :func:`kernel`'s twin
+    would: where a step of a chunk leaves [0, inf), or where Python raises.  The twin then runs that chunk, and
+    clamps or raises as the Python kernel does; the driver resumes at the record the chunk ends at, and a chunk
+    that ends the run goes to ``reference`` for the run's termination.  Where the law raises at a sample,
+    ``reference`` raises the same error there.
+
+    The kernel, the law and the driver are built together, once per process and per pair of source texts; a
+    sweep builds before it forks, so its workers inherit the build.
+    """
+    functions, size, tol = _built((_source(advance), model.source(*law)))
+    if functions is None:
+        return None
+    function, driver = functions
+    values, law_values = _doubles(_constants(advance)), _doubles(law[3])
+    chunk = _twin(advance, function, size, tol)
+
+    def record(initial, n_steps, every):
+        records = 1 + -(-n_steps // every)
+        states, controls = np.empty((records, size)), np.empty(records)
+        states[0] = initial
+        start, max_clamp, buffers = 0, 0.0, (states.ctypes.data, controls.ctypes.data)
+        while (stop := driver(*buffers, start, records, size, n_steps, every, values, law_values)) != records:
+            if stop < 0:  # the law raised at record -1 - stop: the reference raises the same error on that record
+                reference(chunk, tuple(states[-1 - stop].tolist()), 0, 1)
+                raise RuntimeError(f"the C law raised at record {-1 - stop} and the Python law did not")
+            state, n = tuple(states[stop - 1].tolist()), min(every, n_steps - (stop - 1) * every)
+            try:  # the chunk that ends at record ``stop``, which clamps or raises as the Python kernel does
+                states[stop], clamped = chunk(state, n)
+            except (NonnegativityError, NonFiniteError):  # the run ends at the chunk's start: the reference names how
+                _, _, termination, clamped = reference(chunk, state, n, n)
+                return states[:stop], controls[:stop], termination, max(max_clamp, clamped)
+            max_clamp = max(max_clamp, clamped)
+            start = stop
+        return states, controls, TERMINATION_HORIZON, max_clamp
+
+    return record

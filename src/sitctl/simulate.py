@@ -3,8 +3,10 @@
 One generated RK4 kernel per closed loop (:func:`_kernel`) writes each stage
 out as the law's body, which gives ``u``, then the plant's field, which takes
 it, so the feedback is re-evaluated at every Runge-Kutta stage (no
-sample-and-hold).  :func:`kernel` runs it as compiled C where a C compiler is
-found (:mod:`sitctl.native`), with the same bits.  Tiny negative
+sample-and-hold).  :func:`_record` is the record rule: a sample of the state
+and of ``u`` after each ``record_every`` steps.  :func:`kernel` runs the whole
+record as compiled C in one call where a C compiler is found
+(:mod:`sitctl.native`), with the same bits.  Tiny negative
 overshoots after a step are integrator artifacts and get clamped to zero;
 anything beyond the clamp tolerance signals a genuinely negative release
 rate or an oversized step and aborts the run, and so does a NaN or infinite state.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from textwrap import indent
 
 import numpy as np
@@ -207,55 +210,65 @@ def _advance(spec: SimSpec):
     return _kernel(spec.model, *law.body(), plant, spec.dt, clamp_tol)
 
 
-def kernel(spec: SimSpec):
-    """The spec's kernel as :func:`integrate` runs it: :func:`_advance`'s, in C where it builds (:func:`native.kernel`)."""
-    from . import native  # imported on first use, so set-up does not load the translator
+def _record(law: ControlLaw, chunk, initial: tuple, n_steps: int, every: int):
+    """The record rule, in Python: the reference of :func:`kernel`'s native recorder and the run without a compiler.
 
-    return native.kernel(_advance(spec))
-
-
-def integrate(spec: SimSpec) -> Trajectory:
-    """Run the closed loop to the horizon, or until a step leaves the nonnegative domain or turns NaN or infinite.
-
-    Deterministic: the same spec always yields bit-identical samples.  The spec's kernel (:func:`kernel`)
-    runs the steps in chunks of ``record_every`` (the last one may be shorter), one call per chunk, each
-    followed by one sample ``(i * dt, state)``; the loop records nothing else.  After it, ``controls`` maps
-    ``law.evaluator()`` over the sampled (F, Ms) and ``lyapunov`` is one array call of :func:`lyapunov_V`,
-    both rounding exactly as per-sample float calls would.
+    ``chunk(state, n) -> (state, largest clamp)`` runs the steps in chunks of ``every`` (the last one may be
+    shorter), each followed by one sample; then ``law.evaluator()`` maps over the sampled (F, Ms), the last two
+    components.  Returns ``(states, controls, termination, max_clamp)``: one row and one u per sample.
     """
-    advance = kernel(spec)
-    n_steps = max(1, round(spec.t_end / spec.dt))
-
-    state = tuple(float(x) for x in spec.initial)
-    times, states = [0.0], [state]
-    termination = TERMINATION_HORIZON
-    max_clamp = 0.0
-    dt, every = spec.dt, spec.record_every
+    states = [initial]
+    termination, max_clamp = TERMINATION_HORIZON, 0.0
     try:
         for start in range(0, n_steps, every):  # a chunk of steps, then one sample
-            end = min(start + every, n_steps)
-            state, clamped = advance(state, end - start)
+            state, clamped = chunk(states[-1], min(every, n_steps - start))
             if clamped > max_clamp:
                 max_clamp = clamped
-            times.append(end * dt)
             states.append(state)
     except NonnegativityError as err:
         termination, max_clamp = TERMINATION_NONNEG, max(max_clamp, err.max_clamp)
     except NonFiniteError as err:
         termination, max_clamp = TERMINATION_NONFINITE, max(max_clamp, err.max_clamp)
-
     states = np.array(states)
+    u = law.evaluator()
+    controls = np.array([u(f, m) for f, m in zip(states[:, -2].tolist(), states[:, -1].tolist())])
+    return states, controls, termination, max_clamp
+
+
+def kernel(spec: SimSpec):
+    """The spec's recorder ``record(initial, n_steps, every) -> (states, controls, termination, max_clamp)``.
+
+    It is :func:`native.recorder`'s, which runs the whole record in C in one call where a C compiler is found,
+    and else :func:`_record` on :func:`_advance`'s kernel; the two give the same bits.
+    """
+    from . import native  # imported on first use, so set-up does not load the translator
+
+    law, advance = spec.law, _advance(spec)
+    reference = partial(_record, law)
+    return native.recorder(advance, law.evaluator_definition(), reference) or partial(reference, advance)
+
+
+def integrate(spec: SimSpec) -> Trajectory:
+    """Run the closed loop to the horizon, or until a step leaves the nonnegative domain or turns NaN or infinite.
+
+    Deterministic: the same spec always yields bit-identical samples.  One call of the spec's recorder
+    (:func:`kernel`) records the run: a sample ``(i * dt, state)`` after each ``record_every`` steps and at the
+    horizon, with u at each, as :func:`_record` maps ``law.evaluator()`` over them.  ``lyapunov`` is one array
+    call of :func:`lyapunov_V`, rounding exactly as per-sample float calls would.
+    """
+    n_steps = max(1, round(spec.t_end / spec.dt))
+    every = spec.record_every
+    states, controls, termination, max_clamp = kernel(spec)(tuple(float(x) for x in spec.initial), n_steps, every)
     F, Ms = states[:, -2], states[:, -1]
-    u = spec.law.evaluator()
     lyapunov = None
     if spec.model == "reduced":
         with np.errstate(over="ignore", invalid="ignore"):  # float arithmetic: inf and nan, no warning
             lyapunov = lyapunov_V(F, Ms, spec.law.config, spec.law.params)  # the law's target, whatever the plant
     return Trajectory(
         model=spec.model,
-        times=np.array(times),
+        times=np.minimum(np.arange(len(states)) * every, n_steps) * spec.dt,  # each int times dt, as a float would
         states=states,
-        controls=np.array([u(f, m) for f, m in zip(F.tolist(), Ms.tolist())]),
+        controls=controls,
         lyapunov=lyapunov,
         termination=termination,
         max_clamp=max_clamp,

@@ -1,9 +1,14 @@
-"""The native kernel: each generated RK4 kernel translated to C, built once, bit for bit the Python kernel's."""
+"""The native kernel: each generated RK4 kernel translated to C, built once, bit for bit the Python kernel's; and the
+native recorder, which runs a whole record in one C call, bit for bit the Python record function's."""
+import contextlib
+import dataclasses
 import importlib
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,10 +17,11 @@ from hypothesis import strategies as st
 import sitctl as s
 import sitctl.harness
 import sitctl.native as native
+import sitctl.simulate
 from sitctl.configio import params_from_mapping, parse_config_text
 from sitctl.harness import PRESETS, RobustnessConfig, perturb_params, preset_scenario, scenario_from_config, trial_rng
 from sitctl.model import PARAM_KEYS, ParamError
-from sitctl.simulate import _advance, _kernel
+from sitctl.simulate import TERMINATION_HORIZON, _advance, _kernel
 
 needs_cc = pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -116,6 +122,12 @@ class TestBuild:
     def test_every_shape_builds_natively(self, name):
         advance = _advance(SHAPE_SPECS[name])
         assert native.kernel(advance) is not advance
+
+    @needs_cc
+    @pytest.mark.parametrize("name", list(SHAPE_SPECS))
+    def test_every_shape_records_natively(self, name):
+        spec = SHAPE_SPECS[name]
+        assert not isinstance(sitctl.simulate.kernel(spec), partial)
 
     def test_no_compiler_runs_the_python_kernel_with_the_same_bits(self, monkeypatch):
         specs = [SHAPE_SPECS["nominal-reduced"], SHAPE_SPECS["robust-full/perturbed"]]
@@ -223,6 +235,110 @@ def test_native_kernel_matches_python_chunk_by_chunk(spec):
         state = tuple(float.fromhex(x) for x in expected[0])
 
 
+@st.composite
+def whole_runs(draw):
+    """``(spec, body)``: a closed loop of :func:`closed_loops` run for ``n_steps``, with record_every 1, beyond
+    ``n_steps`` or not dividing it; ``body`` is None for the loop's own law, or a release that is ``-release`` only
+    where F is the F after step ``k - 1`` of the loop released nothing.  From Ms = 0 it undershoots Ms at step
+    ``k``, mid-chunk or at a chunk's last step, within the clamp tolerance or beyond it."""
+    spec = draw(closed_loops())
+    n_steps = draw(st.integers(1, 60))
+    records = draw(st.sampled_from(["every step", "beyond the horizon", "ragged"]))
+    if records == "every step":
+        every = 1
+    elif records == "beyond the horizon":
+        every = draw(st.integers(n_steps + 1, n_steps + 10))
+    else:
+        ragged = [every for every in range(2, n_steps) if n_steps % every]
+        assume(ragged)
+        every = draw(st.sampled_from(ragged))
+    stop = draw(st.sampled_from([None, "mid-chunk", "last step of a chunk"]))
+    if stop is None:
+        return dataclasses.replace(spec, t_end=n_steps * spec.dt, record_every=every), None
+    spec = dataclasses.replace(spec, initial=(*spec.initial[:-1], 0.0), t_end=n_steps * spec.dt, record_every=every,
+                               plant=spec.plant or spec.law.params.replace())  # a plant: the law sets no dF
+    steps = [k for k in range(1, n_steps + 1) if (k % every == 0 or k == n_steps) == (stop != "mid-chunk")]
+    assume(steps)
+    k = draw(st.sampled_from(steps))
+    tol = 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
+    try:
+        state, _ = _kernel(spec.model, "u = 0.0\n", {}, spec.plant, spec.dt, tol)(spec.initial, k - 1)
+    except (ArithmeticError, s.NonnegativityError):
+        assume(False)
+    release = draw(st.sampled_from([0.5, 10.0])) * 6.0 * tol / spec.dt  # Ms undershoots by about dt/6 of it
+    return spec, ("u = -release if F == Fk else 0.0\n", {"release": release, "Fk": state[-2]})
+
+
+def _whole_run(spec):
+    """``integrate(spec)`` as bytes, its termination and max_clamp, or the error it raised: type and message."""
+    try:
+        traj = s.integrate(spec)
+    except ArithmeticError as err:  # OverflowError, ZeroDivisionError
+        return type(err), str(err)
+    lyapunov = None if traj.lyapunov is None else traj.lyapunov.tobytes()
+    return (traj.times.tobytes(), traj.states.tobytes(), traj.controls.tobytes(), lyapunov, traj.termination,
+            traj.max_clamp.hex())
+
+
+@given(whole_runs())
+@settings(max_examples=150, deadline=None)
+def test_native_recorder_matches_python_whole_run(run):
+    spec, body = run
+    with contextlib.ExitStack() as stack:
+        if body is not None:
+            stack.enter_context(patch.object(s.ControlLaw, "body", lambda law: body))
+        record = sitctl.simulate.kernel(spec)
+        assert isinstance(record, partial) == (native.compiler() is None)
+        fast = _whole_run(spec)
+        with patch.object(native, "recorder", lambda *args: None):
+            python = _whole_run(spec)
+    assert fast == python
+
+
+@needs_cc
+class TestOneCall:
+    """A run enters the C driver once, and once more after each chunk that stops in C."""
+
+    @pytest.fixture
+    def entries(self, monkeypatch):
+        """What each entry into a C driver returned, for the recorders built from here on."""
+        returns, build = [], native._build
+
+        def counting_build(c_source, names):
+            functions = build(c_source, names)
+            if functions is None or len(functions) == 1:
+                return functions
+            advance, driver = functions
+
+            def counted(*args):
+                returns.append(driver(*args))
+                return returns[-1]
+
+            return advance, counted
+
+        monkeypatch.setattr(native, "_BUILT", {})
+        monkeypatch.setattr(native, "_build", counting_build)
+        return returns
+
+    def test_a_clean_run_is_one_call_and_maps_no_python_law(self, entries, monkeypatch):
+        made = []
+        evaluator = s.ControlLaw.evaluator
+        monkeypatch.setattr(s.ControlLaw, "evaluator", lambda law: made.append(law) or evaluator(law))
+        traj = s.integrate(preset_scenario("nominal-reduced").sim_spec())
+        assert (len(traj.times), traj.termination, traj.max_clamp) == (2001, TERMINATION_HORIZON, 0.0)
+        assert entries == [2001] and made == []
+
+    def test_each_stop_reenters_once(self, entries, params, cfg, eq, monkeypatch):
+        # from Ms = 0, a release of -1e-7 undershoots Ms within the clamp tolerance at every step: each of the four
+        # chunks stops in C at its first step, Python finishes it, and the driver resumes at the record it ends at
+        spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(eq.F_bar, 0.0), t_end=2.0,
+                         dt=0.1, record_every=5, plant=params.replace())
+        monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = -1e-7\n", {}))
+        traj = s.integrate(spec)
+        assert (len(traj.times), traj.termination) == (5, TERMINATION_HORIZON) and traj.max_clamp > 0.0
+        assert entries == [1, 2, 3, 4, 5]
+
+
 class TestPythonErrors:
     """Where Python raises inside a chunk, the native kernel raises the same error."""
 
@@ -243,3 +359,18 @@ class TestPythonErrors:
         fast = native.kernel(python)
         outcomes = [_outcome(advance, initial, 3) for advance in (python, fast)]
         assert outcomes[0][0] is ZeroDivisionError and outcomes[1] == outcomes[0]
+
+    @needs_cc
+    @pytest.mark.parametrize("record", [0, -1], ids=["first", "last"])
+    def test_the_law_raises_at_a_record(self, params, cfg, eq, monkeypatch, record):
+        # u divides by zero where F is the record's F: at the first record the first step raises too, in Python; at the
+        # last, only the law's map over the samples does
+        spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(2.0 * eq.F_bar, 0.0),
+                         t_end=2.0, dt=0.1, record_every=5, plant=params.replace())
+        monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = 0.0\n", {}))
+        F = float(s.integrate(spec).F[record])
+        monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = 1.0 / (F - F1) if F == F1 else 0.0\n", {"F1": F}))
+        assert not isinstance(sitctl.simulate.kernel(spec), partial)
+        native_run = _whole_run(spec)
+        monkeypatch.setattr(native, "recorder", lambda *args: None)
+        assert native_run == _whole_run(spec) == (ZeroDivisionError, "float division by zero")

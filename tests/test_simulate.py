@@ -248,6 +248,25 @@ def _outcome(step, state):
     return [x.hex() for x in nxt], clamped.hex()
 
 
+def _pin_kernel(monkeypatch, in_c):
+    """Make ``sitctl.native.kernel`` and ``sitctl.native.recorder``, which the step helpers and integrate call, give
+    the C twins, which must build, with ``in_c``; else the Python kernel and record function."""
+    kernel, recorder = sitctl.native.kernel, sitctl.native.recorder
+
+    def kernel_in_c(advance):
+        fast = kernel(advance)
+        assert fast is not advance, "the kernel did not build natively"
+        return fast
+
+    def recorder_in_c(*args):
+        record = recorder(*args)
+        assert record is not None, "the recorder did not build natively"
+        return record
+
+    monkeypatch.setattr(sitctl.native, "kernel", kernel_in_c if in_c else lambda advance: advance)
+    monkeypatch.setattr(sitctl.native, "recorder", recorder_in_c if in_c else lambda *args: None)
+
+
 class TestUnrolledStep:
     """integrate's generated kernel reproduces step_rk4 over reduced_rhs/full_rhs bit for bit.
 
@@ -258,15 +277,7 @@ class TestUnrolledStep:
 
     @pytest.fixture(autouse=True)
     def kernel(self, monkeypatch):
-        """Make ``sitctl.native.kernel``, which integrate and the step helpers call, return the kernel under test."""
-        built = sitctl.native.kernel
-
-        def in_c(advance):
-            fast = built(advance)
-            assert fast is not advance, "the kernel did not build natively"
-            return fast
-
-        monkeypatch.setattr(sitctl.native, "kernel", in_c if self.in_c else lambda advance: advance)
+        _pin_kernel(monkeypatch, self.in_c)
 
     @pytest.mark.parametrize("name", list(BIT_SPECS))
     def test_integrate_golden_bits(self, name):
@@ -454,7 +465,11 @@ RECORD_SPECS = _record_specs()
 
 
 class TestChunkedRecords:
-    """integrate records in chunks of record_every steps; the record is the per-step rule's."""
+    """integrate records in chunks of record_every steps; the record is the per-step rule's.
+
+    Here the recorder is integrate's own, the C one where a compiler is found; :class:`TestPythonChunkedRecords`
+    runs every test on the Python record function.
+    """
 
     @pytest.mark.parametrize("spec", RECORD_SPECS.values(), ids=list(RECORD_SPECS))
     def test_whole_record_matches_step_rk4_loop(self, spec):
@@ -482,6 +497,14 @@ class TestChunkedRecords:
         assert traj.termination == s.simulate.TERMINATION_NONFINITE == "non-finite"
         assert traj.times[-1] == 36.0
         assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.controls))
+
+
+class TestPythonChunkedRecords(TestChunkedRecords):
+    """Every test of :class:`TestChunkedRecords` on the Python kernel and record function, compiler or not."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, monkeypatch):
+        _pin_kernel(monkeypatch, False)
 
 
 def _source(function):
