@@ -12,7 +12,6 @@ from .model import (
     alpha,
     basic_offspring_number,
     capacity_from_E_bar,
-    dg_dMs,
     full_rhs,
     g,
     persistence_equilibrium,
@@ -23,18 +22,12 @@ from .control import (
     ControlLaw,
     ControllerConfig,
     ControllerError,
-    chi,
-    cut2,
     dms_star_dF,
     epsilon_for,
     f_hat_for,
     lyapunov_V,
     ms_star,
-    pi,
     sigma,
-    u_star,
-    u_star_plus,
-    u_tilde,
 )
 from .simulate import (
     NonFiniteError,

@@ -1,51 +1,45 @@
 """Backstepping release-rate controllers for the reduced mosquito model.
 
 Design chain: a virtual sterile-male level ``ms_star`` makes the female
-compartment contract at rate delta_F - eps; the raw backstepping law
-``u_star`` drives Ms onto that level; ``u_star_plus`` strips the only
-sign-indefinite term via the second-quadrant-zeroed product ``cut2``;
-``u_tilde`` gates the result with a smooth cutoff so the law is defined
-and nonnegative for arbitrarily large female densities.
+compartment contract at rate delta_F - eps; the raw backstepping law drives
+Ms onto that level; the clipped law zeroes its only sign-indefinite term,
+the product of the ``ms_star`` slope and the female drift, where the slope
+is negative and the drift positive; the global law gates the result with a
+smooth cutoff so it is defined and nonnegative for arbitrarily large female
+densities.
 
-The composed functions broadcast over numpy arrays (scalar inputs give a
-float); their integer powers are written as products, so an array rounds
-exactly like its points passed one float at a time (numpy's vectorised
-``power`` need not round like libm's ``pow``).  :data:`LAW` is the law's
-scalar body as statement text; :meth:`ControlLaw.evaluator` compiles it, and
-the integration kernels write it into every Runge-Kutta stage.
+:data:`LAW` is the whole law as scalar statement text, the one place it is
+written: :meth:`ControlLaw.evaluator` compiles it, the integration kernels
+write it into every Runge-Kutta stage, and the grid audits evaluate it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (
     MAX_MAGNITUDE,
     REDUCED_FEMALES,
     BioParams,
-    _plain,
     alpha,
     define,
-    dg_dMs,
     field_constants,
-    g,
     persistence_equilibrium,
     validate_params,
 )
 
 VARIANTS = ("none", "raw", "plus", "global")
 
-# Relative width of the near-diagonal band where the divided difference in
-# pi() is replaced by the exact partial derivative (cancellation guard).
+# Relative width of the near-diagonal band where the law's mismatch rate replaces the
+# divided difference of g by its exact partial derivative (cancellation guard).
 PI_SWITCH_TOL = 1e-8
 
 
-#: The feedback law's scalar body: statement text that sets ``u`` from (F, Ms) and the constants of
-#: :meth:`ControlLaw.body`, flags ``gated`` and ``clip`` among them.  Its drift is the reduced field's ``dF``
-#: text on the law's params, whose ``gv`` and ``denom`` it reuses.  Only constants that lead a left-associated
-#: product or sum are precomputed (``delta_s - eta``): folding ``nu_E + delta_E`` in ``beta_E F / k + nu_E +
-#: delta_E`` would change the rounding.  A denominator that underflows to 0 takes the limit 0, as in ``g``.
+#: The feedback law's scalar body: statement text that sets ``u`` and ``mismatch``, the mismatch rate times F,
+#: from (F, Ms) and the constants of :meth:`ControlLaw.body`, flags ``gated`` and ``clip`` among them.  Its
+#: drift is the reduced field's ``dF`` text on the law's params, whose ``gv`` and ``denom`` it reuses.  Only
+#: constants that lead a left-associated product or sum are precomputed (``delta_s - eta``): folding ``nu_E +
+#: delta_E`` in ``beta_E F / k + nu_E + delta_E`` would change the rounding.  A denominator that underflows to 0
+#: takes the limit 0, as in ``g``.
 LAW = REDUCED_FEMALES + """\
 c = 1.0
 if gated and F > F2:
@@ -56,6 +50,7 @@ if gated and F > F2:
         c = 1.0 - s * s * (3.0 - 2.0 * s) if cubic else 1.0 - s**3 * (6.0 * s * s - 15.0 * s + 10.0)
 if c <= 0.0:  # from F_hat on, and where the quintic ramp rounds below 0 just under it
     u = 0.0
+    mismatch = 0.0  # u does not read it here; set so that the text defines the mismatch rate on every path
 else:
     lin = beta_E * F + B
     room = F_hat - F
@@ -108,7 +103,7 @@ class ControllerConfig:
     eta: float  # backstepping gain
     rho: float  # Lyapunov weight on F^2
     F2: float  # cutoff knee, in (F_bar, F_hat)
-    cutoff_kind: str = "quintic"  # smoothstep family for chi
+    cutoff_kind: str = "quintic"  # smoothstep family of the cutoff gate
 
     @classmethod
     def design(
@@ -203,106 +198,6 @@ def dms_star_dF(F: float, cfg: ControllerConfig, p: BioParams) -> float:
     return C * ((cfg.F_hat - 2.0 * F) * lin - 2.0 * p.beta_E * F * (cfg.F_hat - F)) / (lin * lin * lin)
 
 
-def pi(F, Ms, cfg: ControllerConfig, p: BioParams):
-    """Mismatch rate between actual and virtual recruitment, times F.
-
-    Divided difference of g between Ms and ms_star(F) away from the
-    diagonal; the exact partial derivative on it, evaluated at those
-    points only.  Nonpositive on the whole nonnegative quadrant; 0 at the
-    origin, where the derivative branch is undefined.  The backstepping
-    laws share its body, ``_mismatch``, and hand it the g and ms_star
-    they computed.
-    """
-    return _mismatch(F, Ms, g(F, Ms, p), ms_star(F, cfg, p), cfg, p)
-
-
-def _mismatch(F, Ms, gv, target, cfg: ControllerConfig, p: BioParams):
-    """The body of ``pi`` on ``gv = g(F, Ms)`` and ``target = ms_star(F)`` computed by the caller.
-
-    ``dg_dMs`` runs only on the switch band: the points that fail the
-    off-diagonal test, a NaN gap among them, less the origin.
-    """
-    origin = (F == 0.0) & (Ms == 0.0)
-    gap = Ms - target
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.where(origin, 0.0, np.divide(gv - cfg.eps * F, gap) * F)
-    band = ~((np.abs(gap) > PI_SWITCH_TOL * np.maximum(1.0, np.abs(target))) | origin)
-    if band.any():
-        value[band] = _on(band, lambda F, Ms: dg_dMs(F, Ms, p) * F, F, Ms)
-    return _plain(value)
-
-
-def _on(mask, fn, *args):
-    """``fn`` of ``args``, each broadcast to ``mask``'s shape, at the points where ``mask`` holds only, as a flat array.
-
-    Each operation of ``fn`` is elementwise, so a point rounds as it does in the whole block.
-    """
-    return fn(*(np.broadcast_to(x, mask.shape)[mask] for x in args))
-
-
-def cut2(x, y):
-    """Product x*y zeroed on the open second quadrant (x < 0, y > 0)."""
-    return _plain(np.where((x < 0.0) & (y > 0.0), 0.0, x * y))
-
-
-def _backstepping(F, Ms, cfg: ControllerConfig, p: BioParams, clip: bool):
-    """The body of ``u_star`` and, with ``clip``, of ``u_star_plus``: cut2 on the last term.
-
-    ``g`` and ``ms_star`` are computed once, for the law and its mismatch rate both.
-    """
-    gv, target = g(F, Ms, p), ms_star(F, cfg, p)
-    slope, drift = dms_star_dF(F, cfg, p), gv - p.delta_F * F
-    return (
-        (p.delta_s - cfg.eta) * Ms
-        + cfg.eta * target
-        - cfg.rho * _mismatch(F, Ms, gv, target, cfg, p)
-        + (cut2(slope, drift) if clip else slope * drift)
-    )
-
-
-def u_star(F, Ms, cfg: ControllerConfig, p: BioParams):
-    """Raw backstepping release rate; may be negative in places."""
-    return _backstepping(F, Ms, cfg, p, False)
-
-
-def u_star_plus(F, Ms, cfg: ControllerConfig, p: BioParams):
-    """Backstepping law with the sign-indefinite term clipped by cut2.
-
-    Nonnegative on [0, F_hat] x R+ whenever eta lies in (delta_F, delta_s).
-    """
-    return _backstepping(F, Ms, cfg, p, True)
-
-
-def chi(F, cfg: ControllerConfig):
-    """Smooth nonincreasing gate: 1 below the knee F2, 0 above F_hat.
-
-    The ramp is clamped at 0: the quintic rounds to about -1.6e-15 in the last floats below F_hat.
-    """
-    s = (F - cfg.F2) / (cfg.F_hat - cfg.F2)
-    if cfg.cutoff_kind == "cubic":
-        ramp = 1.0 - s * s * (3.0 - 2.0 * s)
-    else:
-        ramp = 1.0 - s * s * s * (6.0 * s * s - 15.0 * s + 10.0)
-    return _plain(np.where(F <= cfg.F2, 1.0, np.where(F >= cfg.F_hat, 0.0, np.maximum(ramp, 0.0))))
-
-
-def u_tilde(F, Ms, cfg: ControllerConfig, p: BioParams):
-    """Globally defined nonnegative law: the clipped controller gated by chi.
-
-    ``u_star_plus`` runs only where chi is nonzero; the law is 0 elsewhere.
-    """
-    c = chi(F, cfg)
-    keep = c != 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        if np.all(keep):  # a scalar F below F_hat, or no F at or past it: no subset to take
-            return _plain(u_star_plus(F, Ms, cfg, p) * c)
-        value = np.zeros(np.broadcast_shapes(np.shape(F), np.shape(Ms)))
-        if np.any(keep):
-            keep = np.broadcast_to(keep, value.shape)
-            value[keep] = _on(keep, lambda F, Ms, c: u_star_plus(F, Ms, cfg, p) * c, F, Ms, c)
-    return _plain(value)
-
-
 def sigma(F2: float, p: BioParams) -> float:
     """Self-decay rate of F in the uncontrolled region above F2.
 
@@ -337,16 +232,12 @@ class ControlLaw:
         validate_params(self.params)
 
     def __call__(self, F: float, Ms: float) -> float:
-        if self.variant == "none":
-            return 0.0
-        if self.variant == "raw":
-            return u_star(F, Ms, self.config, self.params)
-        if self.variant == "plus":
-            return u_star_plus(F, Ms, self.config, self.params)
-        return u_tilde(F, Ms, self.config, self.params)
+        """u at (F, Ms) from the law's text; each call makes an :meth:`evaluator`, which a loop should take once."""
+        return self.evaluator()(F, Ms)
 
     def body(self) -> tuple[str, dict]:
-        """The law's scalar body and the constants it reads: statement text that sets ``u`` from ``F`` and ``Ms``.
+        """The law's scalar body and the constants it reads: statement text that sets ``u`` (and, but for 'none',
+        ``mismatch``) from ``F`` and ``Ms``.
 
         A feedback variant's body is :data:`LAW`; 'none' sets ``u = 0.0``.  :meth:`evaluator` compiles it,
         and so does every integration kernel, so the two cannot diverge.
@@ -360,17 +251,13 @@ class ControlLaw:
             "F_hat": cfg.F_hat, "eps": cfg.eps, "eta": cfg.eta, "rho": cfg.rho, "F2": cfg.F2, "B": B, "C": C,
             "two_beta_E": 2.0 * p.beta_E, "release_decay": p.delta_s - cfg.eta, "inv_span": 1.0 / (cfg.F_hat - cfg.F2),
             "switch": PI_SWITCH_TOL, "cubic": cfg.cutoff_kind == "cubic",
-            "gated": self.variant == "global",  # chi cutoff above F2
-            "clip": self.variant != "raw",  # cut2 on the last term
+            "gated": self.variant == "global",  # the cutoff gate above F2
+            "clip": self.variant != "raw",  # the last term zeroed where slope < 0 < drift
         }
 
     def evaluator(self):
-        """The law as a plain-float function u(F, Ms) for tight loops, compiled from :meth:`body`.
-
-        Algebraically identical to calling the law; its constants are locals of the function, so a call
-        costs plain float arithmetic (tests pin it against the composed functions on a grid, and its
-        outputs bit for bit on fixed points).
-        """
+        """The law as a plain-float function u(F, Ms) for tight loops, compiled from :meth:`body`; its constants are
+        locals of the function, so a call costs plain float arithmetic."""
         return define(*self.evaluator_definition())
 
     def evaluator_definition(self) -> tuple[str, str, str, dict]:

@@ -152,23 +152,6 @@ def g(F, Ms, p: BioParams):
     return _plain(np.where((F == 0.0) | (scale == 0.0), 0.0, value))
 
 
-def dg_dMs(F, Ms, p: BioParams):
-    """Partial derivative of ``g`` in the sterile-male direction.
-
-    Always <= 0 and bounded; undefined at the origin where the gradient of
-    ``g`` is discontinuous.  Broadcasts like ``g``.
-    """
-    if np.any((F == 0.0) & (Ms == 0.0)):
-        raise ValueError("dg_dMs is undefined at (F, Ms) = (0, 0)")
-    denom = (1.0 - p.nu) * p.nu_E * p.beta_E * F + alpha(F, p) * p.delta_M * p.gamma_s * Ms
-    d2 = denom * denom
-    num = p.nu * (1.0 - p.nu) * p.beta_E**2 * p.nu_E**2 * F * F * p.delta_M * p.gamma_s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.divide(-num, d2)
-    # subnormal inputs underflow the denominator; the limit is 0
-    return _plain(np.where(d2 == 0.0, 0.0, value))
-
-
 def persistence_equilibrium(p: BioParams) -> EquilibriumSet:
     """Closed-form positive equilibrium of the uncontrolled models.
 
@@ -261,16 +244,17 @@ def field_constants(p: BioParams) -> dict[str, float]:
 
 def reduced_rhs(state, u: float, p: BioParams):
     """Time derivative of the reduced (F, Ms) model under release rate u."""
-    F, Ms = state
-    return (g(F, Ms, p) - p.delta_F * F, u - p.delta_s * Ms)
+    return _rhs("reduced", p)(*state, u)
 
 
 def full_rhs(state, u: float, p: BioParams):
     """Time derivative of the full (E, M, F, Ms) model under release rate u."""
-    return _full_rhs(p)(*state, u)
+    return _rhs("full", p)(*state, u)
 
 
 @lru_cache(maxsize=8)
-def _full_rhs(p: BioParams):
-    """``FIELDS['full']`` on ``p`` as a function ``(E, M, F, Ms, u) -> rates``, kept for the last few ``p``."""
-    return define("rhs", "E, M, F, Ms, u", FIELDS["full"] + "return dE, dM, dF, dMs\n", field_constants(p))
+def _rhs(model: str, p: BioParams):
+    """``FIELDS[model]`` on ``p`` as a function ``(<state>, u) -> rates``, kept for the last few models and ``p``."""
+    names = STATE_NAMES[model]
+    rates = ", ".join("d" + name for name in names)
+    return define("rhs", ", ".join([*names, "u"]), FIELDS[model] + f"return {rates}\n", field_constants(p))

@@ -1,11 +1,11 @@
-"""Generated RK4 kernels and the record of a whole run as compiled C, bit for bit.
+"""The record of a whole run, and the law on a grid, as compiled C, bit for bit.
 
-:func:`kernel` takes a kernel ``advance(state, n) -> (state, largest clamp)`` of
-:func:`sitctl.simulate._kernel` and returns a function with the same contract
-that runs the steps in C.  :func:`recorder` takes the same kernel and the
-law's evaluator text and returns the C twin of the record rule
-:func:`sitctl.simulate._record`: one call of a fixed C driver runs every chunk
-and writes every sample's state and ``u``.  :func:`translate` writes that C
+:func:`recorder` takes a kernel ``advance(state, n) -> (state, largest clamp)``
+of :func:`sitctl.simulate._kernel` and the law's evaluator text and returns
+the C twin of the record rule :func:`sitctl.simulate._record`: one call of a
+fixed C driver runs every chunk and writes every sample's state and ``u``.
+:func:`mapper` takes a law's text alone and returns its C map over a grid of
+(F, Ms) points, which the grid audits scan.  :class:`_Translator` writes the C
 from the Python source, node by node over the fixed subset that the RK4
 template, the law and the field texts use; any other construct raises
 :class:`TranslationError`.  Each C operation is the IEEE operation that
@@ -19,8 +19,8 @@ base, a division by zero), the C kernel says so and the chunk reruns on the
 Python kernel, which raises the same error.  A step that leaves [0, inf)
 returns to Python at that step, and the kernel's ``_clamp`` runs on it; the
 driver returns to Python there too, and resumes after the chunk.  Everything
-else of a run stays in C.  With no C compiler on ``PATH``, or a failed build,
-the Python kernel and record function run.
+else of a run stays in C, and so does a grid but for a point where the law
+raises.  With no C compiler on ``PATH``, or a failed build, Python runs.
 """
 from __future__ import annotations
 
@@ -83,6 +83,16 @@ static double py_pow(double x, double y, int *raised)
     return negate ? -r : r;
 }
 
+/* py_pow in a law: along a row of a grid the law raises the same positive base to the same power at every point, so
+   `kept`, the caller's last x, y and result, is reused where a positive x and y repeat.  A result that raised is never
+   reused: a driver stops at the point that raised, and drops its `kept`. */
+static double py_pow_kept(double x, double y, int *raised, double *kept)
+{
+    if (!(x > 0.0 && x == kept[0] && y == kept[1]))
+        kept[0] = x, kept[1] = y, kept[2] = py_pow(x, y, raised);
+    return kept[2];
+}
+
 """
 
 
@@ -124,8 +134,10 @@ class _Translator:
     state in ``state``; ``k > 0`` when step ``k`` left [0, inf), with that step's unclamped state in ``state``;
     -1 when Python would have raised in some step.
 
-    A law's body is statements and then ``return <name>``.  Its C is ``static double evaluate(double <input>, ...,
-    const double *values, int *flag)``, which sets ``*flag`` to 1 where Python would have raised, else to 0.
+    A law's inputs are ``F, Ms``, and its body is statements and then ``return <name>, ...``.  Its C is ``static void
+    evaluate(double F, double Ms, const double *values, int *flag, double *out, long stride, double *kept)``: it
+    writes the names to ``out[0]``, ``out[stride]``, ..., sets ``*flag`` to 1 where Python would have raised, else
+    to 0, and passes the caller's ``kept`` (three doubles, NaN at first) to ``py_pow_kept``.
 
     The constants other than ``_clamp`` are ``values``, in signature order.
     """
@@ -141,6 +153,7 @@ class _Translator:
         self.function, self.inputs, self.constants = function, names[:split], names[split:]
         self.values = [name for name in self.constants if name != "_clamp"]
         self.locals, self.assigned, self.lines, self.tol, self.worst = set(), set(self.inputs), [], None, None
+        self.power = "py_pow({}, {}, &raised)"  # a kernel's steps repeat no power
 
     def advance(self) -> str:
         """The C of a kernel (see the class)."""
@@ -167,12 +180,17 @@ class _Translator:
     def law(self) -> str:
         """The C of a law (see the class)."""
         *statements, end = self.function.body
-        if not (isinstance(end, ast.Return) and isinstance(end.value, ast.Name)):
-            raise TranslationError("a law's body must end with 'return <name>'")
+        if self.inputs != ["F", "Ms"]:
+            raise TranslationError("a law must be one 'def evaluate(F, Ms, constant=constant, ...)'")
+        if not isinstance(end, ast.Return) or not isinstance(end.value, (ast.Name, ast.Tuple)):
+            raise TranslationError("a law's body must end with 'return <name>, ...'")
+        self.outputs = [end.value.id] if isinstance(end.value, ast.Name) else _names(end.value)
+        self.power = "py_pow_kept({}, {}, &raised, kept)"
         self.block(statements, "")
-        self.lines += ["*flag = raised;", f"return {self.expr(end.value)};"]
-        inputs = "".join(f"double {_name(name)}, " for name in self.inputs)
-        return self.c_function(f"static double evaluate({inputs}const double *values, int *flag)")
+        self.lines += ["*flag = raised;", *(f"out[{i} * stride] = {self.expr(ast.Name(name))};"
+                                            for i, name in enumerate(self.outputs))]
+        return self.c_function("static void evaluate(double v_F, double v_Ms, const double *values, int *flag, "
+                               "double *out, long stride, double *kept)")
 
     def c_function(self, signature: str) -> str:
         reads = [f"    const double {_name(name)} = values[{i}];" for i, name in enumerate(self.values)]
@@ -263,7 +281,7 @@ class _Translator:
                 if not (isinstance(right, ast.Constant) and type(right.value) in (int, float) and right.value > 0
                         and float(right.value).is_integer()):
                     raise TranslationError(f"unsupported power {ast.unparse(node)!r}: only a positive whole exponent")
-                return f"py_pow({left}, {_literal(right.value)}, &raised)"
+                return self.power.format(left, _literal(right.value))
             if isinstance(node.op, ast.Div):
                 return f"py_div({left}, {self.expr(right)}, &raised)"
             if type(node.op) in _ARITHMETIC:
@@ -279,7 +297,7 @@ class _Translator:
 
 
 #: The whole run's record, in C beside a kernel's ``advance`` and a law's ``evaluate`` (see :func:`recorder`).
-_DRIVER = """\
+_RECORD = """\
 /* The record of a run of n steps from states[start], a sample after each `every` steps and at the end:
    states[j] (size doubles) and controls[j], the law at the state's last two components, F and Ms, for j from
    start.  Returns `records` when all are written; j > 0 when the chunk that ends at record j stopped
@@ -287,10 +305,11 @@ _DRIVER = """\
 long sitctl_record(double *states, double *controls, long start, long records, long size, long n, long every,
                    const double *values, const double *law_values)
 {
+    double kept[3] = {NAN};
     for (long j = start;; j++) {
         double *y = states + j * size;
         int raised = 0;
-        controls[j] = evaluate(y[size - 2], y[size - 1], law_values, &raised);
+        evaluate(y[size - 2], y[size - 1], law_values, &raised, controls + j, 1, kept);
         if (raised)
             return -1 - j;
         if (j + 1 == records)
@@ -302,31 +321,32 @@ long sitctl_record(double *states, double *controls, long start, long records, l
     }
 }
 """
+#: The law on a grid, in C beside a law's ``evaluate`` (see :func:`mapper`).
+_MAP = """\
+/* The law at each point (F[i], Ms[j]) of the grid F x Ms, i < rows and j < cols: its n-th returned value is
+   out[(n * rows + i) * cols + j].  Returns rows * cols when all are written; -1 - k when the law raised at point
+   k = i * cols + j, with every point before it written. */
+long sitctl_map(const double *F, long rows, const double *Ms, long cols, double *out, const double *values)
+{
+    double kept[3] = {NAN};
+    for (long i = 0; i < rows; i++)
+        for (long j = 0; j < cols; j++) {
+            int raised = 0;
+            evaluate(F[i], Ms[j], values, &raised, out + i * cols + j, rows * cols, kept);
+            if (raised)
+                return -1 - (i * cols + j);
+        }
+    return rows * cols;
+}
+"""
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
 #: The ctypes signature of each exported C function.  Their names are prefixed: the C library exports a legacy
 #: ``advance`` (regexp.h), which would take the driver's call.
 _SIGNATURES = {
     "sitctl_advance": (_DOUBLES, ctypes.c_long, _DOUBLES),
     "sitctl_record": (ctypes.c_void_p, ctypes.c_void_p, *[ctypes.c_long] * 5, _DOUBLES, _DOUBLES),
+    "sitctl_map": (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, _DOUBLES),
 }
-
-
-def _translate(kernel_source: str, law_source: str | None = None) -> tuple[str, int, str | None]:
-    """The C of the kernel ``kernel_source`` and, given a ``law_source``, of that law and the driver that records a
-    whole run with the two; the kernel's state length and the name of its clamp tolerance."""
-    kernel = _Translator(kernel_source)
-    parts = [_PRELUDE, kernel.advance()]
-    if law_source is not None:
-        law = _Translator(law_source)
-        if len(law.inputs) != 2:
-            raise TranslationError("the recorded law must take two inputs, the state's last two components")
-        parts += [law.law(), _DRIVER]
-    return "\n".join(parts), len(kernel.state), kernel.tol
-
-
-def translate(source: str) -> str:
-    """The C of the kernel ``source`` (see :class:`_Translator`); raises :class:`TranslationError` outside the subset."""
-    return _translate(source)[0]
 
 
 @cache
@@ -335,8 +355,9 @@ def compiler() -> str | None:
     return next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
 
 
-#: Each build, by its source texts (a kernel's, or a kernel's and a law's): the loaded C functions (None without
-#: a compiler or where the build failed), the state's length and the name of the clamp tolerance.
+#: Each build, by its source texts (a law's, or a kernel's and a law's): the loaded C functions (None without a
+#: compiler or where the build failed), the kernel's state length and clamp tolerance's name (None for a law
+#: alone) and the number of values the law returns.
 _BUILT: dict[tuple[str, ...], tuple] = {}
 
 
@@ -372,12 +393,15 @@ def _build(c_source: str, names: tuple[str, ...]):
 
 
 def _built(sources: tuple[str, ...]) -> tuple:
-    """The build of ``sources``, made once per process (:data:`_BUILT`): a kernel's ``sitctl_advance`` or, with a
-    law, its ``sitctl_advance`` and ``sitctl_record``."""
+    """The build of ``sources``, a law's (``sitctl_map``) or a kernel's and a law's (``sitctl_advance`` and
+    ``sitctl_record``), once per process (:data:`_BUILT`): ``(functions, size, tol, outputs)``."""
     if sources not in _BUILT:
-        c_source, size, tol = _translate(*sources)
-        functions = None if compiler() is None else _build(c_source, tuple(_SIGNATURES)[:len(sources)])
-        _BUILT[sources] = functions, size, tol
+        *kernel_source, law_source = sources
+        kernel, law = (_Translator(kernel_source[0]) if kernel_source else None), _Translator(law_source)
+        parts = [_PRELUDE, kernel.advance(), law.law(), _RECORD] if kernel else [_PRELUDE, law.law(), _MAP]
+        names = ("sitctl_advance", "sitctl_record") if kernel else ("sitctl_map",)
+        functions = None if compiler() is None else _build("\n".join(parts), names)
+        _BUILT[sources] = functions, kernel and len(kernel.state), kernel and kernel.tol, len(law.outputs)
     return _BUILT[sources]
 
 
@@ -395,7 +419,8 @@ def _value(name: str, value) -> float:
 
 
 def _twin(advance, function, size: int, tol: str | None):
-    """The chunk function ``run(state, n)`` of ``advance`` on its C ``function``; see :func:`kernel`."""
+    """``advance``'s chunk function ``run(state, n)`` on its C ``function``, bit for bit; ``advance`` runs a chunk
+    in which Python raises."""
     constants = _constants(advance)
     values = _doubles(constants)
     state_type, clamp, clamp_tol = ctypes.c_double * size, constants.get("_clamp"), constants.get(tol)
@@ -425,17 +450,6 @@ def _constants(advance) -> dict:
     return dict(zip(code.co_varnames[2:code.co_argcount], advance.__defaults__))
 
 
-def kernel(advance):
-    """``advance``'s twin that runs in C, or ``advance`` itself where no C compiler is found or the build fails.
-
-    The C is built once per process and per source text (:data:`_BUILT`).  A construct outside the translated
-    subset raises :class:`TranslationError`, with or without a compiler.  ``advance`` stays the reference: the
-    twin returns its results bit for bit, and runs ``advance`` itself on a chunk in which Python raises.
-    """
-    functions, size, tol = _built((_source(advance),))
-    return advance if functions is None else _twin(advance, functions[0], size, tol)
-
-
 def recorder(advance, law: tuple, reference):
     """The C twin of the record function ``reference``, on the kernel ``advance`` and the law ``law``; None where no
     C compiler is found or the build fails.
@@ -444,17 +458,15 @@ def recorder(advance, law: tuple, reference):
     (:meth:`~sitctl.control.ControlLaw.evaluator_definition`); it is translated to C, never compiled in Python.
     ``reference(chunk, initial, n_steps, every) -> (states, controls, termination, max_clamp)`` is the record
     rule in Python (:func:`sitctl.simulate._record`).  The returned ``record(initial, n_steps, every)`` gives
-    its results bit for bit, in one call of the C driver (``sitctl_record`` in :data:`_DRIVER`) that writes every
-    sample's state and ``u`` into preallocated arrays.  It returns to Python only where :func:`kernel`'s twin
-    would: where a step of a chunk leaves [0, inf), or where Python raises.  The twin then runs that chunk, and
-    clamps or raises as the Python kernel does; the driver resumes at the record the chunk ends at, and a chunk
-    that ends the run goes to ``reference`` for the run's termination.  Where the law raises at a sample,
-    ``reference`` raises the same error there.
+    its results bit for bit, in one call of the C driver (``sitctl_record`` in :data:`_RECORD`) that writes every
+    sample's state and ``u`` into preallocated arrays.  It returns to Python only where a step of a chunk leaves
+    [0, inf), or where Python raises: the kernel's C twin (:func:`_twin`) then runs that chunk, and clamps or
+    raises as the Python kernel does, or ``reference`` raises where the law does.
 
-    The kernel, the law and the driver are built together, once per process and per pair of source texts; a
-    sweep builds before it forks, so its workers inherit the build.
+    One build per pair of source texts and per process; a sweep builds before it forks, so its workers inherit
+    it.  A construct outside the translated subset raises :class:`TranslationError`, with or without a compiler.
     """
-    functions, size, tol = _built((_source(advance), model.source(*law)))
+    functions, size, tol, _ = _built((_source(advance), model.source(*law)))
     if functions is None:
         return None
     function, driver = functions
@@ -481,3 +493,27 @@ def recorder(advance, law: tuple, reference):
         return states, controls, TERMINATION_HORIZON, max_clamp
 
     return record
+
+
+def mapper(law: tuple):
+    """The law ``law``, :func:`~sitctl.model.define`'s arguments of a function ``(F, Ms)`` that returns names, on a
+    grid in C: ``grid(Fs, Mss)[n, i, j]`` is its n-th value at ``(Fs[i], Mss[j])``, bit for bit, and it raises where
+    the law does.  None where no C compiler is found or the build fails.  One build (``sitctl_map`` in :data:`_MAP`)
+    per source text and per process serves every value of the constants.
+    """
+    functions, _, _, outputs = _built((model.source(*law),))
+    if functions is None:
+        return None
+    driver, values = functions[0], _doubles(law[3])
+
+    def grid(Fs, Mss):
+        Fs, Mss = np.ascontiguousarray(Fs, dtype=float), np.ascontiguousarray(Mss, dtype=float)
+        out = np.empty((outputs, len(Fs), len(Mss)))
+        stop = driver(Fs.ctypes.data, len(Fs), Mss.ctypes.data, len(Mss), out.ctypes.data, values)
+        if stop < 0:  # the law raised at point -1 - stop: the Python law raises the same error there
+            i, j = divmod(-1 - stop, len(Mss))
+            model.define(*law)(float(Fs[i]), float(Mss[j]))
+            raise RuntimeError(f"the C law raised at ({Fs[i]!r}, {Mss[j]!r}) and the Python law did not")
+        return out
+
+    return grid

@@ -12,16 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (
-    ControllerConfig,
-    dms_star_dF,
-    ms_star,
-    ms_star_coefficients,
-    pi,
-    u_star_plus,
-    u_tilde,
-)
-from .model import BioParams, g
+from .control import ControlLaw, ControllerConfig, dms_star_dF, ms_star, ms_star_coefficients
+from .model import BioParams, define, g
 from .simulate import Trajectory
 
 AUDIT_CHECKS = ("nonneg_plus", "lemma4", "pi_sign", "mstar_identity", "utilde_bound")
@@ -143,16 +135,30 @@ def control_budget(traj: Trajectory) -> float:
         return float(np.trapezoid(traj.controls, traj.times))
 
 
-def _grid_extent_ms(cfg: ControllerConfig, p: BioParams, factor: float) -> float:
-    return factor * float(np.max(ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, p)))
-
-
 # F rows per law call in the 2-D audits: a block of the default 400-point rows holds 4000 points.
 _BLOCK_ROWS = 10
+#: Each 2-D check's law variant and the index of its value among the law text's outputs ``u, mismatch``.
+_GRID_VALUES = {"nonneg_plus": ("plus", 0), "pi_sign": ("plus", 1), "utilde_bound": ("global", 0)}
 
 
-def _scan_2d(law, cfg: ControllerConfig, p: BioParams, Fs, Mss, highest: bool = False, growth: bool = False):
-    """(worst value, witness, max |value|, K) of ``law`` on the grid Fs x Mss, one block of F rows per call.
+def _values(check: str, cfg: ControllerConfig, p: BioParams):
+    """``values(F, Mss)``: the 2-D check's value at each point of the grid F x Mss, from the law text that every run
+    integrates (:data:`~sitctl.control.LAW`); in C where a compiler is found (:func:`~sitctl.native.mapper`, one
+    build for every design and variant), else in Python point by point, with the same bits."""
+    from . import native  # imported on first use, so set-up loads no ctypes
+
+    variant, output = _GRID_VALUES[check]
+    body, constants = ControlLaw(variant, cfg, p).body()
+    law = ("evaluate", "F, Ms", body + "return u, mismatch\n", constants)
+    grid = native.mapper(law)
+    if grid is None:  # the Python function of the same text
+        function = define(*law)
+        return lambda F, Mss: np.array([[function(f, m)[output] for m in Mss.tolist()] for f in F.tolist()])
+    return lambda F, Mss: grid(F, Mss)[output]
+
+
+def _scan_2d(values, cfg: ControllerConfig, p: BioParams, Fs, Mss, highest: bool = False, growth: bool = False):
+    """(worst value, witness, max |value|, K) of ``values`` on the grid Fs x Mss, one block of F rows per call.
 
     The first point in row-major scan order wins a tie.  A NaN is worse than
     any number: the first one is the worst value and the witness, so the
@@ -161,16 +167,16 @@ def _scan_2d(law, cfg: ControllerConfig, p: BioParams, Fs, Mss, highest: bool = 
     """
     worst, witness, scale, K = -np.inf if highest else np.inf, (float(Fs[0]), float(Mss[0])), 0.0, 0.0
     for i in range(0, len(Fs), _BLOCK_ROWS):
-        F = Fs[i:i + _BLOCK_ROWS, None]
-        block = law(F, Mss[None, :], cfg, p)
+        F = Fs[i:i + _BLOCK_ROWS]
+        block = values(F, Mss)
         r, j = np.unravel_index(np.argmax(block) if highest else np.argmin(block), block.shape)
         value = float(block[r, j])
         if not np.isnan(worst) and (np.isnan(value) or (value > worst if highest else value < worst)):
-            worst, witness = value, (float(F[r, 0]), float(Mss[j]))
+            worst, witness = value, (float(F[r]), float(Mss[j]))
         scale = float(np.fmax.reduce(np.abs(block), axis=None, initial=scale))
         if growth:
-            rows = F[:, 0] > 0.0
-            slack = (block[rows] - (p.delta_s - cfg.eta) * Mss) / F[rows]
+            rows = F > 0.0
+            slack = (block[rows] - (p.delta_s - cfg.eta) * Mss) / F[rows, None]
             K = float(np.fmax.reduce(slack, axis=None, initial=K))
     return worst, witness, scale, K
 
@@ -183,11 +189,10 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
     'pi_sign' (mismatch rate nonpositive), 'mstar_identity'
     (g(F, ms*(F)) = eps F on a log grid), 'utilde_bound' (global law under
     a linear bound (delta_s - eta) Ms + K F, K estimated on the grid).
-    The 1-D checks evaluate their whole grid at once; the 2-D checks a
-    block of F rows at a time, which bounds the memory they use.  Within
-    a block the law computes g and ms* once, the derivative branch of pi
-    only on its switch band and u~ only on rows below F_hat (chi > 0).
-    Both grid sizes must be at least 2.
+    The 1-D checks evaluate their whole grid at once; the 2-D checks
+    evaluate the law's text, which every run integrates, a block of F rows
+    at a time, which bounds the memory they use.  Both grid sizes must be
+    at least 2.
     """
     for name, size in (("n_1d", n_1d), ("n_2d", n_2d)):
         if not size >= 2:
@@ -216,18 +221,18 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
 
     if which in ("pi_sign", "nonneg_plus"):
         Fs = np.linspace(0.0, cfg.F_hat, n_2d)
-        Mss = np.linspace(0.0, _grid_extent_ms(cfg, p, 10.0), n_2d)
+        Mss = np.linspace(0.0, 10.0 * float(np.max(ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, p))), n_2d)
         grid = f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]"
         if which == "pi_sign":
-            worst, witness, _, _ = _scan_2d(pi, cfg, p, Fs, Mss, highest=True)
+            worst, witness, _, _ = _scan_2d(_values(which, cfg, p), cfg, p, Fs, Mss, highest=True)
             return AuditReport("pi_sign", grid, worst <= 1e-12, worst, witness, 1e-12)
-        worst, witness, scale, _ = _scan_2d(u_star_plus, cfg, p, Fs, Mss)
+        worst, witness, scale, _ = _scan_2d(_values(which, cfg, p), cfg, p, Fs, Mss)
         return AuditReport("nonneg_plus", grid, worst >= -1e-9 * scale, worst, witness, 1e-9 * scale)
 
     if which == "utilde_bound":
         Fs = np.linspace(0.0, 3.0 * cfg.F_hat, n_2d)
         Mss = np.linspace(0.0, 1e5, n_2d)
-        worst, witness, _, K = _scan_2d(u_tilde, cfg, p, Fs, Mss, growth=True)
+        worst, witness, _, K = _scan_2d(_values(which, cfg, p), cfg, p, Fs, Mss, growth=True)
         passed = worst >= 0.0 and bool(np.isfinite(K))
         grid = f"{n_2d}x{n_2d} on [0..3 F_hat]x[0..1e5]; K={K:.6g}"
         return AuditReport("utilde_bound", grid, passed, worst, witness, 0.0)

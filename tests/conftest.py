@@ -13,6 +13,24 @@ def no_process_left_running():
     assert left == [], f"child processes still running after the test: {left}"
 
 
+@pytest.fixture
+def counting_compiler(monkeypatch, tmp_path):
+    """The C compiler behind a wrapper that logs one line per run, with no native build made yet: the log's path.
+
+    Skips the test where no C compiler is found.
+    """
+    from sitctl import native
+
+    if native.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    log, counting = tmp_path / "runs", tmp_path / "cc"
+    counting.write_text(f'#!/bin/sh\necho run >> "{log}"\nexec "{native.compiler()}" "$@"\n')
+    counting.chmod(0o755)
+    monkeypatch.setattr(native, "compiler", lambda: str(counting))
+    monkeypatch.setattr(native, "_BUILT", {})
+    return log
+
+
 @pytest.fixture(scope="session")
 def params():
     return s.NOMINAL_PARAMS

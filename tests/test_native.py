@@ -1,5 +1,6 @@
 """The native kernel: each generated RK4 kernel translated to C, built once, bit for bit the Python kernel's; and the
-native recorder, which runs a whole record in one C call, bit for bit the Python record function's."""
+native recorder, which runs a whole record in one C call, bit for bit the Python record function's.  The kernel's C
+twin and its translation are reached through the tests' reference (``native_kernel``, ``translate``)."""
 import contextlib
 import dataclasses
 import importlib
@@ -22,6 +23,8 @@ from sitctl.configio import params_from_mapping, parse_config_text
 from sitctl.harness import PRESETS, RobustnessConfig, perturb_params, preset_scenario, scenario_from_config, trial_rng
 from sitctl.model import PARAM_KEYS, ParamError
 from sitctl.simulate import TERMINATION_HORIZON, _advance, _kernel
+
+from reference import native_kernel, translate
 
 needs_cc = pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -76,11 +79,11 @@ class TestTranslation:
 
     def test_every_identifier_is_prefixed(self):
         # the law reads the constant ``switch``, a C keyword
-        c = native.translate(self.SOURCE)
+        c = translate(self.SOURCE)
         assert "v_switch" in c and " switch " not in c and "(switch " not in c
 
     def test_values_and_literals_reach_the_c_only_as_exact_hex(self):
-        c = native.translate(self.SOURCE)
+        c = translate(self.SOURCE)
         assert "0x1.8000000000000p+1" in c  # the exponent 3 of lin**3, as pow(lin, 3.0)
         assert "pow(" in c and "fabs(" in c
 
@@ -100,12 +103,12 @@ class TestTranslation:
     def test_a_construct_outside_the_subset_raises(self, old, new):
         assert old in self.SOURCE
         with pytest.raises(native.TranslationError):
-            native.translate(self.SOURCE.replace(old, new, 1))
+            translate(self.SOURCE.replace(old, new, 1))
 
     def test_a_read_before_assignment_raises(self):
         # Python would raise UnboundLocalError where C would read an undefined double
         with pytest.raises(native.TranslationError, match="read before it is assigned"):
-            native.translate(self.SOURCE.replace("            u = 0.0\n", "            u = u\n", 1))
+            translate(self.SOURCE.replace("            u = 0.0\n", "            u = u\n", 1))
 
     @pytest.mark.parametrize("found", [False, True], ids=["no-compiler", "compiler"])
     def test_translation_errors_do_not_fall_back(self, params, monkeypatch, found):
@@ -113,7 +116,7 @@ class TestTranslation:
             monkeypatch.setattr(native, "compiler", lambda: None)
         advance = _kernel("reduced", "u = F % 2.0\n", {}, params, 0.1, 1e-9)
         with pytest.raises(native.TranslationError, match="unsupported expression"):
-            native.kernel(advance)
+            native_kernel(advance)
 
 
 class TestBuild:
@@ -121,7 +124,7 @@ class TestBuild:
     @pytest.mark.parametrize("name", list(SHAPE_SPECS))
     def test_every_shape_builds_natively(self, name):
         advance = _advance(SHAPE_SPECS[name])
-        assert native.kernel(advance) is not advance
+        assert native_kernel(advance) is not advance
 
     @needs_cc
     @pytest.mark.parametrize("name", list(SHAPE_SPECS))
@@ -136,7 +139,7 @@ class TestBuild:
         monkeypatch.setattr(native, "_BUILT", {})
         for spec, fast in zip(specs, native_runs):
             advance = _advance(spec)
-            assert native.kernel(advance) is advance
+            assert native_kernel(advance) is advance
             slow = s.integrate(spec)
             assert slow.states.tobytes() == fast.states.tobytes()
             assert (slow.termination, slow.max_clamp) == (fast.termination, fast.max_clamp)
@@ -146,31 +149,25 @@ class TestBuild:
         monkeypatch.setattr(native, "_BUILT", {})
         advance = _advance(SHAPE_SPECS["nominal-reduced"])
         with pytest.warns(RuntimeWarning, match="building a native kernel failed"):
-            assert native.kernel(advance) is advance
-        assert native.kernel(advance) is advance  # decided once: no second build, no second warning
+            assert native_kernel(advance) is advance
+        assert native_kernel(advance) is advance  # decided once: no second build, no second warning
 
     @needs_cc
     def test_a_build_leaves_no_file(self, monkeypatch, tmp_path):
         monkeypatch.setattr(native.tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(native, "_BUILT", {})
         advance = _advance(SHAPE_SPECS["nominal-full"])
-        assert native.kernel(advance) is not advance
+        assert native_kernel(advance) is not advance
         assert list(tmp_path.iterdir()) == []
 
     @needs_cc
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks its workers")
-    def test_a_two_worker_sweep_builds_once(self, monkeypatch, tmp_path):
-        log = tmp_path / "runs"
-        counting = tmp_path / "cc"
-        counting.write_text(f'#!/bin/sh\necho run >> "{log}"\nexec "{native.compiler()}" "$@"\n')
-        counting.chmod(0o755)
-        monkeypatch.setattr(native, "compiler", lambda: str(counting))
-        monkeypatch.setattr(native, "_BUILT", {})
+    def test_a_two_worker_sweep_builds_once(self, monkeypatch, counting_compiler):
         monkeypatch.setattr(sitctl.harness, "_usable_cpus", lambda: 2)
         config = RobustnessConfig(base=preset_scenario("robust-reduced", t_end=20.0), trials=2)
         result = s.run_robustness(config)
         assert len(result.trials) == 2
-        assert log.read_text() == "run\n"
+        assert counting_compiler.read_text() == "run\n"
 
 
 def _scaled(factors, base=s.NOMINAL_PARAMS):
@@ -224,7 +221,7 @@ def closed_loops(draw):
 @settings(max_examples=150, deadline=None)
 def test_native_kernel_matches_python_chunk_by_chunk(spec):
     python = _advance(spec)
-    fast = native.kernel(python)
+    fast = native_kernel(python)
     assert (fast is python) == (native.compiler() is None)
     state = spec.initial
     for _ in range(3):
@@ -345,7 +342,7 @@ class TestPythonErrors:
     def test_pow_overflow(self, params, cfg):
         spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(1.0, 0.0), t_end=1.0, dt=0.1)
         python = _advance(spec)
-        fast = native.kernel(python)
+        fast = native_kernel(python)
         outcomes = [_outcome(advance, (1e120, 0.0), 1) for advance in (python, fast)]
         assert outcomes[0][0] is OverflowError and outcomes[1] == outcomes[0]
 
@@ -356,7 +353,7 @@ class TestPythonErrors:
         (F1, _), clamp1 = _kernel("reduced", "u = -1e-7\n", {}, params, 0.1, tol)(initial, 1)
         assert clamp1 > 0.0
         python = _kernel("reduced", "u = 1.0 / (F - F1) if F == F1 else -1e-7\n", {"F1": F1}, params, 0.1, tol)
-        fast = native.kernel(python)
+        fast = native_kernel(python)
         outcomes = [_outcome(advance, initial, 3) for advance in (python, fast)]
         assert outcomes[0][0] is ZeroDivisionError and outcomes[1] == outcomes[0]
 

@@ -16,6 +16,7 @@ from sitctl.harness import perturb_params, preset_scenario, trial_rng
 from sitctl.model import FIELDS, RECRUITMENT, field_constants
 from sitctl.simulate import _advance, _kernel
 
+import reference
 from reference import step_rk4
 
 
@@ -184,14 +185,14 @@ def _clamp_tol(spec):
 
 def _step(spec):
     """integrate's kernel for ``spec`` as one step ``state -> (next, clamp)``."""
-    advance = sitctl.native.kernel(_advance(spec))
+    advance = reference.native_kernel(_advance(spec))
     return lambda state: advance(state, 1)
 
 
 def _release_step(spec, release):
     """One step of the kernel for ``spec``'s model on the law's params, under the constant release rate ``release``."""
     advance = _kernel(spec.model, "u = release\n", {"release": release}, spec.law.params, spec.dt, _clamp_tol(spec))
-    advance = sitctl.native.kernel(advance)
+    advance = reference.native_kernel(advance)
     return lambda state: advance(state, 1)
 
 
@@ -249,9 +250,9 @@ def _outcome(step, state):
 
 
 def _pin_kernel(monkeypatch, in_c):
-    """Make ``sitctl.native.kernel`` and ``sitctl.native.recorder``, which the step helpers and integrate call, give
+    """Make ``reference.native_kernel`` and ``sitctl.native.recorder``, which the step helpers and integrate call, give
     the C twins, which must build, with ``in_c``; else the Python kernel and record function."""
-    kernel, recorder = sitctl.native.kernel, sitctl.native.recorder
+    kernel, recorder = reference.native_kernel, sitctl.native.recorder
 
     def kernel_in_c(advance):
         fast = kernel(advance)
@@ -263,7 +264,7 @@ def _pin_kernel(monkeypatch, in_c):
         assert record is not None, "the recorder did not build natively"
         return record
 
-    monkeypatch.setattr(sitctl.native, "kernel", kernel_in_c if in_c else lambda advance: advance)
+    monkeypatch.setattr(reference, "native_kernel", kernel_in_c if in_c else lambda advance: advance)
     monkeypatch.setattr(sitctl.native, "recorder", recorder_in_c if in_c else lambda *args: None)
 
 
@@ -364,7 +365,7 @@ class TestUnrolledStep:
         with pytest.raises(s.NonnegativityError):
             step_rk4(state, spec.dt, spec.dt, _reference_rhs(spec, u), _clamp_tol(spec))
         with pytest.raises(s.NonnegativityError) as err:
-            sitctl.native.kernel(_kernel("reduced", law, {"F1": F1}, params, spec.dt, _clamp_tol(spec)))(initial, 2)
+            reference.native_kernel(_kernel("reduced", law, {"F1": F1}, params, spec.dt, _clamp_tol(spec)))(initial, 2)
         assert err.value.max_clamp == clamp1
         monkeypatch.setattr(s.ControlLaw, "body", lambda self: (law, {"F1": F1}))
         traj = s.integrate(spec)
@@ -529,8 +530,7 @@ class TestSharedRecruitment:
             counts["g"] += 1
             return _g(F, Ms, p)
 
-        for module in (sitctl.model, sitctl.control):
-            monkeypatch.setattr(module, "g", counting_g)
+        monkeypatch.setattr(sitctl.model, "g", counting_g)  # control reads no g: its law is text
         return counts
 
     @pytest.mark.parametrize("variant", ["raw", "plus", "global"])

@@ -3,12 +3,16 @@ import numpy as np
 import pytest
 
 import sitctl as s
-from sitctl import control, verify
-from sitctl.control import PI_SWITCH_TOL
+import sitctl.native as native
+from sitctl import verify
+from sitctl.model import define
 from sitctl.simulate import Trajectory
 from sitctl.verify import _BLOCK_ROWS, AUDIT_CHECKS
 
-from reference import chi_sandwich
+from reference import chi, chi_sandwich, pi, u_star_plus, u_tilde
+
+#: Each 2-D check's composed oracle, by name, and the law variant and output of the law text it audits.
+LAW_OUTPUTS = {"u_star_plus": ("plus", 0), "pi": ("plus", 1), "u_tilde": ("global", 0)}
 
 
 def _synthetic_reduced(times, F, Ms, u=None, V=None):
@@ -20,7 +24,7 @@ def _synthetic_reduced(times, F, Ms, u=None, V=None):
 
 
 def _pointwise_audit(cfg, p, which, n_1d, n_2d):
-    """Reference for audit_grid: the scalar law functions, one grid point at a time.
+    """Reference for audit_grid: the composed law of the tests' reference, one grid point at a time.
 
     Returns (passed, worst value, witness, tolerance, grid label), the
     fields an AuditReport must reproduce bit for bit.
@@ -48,7 +52,7 @@ def _pointwise_audit(cfg, p, which, n_1d, n_2d):
         passed = worst >= -1e-12 * scale and worst_id <= 1e-9
         return passed, worst, witness, 1e-12 * scale, f"{n_1d} points on [0..F_hat]"
     F_top, Ms_top = (3.0 * cfg.F_hat, 1e5) if which == "utilde_bound" else (cfg.F_hat, extent)
-    fn = {"pi_sign": s.pi, "nonneg_plus": s.u_star_plus, "utilde_bound": s.u_tilde}[which]
+    fn = {"pi_sign": pi, "nonneg_plus": u_star_plus, "utilde_bound": u_tilde}[which]
     sign = -1.0 if which == "pi_sign" else 1.0  # pi_sign looks for the largest value
     worst, witness, scale, K = np.inf, (0.0, 0.0), 0.0, 0.0
     for F in np.linspace(0.0, F_top, n_2d).tolist():
@@ -241,15 +245,18 @@ class TestAuditGrid:
         # 3rd point of the next row and in a later block must not hide the violation
         extent = 10.0 * float(np.max(s.ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, params)))
         Fs, Mss = np.linspace(0.0, cfg.F_hat, 50), np.linspace(0.0, extent, 50)
-        real = getattr(verify, law)
+        assert verify._GRID_VALUES[check] == LAW_OUTPUTS[law]
+        real = verify._values
 
-        def spoiled(F, Ms, cfg, p):
-            F, Ms = np.broadcast_arrays(F, Ms)
-            value = np.where(F == 0.0, bad, real(F, Ms, cfg, p))
-            nan = ((F == 0.0) & (Ms == Mss[7])) | ((F == Fs[1]) & (Ms == Mss[2])) | ((F == Fs[30]) & (Ms == 0.0))
-            return np.where(nan, np.nan, value)
+        def spoiled(check, cfg, p):
+            def values(F, Ms):
+                value = real(check, cfg, p)(F, Ms)
+                F, Ms = np.broadcast_arrays(F[:, None], Ms[None, :])
+                nan = ((F == 0.0) & (Ms == Mss[7])) | ((F == Fs[1]) & (Ms == Mss[2])) | ((F == Fs[30]) & (Ms == 0.0))
+                return np.where(nan, np.nan, np.where(F == 0.0, bad, value))
+            return values
 
-        monkeypatch.setattr(verify, law, spoiled)
+        monkeypatch.setattr(verify, "_values", spoiled)
         report = s.audit_grid(cfg, params, check, n_2d=50)
         assert not report.passed
         assert np.isnan(report.worst_value)
@@ -280,7 +287,8 @@ class TestAuditGrid:
         "check, law", [("nonneg_plus", "u_star_plus"), ("pi_sign", "pi"), ("utilde_bound", "u_tilde")],
     )
     def test_tie_goes_to_first_point_in_scan_order(self, params, cfg, monkeypatch, check, law):
-        monkeypatch.setattr(verify, law, lambda F, Ms, cfg, p: np.zeros(np.broadcast_shapes(np.shape(F), np.shape(Ms))))
+        assert verify._GRID_VALUES[check] == LAW_OUTPUTS[law]
+        monkeypatch.setattr(verify, "_values", lambda check, cfg, p: lambda F, Ms: np.zeros((len(F), len(Ms))))
         report = s.audit_grid(cfg, params, check, n_2d=2 * _BLOCK_ROWS + 3)
         assert (report.worst_value, report.witness) == (0.0, (0.0, 0.0))
 
@@ -292,7 +300,7 @@ class TestAuditGrid:
             s.audit_grid(cfg, params, check, **{name: size})
 
     def test_chi_sandwich_matches_pointwise_scan(self, cfg):
-        vals = [s.chi(float(F), cfg) for F in np.linspace(0.0, 2.0 * cfg.F_hat, 1000)]
+        vals = [chi(float(F), cfg) for F in np.linspace(0.0, 2.0 * cfg.F_hat, 1000)]
         assert chi_sandwich(cfg) == (all(0.0 <= v <= 1.0 for v in vals) and all(a >= b for a, b in zip(vals, vals[1:])))
 
     def test_unknown_check_rejected(self, params, cfg):
@@ -306,43 +314,55 @@ class TestAuditGrid:
         assert len(row.split(",")) == 6
 
 
-class TestAuditWork:
-    """A law call of a 2-D audit computes g once, and the derivative branch of pi on its switch band only."""
+class TestAuditLaw:
+    """The 2-D audits evaluate the law text that every run integrates, in C with a compiler, else in Python."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        counts = {"law": 0, "g": 0, "dg_dMs": []}
+    @pytest.fixture(params=["native", "python"])
+    def path(self, request, monkeypatch):
+        if request.param == "python":
+            monkeypatch.setattr(native, "compiler", lambda: None)
+            monkeypatch.setattr(native, "_BUILT", {})
+        elif native.compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        return request.param
 
-        def counting_g(F, Ms, p, _g=control.g):
-            counts["g"] += 1
-            return _g(F, Ms, p)
+    @staticmethod
+    def _law_text(check, c, p):
+        """The law text's value that ``check`` audits, as a Python function ``(F, Ms)``."""
+        variant, output = verify._GRID_VALUES[check]
+        body, constants = s.ControlLaw(variant, c, p).body()
+        return define("evaluate", "F, Ms", body + f"return {('u', 'mismatch')[output]}\n", constants)
 
-        def recording_dg_dMs(F, Ms, p, _dg_dMs=control.dg_dMs):
-            counts["dg_dMs"] += zip(*(x.ravel().tolist() for x in np.broadcast_arrays(F, Ms)))
-            return _dg_dMs(F, Ms, p)
+    @pytest.mark.parametrize("design", ["nominal", "eta-past-delta_s"])
+    @pytest.mark.parametrize("check", ["nonneg_plus", "pi_sign", "utilde_bound"])
+    def test_worst_value_is_the_law_text_at_the_witness(self, params, cfg, path, design, check):
+        # with eta past delta_s the release term (delta_s - eta) Ms is negative: the checks on u fail, at Ms > 0
+        c = cfg if design == "nominal" else s.ControllerConfig.design(params, F_hat_ratio=1.35, eta=0.2)
+        report = s.audit_grid(c, params, check, n_2d=60)
+        assert report.passed == (design == "nominal" or check == "pi_sign")
+        assert report.worst_value.hex() == self._law_text(check, c, params)(*report.witness).hex()
 
-        def counting(law):
-            def call(F, Ms, cfg, p):
-                counts["law"] += 1
-                return law(F, Ms, cfg, p)
-            return call
+    @pytest.mark.parametrize("design", ["nominal", "strong", "cubic"])
+    @pytest.mark.parametrize("check", ["nonneg_plus", "pi_sign", "utilde_bound"])
+    def test_values_are_the_law_text_at_every_point(self, params, cfg, cfg_strong, path, design, check):
+        c = {"nominal": cfg, "strong": cfg_strong, "cubic": s.nominal_controller(params, cutoff_kind="cubic")}[design]
+        # F from 0 to past F_hat, with the knee F2, F_hat and the floats just below F_hat, where the quintic ramp
+        # rounds below 0
+        Fs = np.sort(np.concatenate([np.linspace(0.0, 1.5 * c.F_hat, 23), [c.F2, c.F_hat],
+                                     (np.float64(c.F_hat).view(np.int64) - np.arange(1, 5)).view(np.float64)]))
+        # Ms also on the mismatch rate's switch band of two F rows, where it takes the derivative branch
+        Mss = np.sort(np.concatenate([np.linspace(0.0, 4e4, 31), s.ms_star(Fs[[3, 8]], c, params)]))
+        law = self._law_text(check, c, params)
+        expected = np.array([[law(F, Ms) for Ms in Mss.tolist()] for F in Fs.tolist()])
+        assert verify._values(check, c, params)(Fs, Mss).tobytes() == expected.tobytes()
 
-        monkeypatch.setattr(control, "g", counting_g)
-        monkeypatch.setattr(control, "dg_dMs", recording_dg_dMs)
-        for law in ("pi", "u_star_plus"):
-            monkeypatch.setattr(verify, law, counting(getattr(verify, law)))
-        return counts
-
-    @pytest.mark.parametrize("check", ["pi_sign", "nonneg_plus"])
-    def test_one_g_per_call_and_dg_dMs_on_the_band(self, params, cfg, calls, check):
-        # pi passed all 160 000 grid points to dg_dMs, and u_star_plus called g twice, once more inside pi
-        assert s.audit_grid(cfg, params, check).passed
-        Fs = np.linspace(0.0, cfg.F_hat, 400)
-        Mss = np.linspace(0.0, 10.0 * float(np.max(s.ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, params))), 400)
-        target = s.ms_star(Fs, cfg, params)[:, None]
-        band = ~(np.abs(Mss - target) > PI_SWITCH_TOL * np.maximum(1.0, np.abs(target)))
-        band[0, 0] = False  # the origin, where pi is 0
-        rows, cols = np.nonzero(band)
-        assert calls["law"] == 400 // _BLOCK_ROWS
-        assert calls["g"] == calls["law"]
-        assert sorted(calls["dg_dMs"]) == sorted(zip(Fs[rows].tolist(), Mss[cols].tolist()))
+    def test_audits_build_one_library_and_match_the_python_law(self, params, cfg, cfg_strong, counting_compiler,
+                                                              monkeypatch):
+        # the three audit designs x the three 2-D checks; gated, clip and cubic are values of the one law text
+        cubic = s.ControllerConfig.design(params, F_hat=cfg.F_hat, eta=cfg.eta, rho=cfg.rho, cutoff_kind="cubic")
+        audits = [(c, check) for c in (cfg, cfg_strong, cubic) for check in ("nonneg_plus", "pi_sign", "utilde_bound")]
+        reports = [s.audit_grid(c, params, check, n_2d=100) for c, check in audits]
+        assert counting_compiler.read_text() == "run\n"
+        monkeypatch.setattr(native, "compiler", lambda: None)
+        monkeypatch.setattr(native, "_BUILT", {})
+        assert [s.audit_grid(c, params, check, n_2d=100) for c, check in audits] == reports
