@@ -1,26 +1,26 @@
 """The record of a whole run, and the law on a grid, as compiled C, bit for bit.
 
 :func:`recorder` takes a kernel ``advance(state, n) -> (state, largest clamp)``
-of :func:`sitctl.simulate._kernel` and the law's evaluator text and returns
-the C twin of the record rule :func:`sitctl.simulate._record`: one call of a
-fixed C driver runs every chunk and writes every sample's state and ``u``.
-:func:`mapper` takes a law's text alone and returns its C map over a grid of
-(F, Ms) points, which the grid audits scan.  :class:`_Translator` writes the C
-from the Python source, node by node over the fixed subset that the RK4
-template, the law and the field texts use; any other construct raises
+and a law's evaluator, each as :func:`sitctl.model.define`'s arguments, and
+returns the C twin of the record rule :func:`sitctl.simulate._record`: one
+call of a fixed C driver runs every chunk and writes every sample's state and
+``u``.  :func:`mapper` takes a law's text alone and returns its C map over a
+grid of (F, Ms) points, which the grid audits scan.  :class:`_Translator`
+writes the C from the Python source, node by node over the fixed subset that
+the RK4 template, the law and the field texts use; any other construct raises
 :class:`TranslationError`.  Each C operation is the IEEE operation that
 Python's float performs, on the same operands in the same order: the build
 turns FMA contraction off, and ``x**3`` calls the libm ``pow`` that Python's
 float power calls, after the same special cases.  So the states and the
 controls are the Python kernel's and law's to the last bit.
 
-Where Python would raise inside a chunk (a ``pow`` that overflows from a finite
-base, a division by zero), the C kernel says so and the chunk reruns on the
-Python kernel, which raises the same error.  A step that leaves [0, inf)
-returns to Python at that step, and the kernel's ``_clamp`` runs on it; the
-driver returns to Python there too, and resumes after the chunk.  Everything
-else of a run stays in C, and so does a grid but for a point where the law
-raises.  With no C compiler on ``PATH``, or a failed build, Python runs.
+A run stays in C up to its first irregular record: one where the law would
+raise (a ``pow`` that overflows from a finite base, a division by zero), or
+whose next chunk would raise or has a step that leaves [0, inf), where the
+kernel's ``_clamp`` runs.  From that record on, the Python record rule records
+the rest of the run, so the errors, the clamps and the termination are its
+own.  A grid stays in C but for a point where the law raises.  With no C
+compiler on ``PATH``, or a failed build, Python runs.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from functools import cache
 import numpy as np
 
 from . import model
-from .simulate import TERMINATION_HORIZON, NonFiniteError, NonnegativityError
+from .simulate import TERMINATION_HORIZON
 
 #: The build: no contraction into FMA (it would change the bits), no fast-math, no host-specific code.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pipe")
@@ -130,16 +130,16 @@ class _Translator:
     ``<worst> = 0.0``, one ``for _ in range(n)`` loop and ``return (<ys>), <worst>``.  The loop's last
     statement may be ``if <test>: (<ys>), <worst> = _clamp((<ys>), <tol>, <worst>)``.  So the state is carried
     from step to step in ``<ys>`` alone, and the C stops where that ``_clamp`` would run.  Its C is
-    ``long sitctl_advance(double *state, long n, const double *values)``: it returns 0 after ``n`` steps, with the
-    state in ``state``; ``k > 0`` when step ``k`` left [0, inf), with that step's unclamped state in ``state``;
-    -1 when Python would have raised in some step.
+    ``static int sitctl_advance(double *state, long n, const double *values)``: it returns 0 after ``n`` steps,
+    with the state in ``state``, or 1, a stop, where a step reaches that ``_clamp`` or Python would have raised in
+    some step; the caller then drops ``state``.
 
     A law's inputs are ``F, Ms``, and its body is statements and then ``return <name>, ...``.  Its C is ``static void
     evaluate(double F, double Ms, const double *values, int *flag, double *out, long stride, double *kept)``: it
     writes the names to ``out[0]``, ``out[stride]``, ..., sets ``*flag`` to 1 where Python would have raised, else
     to 0, and passes the caller's ``kept`` (three doubles, NaN at first) to ``py_pow_kept``.
 
-    The constants other than ``_clamp`` are ``values``, in signature order.
+    The constants other than ``_clamp`` are ``values``, in signature order (:func:`_doubles`).
     """
 
     def __init__(self, source: str):
@@ -152,7 +152,7 @@ class _Translator:
         split = len(names) - len(args.defaults)
         self.function, self.inputs, self.constants = function, names[:split], names[split:]
         self.values = [name for name in self.constants if name != "_clamp"]
-        self.locals, self.assigned, self.lines, self.tol, self.worst = set(), set(self.inputs), [], None, None
+        self.locals, self.assigned, self.lines, self.worst = set(), set(self.inputs), [], None
         self.power = "py_pow({}, {}, &raised)"  # a kernel's steps repeat no power
 
     def advance(self) -> str:
@@ -169,13 +169,13 @@ class _Translator:
         opening = [f"{ys} = state", f"{self.worst} = 0.0"]
         if len(body) != 4 or [ast.unparse(node) for node in body[:2]] != opening:
             raise TranslationError(f"the body must be {opening}, one loop and the return")
-        self.clamp_stop = re.compile(rf"\({ys}\), {self.worst} = _clamp\(\({ys}\), (\w+), {self.worst}\)")
+        self.clamp_stop = re.compile(rf"\({ys}\), {self.worst} = _clamp\(\({ys}\), \w+, {self.worst}\)")
         self.locals.update(self.state)
         self.assigned.update(self.state)
         self.lines = [f"{_name(y)} = state[{i}];" for i, y in enumerate(self.state)]
         self.loop(body[2])
-        self.lines += ["if (raised)", "    return -1;", *self.store(), "return 0;"]
-        return self.c_function("long sitctl_advance(double *state, long n, const double *values)")
+        self.lines += [*(f"state[{i}] = {_name(y)};" for i, y in enumerate(self.state)), "return raised;"]
+        return self.c_function("static int sitctl_advance(double *state, long n, const double *values)")
 
     def law(self) -> str:
         """The C of a law (see the class)."""
@@ -205,26 +205,20 @@ class _Translator:
             "",
         ])
 
-    def store(self) -> list[str]:
-        return [f"state[{i}] = {_name(y)};" for i, y in enumerate(self.state)]
-
     def loop(self, node):
-        """``for _ in range(n)``; a last ``if <test>: <the clamp>`` becomes a stop that hands the step to Python."""
+        """``for _ in range(n)``; a last ``if <test>: <the clamp>`` becomes a stop that hands the chunk to Python."""
         if not (isinstance(node, ast.For) and ast.unparse(node.target) == "_" and ast.unparse(node.iter) == "range(n)"
                 and not node.orelse):
             raise TranslationError("the third statement must be the loop 'for _ in range(n)'")
         *body, last = node.body
         stop = (isinstance(last, ast.If) and not last.orelse and len(last.body) == 1 and "_clamp" in self.constants
                 and self.clamp_stop.fullmatch(ast.unparse(last.body[0])))
-        if stop and stop[1] in self.values:
-            self.tol = stop[1]
-        else:
+        if not stop:
             body.append(last)  # translated as it stands: a clamp elsewhere, or of another form, raises there
         self.lines.append("for (long i = 0; i < n; i++) {")
         self.block(body, "    ")
-        if self.tol:
-            self.lines += [f"    if ({self.test(last.test)}) {{", "        if (raised)", "            return -1;",
-                           *("        " + line for line in self.store()), "        return i + 1;", "    }"]
+        if stop:
+            self.lines += [f"    if ({self.test(last.test)})", "        return 1;"]
         self.lines.append("}")
 
     def block(self, statements, pad: str):
@@ -298,26 +292,26 @@ class _Translator:
 
 #: The whole run's record, in C beside a kernel's ``advance`` and a law's ``evaluate`` (see :func:`recorder`).
 _RECORD = """\
-/* The record of a run of n steps from states[start], a sample after each `every` steps and at the end:
-   states[j] (size doubles) and controls[j], the law at the state's last two components, F and Ms, for j from
-   start.  Returns `records` when all are written; j > 0 when the chunk that ends at record j stopped
-   (sitctl_advance returned nonzero), with every record before j written; -1 - j when the law raised at record j. */
-long sitctl_record(double *states, double *controls, long start, long records, long size, long n, long every,
+/* The record of a run of n steps from states[0], a sample after each `every` steps and at the end: states[j] (size
+   doubles) and controls[j], the law at the state's last two components, F and Ms.  Returns `records` when all are
+   written, else the first record j where the law raised or whose next chunk stopped (sitctl_advance returned 1):
+   every record before j is written, and so is states[j]. */
+long sitctl_record(double *states, double *controls, long records, long size, long n, long every,
                    const double *values, const double *law_values)
 {
     double kept[3] = {NAN};
-    for (long j = start;; j++) {
+    for (long j = 0;; j++) {
         double *y = states + j * size;
         int raised = 0;
         evaluate(y[size - 2], y[size - 1], law_values, &raised, controls + j, 1, kept);
         if (raised)
-            return -1 - j;
+            return j;
         if (j + 1 == records)
             return records;
         for (long i = 0; i < size; i++)
             y[size + i] = y[i];
-        if (sitctl_advance(y + size, n - j * every < every ? n - j * every : every, values) != 0)
-            return j + 1;
+        if (sitctl_advance(y + size, n - j * every < every ? n - j * every : every, values))
+            return j;
     }
 }
 """
@@ -341,10 +335,9 @@ long sitctl_map(const double *F, long rows, const double *Ms, long cols, double 
 """
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
 #: The ctypes signature of each exported C function.  Their names are prefixed: the C library exports a legacy
-#: ``advance`` (regexp.h), which would take the driver's call.
+#: ``advance`` (regexp.h), and a plain name could take another library's symbol.
 _SIGNATURES = {
-    "sitctl_advance": (_DOUBLES, ctypes.c_long, _DOUBLES),
-    "sitctl_record": (ctypes.c_void_p, ctypes.c_void_p, *[ctypes.c_long] * 5, _DOUBLES, _DOUBLES),
+    "sitctl_record": (ctypes.c_void_p, ctypes.c_void_p, *[ctypes.c_long] * 4, _DOUBLES, _DOUBLES),
     "sitctl_map": (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, _DOUBLES),
 }
 
@@ -355,22 +348,14 @@ def compiler() -> str | None:
     return next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
 
 
-#: Each build, by its source texts (a law's, or a kernel's and a law's): the loaded C functions (None without a
-#: compiler or where the build failed), the kernel's state length and clamp tolerance's name (None for a law
-#: alone) and the number of values the law returns.
+#: Each build, by its source texts (a law's, or a kernel's and a law's): the loaded C function (None without a
+#: compiler or where the build failed), the kernel's state length (None for a law alone) and the number of values
+#: the law returns.
 _BUILT: dict[tuple[str, ...], tuple] = {}
 
 
-def _source(advance) -> str:
-    """The generated source text that ``advance`` was compiled from (:func:`sitctl.model.define`)."""
-    for text, code in model._CODE.items():
-        if advance.__code__ in code.co_consts:
-            return text
-    raise ValueError(f"{advance.__name__} is not a generated function")
-
-
-def _build(c_source: str, names: tuple[str, ...]):
-    """Compile ``c_source`` in a private temporary directory and load it: its functions ``names``; None on failure."""
+def _build(c_source: str, name: str):
+    """Compile ``c_source`` in a private temporary directory and load it: its function ``name``; None on failure."""
     import subprocess  # imported here: ``import sitctl`` starts no process and need not pay for it
 
     with tempfile.TemporaryDirectory(prefix="sitctl-", ignore_cleanup_errors=True) as tmp:
@@ -386,22 +371,21 @@ def _build(c_source: str, names: tuple[str, ...]):
     if library is None:
         warnings.warn(f"building a native kernel failed, the Python kernel runs: {result}", RuntimeWarning)
         return None
-    functions = tuple(getattr(library, name) for name in names)
-    for name, function in zip(names, functions):
-        function.argtypes, function.restype = _SIGNATURES[name], ctypes.c_long
-    return functions
+    function = getattr(library, name)
+    function.argtypes, function.restype = _SIGNATURES[name], ctypes.c_long
+    return function
 
 
 def _built(sources: tuple[str, ...]) -> tuple:
-    """The build of ``sources``, a law's (``sitctl_map``) or a kernel's and a law's (``sitctl_advance`` and
-    ``sitctl_record``), once per process (:data:`_BUILT`): ``(functions, size, tol, outputs)``."""
+    """The build of ``sources``, a law's (``sitctl_map``) or a kernel's and a law's (``sitctl_record``), once per
+    process (:data:`_BUILT`): ``(function, size, outputs)``."""
     if sources not in _BUILT:
         *kernel_source, law_source = sources
         kernel, law = (_Translator(kernel_source[0]) if kernel_source else None), _Translator(law_source)
-        parts = [_PRELUDE, kernel.advance(), law.law(), _RECORD] if kernel else [_PRELUDE, law.law(), _MAP]
-        names = ("sitctl_advance", "sitctl_record") if kernel else ("sitctl_map",)
-        functions = None if compiler() is None else _build("\n".join(parts), names)
-        _BUILT[sources] = functions, kernel and len(kernel.state), kernel and kernel.tol, len(law.outputs)
+        parts = [kernel.advance(), law.law(), _RECORD] if kernel else [law.law(), _MAP]
+        name = "sitctl_record" if kernel else "sitctl_map"
+        function = None if compiler() is None else _build("\n".join([_PRELUDE, *parts]), name)
+        _BUILT[sources] = function, kernel and len(kernel.state), len(law.outputs)
     return _BUILT[sources]
 
 
@@ -418,79 +402,39 @@ def _value(name: str, value) -> float:
     raise TypeError(f"constant {name} = {value!r} is not a float")
 
 
-def _twin(advance, function, size: int, tol: str | None):
-    """``advance``'s chunk function ``run(state, n)`` on its C ``function``, bit for bit; ``advance`` runs a chunk
-    in which Python raises."""
-    constants = _constants(advance)
-    values = _doubles(constants)
-    state_type, clamp, clamp_tol = ctypes.c_double * size, constants.get("_clamp"), constants.get(tol)
+def recorder(kernel: tuple, law: tuple, reference):
+    """The C twin of the record function ``reference``, on the kernel ``kernel`` and the law ``law``; None where no C
+    compiler is found or the build fails.
 
-    def run(state, n):
-        if len(state) != size:  # the Python kernel raises on the unpack
-            return advance(state, n)
-        y = state_type(*state)
-        worst, left = 0.0, n
-        while left > 0:
-            stop = function(y, left, values)
-            if stop == 0:
-                break
-            if stop < 0:  # Python raises in this chunk: rerun it there, from its start, for the same error
-                return advance(state, n)
-            left -= stop  # step ``stop`` left [0, inf): clamp it as the Python kernel does, then go on
-            clamped, worst = clamp(tuple(y), clamp_tol, worst)
-            y[:] = clamped
-        return tuple(y), worst
-
-    return run
-
-
-def _constants(advance) -> dict:
-    """A kernel's constants by name: the defaults of the parameters after ``state, n``."""
-    code = advance.__code__
-    return dict(zip(code.co_varnames[2:code.co_argcount], advance.__defaults__))
-
-
-def recorder(advance, law: tuple, reference):
-    """The C twin of the record function ``reference``, on the kernel ``advance`` and the law ``law``; None where no
-    C compiler is found or the build fails.
-
-    ``law`` is the law's :func:`~sitctl.model.define` arguments, whose body returns ``u`` from ``(F, Ms)``
-    (:meth:`~sitctl.control.ControlLaw.evaluator_definition`); it is translated to C, never compiled in Python.
-    ``reference(chunk, initial, n_steps, every) -> (states, controls, termination, max_clamp)`` is the record
-    rule in Python (:func:`sitctl.simulate._record`).  The returned ``record(initial, n_steps, every)`` gives
-    its results bit for bit, in one call of the C driver (``sitctl_record`` in :data:`_RECORD`) that writes every
-    sample's state and ``u`` into preallocated arrays.  It returns to Python only where a step of a chunk leaves
-    [0, inf), or where Python raises: the kernel's C twin (:func:`_twin`) then runs that chunk, and clamps or
-    raises as the Python kernel does, or ``reference`` raises where the law does.
+    ``kernel`` and ``law`` are :func:`~sitctl.model.define`'s arguments: the kernel is ``advance(state, n) -> (state,
+    largest clamp)`` (:func:`sitctl.simulate._kernel`) and the law's body returns ``u`` from ``(F, Ms)``
+    (:meth:`~sitctl.control.ControlLaw.evaluator_definition`).  Both are translated to C; the kernel is compiled in
+    Python only for a run that leaves C, and the law never is.  ``reference(chunk, initial, n_steps, every) ->
+    (states, controls, termination, max_clamp)`` is the record rule in Python (:func:`sitctl.simulate._record`).
+    The returned ``record(initial, n_steps, every)`` gives its results bit for bit.  One call of the C driver
+    (``sitctl_record`` in :data:`_RECORD`) writes each sample's state and ``u`` into preallocated arrays, up to the
+    first record where the law raises or whose next chunk stops; from that record's state, ``reference`` records
+    the rest of the run on the Python kernel, and clamps, raises and ends the run as it would have.
 
     One build per pair of source texts and per process; a sweep builds before it forks, so its workers inherit
     it.  A construct outside the translated subset raises :class:`TranslationError`, with or without a compiler.
     """
-    functions, size, tol, _ = _built((_source(advance), model.source(*law)))
-    if functions is None:
+    driver, size, _ = _built((model.source(*kernel), model.source(*law)))
+    if driver is None:
         return None
-    function, driver = functions
-    values, law_values = _doubles(_constants(advance)), _doubles(law[3])
-    chunk = _twin(advance, function, size, tol)
+    values, law_values = _doubles(kernel[3]), _doubles(law[3])
 
     def record(initial, n_steps, every):
         records = 1 + -(-n_steps // every)
         states, controls = np.empty((records, size)), np.empty(records)
         states[0] = initial
-        start, max_clamp, buffers = 0, 0.0, (states.ctypes.data, controls.ctypes.data)
-        while (stop := driver(*buffers, start, records, size, n_steps, every, values, law_values)) != records:
-            if stop < 0:  # the law raised at record -1 - stop: the reference raises the same error on that record
-                reference(chunk, tuple(states[-1 - stop].tolist()), 0, 1)
-                raise RuntimeError(f"the C law raised at record {-1 - stop} and the Python law did not")
-            state, n = tuple(states[stop - 1].tolist()), min(every, n_steps - (stop - 1) * every)
-            try:  # the chunk that ends at record ``stop``, which clamps or raises as the Python kernel does
-                states[stop], clamped = chunk(state, n)
-            except (NonnegativityError, NonFiniteError):  # the run ends at the chunk's start: the reference names how
-                _, _, termination, clamped = reference(chunk, state, n, n)
-                return states[:stop], controls[:stop], termination, max(max_clamp, clamped)
-            max_clamp = max(max_clamp, clamped)
-            start = stop
-        return states, controls, TERMINATION_HORIZON, max_clamp
+        j = driver(states.ctypes.data, controls.ctypes.data, records, size, n_steps, every, values, law_values)
+        if j == records:
+            return states, controls, TERMINATION_HORIZON, 0.0
+        # a clamp stops its chunk in C, so the records before j clamped nothing: the rest's max_clamp is the run's
+        rest, more, termination, max_clamp = reference(model.define(*kernel), tuple(states[j].tolist()),
+                                                       n_steps - j * every, every)
+        return np.concatenate((states[:j], rest)), np.concatenate((controls[:j], more)), termination, max_clamp
 
     return record
 
@@ -501,10 +445,10 @@ def mapper(law: tuple):
     the law does.  None where no C compiler is found or the build fails.  One build (``sitctl_map`` in :data:`_MAP`)
     per source text and per process serves every value of the constants.
     """
-    functions, _, _, outputs = _built((model.source(*law),))
-    if functions is None:
+    driver, _, outputs = _built((model.source(*law),))
+    if driver is None:
         return None
-    driver, values = functions[0], _doubles(law[3])
+    values = _doubles(law[3])
 
     def grid(Fs, Mss):
         Fs, Mss = np.ascontiguousarray(Fs, dtype=float), np.ascontiguousarray(Mss, dtype=float)

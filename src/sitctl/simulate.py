@@ -4,9 +4,10 @@ One generated RK4 kernel per closed loop (:func:`_kernel`) writes each stage
 out as the law's body, which gives ``u``, then the plant's field, which takes
 it, so the feedback is re-evaluated at every Runge-Kutta stage (no
 sample-and-hold).  :func:`_record` is the record rule: a sample of the state
-and of ``u`` after each ``record_every`` steps.  :func:`kernel` runs the whole
-record as compiled C in one call where a C compiler is found
-(:mod:`sitctl.native`), with the same bits.  Tiny negative
+and of ``u`` after each ``record_every`` steps.  Where a C compiler is found,
+:func:`kernel` records a run as compiled C in one call (:mod:`sitctl.native`)
+up to its first record where the law raises or whose next chunk clamps or
+raises, and :func:`_record` records the rest, with the same bits.  Tiny negative
 overshoots after a step are integrator artifacts and get clamped to zero;
 anything beyond the clamp tolerance signals a genuinely negative release
 rate or an oversized step and aborts the run, and so does a NaN or infinite state.
@@ -73,8 +74,8 @@ class SimSpec:
             raise ValueError(f"t_end/dt = {self.t_end / self.dt:.3g} steps exceeds MAX_STEPS = {MAX_STEPS:.0e}")
         if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"t_end={self.t_end} must be a whole number of dt={self.dt} steps")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if not 1 <= self.record_every <= MAX_STEPS:
+            raise ValueError(f"record_every = {self.record_every} must lie in [1, MAX_STEPS = {MAX_STEPS:.0e}]")
         if self.plant is not None:
             validate_params(self.plant)
         self.check_step()
@@ -178,8 +179,9 @@ def _rk4(names, stage: str) -> str:
     return text + f"return ({', '.join(y)}), worst\n"
 
 
-def _kernel(model: str, law: str, constants: dict, plant: BioParams | None, dt: float, clamp_tol: float):
-    """The RK4 kernel ``advance(state, n) -> (state, largest clamp)`` of one closed loop: ``n`` steps of ``dt``.
+def _kernel(model: str, law: str, constants: dict, plant: BioParams | None, dt: float, clamp_tol: float) -> tuple:
+    """The RK4 kernel ``advance(state, n) -> (state, largest clamp)`` of one closed loop, ``n`` steps of ``dt``, as
+    the arguments of :func:`~sitctl.model.define`.
 
     ``law`` and ``constants`` are a law's body and the values it reads (:meth:`ControlLaw.body`).  With a
     ``plant``, each stage is the law, then the model's field with the plant's constants renamed
@@ -194,11 +196,11 @@ def _kernel(model: str, law: str, constants: dict, plant: BioParams | None, dt: 
         stage = law + re.sub(r"\b(" + "|".join(values) + r")\b", r"plant_\1", FIELDS[model])
         constants = {**constants, **{"plant_" + name: value for name, value in values.items()}}
     steps = {"h2": 0.5 * dt, "sixth": dt / 6.0, "dt": dt, "clamp_tol": clamp_tol, "inf": math.inf, "_clamp": _clamp}
-    return define("advance", "state, n", _rk4(STATE_NAMES[model], stage), {**constants, **steps})
+    return "advance", "state, n", _rk4(STATE_NAMES[model], stage), {**constants, **steps}
 
 
-def _advance(spec: SimSpec):
-    """The spec's kernel, clamping within 1e-9 of the initial state's norm.
+def _advance(spec: SimSpec) -> tuple:
+    """The spec's kernel (:func:`_kernel`), clamping within 1e-9 of the initial state's norm.
 
     A reduced run of a feedback law on its own params (``plant`` None) takes the law's ``dF``; every
     other run takes the model's field on the plant.
@@ -211,7 +213,8 @@ def _advance(spec: SimSpec):
 
 
 def _record(law: ControlLaw, chunk, initial: tuple, n_steps: int, every: int):
-    """The record rule, in Python: the reference of :func:`kernel`'s native recorder and the run without a compiler.
+    """The record rule, in Python: the reference of :func:`kernel`'s native recorder, the rest of a run that leaves
+    C, and the run without a compiler.
 
     ``chunk(state, n) -> (state, largest clamp)`` runs the steps in chunks of ``every`` (the last one may be
     shorter), each followed by one sample; then ``law.evaluator()`` maps over the sampled (F, Ms), the last two
@@ -238,14 +241,16 @@ def _record(law: ControlLaw, chunk, initial: tuple, n_steps: int, every: int):
 def kernel(spec: SimSpec):
     """The spec's recorder ``record(initial, n_steps, every) -> (states, controls, termination, max_clamp)``.
 
-    It is :func:`native.recorder`'s, which runs the whole record in C in one call where a C compiler is found,
-    and else :func:`_record` on :func:`_advance`'s kernel; the two give the same bits.
+    It is :func:`native.recorder`'s where a C compiler is found: one C call records the run up to its first record
+    where the law raises or whose next chunk clamps or raises, and :func:`_record` the rest.  Else it is
+    :func:`_record` on :func:`_advance`'s kernel; only these two paths compile the kernel in Python.  The two give
+    the same bits.
     """
     from . import native  # imported on first use, so set-up does not load the translator
 
     law, advance = spec.law, _advance(spec)
     reference = partial(_record, law)
-    return native.recorder(advance, law.evaluator_definition(), reference) or partial(reference, advance)
+    return native.recorder(advance, law.evaluator_definition(), reference) or partial(reference, define(*advance))
 
 
 def integrate(spec: SimSpec) -> Trajectory:

@@ -1,5 +1,5 @@
 """Reference code for the tests: a generic RK4 step, the law composed of numpy functions, and the native
-kernel's chunk twin.
+kernel's chunks on the record driver.
 
 ``step_rk4`` is the textbook step over any rates function, with its own copy of the clamp policy, so
 the integration kernel is checked against code it does not share.  The composed law (``pi``, ``u_star``,
@@ -194,15 +194,30 @@ NO_LAW = model.source("evaluate", "F, Ms", "u = 0.0\nreturn u\n", {})
 
 
 def native_kernel(advance):
-    """``advance``'s C twin from its recorder's build (``sitctl_advance``), or ``advance`` itself where no C compiler
-    is found or the build fails.
+    """``advance`` as a chunk function on its recorder's C driver (``sitctl_record``, with the law 'none'), or
+    ``advance`` itself where no C compiler is found or the build fails.
 
-    The twin is the chunk function that the native recorder runs where a chunk stops in C: it returns ``advance``'s
-    results bit for bit, and runs ``advance`` itself on a chunk in which Python raises.  A construct outside the
-    translated subset raises ``TranslationError``, with or without a compiler.
+    A chunk runs in C as one record step; one that stops in C (a step that leaves [0, inf), or one where Python
+    raises) runs on ``advance``, as the native recorder records the rest of a run in Python.  So every clean chunk
+    runs in C, and the results are ``advance``'s bit for bit.  A construct outside the translated subset raises
+    ``TranslationError``, with or without a compiler.
     """
-    functions, size, tol, _ = native._built((native._source(advance), NO_LAW))
-    return advance if functions is None else native._twin(advance, functions[0], size, tol)
+    text = next(text for text, code in model._CODE.items() if advance.__code__ in code.co_consts)
+    code = advance.__code__
+    values = native._doubles(dict(zip(code.co_varnames[2:code.co_argcount], advance.__defaults__)))
+    driver, size, _ = native._built((text, NO_LAW))
+    if driver is None:
+        return advance
+
+    def run(state, n):
+        if len(state) != size:  # the Python kernel raises on the unpack
+            return advance(state, n)
+        states, controls = np.array([state, state], dtype=float), np.empty(2)
+        if driver(states.ctypes.data, controls.ctypes.data, 2, size, n, n, values, None) != 2:  # 'none' reads no value
+            return advance(state, n)
+        return tuple(states[1].tolist()), 0.0
+
+    return run
 
 
 def translate(source: str) -> str:

@@ -581,6 +581,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[sim]" in err and "MAX_STEPS" in err
 
+    @pytest.mark.parametrize("every", [10**8 + 1, 10**23])
+    def test_record_every_past_max_steps_exits_2(self, tmp_path, every, capsys):
+        # 10**23 is past a C long: integrate's sample times overflowed, and simulate exited 1 with a traceback
+        path = tmp_path / "sparse.cfg"
+        path.write_text(f"[sim]\nt_end = 1\ndt = 0.1\nrecord_every = {every}\n")
+        assert cli_main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "[sim] record_every" in err and "MAX_STEPS" in err
+
     def test_infinite_ceiling_exits_2(self, tmp_path, capsys):
         # with F2 set, F_hat = inf used to pass design and run to final_F = nan
         path = tmp_path / "ceiling.cfg"

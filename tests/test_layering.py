@@ -1,5 +1,5 @@
 """Layering: model.py spells the vector fields, simulate.py only integrates them, control.py knows no plant,
-and cli.py decides where run output goes."""
+cli.py decides where run output goes, and native.py reads no other module's private names."""
 import ast
 from pathlib import Path
 
@@ -26,6 +26,20 @@ def imported_names(source: str) -> set[str]:
     tree = ast.parse(source)
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def private_reads(source: str) -> list[str]:
+    """Private names of other sitctl modules read through an import, ``from .simulate import _record`` or
+    ``model._CODE`` after ``from . import model``, as ``line:name``."""
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "sitctl")]
+    modules = {alias.asname or alias.name for node in imports if node.module in (None, "sitctl") for alias in node.names}
+    found = [(node.lineno, alias.name) for node in imports for alias in node.names if alias.name.startswith("_")]
+    found += [(node.lineno, node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in modules
+              and node.attr.startswith("_") and not node.attr.endswith("__")]
+    return [f"{line}:{name}" for line, name in sorted(found)]
 
 
 def output_decisions(source: str) -> list[str]:
@@ -81,3 +95,14 @@ def test_trajectory_csv_is_written_in_run_scenario_only():
     assert [(module, run_scenario.lineno < line <= run_scenario.end_lineno) for module, line in calls] == [
         ("harness", True)
     ]
+
+
+def test_detector_flags_a_private_read():
+    source = ("from . import model\nfrom .simulate import _record, integrate\n"
+              "code = model._CODE\nname = model.__name__\nmodel.define(*kernel)\n")
+    assert private_reads(source) == ["2:_record", "3:_CODE"]
+
+
+def test_native_reads_no_private_name_of_another_module():
+    # the translator works from define's arguments, never from another module's caches or helpers
+    assert private_reads((SOURCE / "native.py").read_text()) == []

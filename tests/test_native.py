@@ -1,6 +1,7 @@
 """The native kernel: each generated RK4 kernel translated to C, built once, bit for bit the Python kernel's; and the
-native recorder, which runs a whole record in one C call, bit for bit the Python record function's.  The kernel's C
-twin and its translation are reached through the tests' reference (``native_kernel``, ``translate``)."""
+native recorder, which runs a record in one C call up to its first irregular record and the Python record function
+from there, bit for bit the Python record function's.  The kernel's chunks on the C driver and its translation are
+reached through the tests' reference (``native_kernel``, ``translate``)."""
 import contextlib
 import dataclasses
 import importlib
@@ -21,7 +22,7 @@ import sitctl.native as native
 import sitctl.simulate
 from sitctl.configio import params_from_mapping, parse_config_text
 from sitctl.harness import PRESETS, RobustnessConfig, perturb_params, preset_scenario, scenario_from_config, trial_rng
-from sitctl.model import PARAM_KEYS, ParamError
+from sitctl.model import PARAM_KEYS, ParamError, define
 from sitctl.simulate import TERMINATION_HORIZON, _advance, _kernel
 
 from reference import native_kernel, translate
@@ -75,7 +76,7 @@ def _outcome(advance, state, n):
 
 
 class TestTranslation:
-    SOURCE = native._source(_advance(SHAPE_SPECS["robust-full/perturbed"]))
+    SOURCE = sitctl.model.source(*_advance(SHAPE_SPECS["robust-full/perturbed"]))
 
     def test_every_identifier_is_prefixed(self):
         # the law reads the constant ``switch``, a C keyword
@@ -114,7 +115,7 @@ class TestTranslation:
     def test_translation_errors_do_not_fall_back(self, params, monkeypatch, found):
         if not found:
             monkeypatch.setattr(native, "compiler", lambda: None)
-        advance = _kernel("reduced", "u = F % 2.0\n", {}, params, 0.1, 1e-9)
+        advance = define(*_kernel("reduced", "u = F % 2.0\n", {}, params, 0.1, 1e-9))
         with pytest.raises(native.TranslationError, match="unsupported expression"):
             native_kernel(advance)
 
@@ -123,7 +124,7 @@ class TestBuild:
     @needs_cc
     @pytest.mark.parametrize("name", list(SHAPE_SPECS))
     def test_every_shape_builds_natively(self, name):
-        advance = _advance(SHAPE_SPECS[name])
+        advance = define(*_advance(SHAPE_SPECS[name]))
         assert native_kernel(advance) is not advance
 
     @needs_cc
@@ -138,7 +139,7 @@ class TestBuild:
         monkeypatch.setattr(native, "compiler", lambda: None)
         monkeypatch.setattr(native, "_BUILT", {})
         for spec, fast in zip(specs, native_runs):
-            advance = _advance(spec)
+            advance = define(*_advance(spec))
             assert native_kernel(advance) is advance
             slow = s.integrate(spec)
             assert slow.states.tobytes() == fast.states.tobytes()
@@ -147,7 +148,7 @@ class TestBuild:
     def test_a_failed_build_warns_and_runs_the_python_kernel(self, monkeypatch):
         monkeypatch.setattr(native, "compiler", lambda: sys.executable)  # rejects every compiler flag
         monkeypatch.setattr(native, "_BUILT", {})
-        advance = _advance(SHAPE_SPECS["nominal-reduced"])
+        advance = define(*_advance(SHAPE_SPECS["nominal-reduced"]))
         with pytest.warns(RuntimeWarning, match="building a native kernel failed"):
             assert native_kernel(advance) is advance
         assert native_kernel(advance) is advance  # decided once: no second build, no second warning
@@ -156,7 +157,7 @@ class TestBuild:
     def test_a_build_leaves_no_file(self, monkeypatch, tmp_path):
         monkeypatch.setattr(native.tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(native, "_BUILT", {})
-        advance = _advance(SHAPE_SPECS["nominal-full"])
+        advance = define(*_advance(SHAPE_SPECS["nominal-full"]))
         assert native_kernel(advance) is not advance
         assert list(tmp_path.iterdir()) == []
 
@@ -220,7 +221,7 @@ def closed_loops(draw):
 @given(closed_loops())
 @settings(max_examples=150, deadline=None)
 def test_native_kernel_matches_python_chunk_by_chunk(spec):
-    python = _advance(spec)
+    python = define(*_advance(spec))
     fast = native_kernel(python)
     assert (fast is python) == (native.compiler() is None)
     state = spec.initial
@@ -259,7 +260,8 @@ def whole_runs(draw):
     k = draw(st.sampled_from(steps))
     tol = 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
     try:
-        state, _ = _kernel(spec.model, "u = 0.0\n", {}, spec.plant, spec.dt, tol)(spec.initial, k - 1)
+        advance = define(*_kernel(spec.model, "u = 0.0\n", {}, spec.plant, spec.dt, tol))
+        state, _ = advance(spec.initial, k - 1)
     except (ArithmeticError, s.NonnegativityError):
         assume(False)
     release = draw(st.sampled_from([0.5, 10.0])) * 6.0 * tol / spec.dt  # Ms undershoots by about dt/6 of it
@@ -294,24 +296,23 @@ def test_native_recorder_matches_python_whole_run(run):
 
 @needs_cc
 class TestOneCall:
-    """A run enters the C driver once, and once more after each chunk that stops in C."""
+    """A run enters the C driver once: up to its end, or up to its first irregular record, after which Python records."""
 
     @pytest.fixture
     def entries(self, monkeypatch):
         """What each entry into a C driver returned, for the recorders built from here on."""
         returns, build = [], native._build
 
-        def counting_build(c_source, names):
-            functions = build(c_source, names)
-            if functions is None or len(functions) == 1:
-                return functions
-            advance, driver = functions
+        def counting_build(c_source, name):
+            driver = build(c_source, name)
+            if driver is None or name != "sitctl_record":
+                return driver
 
             def counted(*args):
                 returns.append(driver(*args))
                 return returns[-1]
 
-            return advance, counted
+            return counted
 
         monkeypatch.setattr(native, "_BUILT", {})
         monkeypatch.setattr(native, "_build", counting_build)
@@ -325,15 +326,18 @@ class TestOneCall:
         assert (len(traj.times), traj.termination, traj.max_clamp) == (2001, TERMINATION_HORIZON, 0.0)
         assert entries == [2001] and made == []
 
-    def test_each_stop_reenters_once(self, entries, params, cfg, eq, monkeypatch):
-        # from Ms = 0, a release of -1e-7 undershoots Ms within the clamp tolerance at every step: each of the four
-        # chunks stops in C at its first step, Python finishes it, and the driver resumes at the record it ends at
+    def test_a_stop_enters_the_driver_once_and_python_records_the_rest(self, entries, params, cfg, eq, monkeypatch):
+        # from Ms = 0, a release of -1e-7 undershoots Ms within the clamp tolerance at every step: the first chunk
+        # stops in C at its first step, so the driver returns record 0, and the Python recorder records the whole run
         spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(eq.F_bar, 0.0), t_end=2.0,
                          dt=0.1, record_every=5, plant=params.replace())
         monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = -1e-7\n", {}))
+        native_run = _whole_run(spec)
+        assert entries == [0]
+        monkeypatch.setattr(native, "recorder", lambda *args: None)
+        assert native_run == _whole_run(spec)
         traj = s.integrate(spec)
         assert (len(traj.times), traj.termination) == (5, TERMINATION_HORIZON) and traj.max_clamp > 0.0
-        assert entries == [1, 2, 3, 4, 5]
 
 
 class TestPythonErrors:
@@ -341,7 +345,7 @@ class TestPythonErrors:
 
     def test_pow_overflow(self, params, cfg):
         spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(1.0, 0.0), t_end=1.0, dt=0.1)
-        python = _advance(spec)
+        python = define(*_advance(spec))
         fast = native_kernel(python)
         outcomes = [_outcome(advance, (1e120, 0.0), 1) for advance in (python, fast)]
         assert outcomes[0][0] is OverflowError and outcomes[1] == outcomes[0]
@@ -350,9 +354,10 @@ class TestPythonErrors:
         # step 1 undershoots Ms within the clamp tolerance and is clamped; step 2 divides by zero at its first
         # stage, the only one with F == F1 (as in test_simulate's clamp carried within a chunk)
         initial, tol = (2.0 * eq.F_bar, 0.0), 2e-9 * eq.F_bar
-        (F1, _), clamp1 = _kernel("reduced", "u = -1e-7\n", {}, params, 0.1, tol)(initial, 1)
+        (F1, _), clamp1 = define(*_kernel("reduced", "u = -1e-7\n", {}, params, 0.1, tol))(initial, 1)
         assert clamp1 > 0.0
-        python = _kernel("reduced", "u = 1.0 / (F - F1) if F == F1 else -1e-7\n", {"F1": F1}, params, 0.1, tol)
+        law = "u = 1.0 / (F - F1) if F == F1 else -1e-7\n"
+        python = define(*_kernel("reduced", law, {"F1": F1}, params, 0.1, tol))
         fast = native_kernel(python)
         outcomes = [_outcome(advance, initial, 3) for advance in (python, fast)]
         assert outcomes[0][0] is ZeroDivisionError and outcomes[1] == outcomes[0]

@@ -13,7 +13,7 @@ import sitctl.model
 import sitctl.native
 import sitctl.simulate
 from sitctl.harness import perturb_params, preset_scenario, trial_rng
-from sitctl.model import FIELDS, RECRUITMENT, field_constants
+from sitctl.model import FIELDS, RECRUITMENT, define, field_constants
 from sitctl.simulate import _advance, _kernel
 
 import reference
@@ -185,14 +185,14 @@ def _clamp_tol(spec):
 
 def _step(spec):
     """integrate's kernel for ``spec`` as one step ``state -> (next, clamp)``."""
-    advance = reference.native_kernel(_advance(spec))
+    advance = reference.native_kernel(define(*_advance(spec)))
     return lambda state: advance(state, 1)
 
 
 def _release_step(spec, release):
     """One step of the kernel for ``spec``'s model on the law's params, under the constant release rate ``release``."""
-    advance = _kernel(spec.model, "u = release\n", {"release": release}, spec.law.params, spec.dt, _clamp_tol(spec))
-    advance = reference.native_kernel(advance)
+    kernel = _kernel(spec.model, "u = release\n", {"release": release}, spec.law.params, spec.dt, _clamp_tol(spec))
+    advance = reference.native_kernel(define(*kernel))
     return lambda state: advance(state, 1)
 
 
@@ -250,8 +250,8 @@ def _outcome(step, state):
 
 
 def _pin_kernel(monkeypatch, in_c):
-    """Make ``reference.native_kernel`` and ``sitctl.native.recorder``, which the step helpers and integrate call, give
-    the C twins, which must build, with ``in_c``; else the Python kernel and record function."""
+    """Make ``reference.native_kernel`` and ``sitctl.native.recorder``, which the step helpers and integrate call, run
+    on the C driver, which must build, with ``in_c``; else the Python kernel and record function."""
     kernel, recorder = reference.native_kernel, sitctl.native.recorder
 
     def kernel_in_c(advance):
@@ -271,7 +271,7 @@ def _pin_kernel(monkeypatch, in_c):
 class TestUnrolledStep:
     """integrate's generated kernel reproduces step_rk4 over reduced_rhs/full_rhs bit for bit.
 
-    Here the kernel is the Python one; :class:`TestNativeUnrolledStep` runs every test on its C twin.
+    Here the kernel is the Python one; :class:`TestNativeUnrolledStep` runs every test on its C record driver.
     """
 
     in_c = False
@@ -364,8 +364,9 @@ class TestUnrolledStep:
         assert ref_clamp == clamp1 > 0.0
         with pytest.raises(s.NonnegativityError):
             step_rk4(state, spec.dt, spec.dt, _reference_rhs(spec, u), _clamp_tol(spec))
+        kernel = define(*_kernel("reduced", law, {"F1": F1}, params, spec.dt, _clamp_tol(spec)))
         with pytest.raises(s.NonnegativityError) as err:
-            reference.native_kernel(_kernel("reduced", law, {"F1": F1}, params, spec.dt, _clamp_tol(spec)))(initial, 2)
+            reference.native_kernel(kernel)(initial, 2)
         assert err.value.max_clamp == clamp1
         monkeypatch.setattr(s.ControlLaw, "body", lambda self: (law, {"F1": F1}))
         traj = s.integrate(spec)
@@ -508,11 +509,6 @@ class TestPythonChunkedRecords(TestChunkedRecords):
         _pin_kernel(monkeypatch, False)
 
 
-def _source(function):
-    """The generated source text that ``function`` was compiled from."""
-    return next(text for text, code in sitctl.model._CODE.items() if function.__code__ in code.co_consts)
-
-
 def _stage(text):
     """``text`` as the kernel's RK4 loop writes it out in a stage."""
     return textwrap.indent(text, " " * 8)
@@ -537,7 +533,7 @@ class TestSharedRecruitment:
     def test_own_plant_splices_no_field(self, params, cfg, eq, g_calls, variant):
         law = s.ControlLaw(variant, cfg, params)
         spec = s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.0, dt=0.1)
-        source = _source(_advance(spec))
+        source = sitctl.model.source(*_advance(spec))
         assert source.count(_stage(sitctl.control.LAW)) == 4  # the law, once per stage
         assert source.count(_stage(RECRUITMENT)) == 4  # g's text, inside the law only
         assert _stage(FIELDS["reduced"]) not in source and "plant_" not in source  # no field text, plain or renamed
@@ -550,7 +546,7 @@ class TestSharedRecruitment:
         initial = (eq.F_bar, 0.0) if model == "reduced" else (eq.E_bar, eq.M_bar, eq.F_bar, 0.0)
         law = s.ControlLaw("plus", cfg, params)
         spec = s.SimSpec(model=model, law=law, initial=initial, t_end=10.0, dt=0.1, plant=plant)
-        source = _source(_advance(spec))
+        source = sitctl.model.source(*_advance(spec))
         field = FIELDS[model]
         for name in field_constants(plant):  # the plant's constants, renamed beside the law's
             field = re.sub(rf"\b{name}\b", "plant_" + name, field)
@@ -586,7 +582,8 @@ class TestKernelSource:
         monkeypatch.setattr(sitctl.model, "compile", counting_compile, raising=False)
         draws = [None, None] if plant is None else [perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(2024, i))[0]
                                                      for i in range(2)]
-        a, b = (_advance(self._spec(design, draw, model)) for design, draw in zip(("nominal", "strong"), draws))
+        a, b = (define(*_advance(self._spec(design, draw, model)))
+                for design, draw in zip(("nominal", "strong"), draws))
         assert a.__code__ is b.__code__
         assert len(compiled) == 1 and list(sitctl.model._CODE) == compiled
         assert a.__defaults__ != b.__defaults__
@@ -596,8 +593,8 @@ class TestKernelSource:
         # the law's params and the plant are draws, so no value is a round number that a literal could spell
         law_params = perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(7, 0))[0]
         plant = None if plant is None else perturb_params(s.NOMINAL_PARAMS, 0.1, trial_rng(7, 1))[0]
-        advance = _advance(self._spec("strong", plant, model, p=law_params))
-        source = _source(advance)
+        kernel = _advance(self._spec("strong", plant, model, p=law_params))
+        advance, source = define(*kernel), sitctl.model.source(*kernel)
         values = [v for v in advance.__defaults__ if type(v) is float and v != math.inf]
         # the law's 25 constants, 14 of the plant's unless the law runs on its own reduced plant, dt, h2, sixth, clamp_tol
         assert len(values) == 25 + (0 if (model, plant) == ("reduced", None) else 14) + 4
@@ -605,7 +602,8 @@ class TestKernelSource:
         assert set(map(type, advance.__defaults__)) == {float, bool, type(sitctl.simulate._clamp)}
 
     def test_variants_of_a_feedback_law_share_one_source(self):
-        advances = [_advance(self._spec("nominal", None, "reduced", variant)) for variant in ("raw", "plus", "global")]
+        advances = [define(*_advance(self._spec("nominal", None, "reduced", variant)))
+                    for variant in ("raw", "plus", "global")]
         assert len({a.__code__ for a in advances}) == 1
 
 
