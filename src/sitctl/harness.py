@@ -380,33 +380,24 @@ def run_robustness(config: RobustnessConfig) -> RobustnessResult:
 
     The step gate of :meth:`SimSpec.check_step` is checked once, at the plant's rates times
     ``1 + uncertainty``, before any trial runs (a ConfigError), so no trial fails on it part way.
-    The trials' kernel is built once, in this process, on the nominal plant: every perturbed plant has
-    its shape, so the workers inherit the build.
-    Trials run in ``min(trials, usable CPUs)`` worker processes started with ``fork``; usable CPUs
-    are the process's affinity mask where the OS has one (so ``taskset -c 0`` gives one process),
-    else ``os.cpu_count()``.  With one worker, or no ``fork`` start method, the trials run in this
-    process.  Each trial is a pure function of the config and its index, and results come back in
-    trial order, so the summaries are byte-identical to a one-process run.  A failing trial fails
-    the sweep with its own exception, the first in trial order; the pending trials are cancelled and
-    every worker has exited before it propagates.
+    The trials' kernel is built once, in this thread, on the nominal plant: every perturbed plant has
+    its shape, so no two worker threads build it at once.
+    Trials run on ``min(trials, usable CPUs)`` threads of this process; usable CPUs are the process's
+    affinity mask where the OS has one (so ``taskset -c 0`` gives one thread), else ``os.cpu_count()``.
+    A trial spends most of its time in one call of the C driver, which releases the GIL, so the threads
+    run in parallel; with no C compiler the trials are pure Python and run at one thread's speed.
+    Each trial is a pure function of the config and its index, and results come back in trial order,
+    so the summaries are byte-identical to a one-thread run.  A failing trial fails the sweep with its
+    own exception, the first in trial order; the pending trials are cancelled and every worker thread
+    has exited before it propagates.
     """
     try:
         config.base.sim_spec().check_step(1.0 + config.uncertainty)
     except ValueError as err:
         raise ConfigError(f"[sim] {err}, at uncertainty {config.uncertainty!r}") from None
-    kernel(config.base.sim_spec(config.base.params))  # every trial's kernel shape: built here, before any fork
-    trial = partial(_trial, config)
-    workers = min(config.trials, _usable_cpus())
-    if workers > 1:
-        import multiprocessing  # imported here: ~18 ms that ``import sitctl`` need not pay
+    kernel(config.base.sim_spec(config.base.params))  # every trial's kernel shape: built here, before any thread
+    from concurrent.futures import ThreadPoolExecutor  # imported here: ``import sitctl`` need not pay for it
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                try:
-                    return RobustnessResult(trials=list(pool.map(trial, range(config.trials))))
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
-    return RobustnessResult(trials=list(map(trial, range(config.trials))))
+    # a trial that raises ends map's iteration, which cancels the trials not yet started; the with joins the threads
+    with ThreadPoolExecutor(min(config.trials, _usable_cpus())) as pool:
+        return RobustnessResult(trials=list(pool.map(partial(_trial, config), range(config.trials))))

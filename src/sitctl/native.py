@@ -416,8 +416,10 @@ def recorder(kernel: tuple, law: tuple, reference):
     first record where the law raises or whose next chunk stops; from that record's state, ``reference`` records
     the rest of the run on the Python kernel, and clamps, raises and ends the run as it would have.
 
-    One build per pair of source texts and per process; a sweep builds before it forks, so its workers inherit
-    it.  A construct outside the translated subset raises :class:`TranslationError`, with or without a compiler.
+    One build per pair of source texts and per process; a sweep builds before it starts its worker threads, so no
+    two threads build it at once.  ``record`` may run on several threads at once: ctypes releases the GIL for the
+    driver's call, and the driver writes only the arrays it is given, its locals and ``errno``, which is per thread.
+    A construct outside the translated subset raises :class:`TranslationError`, with or without a compiler.
     """
     driver, size, _ = _built((model.source(*kernel), model.source(*law)))
     if driver is None:

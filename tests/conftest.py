@@ -1,4 +1,4 @@
-import multiprocessing
+import threading
 
 import pytest
 
@@ -6,11 +6,12 @@ import sitctl as s
 
 
 @pytest.fixture(autouse=True)
-def no_process_left_running():
-    """Fail a test that leaves a child process alive, such as a sweep worker that outlived its sweep."""
+def no_thread_left_running():
+    """Fail a test that leaves a thread alive that it started, such as a sweep worker that outlived its sweep."""
+    before = set(threading.enumerate())
     yield
-    left = multiprocessing.active_children()
-    assert left == [], f"child processes still running after the test: {left}"
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert left == [], f"threads still running after the test: {left}"
 
 
 @pytest.fixture

@@ -2,10 +2,11 @@
 import csv
 import io
 import math
-import multiprocessing
 import os
 import re
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -219,8 +220,12 @@ def _fail_on_trial(seed: int, trial: int):
     return perturb_or_fail
 
 
+def _threads_left() -> list[threading.Thread]:
+    return [thread for thread in threading.enumerate() if thread is not threading.main_thread()]
+
+
 class TestParallelSweep:
-    """run_robustness maps _trial over worker processes; what it returns is the one-process loop's."""
+    """run_robustness maps _trial over worker threads; what it returns is the one-thread loop's."""
 
     @pytest.mark.parametrize("trials", [3, 5])
     @pytest.mark.parametrize("seed", [2024, 7])
@@ -230,24 +235,36 @@ class TestParallelSweep:
         config = RobustnessConfig(base=preset_scenario(preset, t_end=100.0), trials=trials, seed=seed)
         expected = RobustnessResult(trials=[_trial(config, i) for i in range(trials)]).summary_lines()
         assert run_robustness(config).summary_lines() == expected
-        assert multiprocessing.active_children() == []
+        assert _threads_left() == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_trials_run_in_workers_unless_one_cpu(self, monkeypatch, tmp_path, cpus):
         monkeypatch.setattr(s.harness, "_usable_cpus", lambda: cpus)
         integrate = s.harness.integrate
 
-        def integrate_noting_pid(spec):
-            (tmp_path / str(os.getpid())).touch()
+        def integrate_noting_thread(spec):
+            (tmp_path / str(threading.get_ident())).touch()
             return integrate(spec)
 
-        monkeypatch.setattr(s.harness, "integrate", integrate_noting_pid)
+        monkeypatch.setattr(s.harness, "integrate", integrate_noting_thread)
         run_robustness(RobustnessConfig(base=preset_scenario("robust-reduced", t_end=20.0), trials=3))
-        pids = {int(path.name) for path in tmp_path.iterdir()}
-        if cpus == 1 or "fork" not in multiprocessing.get_all_start_methods():
-            assert pids == {os.getpid()}
-        else:
-            assert pids and os.getpid() not in pids
+        threads = {int(path.name) for path in tmp_path.iterdir()}
+        assert 1 <= len(threads) <= cpus and threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("preset", ["robust-reduced", "robust-full"])
+    def test_more_threads_than_cpus_switching_often_equal_the_loop(self, monkeypatch, preset):
+        # the threads share one built driver, the compiled-code caches and numpy: a crossed or lost write changes a line
+        monkeypatch.setattr(s.harness, "_usable_cpus", lambda: 4)
+        config = RobustnessConfig(base=preset_scenario(preset, t_end=200.0), trials=16, seed=7)
+        expected = RobustnessResult(trials=[_trial(config, i) for i in range(16)]).summary_lines()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_robustness(config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.summary_lines() == expected
+        assert _threads_left() == []
 
     def test_usable_cpus_is_the_affinity_mask(self):
         expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -256,16 +273,16 @@ class TestParallelSweep:
     @pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "workers"])
     def test_failing_trial_fails_the_sweep(self, monkeypatch, tmp_path, cpus, capsys):
         monkeypatch.setattr(s.harness, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(s.harness, "perturb_params", _fail_on_trial(2024, 1))  # forked workers inherit it
+        monkeypatch.setattr(s.harness, "perturb_params", _fail_on_trial(2024, 1))  # worker threads read it too
         config = RobustnessConfig(base=preset_scenario("robust-reduced", t_end=20.0), trials=4)
         with pytest.raises(s.ParamError, match="^trial 1 refused$"):
             run_robustness(config)
-        assert multiprocessing.active_children() == []
+        assert _threads_left() == []
         path = tmp_path / "robust-reduced.cfg"
         path.write_text(PRESETS["robust-reduced"])
         assert cli_main(["robustness", str(path), "--trials", "4", "--t-end", "20"]) == 2
         assert capsys.readouterr() == ("", "error: trial 1 refused\n")
-        assert multiprocessing.active_children() == []
+        assert _threads_left() == []
 
     def test_failing_trial_cancels_the_pending_trials(self, monkeypatch, tmp_path):
         monkeypatch.setattr(s.harness, "_usable_cpus", lambda: 2)
@@ -278,9 +295,9 @@ class TestParallelSweep:
         monkeypatch.setattr(s.harness, "perturb_params", perturb_noting_trial)
         with pytest.raises(s.ParamError, match="trial 0 refused"):
             run_robustness(RobustnessConfig(base=preset_scenario("robust-reduced"), trials=20))
-        # when trial 0 fails, the workers hold at most two running and three queued trials; the rest never start
+        # when trial 0 fails, only the trials that the two threads took up before the sweep saw it have started
         assert len(list(tmp_path.iterdir())) <= 6
-        assert multiprocessing.active_children() == []
+        assert _threads_left() == []
 
 
 # Every float-valued config key, read off the schema so that a new key is covered too.
@@ -297,19 +314,13 @@ NON_FINITE_WITNESS = (
 
 @pytest.fixture
 def table_plant(monkeypatch):
-    """Every scenario drives the table plant, whatever its law was designed for; sweep workers inherit this.
+    """Every scenario drives the table plant, whatever its law was designed for; sweep worker threads too.
 
     A config gives the law and the plant the same [params], and the step gate keeps such a run finite, so a
     run that turns NaN needs a plant that the law was not designed for.
     """
     sim_spec = ScenarioConfig.sim_spec
     monkeypatch.setattr(ScenarioConfig, "sim_spec", lambda self, plant=None: sim_spec(self, s.NOMINAL_PARAMS))
-
-
-@pytest.fixture
-def one_worker(monkeypatch):
-    """Sweeps run their trials in this process, so calls counted here see every trial."""
-    monkeypatch.setattr(s.harness, "_usable_cpus", lambda: 1)
 
 
 @pytest.fixture
@@ -506,7 +517,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["simulate", "robustness"])
     @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["a-file", "under-a-file"])
-    def test_unusable_out_exits_2_before_any_run(self, config_file, tmp_path, one_worker, integrate_calls, command,
+    def test_unusable_out_exits_2_before_any_run(self, config_file, tmp_path, integrate_calls, command,
                                                  out, capsys):
         # the --out directory used to be made after the whole run, and robustness printed every trial first
         (tmp_path / "taken").write_text("")
@@ -521,7 +532,7 @@ class TestCli:
         ("robustness", "robustness.txt", True),
     ], ids=["csv", "summary", "csv-next-to-config", "robustness-report"])
     def test_output_that_is_not_a_regular_file_exits_2_before_any_run(
-            self, config_file, tmp_path, one_worker, integrate_calls, command, name, out, capsys):
+            self, config_file, tmp_path, integrate_calls, command, name, out, capsys):
         # simulate integrated the whole run and only then exited 2 with "Is a directory"
         out_dir = tmp_path / "out" if out else tmp_path
         (out_dir / name).mkdir(parents=True)
@@ -691,7 +702,7 @@ class TestStepGate:
 
     @pytest.mark.parametrize("command", ["simulate", "robustness", "equilibria"])
     @pytest.mark.parametrize("witness", list(UNSTABLE_STEP_WITNESSES))
-    def test_witness_exits_2_naming_rate_and_dt(self, tmp_path, one_worker, integrate_calls, witness, command,
+    def test_witness_exits_2_naming_rate_and_dt(self, tmp_path, integrate_calls, witness, command,
                                                 capsys):
         text, rate, product = UNSTABLE_STEP_WITNESSES[witness]
         path = tmp_path / "witness.cfg"
@@ -738,7 +749,7 @@ class TestStepGate:
             s.SimSpec(model="reduced", law=law, initial=(1.0, 0.0), t_end=1.0, dt=0.1,
                       plant=s.NOMINAL_PARAMS.replace(delta_s=30.0))
 
-    def test_sweep_checks_the_perturbed_rates_before_any_trial(self, tmp_path, one_worker, integrate_calls, capsys):
+    def test_sweep_checks_the_perturbed_rates_before_any_trial(self, tmp_path, integrate_calls, capsys):
         # delta_s = 26 at dt 0.1 runs (2.6), but a trial may perturb it up to 28.6 (2.86)
         path = tmp_path / "fast.cfg"
         path.write_text(NOMINAL_PARAMS_SECTION.replace("delta_s = 0.12", "delta_s = 26")

@@ -1,5 +1,6 @@
 """Layering: model.py spells the vector fields, simulate.py only integrates them, control.py knows no plant,
-cli.py decides where run output goes, and native.py reads no other module's private names."""
+cli.py decides where run output goes, native.py reads no other module's private names, and no module starts a
+process to run the library's own code."""
 import ast
 from pathlib import Path
 
@@ -40,6 +41,24 @@ def private_reads(source: str) -> list[str]:
               and isinstance(node.value, ast.Name) and node.value.id in modules
               and node.attr.startswith("_") and not node.attr.endswith("__")]
     return [f"{line}:{name}" for line, name in sorted(found)]
+
+
+def process_starts(source: str) -> list[str]:
+    """Imports of ``multiprocessing`` or ``ProcessPoolExecutor``, and calls of ``os.fork`` (or a bare ``fork``), as
+    ``line:what``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name.split(".")[0] == "multiprocessing"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "multiprocessing":
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name == "ProcessPoolExecutor"]
+        elif isinstance(node, ast.Attribute) and node.attr == "ProcessPoolExecutor":
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("os.fork", "fork"):
+            found.append((node.lineno, ast.unparse(node.func)))
+    return [f"{line}:{what}" for line, what in sorted(found)]
 
 
 def output_decisions(source: str) -> list[str]:
@@ -106,3 +125,17 @@ def test_detector_flags_a_private_read():
 def test_native_reads_no_private_name_of_another_module():
     # the translator works from define's arguments, never from another module's caches or helpers
     assert private_reads((SOURCE / "native.py").read_text()) == []
+
+
+def test_detector_flags_a_process_start():
+    source = ("import multiprocessing\nfrom multiprocessing.pool import Pool\nimport os\npid = os.fork()\nos.getpid()\n"
+              "import multiprocessing as mp\nfrom concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor\n"
+              "pool = concurrent.futures.ProcessPoolExecutor(2)\n")
+    assert process_starts(source) == ["1:multiprocessing", "2:multiprocessing.pool", "4:os.fork", "6:multiprocessing",
+                                      "7:ProcessPoolExecutor", "8:concurrent.futures.ProcessPoolExecutor"]
+
+
+def test_no_module_starts_a_process():
+    # sweep trials run on threads: a trial is one C call that releases the GIL, so a process pool costs more than it saves
+    found = {path.name: process_starts(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

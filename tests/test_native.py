@@ -6,7 +6,6 @@ import contextlib
 import dataclasses
 import importlib
 import math
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -162,7 +161,6 @@ class TestBuild:
         assert list(tmp_path.iterdir()) == []
 
     @needs_cc
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks its workers")
     def test_a_two_worker_sweep_builds_once(self, monkeypatch, counting_compiler):
         monkeypatch.setattr(sitctl.harness, "_usable_cpus", lambda: 2)
         config = RobustnessConfig(base=preset_scenario("robust-reduced", t_end=20.0), trials=2)
