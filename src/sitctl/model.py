@@ -218,7 +218,7 @@ def define(name: str, args: str, body: str, constants: dict):
 
     The constants are default values of trailing parameters, read from ``constants`` when the ``def``
     runs.  The source (:func:`source`) names them but holds none of their values, so it depends only on
-    the texts and the names, and one compiled code (kept in :data:`_CODE`) serves every parameter set.
+    the texts and the names, and one compiled code (held in :data:`_CODE`) serves every parameter set.
     """
     source_text = source(name, args, body, constants)
     code = _CODE.get(source_text)
@@ -254,7 +254,7 @@ def full_rhs(state, u: float, p: BioParams):
 
 @lru_cache(maxsize=8)
 def _rhs(model: str, p: BioParams):
-    """``FIELDS[model]`` on ``p`` as a function ``(<state>, u) -> rates``, kept for the last few models and ``p``."""
+    """``FIELDS[model]`` on ``p`` as a function ``(<state>, u) -> rates``, cached for the last few models and ``p``."""
     names = STATE_NAMES[model]
     rates = ", ".join("d" + name for name in names)
     return define("rhs", ", ".join([*names, "u"]), FIELDS[model] + f"return {rates}\n", field_constants(p))

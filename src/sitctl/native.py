@@ -5,7 +5,11 @@ and a law's evaluator, each as :func:`sitctl.model.define`'s arguments, and
 returns the C twin of the record rule :func:`sitctl.simulate._record`: one
 call of a fixed C driver runs every chunk and writes every sample's state and
 ``u``.  :func:`mapper` takes a law's text alone and returns its C map over a
-grid of (F, Ms) points, which the grid audits scan.  :class:`_Translator`
+grid of (F, Ms) points, which the grid audits scan.  A law's C is split into
+a row part, the statements that depend on F alone, and a point part, so a
+grid runs the row part once per row of F: loop-invariant code motion, done
+here because the C compiler does not move the law's trapping divisions out of
+its branches.  :class:`_Translator`
 writes the C from the Python source, node by node over the fixed subset that
 the RK4 template, the law and the field texts use; any other construct raises
 :class:`TranslationError`.  Each C operation is the IEEE operation that
@@ -83,16 +87,6 @@ static double py_pow(double x, double y, int *raised)
     return negate ? -r : r;
 }
 
-/* py_pow in a law: along a row of a grid the law raises the same positive base to the same power at every point, so
-   `kept`, the caller's last x, y and result, is reused where a positive x and y repeat.  A result that raised is never
-   reused: a driver stops at the point that raised, and drops its `kept`. */
-static double py_pow_kept(double x, double y, int *raised, double *kept)
-{
-    if (!(x > 0.0 && x == kept[0] && y == kept[1]))
-        kept[0] = x, kept[1] = y, kept[2] = py_pow(x, y, raised);
-    return kept[2];
-}
-
 """
 
 
@@ -121,6 +115,46 @@ def _names(node) -> list[str]:
     return [e.id for e in node.elts]
 
 
+def _targets(node) -> set[str]:
+    """The plain names that the statement ``node`` assigns, in any branch."""
+    return {target.id for sub in ast.walk(node) if isinstance(sub, ast.Assign)
+            for target in sub.targets if isinstance(target, ast.Name)}
+
+
+def _reads(node) -> set[str]:
+    """The names that the expression ``node`` reads."""
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def _row_names(statements) -> list[str]:
+    """The names of a law's row part, which depend on ``F`` alone, in the order of their first assignment.
+
+    A fixed point: a name is point-level when any assignment to it reads ``Ms`` or a point-level name, or sits under
+    an ``if`` whose test reads one; every other assigned name is row-level.  So along a row of a grid a row name takes
+    one value at every point, and a row-level ``if`` takes one branch.
+    """
+    point, assigned, grown = {"Ms"}, {}, True
+
+    def walk(statements, under_point):
+        nonlocal grown
+        for node in statements:
+            if isinstance(node, ast.Assign):
+                for name in _targets(node):
+                    assigned[name] = None
+                    if name not in point and (under_point or not point.isdisjoint(_reads(node.value))):
+                        point.add(name)
+                        grown = True
+            elif isinstance(node, ast.If):
+                inner = under_point or not point.isdisjoint(_reads(node.test))
+                walk(node.body, inner)
+                walk(node.orelse, inner)
+
+    while grown:
+        grown = False
+        walk(statements, False)
+    return [name for name in assigned if name not in point]
+
+
 class _Translator:
     """The C function of one generated function's source: an RK4 kernel ``advance`` or a law ``evaluate``.
 
@@ -132,12 +166,19 @@ class _Translator:
     from step to step in ``<ys>`` alone, and the C stops where that ``_clamp`` would run.  Its C is
     ``static int sitctl_advance(double *state, long n, const double *values)``: it returns 0 after ``n`` steps,
     with the state in ``state``, or 1, a stop, where a step reaches that ``_clamp`` or Python would have raised in
-    some step; the caller then drops ``state``.
+    some step; the caller then drops ``state``.  It is never inlined: its step loop is compiled on its own, which
+    the record driver's call of the law's row part would otherwise slow by about 40 % in the full model.
 
-    A law's inputs are ``F, Ms``, and its body is statements and then ``return <name>, ...``.  Its C is ``static void
-    evaluate(double F, double Ms, const double *values, int *flag, double *out, long stride, double *kept)``: it
-    writes the names to ``out[0]``, ``out[stride]``, ..., sets ``*flag`` to 1 where Python would have raised, else
-    to 0, and passes the caller's ``kept`` (three doubles, NaN at first) to ``py_pow_kept``.
+    A law's inputs are ``F, Ms``, and its body is statements and then ``return <name>, ...``.  Its C is two functions,
+    its row part and its point part (:func:`_row_names`), which a grid's driver calls once per row and once per point.
+    ``static int evaluate_row(double F, const double *values, double *row)`` runs the statements that set row names,
+    under the ``if`` tests that lead to them: it stores each such assignment's value in its own slot of ``row``
+    (``ROW_SIZE`` doubles) and returns 1 where Python would have raised, else 0.  ``static void evaluate(double F,
+    double Ms, const double *values, const double *row, int *flag, double *out, long stride)`` runs the rest, with
+    every ``if`` test, and loads each row assignment's slot where the row part stored it: it writes the names to
+    ``out[0]``, ``out[stride]``, ..., and sets ``*flag`` to 1 where Python would have raised, else to 0.
+    ``evaluate_row`` is never inlined: GCC's uninitialised-use analysis cannot follow a slot through the repeated
+    tests and would warn where no slot is read unset, and a grid calls it once per row.
 
     The constants other than ``_clamp`` are ``values``, in signature order (:func:`_doubles`).
     """
@@ -153,7 +194,7 @@ class _Translator:
         self.function, self.inputs, self.constants = function, names[:split], names[split:]
         self.values = [name for name in self.constants if name != "_clamp"]
         self.locals, self.assigned, self.lines, self.worst = set(), set(self.inputs), [], None
-        self.power = "py_pow({}, {}, &raised)"  # a kernel's steps repeat no power
+        self.row, self.slots, self.part = [], {}, "point"  # a kernel's statements are all translated in place
 
     def advance(self) -> str:
         """The C of a kernel (see the class)."""
@@ -175,7 +216,8 @@ class _Translator:
         self.lines = [f"{_name(y)} = state[{i}];" for i, y in enumerate(self.state)]
         self.loop(body[2])
         self.lines += [*(f"state[{i}] = {_name(y)};" for i, y in enumerate(self.state)), "return raised;"]
-        return self.c_function("static int sitctl_advance(double *state, long n, const double *values)")
+        return self.c_function("static __attribute__((noinline)) int sitctl_advance(double *state, long n, "
+                               "const double *values)")
 
     def law(self) -> str:
         """The C of a law (see the class)."""
@@ -185,12 +227,18 @@ class _Translator:
         if not isinstance(end, ast.Return) or not isinstance(end.value, (ast.Name, ast.Tuple)):
             raise TranslationError("a law's body must end with 'return <name>, ...'")
         self.outputs = [end.value.id] if isinstance(end.value, ast.Name) else _names(end.value)
-        self.power = "py_pow_kept({}, {}, &raised, kept)"
+        self.row, self.part = _row_names(statements), "row"
+        self.block(statements, "")
+        self.lines.append("return raised;")
+        row = self.c_function("static __attribute__((noinline)) int evaluate_row(double v_F, const double *values, "
+                              "double *row)")
+        self.part, self.locals, self.assigned, self.lines = "point", set(), set(self.inputs), []
         self.block(statements, "")
         self.lines += ["*flag = raised;", *(f"out[{i} * stride] = {self.expr(ast.Name(name))};"
                                             for i, name in enumerate(self.outputs))]
-        return self.c_function("static void evaluate(double v_F, double v_Ms, const double *values, int *flag, "
-                               "double *out, long stride, double *kept)")
+        point = self.c_function("static void evaluate(double v_F, double v_Ms, const double *values, "
+                                "const double *row, int *flag, double *out, long stride)")
+        return "\n".join([f"#define ROW_SIZE {max(1, len(self.slots))}", row, point])
 
     def c_function(self, signature: str) -> str:
         reads = [f"    const double {_name(name)} = values[{i}];" for i, name in enumerate(self.values)]
@@ -198,7 +246,7 @@ class _Translator:
             signature,
             "{",
             *reads,
-            f"    double {', '.join(map(_name, sorted(self.locals)))};",
+            *([f"    double {', '.join(map(_name, sorted(self.locals)))};"] if self.locals else []),
             "    int raised = 0;",
             *("    " + line for line in self.lines),
             "}",
@@ -227,20 +275,31 @@ class _Translator:
                 name = node.targets[0].id
                 if name in self.constants or name in self.inputs or name in ("_", self.worst):
                     raise TranslationError(f"assignment to {name!r}")
-                value = self.expr(node.value)
-                self.locals.add(name)
+                value = None
+                if name in self.row:  # a row value: stored in its own slot where the row part sets it, loaded there
+                    slot = f"row[{self.slots.setdefault(node, len(self.slots))}]"
+                    value = slot if self.part == "point" else f"{slot} = {self.expr(node.value)}"
+                elif self.part == "point":
+                    value = self.expr(node.value)
+                if value is not None:
+                    self.locals.add(name)
+                    self.lines.append(f"{pad}{_name(name)} = {value};")
                 self.assigned.add(name)
-                self.lines.append(f"{pad}{_name(name)} = {value};")
             elif isinstance(node, ast.If):
-                self.lines.append(f"{pad}if ({self.test(node.test)}) {{")
+                # the row part leaves out an if that sets no row value; it is still walked, for what it assigns
+                emit = self.part == "point" or not _targets(node).isdisjoint(self.row)
+                if emit:
+                    self.lines.append(f"{pad}if ({self.test(node.test)}) {{")
                 before = set(self.assigned)
                 self.block(node.body, pad + "    ")
                 after, self.assigned = self.assigned, before
                 if node.orelse:
-                    self.lines.append(f"{pad}}} else {{")
+                    if emit:
+                        self.lines.append(f"{pad}}} else {{")
                     self.block(node.orelse, pad + "    ")
                 self.assigned &= after  # assigned on both branches
-                self.lines.append(f"{pad}}}")
+                if emit:
+                    self.lines.append(f"{pad}}}")
             else:
                 raise TranslationError(f"unsupported statement {ast.unparse(node)!r}")
 
@@ -275,7 +334,7 @@ class _Translator:
                 if not (isinstance(right, ast.Constant) and type(right.value) in (int, float) and right.value > 0
                         and float(right.value).is_integer()):
                     raise TranslationError(f"unsupported power {ast.unparse(node)!r}: only a positive whole exponent")
-                return self.power.format(left, _literal(right.value))
+                return f"py_pow({left}, {_literal(right.value)}, &raised)"
             if isinstance(node.op, ast.Div):
                 return f"py_div({left}, {self.expr(right)}, &raised)"
             if type(node.op) in _ARITHMETIC:
@@ -290,21 +349,21 @@ class _Translator:
         raise TranslationError(f"unsupported expression {ast.unparse(node)!r}")
 
 
-#: The whole run's record, in C beside a kernel's ``advance`` and a law's ``evaluate`` (see :func:`recorder`).
+#: The whole run's record, in C beside a kernel's ``advance`` and a law's two parts (see :func:`recorder`).
 _RECORD = """\
 /* The record of a run of n steps from states[0], a sample after each `every` steps and at the end: states[j] (size
-   doubles) and controls[j], the law at the state's last two components, F and Ms.  Returns `records` when all are
-   written, else the first record j where the law raised or whose next chunk stopped (sitctl_advance returned 1):
-   every record before j is written, and so is states[j]. */
-long sitctl_record(double *states, double *controls, long records, long size, long n, long every,
-                   const double *values, const double *law_values)
+   doubles) and controls[j], the law (its row part, then its point part) at the state's last two components, F and
+   Ms.  Returns `records` when all are written, else the first record j where the law raised or whose next chunk
+   stopped (sitctl_advance returned 1): every record before j is written, and so is states[j]. */
+long sitctl_record(double *restrict states, double *restrict controls, long records, long size, long n, long every,
+                   const double *restrict values, const double *restrict law_values)
 {
-    double kept[3] = {NAN};
+    double row[ROW_SIZE];
     for (long j = 0;; j++) {
         double *y = states + j * size;
-        int raised = 0;
-        evaluate(y[size - 2], y[size - 1], law_values, &raised, controls + j, 1, kept);
-        if (raised)
+        int row_raised = evaluate_row(y[size - 2], law_values, row), raised;
+        evaluate(y[size - 2], y[size - 1], law_values, row, &raised, controls + j, 1);
+        if (row_raised || raised)
             return j;
         if (j + 1 == records)
             return records;
@@ -315,21 +374,26 @@ long sitctl_record(double *states, double *controls, long records, long size, lo
     }
 }
 """
-#: The law on a grid, in C beside a law's ``evaluate`` (see :func:`mapper`).
+#: The law on a grid, in C beside a law's two parts (see :func:`mapper`).
 _MAP = """\
 /* The law at each point (F[i], Ms[j]) of the grid F x Ms, i < rows and j < cols: its n-th returned value is
    out[(n * rows + i) * cols + j].  Returns rows * cols when all are written; -1 - k when the law raised at point
-   k = i * cols + j, with every point before it written. */
-long sitctl_map(const double *F, long rows, const double *Ms, long cols, double *out, const double *values)
+   k = i * cols + j, with every point before it written.  The row part runs once per row: where it raises, the law
+   raises at the row's first point. */
+long sitctl_map(const double *restrict F, long rows, const double *restrict Ms, long cols, double *restrict out,
+                const double *restrict values)
 {
-    double kept[3] = {NAN};
-    for (long i = 0; i < rows; i++)
+    double row[ROW_SIZE];
+    for (long i = 0; i < rows && cols > 0; i++) {
+        if (evaluate_row(F[i], values, row))
+            return -1 - i * cols;
         for (long j = 0; j < cols; j++) {
-            int raised = 0;
-            evaluate(F[i], Ms[j], values, &raised, out + i * cols + j, rows * cols, kept);
+            int raised;
+            evaluate(F[i], Ms[j], values, row, &raised, out + i * cols + j, rows * cols);
             if (raised)
                 return -1 - (i * cols + j);
         }
+    }
     return rows * cols;
 }
 """
@@ -376,16 +440,21 @@ def _build(c_source: str, name: str):
     return function
 
 
+def _library(sources: tuple[str, ...]) -> tuple:
+    """The C library of ``sources``, a law's (``sitctl_map``) or a kernel's and a law's (``sitctl_record``):
+    ``(C source, driver name, size, outputs)``, as in :data:`_BUILT`."""
+    *kernel_source, law_source = sources
+    kernel, law = (_Translator(kernel_source[0]) if kernel_source else None), _Translator(law_source)
+    parts = [kernel.advance(), law.law(), _RECORD] if kernel else [law.law(), _MAP]
+    name = "sitctl_record" if kernel else "sitctl_map"
+    return "\n".join([_PRELUDE, *parts]), name, kernel and len(kernel.state), len(law.outputs)
+
+
 def _built(sources: tuple[str, ...]) -> tuple:
-    """The build of ``sources``, a law's (``sitctl_map``) or a kernel's and a law's (``sitctl_record``), once per
-    process (:data:`_BUILT`): ``(function, size, outputs)``."""
+    """The build of ``sources`` (:func:`_library`), once per process (:data:`_BUILT`): ``(function, size, outputs)``."""
     if sources not in _BUILT:
-        *kernel_source, law_source = sources
-        kernel, law = (_Translator(kernel_source[0]) if kernel_source else None), _Translator(law_source)
-        parts = [kernel.advance(), law.law(), _RECORD] if kernel else [law.law(), _MAP]
-        name = "sitctl_record" if kernel else "sitctl_map"
-        function = None if compiler() is None else _build("\n".join([_PRELUDE, *parts]), name)
-        _BUILT[sources] = function, kernel and len(kernel.state), len(law.outputs)
+        c_source, name, size, outputs = _library(sources)
+        _BUILT[sources] = None if compiler() is None else _build(c_source, name), size, outputs
     return _BUILT[sources]
 
 
@@ -445,7 +514,9 @@ def mapper(law: tuple):
     """The law ``law``, :func:`~sitctl.model.define`'s arguments of a function ``(F, Ms)`` that returns names, on a
     grid in C: ``grid(Fs, Mss)[n, i, j]`` is its n-th value at ``(Fs[i], Mss[j])``, bit for bit, and it raises where
     the law does.  None where no C compiler is found or the build fails.  One build (``sitctl_map`` in :data:`_MAP`)
-    per source text and per process serves every value of the constants.
+    per source text and per process serves every value of the constants.  The law's row part runs once per ``F``
+    row and its point part once per point (:class:`_Translator`); where either raises, the Python law runs at the
+    first point, in row-major order, where the C law raised, and raises there.
     """
     driver, _, outputs = _built((model.source(*law),))
     if driver is None:

@@ -1,11 +1,13 @@
 """The native kernel: each generated RK4 kernel translated to C, built once, bit for bit the Python kernel's; and the
 native recorder, which runs a record in one C call up to its first irregular record and the Python record function
-from there, bit for bit the Python record function's.  The kernel's chunks on the C driver and its translation are
-reached through the tests' reference (``native_kernel``, ``translate``)."""
+from there, bit for bit the Python record function's; and the audits' map of a law over a grid, its row part once per
+row.  The kernel's chunks on the C driver and its translation are reached through the tests' reference
+(``native_kernel``, ``translate``)."""
 import contextlib
 import dataclasses
 import importlib
 import math
+import subprocess
 import sys
 from functools import partial
 from pathlib import Path
@@ -63,6 +65,12 @@ def _shape_specs():
 SHAPE_SPECS = _shape_specs()
 
 
+def _audit_law(params, cfg):
+    """The law text that the 2-D audits map, as :func:`~sitctl.model.define`'s arguments."""
+    body, constants = s.ControlLaw("plus", cfg, params).body()
+    return "evaluate", "F, Ms", body + "return u, mismatch\n", constants
+
+
 def _outcome(advance, state, n):
     """``advance(state, n)`` as float.hex, or the error it raised: type, message and, from _clamp, max_clamp."""
     try:
@@ -110,6 +118,22 @@ class TestTranslation:
         with pytest.raises(native.TranslationError, match="read before it is assigned"):
             translate(self.SOURCE.replace("            u = 0.0\n", "            u = u\n", 1))
 
+    def test_the_law_splits_into_a_row_part_of_f_alone(self, params, cfg):
+        # mismatch and u are set in the row-level branch c <= 0, and from Ms in the other
+        law = native._Translator(sitctl.model.source(*_audit_law(params, cfg)))
+        law.law()
+        assert set(law.row) == {"a", "c", "s", "lin", "room", "target", "slope"}
+
+    @pytest.mark.parametrize("old, new", [
+        ("room = F_hat - F", "room = F_hat - F + slope"),  # in the row part: slope is set two lines on
+        ("gap = Ms - target", "gap = Ms - gap"),  # in the point part
+    ], ids=["row", "point"])
+    def test_a_read_before_assignment_in_either_part_raises(self, params, cfg, old, new):
+        name, args, body, constants = _audit_law(params, cfg)
+        assert old in body
+        with pytest.raises(native.TranslationError, match="read before it is assigned"):
+            native._Translator(sitctl.model.source(name, args, body.replace(old, new, 1), constants)).law()
+
     @pytest.mark.parametrize("found", [False, True], ids=["no-compiler", "compiler"])
     def test_translation_errors_do_not_fall_back(self, params, monkeypatch, found):
         if not found:
@@ -131,6 +155,22 @@ class TestBuild:
     def test_every_shape_records_natively(self, name):
         spec = SHAPE_SPECS[name]
         assert not isinstance(sitctl.simulate.kernel(spec), partial)
+
+    @needs_cc
+    @pytest.mark.parametrize("name", [*SHAPE_SPECS, "audit map"])
+    def test_no_value_is_read_unset(self, params, cfg, tmp_path, name):
+        # each part's locals, a row value's load among them, are read only on paths that set them
+        if name == "audit map":
+            sources = (sitctl.model.source(*_audit_law(params, cfg)),)
+        else:
+            spec = SHAPE_SPECS[name]
+            sources = (sitctl.model.source(*_advance(spec)), sitctl.model.source(*spec.law.evaluator_definition()))
+        c_source = native._library(sources)[0]
+        (tmp_path / "law.c").write_text(c_source)
+        flags = [*native.FLAGS, "-Werror=uninitialized", "-Werror=maybe-uninitialized"]
+        result = subprocess.run([native.compiler(), *flags, "-o", "law.so", "law.c", "-lm"], cwd=tmp_path,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_no_compiler_runs_the_python_kernel_with_the_same_bits(self, monkeypatch):
         specs = [SHAPE_SPECS["nominal-reduced"], SHAPE_SPECS["robust-full/perturbed"]]
@@ -336,6 +376,38 @@ class TestOneCall:
         assert native_run == _whole_run(spec)
         traj = s.integrate(spec)
         assert (len(traj.times), traj.termination) == (5, TERMINATION_HORIZON) and traj.max_clamp > 0.0
+
+
+@needs_cc
+class TestMap:
+    """A law on a grid, its row part run once per row: the Python law's values, and where the law raises, in its row
+    part or its point part, the Python law's error, from the Python law run at the first point in row-major order
+    where it raises."""
+
+    FS, MSS = [0.5 * i for i in range(6)], [0.25 * j for j in range(8)]
+
+    def test_a_row_name_set_again_is_read_at_each_of_its_values(self):
+        # x reads c before the row-level branch sets it again; u reads it after
+        law = ("evaluate", "F, Ms", "c = 1.0\nx = c * Ms\nif F > F2:\n    c = 0.5\nu = x + c * Ms\nreturn u, x\n",
+               {"F2": 1.2})
+        python = define(*law)
+        expected = [[list(python(F, Ms)) for Ms in self.MSS] for F in self.FS]
+        assert native.mapper(law)(self.FS, self.MSS).transpose(1, 2, 0).tolist() == expected
+
+    @pytest.mark.parametrize("body, constants, row, first", [
+        ("a = 1.0 / (F - F3)\nu = a * Ms\n", {"F3": FS[3]}, ["a"], (3, 0)),
+        ("b = 1.0 / (Ms - M5)\nu = b * F\n", {"M5": MSS[5]}, [], (0, 5)),
+    ], ids=["row-part", "point-part"])
+    def test_the_python_law_raises_at_the_first_point(self, body, constants, row, first):
+        law = ("evaluate", "F, Ms", body + "return u\n", constants)
+        translator = native._Translator(sitctl.model.source(*law))
+        translator.law()
+        assert translator.row == row
+        with pytest.raises(ZeroDivisionError, match="float division by zero") as raised:
+            native.mapper(law)(self.FS, self.MSS)
+        where = raised.traceback[-1].frame.f_locals  # the frame of the Python law, where it raised
+        assert raised.traceback[-1].frame.code.name == "evaluate"
+        assert (where["F"], where["Ms"]) == (self.FS[first[0]], self.MSS[first[1]])
 
 
 class TestPythonErrors:
