@@ -21,7 +21,7 @@ import numpy as np
 from .configio import INITIAL_KEYS, ConfigError, parse_config_text, write_trajectory_csv
 from .control import ControlLaw, ControllerConfig, ControllerError, sigma
 from .model import BioParams, ParamError, persistence_equilibrium, validate_params
-from .simulate import TERMINATION_HORIZON, SimSpec, Trajectory, integrate, detect_extinction, kernel
+from .simulate import TERMINATION_HORIZON, SimSpec, Trajectory, integrate, detect_extinction
 from .verify import DecayReport, control_budget, verify_decay
 
 #: Table of nominal biological rates used throughout the study.
@@ -380,8 +380,6 @@ def run_robustness(config: RobustnessConfig) -> RobustnessResult:
 
     The step gate of :meth:`SimSpec.check_step` is checked once, at the plant's rates times
     ``1 + uncertainty``, before any trial runs (a ConfigError), so no trial fails on it part way.
-    The trials' kernel is built once, in this thread, on the nominal plant: every perturbed plant has
-    its shape, so no two worker threads build it at once.
     Trials run on ``min(trials, usable CPUs)`` threads of this process; usable CPUs are the process's
     affinity mask where the OS has one (so ``taskset -c 0`` gives one thread), else ``os.cpu_count()``.
     A trial spends most of its time in one call of the C driver, which releases the GIL, so the threads
@@ -395,7 +393,6 @@ def run_robustness(config: RobustnessConfig) -> RobustnessResult:
         config.base.sim_spec().check_step(1.0 + config.uncertainty)
     except ValueError as err:
         raise ConfigError(f"[sim] {err}, at uncertainty {config.uncertainty!r}") from None
-    kernel(config.base.sim_spec(config.base.params))  # every trial's kernel shape: built here, before any thread
     from concurrent.futures import ThreadPoolExecutor  # imported here: ``import sitctl`` need not pay for it
 
     # a trial that raises ends map's iteration, which cancels the trials not yet started; the with joins the threads

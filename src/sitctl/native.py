@@ -2,10 +2,10 @@
 
 :func:`recorder` takes a kernel ``advance(state, n) -> (state, largest clamp)``
 and a law's evaluator, each as :func:`sitctl.model.define`'s arguments, and
-returns the C twin of the record rule :func:`sitctl.simulate._record`: one
-call of a fixed C driver runs every chunk and writes every sample's state and
-``u``.  :func:`mapper` takes a law's text alone and returns its C map over a
-grid of (F, Ms) points, which the grid audits scan.  A law's C is split into
+returns the record rule :func:`sitctl.simulate._record` as one call of a fixed
+C driver, which runs every chunk and writes every sample's state and ``u``.
+:func:`mapper` takes a law's text alone and returns its map over a grid of
+(F, Ms) points, which the grid audits scan.  A law's C is split into
 a row part, the statements that depend on F alone, and a point part, so a
 grid runs the row part once per row of F: loop-invariant code motion, done
 here because the C compiler does not move the law's trapping divisions out of
@@ -18,13 +18,11 @@ turns FMA contraction off, and ``x**3`` calls the libm ``pow`` that Python's
 float power calls, after the same special cases.  So the states and the
 controls are the Python kernel's and law's to the last bit.
 
-A run stays in C up to its first irregular record: one where the law would
-raise (a ``pow`` that overflows from a finite base, a division by zero), or
-whose next chunk would raise or has a step that leaves [0, inf), where the
-kernel's ``_clamp`` runs.  From that record on, the Python record rule records
-the rest of the run, so the errors, the clamps and the termination are its
-own.  A grid stays in C but for a point where the law raises.  With no C
-compiler on ``PATH``, or a failed build, Python runs.
+A native call is all C or all Python, and this module alone chooses.  A C call
+counts only where it was regular throughout: a run where the law raises at no
+record and no chunk raises or clamps, a grid where the law raises at no point.
+Else, and with no C compiler on ``PATH`` or a failed build, Python redoes the
+whole call, so its errors, clamps and termination are Python's own.
 """
 from __future__ import annotations
 
@@ -34,8 +32,9 @@ import os
 import re
 import shutil
 import tempfile
+import threading
 import warnings
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -254,7 +253,7 @@ class _Translator:
         ])
 
     def loop(self, node):
-        """``for _ in range(n)``; a last ``if <test>: <the clamp>`` becomes a stop that hands the chunk to Python."""
+        """``for _ in range(n)``; a last ``if <test>: <the clamp>`` becomes a stop, and Python redoes the run."""
         if not (isinstance(node, ast.For) and ast.unparse(node.target) == "_" and ast.unparse(node.iter) == "range(n)"
                 and not node.orelse):
             raise TranslationError("the third statement must be the loop 'for _ in range(n)'")
@@ -353,8 +352,8 @@ class _Translator:
 _RECORD = """\
 /* The record of a run of n steps from states[0], a sample after each `every` steps and at the end: states[j] (size
    doubles) and controls[j], the law (its row part, then its point part) at the state's last two components, F and
-   Ms.  Returns `records` when all are written, else the first record j where the law raised or whose next chunk
-   stopped (sitctl_advance returned 1): every record before j is written, and so is states[j]. */
+   Ms.  Returns `records` when all are written, else less: the law raised at a record, or a chunk stopped
+   (sitctl_advance returned 1), and the caller drops the arrays. */
 long sitctl_record(double *restrict states, double *restrict controls, long records, long size, long n, long every,
                    const double *restrict values, const double *restrict law_values)
 {
@@ -377,24 +376,23 @@ long sitctl_record(double *restrict states, double *restrict controls, long reco
 #: The law on a grid, in C beside a law's two parts (see :func:`mapper`).
 _MAP = """\
 /* The law at each point (F[i], Ms[j]) of the grid F x Ms, i < rows and j < cols: its n-th returned value is
-   out[(n * rows + i) * cols + j].  Returns rows * cols when all are written; -1 - k when the law raised at point
-   k = i * cols + j, with every point before it written.  The row part runs once per row: where it raises, the law
-   raises at the row's first point. */
+   out[(n * rows + i) * cols + j].  Returns 0 when all are written, or 1 where the law raised at a point, in its row
+   part (run once per row) or its point part; the caller then drops out. */
 long sitctl_map(const double *restrict F, long rows, const double *restrict Ms, long cols, double *restrict out,
                 const double *restrict values)
 {
     double row[ROW_SIZE];
     for (long i = 0; i < rows && cols > 0; i++) {
         if (evaluate_row(F[i], values, row))
-            return -1 - i * cols;
+            return 1;
         for (long j = 0; j < cols; j++) {
             int raised;
             evaluate(F[i], Ms[j], values, row, &raised, out + i * cols + j, rows * cols);
             if (raised)
-                return -1 - (i * cols + j);
+                return 1;
         }
     }
-    return rows * cols;
+    return 0;
 }
 """
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
@@ -416,6 +414,7 @@ def compiler() -> str | None:
 #: compiler or where the build failed), the kernel's state length (None for a law alone) and the number of values
 #: the law returns.
 _BUILT: dict[tuple[str, ...], tuple] = {}
+_BUILDING = threading.Lock()  # held while _built checks and builds
 
 
 def _build(c_source: str, name: str):
@@ -451,11 +450,13 @@ def _library(sources: tuple[str, ...]) -> tuple:
 
 
 def _built(sources: tuple[str, ...]) -> tuple:
-    """The build of ``sources`` (:func:`_library`), once per process (:data:`_BUILT`): ``(function, size, outputs)``."""
-    if sources not in _BUILT:
-        c_source, name, size, outputs = _library(sources)
-        _BUILT[sources] = None if compiler() is None else _build(c_source, name), size, outputs
-    return _BUILT[sources]
+    """The build of ``sources`` (:func:`_library`), once per process (:data:`_BUILT`): ``(function, size, outputs)``.
+    Under a lock: threads that ask at once, as a sweep's workers do, share the first one's build."""
+    with _BUILDING:
+        if sources not in _BUILT:
+            c_source, name, size, outputs = _library(sources)
+            _BUILT[sources] = None if compiler() is None else _build(c_source, name), size, outputs
+        return _BUILT[sources]
 
 
 def _doubles(constants: dict):
@@ -472,27 +473,25 @@ def _value(name: str, value) -> float:
 
 
 def recorder(kernel: tuple, law: tuple, reference):
-    """The C twin of the record function ``reference``, on the kernel ``kernel`` and the law ``law``; None where no C
-    compiler is found or the build fails.
+    """The record function ``reference`` on the kernel ``kernel`` and the law ``law``, in one C call where it can.
 
     ``kernel`` and ``law`` are :func:`~sitctl.model.define`'s arguments: the kernel is ``advance(state, n) -> (state,
     largest clamp)`` (:func:`sitctl.simulate._kernel`) and the law's body returns ``u`` from ``(F, Ms)``
-    (:meth:`~sitctl.control.ControlLaw.evaluator_definition`).  Both are translated to C; the kernel is compiled in
-    Python only for a run that leaves C, and the law never is.  ``reference(chunk, initial, n_steps, every) ->
+    (:meth:`~sitctl.control.ControlLaw.evaluator_definition`).  ``reference(chunk, initial, n_steps, every) ->
     (states, controls, termination, max_clamp)`` is the record rule in Python (:func:`sitctl.simulate._record`).
-    The returned ``record(initial, n_steps, every)`` gives its results bit for bit.  One call of the C driver
-    (``sitctl_record`` in :data:`_RECORD`) writes each sample's state and ``u`` into preallocated arrays, up to the
-    first record where the law raises or whose next chunk stops; from that record's state, ``reference`` records
-    the rest of the run on the Python kernel, and clamps, raises and ends the run as it would have.
+    The returned ``record(initial, n_steps, every)`` gives its results bit for bit.  With no build it is ``reference``
+    on the Python kernel.  Else one call of the C driver (``sitctl_record`` in :data:`_RECORD`) writes each sample's
+    state and ``u`` into preallocated arrays; where it returns early (the law raised at a record, or a chunk clamped
+    or raised), ``reference`` records the whole run instead, on the Python kernel, compiled only then.
 
-    One build per pair of source texts and per process; a sweep builds before it starts its worker threads, so no
-    two threads build it at once.  ``record`` may run on several threads at once: ctypes releases the GIL for the
-    driver's call, and the driver writes only the arrays it is given, its locals and ``errno``, which is per thread.
-    A construct outside the translated subset raises :class:`TranslationError`, with or without a compiler.
+    One build per pair of source texts and per process (:func:`_built`).  ``record`` may run on several threads at
+    once: ctypes releases the GIL for the driver's call, and the driver writes only the arrays it is given, its
+    locals and ``errno``, which is per thread.  A construct outside the translated subset raises
+    :class:`TranslationError`, with or without a compiler.
     """
     driver, size, _ = _built((model.source(*kernel), model.source(*law)))
     if driver is None:
-        return None
+        return partial(reference, model.define(*kernel))
     values, law_values = _doubles(kernel[3]), _doubles(law[3])
 
     def record(initial, n_steps, every):
@@ -502,35 +501,35 @@ def recorder(kernel: tuple, law: tuple, reference):
         j = driver(states.ctypes.data, controls.ctypes.data, records, size, n_steps, every, values, law_values)
         if j == records:
             return states, controls, TERMINATION_HORIZON, 0.0
-        # a clamp stops its chunk in C, so the records before j clamped nothing: the rest's max_clamp is the run's
-        rest, more, termination, max_clamp = reference(model.define(*kernel), tuple(states[j].tolist()),
-                                                       n_steps - j * every, every)
-        return np.concatenate((states[:j], rest)), np.concatenate((controls[:j], more)), termination, max_clamp
+        return reference(model.define(*kernel), initial, n_steps, every)
 
     return record
 
 
 def mapper(law: tuple):
     """The law ``law``, :func:`~sitctl.model.define`'s arguments of a function ``(F, Ms)`` that returns names, on a
-    grid in C: ``grid(Fs, Mss)[n, i, j]`` is its n-th value at ``(Fs[i], Mss[j])``, bit for bit, and it raises where
-    the law does.  None where no C compiler is found or the build fails.  One build (``sitctl_map`` in :data:`_MAP`)
-    per source text and per process serves every value of the constants.  The law's row part runs once per ``F``
-    row and its point part once per point (:class:`_Translator`); where either raises, the Python law runs at the
-    first point, in row-major order, where the C law raised, and raises there.
+    grid: ``grid(Fs, Mss)[n, i, j]`` is its n-th value at ``(Fs[i], Mss[j])``, bit for bit, and it raises where the
+    law does.  In C where it builds: one build (``sitctl_map`` in :data:`_MAP`) per source text and per process serves
+    every value of the constants, and runs the law's row part once per ``F`` row and its point part once per point
+    (:class:`_Translator`).  Where there is no build, or the C law raised anywhere on the grid, the Python law runs at
+    every point in row-major order, and so raises at the first point where it raises.
     """
     driver, _, outputs = _built((model.source(*law),))
-    if driver is None:
-        return None
     values = _doubles(law[3])
+
+    def python(Fs, Mss):
+        function = model.define(*law)
+        points = [[function(F, Ms) for Ms in Mss.tolist()] for F in Fs.tolist()]
+        return np.array(points, dtype=float).reshape(len(Fs), len(Mss), outputs).transpose(2, 0, 1)
 
     def grid(Fs, Mss):
         Fs, Mss = np.ascontiguousarray(Fs, dtype=float), np.ascontiguousarray(Mss, dtype=float)
+        if driver is None:
+            return python(Fs, Mss)
         out = np.empty((outputs, len(Fs), len(Mss)))
-        stop = driver(Fs.ctypes.data, len(Fs), Mss.ctypes.data, len(Mss), out.ctypes.data, values)
-        if stop < 0:  # the law raised at point -1 - stop: the Python law raises the same error there
-            i, j = divmod(-1 - stop, len(Mss))
-            model.define(*law)(float(Fs[i]), float(Mss[j]))
-            raise RuntimeError(f"the C law raised at ({Fs[i]!r}, {Mss[j]!r}) and the Python law did not")
+        if driver(Fs.ctypes.data, len(Fs), Mss.ctypes.data, len(Mss), out.ctypes.data, values):
+            python(Fs, Mss)  # the law raised in C: the Python law raises the same error at its first such point
+            raise RuntimeError("the C law raised on the grid and the Python law did not")
         return out
 
     return grid

@@ -4,10 +4,9 @@ One generated RK4 kernel per closed loop (:func:`_kernel`) writes each stage
 out as the law's body, which gives ``u``, then the plant's field, which takes
 it, so the feedback is re-evaluated at every Runge-Kutta stage (no
 sample-and-hold).  :func:`_record` is the record rule: a sample of the state
-and of ``u`` after each ``record_every`` steps.  Where a C compiler is found,
-:func:`kernel` records a run as compiled C in one call (:mod:`sitctl.native`)
-up to its first record where the law raises or whose next chunk clamps or
-raises, and :func:`_record` records the rest, with the same bits.  Tiny negative
+and of ``u`` after each ``record_every`` steps.  :func:`kernel` records a run
+through :mod:`sitctl.native`, as compiled C in one call where it can, else as
+:func:`_record`, with the same bits.  Tiny negative
 overshoots after a step are integrator artifacts and get clamped to zero;
 anything beyond the clamp tolerance signals a genuinely negative release
 rate or an oversized step and aborts the run, and so does a NaN or infinite state.
@@ -23,8 +22,7 @@ from textwrap import indent
 import numpy as np
 
 from .control import ControlLaw, lyapunov_V
-from .model import (FIELDS, MAX_MAGNITUDE, RELEASE, STATE_NAMES, BioParams, define, field_constants, loss_rates,
-                    validate_params)
+from .model import FIELDS, MAX_MAGNITUDE, RELEASE, STATE_NAMES, BioParams, field_constants, loss_rates, validate_params
 
 TERMINATION_HORIZON = "horizon"
 TERMINATION_NONNEG = "nonnegativity-violation"
@@ -213,12 +211,15 @@ def _advance(spec: SimSpec) -> tuple:
 
 
 def _record(law: ControlLaw, chunk, initial: tuple, n_steps: int, every: int):
-    """The record rule, in Python: the reference of :func:`kernel`'s native recorder, the rest of a run that leaves
-    C, and the run without a compiler.
+    """The record rule, in Python: the reference of :func:`kernel`'s native recorder, and the whole run wherever C
+    does not record it.
 
     ``chunk(state, n) -> (state, largest clamp)`` runs the steps in chunks of ``every`` (the last one may be
     shorter), each followed by one sample; then ``law.evaluator()`` maps over the sampled (F, Ms), the last two
-    components.  Returns ``(states, controls, termination, max_clamp)``: one row and one u per sample.
+    components.  Returns ``(states, controls, termination, max_clamp)``: one row and one u per sample.  A chunk
+    that raises OverflowError (Python's float power, at an RK4 stage state) stops the run as ``non-finite``, as a
+    NaN or infinite state does; its samples are those before the chunk, and ``max_clamp`` counts the chunks before
+    it, since the error carries no clamp.
     """
     states = [initial]
     termination, max_clamp = TERMINATION_HORIZON, 0.0
@@ -232,6 +233,8 @@ def _record(law: ControlLaw, chunk, initial: tuple, n_steps: int, every: int):
         termination, max_clamp = TERMINATION_NONNEG, max(max_clamp, err.max_clamp)
     except NonFiniteError as err:
         termination, max_clamp = TERMINATION_NONFINITE, max(max_clamp, err.max_clamp)
+    except OverflowError:
+        termination = TERMINATION_NONFINITE
     states = np.array(states)
     u = law.evaluator()
     controls = np.array([u(f, m) for f, m in zip(states[:, -2].tolist(), states[:, -1].tolist())])
@@ -239,18 +242,11 @@ def _record(law: ControlLaw, chunk, initial: tuple, n_steps: int, every: int):
 
 
 def kernel(spec: SimSpec):
-    """The spec's recorder ``record(initial, n_steps, every) -> (states, controls, termination, max_clamp)``.
-
-    It is :func:`native.recorder`'s where a C compiler is found: one C call records the run up to its first record
-    where the law raises or whose next chunk clamps or raises, and :func:`_record` the rest.  Else it is
-    :func:`_record` on :func:`_advance`'s kernel; only these two paths compile the kernel in Python.  The two give
-    the same bits.
-    """
+    """The spec's recorder ``record(initial, n_steps, every) -> (states, controls, termination, max_clamp)``:
+    :func:`_record` on :func:`_advance`'s kernel, run by :func:`native.recorder` (in one C call where it can)."""
     from . import native  # imported on first use, so set-up does not load the translator
 
-    law, advance = spec.law, _advance(spec)
-    reference = partial(_record, law)
-    return native.recorder(advance, law.evaluator_definition(), reference) or partial(reference, define(*advance))
+    return native.recorder(_advance(spec), spec.law.evaluator_definition(), partial(_record, spec.law))
 
 
 def integrate(spec: SimSpec) -> Trajectory:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlLaw, ControllerConfig, dms_star_dF, ms_star, ms_star_coefficients
-from .model import BioParams, define, g
+from .model import BioParams, g
 from .simulate import Trajectory
 
 AUDIT_CHECKS = ("nonneg_plus", "lemma4", "pi_sign", "mstar_identity", "utilde_bound")
@@ -143,17 +143,13 @@ _GRID_VALUES = {"nonneg_plus": ("plus", 0), "pi_sign": ("plus", 1), "utilde_boun
 
 def _values(check: str, cfg: ControllerConfig, p: BioParams):
     """``values(F, Mss)``: the 2-D check's value at each point of the grid F x Mss, from the law text that every run
-    integrates (:data:`~sitctl.control.LAW`); in C where a compiler is found (:func:`~sitctl.native.mapper`, one
-    build for every design and variant), else in Python point by point, with the same bits."""
+    integrates (:data:`~sitctl.control.LAW`), on its :func:`~sitctl.native.mapper` grid (one build for every
+    design and variant)."""
     from . import native  # imported on first use, so set-up loads no ctypes
 
     variant, output = _GRID_VALUES[check]
     body, constants = ControlLaw(variant, cfg, p).body()
-    law = ("evaluate", "F, Ms", body + "return u, mismatch\n", constants)
-    grid = native.mapper(law)
-    if grid is None:  # the Python function of the same text
-        function = define(*law)
-        return lambda F, Mss: np.array([[function(f, m)[output] for m in Mss.tolist()] for f in F.tolist()])
+    grid = native.mapper(("evaluate", "F, Ms", body + "return u, mismatch\n", constants))
     return lambda F, Mss: grid(F, Mss)[output]
 
 

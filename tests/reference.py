@@ -1,5 +1,5 @@
-"""Reference code for the tests: a generic RK4 step, the law composed of numpy functions, and the native
-kernel's chunks on the record driver.
+"""Reference code for the tests: a generic RK4 step, the law composed of numpy functions, the native
+kernel's chunks on the record driver, and the Python recorder.
 
 ``step_rk4`` is the textbook step over any rates function, with its own copy of the clamp policy, so
 the integration kernel is checked against code it does not share.  The composed law (``pi``, ``u_star``,
@@ -10,6 +10,7 @@ integer powers are written as products, so an array rounds exactly like its poin
 time (numpy's vectorised ``power`` need not round like libm's ``pow``).
 """
 import math
+from functools import partial
 
 import numpy as np
 
@@ -198,9 +199,9 @@ def native_kernel(advance):
     ``advance`` itself where no C compiler is found or the build fails.
 
     A chunk runs in C as one record step; one that stops in C (a step that leaves [0, inf), or one where Python
-    raises) runs on ``advance``, as the native recorder records the rest of a run in Python.  So every clean chunk
-    runs in C, and the results are ``advance``'s bit for bit.  A construct outside the translated subset raises
-    ``TranslationError``, with or without a compiler.
+    raises) runs again on ``advance``, as the native recorder runs again in Python a run that stops in C.  So
+    every clean chunk runs in C, and the results are ``advance``'s bit for bit.  A construct outside the
+    translated subset raises ``TranslationError``, with or without a compiler.
     """
     text = next(text for text, code in model._CODE.items() if advance.__code__ in code.co_consts)
     code = advance.__code__
@@ -218,6 +219,15 @@ def native_kernel(advance):
         return tuple(states[1].tolist()), 0.0
 
     return run
+
+
+def python_recorder(kernel, law, reference):
+    """``sitctl.native.recorder`` as it is with no build: ``reference`` on the Python kernel, compiler or not."""
+    return partial(reference, model.define(*kernel))
+
+
+#: A config that passes every gate, yet Python's ``lin**3`` overflows at an RK4 stage of its first step.
+OVERFLOW_CONFIG = "[controller]\nrho = 1e20\neps = 1e-6\n[sim]\nmodel = full\nE0 = 1e30\n"
 
 
 def translate(source: str) -> str:

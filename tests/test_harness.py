@@ -31,6 +31,8 @@ from sitctl.harness import (
 from sitctl.model import PARAM_KEYS
 from sitctl.verify import AUDIT_CHECKS
 
+from reference import OVERFLOW_CONFIG
+
 
 class TestPerturbParams:
     def test_zero_fraction_is_identity(self, params):
@@ -380,6 +382,14 @@ class TestCli:
         assert "np.float64" not in summary
         assert summary == capsys.readouterr().out  # stdout and the file carry the same lines
         assert sorted(p.name for p in out_dir.iterdir()) == ["nominal-reduced.csv", "nominal-reduced.summary.txt"]
+
+    def test_an_overflow_in_a_step_exits_1_without_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(OVERFLOW_CONFIG)
+        assert cli_main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "samples = 1\ntermination = non-finite\n" in capsys.readouterr().out
+        assert cli_main(["robustness", str(path), "--trials", "2", "--t-end", "20"]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_audit_single_check(self, config_file, capsys):
         assert cli_main(["audit", str(config_file), "--check", "mstar_identity"]) == 0

@@ -1,6 +1,6 @@
 """The native kernel: each generated RK4 kernel translated to C, built once, bit for bit the Python kernel's; and the
-native recorder, which runs a record in one C call up to its first irregular record and the Python record function
-from there, bit for bit the Python record function's; and the audits' map of a law over a grid, its row part once per
+native recorder, which runs a record in one C call, or the Python record function on the whole run where the C call
+stops early, bit for bit the Python record function's; and the audits' map of a law over a grid, its row part once per
 row.  The kernel's chunks on the C driver and its translation are reached through the tests' reference
 (``native_kernel``, ``translate``)."""
 import contextlib
@@ -26,14 +26,14 @@ from sitctl.harness import PRESETS, RobustnessConfig, perturb_params, preset_sce
 from sitctl.model import PARAM_KEYS, ParamError, define
 from sitctl.simulate import TERMINATION_HORIZON, _advance, _kernel
 
-from reference import native_kernel, translate
+from reference import native_kernel, python_recorder, translate
 
 needs_cc = pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _study_specs():
-    """The perfbench study configs, cut to 20 days."""
+def _study_specs(**overrides):
+    """The perfbench study configs, with ``overrides`` as for ``scenario_from_config``."""
     sys.path.insert(0, str(PERFBENCH))
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -44,7 +44,8 @@ def _study_specs():
     specs = {}
     for name in workloads.STUDY_CONFIGS:
         sections = parse_config_text(workloads.study_config_text(name))
-        specs[name] = scenario_from_config(sections, name, params_from_mapping(sections["params"]), t_end=20.0).sim_spec()
+        params = params_from_mapping(sections["params"])
+        specs[name] = scenario_from_config(sections, name, params, **overrides).sim_spec()
     return specs
 
 
@@ -54,7 +55,7 @@ def _shape_specs():
     specs = {name: preset_scenario(name, t_end=20.0).sim_spec() for name in PRESETS}
     specs.update({f"{name}/perturbed": preset_scenario(name, t_end=20.0).sim_spec(plant)
                   for name in ("robust-reduced", "robust-full")})
-    specs.update(_study_specs())
+    specs.update(_study_specs(t_end=20.0))
     for model in ("reduced", "full"):
         for plant_name, draw in (("own", None), ("perturbed", plant)):
             specs[f"{model}/{plant_name}/global"] = preset_scenario(
@@ -327,32 +328,34 @@ def test_native_recorder_matches_python_whole_run(run):
         record = sitctl.simulate.kernel(spec)
         assert isinstance(record, partial) == (native.compiler() is None)
         fast = _whole_run(spec)
-        with patch.object(native, "recorder", lambda *args: None):
+        with patch.object(native, "recorder", python_recorder):
             python = _whole_run(spec)
     assert fast == python
 
 
 @needs_cc
 class TestOneCall:
-    """A run enters the C driver once: up to its end, or up to its first irregular record, after which Python records."""
+    """A run enters the C driver once: up to its end, or up to its first irregular record, after which Python records
+    the whole run."""
 
     @pytest.fixture
     def entries(self, monkeypatch):
-        """What each entry into a C driver returned, for the recorders built from here on."""
+        """What each entry into a C record driver returned, for the recorders made from here on."""
         returns, build = [], native._build
 
-        def counting_build(c_source, name):
-            driver = build(c_source, name)
-            if driver is None or name != "sitctl_record":
-                return driver
-
-            def counted(*args):
+        def counted(driver):
+            def count(*args):
                 returns.append(driver(*args))
                 return returns[-1]
 
-            return counted
+            return driver and count
 
-        monkeypatch.setattr(native, "_BUILT", {})
+        def counting_build(c_source, name):
+            driver = build(c_source, name)
+            return counted(driver) if name == "sitctl_record" else driver
+
+        monkeypatch.setattr(native, "_BUILT", {sources: (counted(driver) if len(sources) == 2 else driver, *rest)
+                                               for sources, (driver, *rest) in native._BUILT.items()})
         monkeypatch.setattr(native, "_build", counting_build)
         return returns
 
@@ -372,10 +375,24 @@ class TestOneCall:
         monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = -1e-7\n", {}))
         native_run = _whole_run(spec)
         assert entries == [0]
-        monkeypatch.setattr(native, "recorder", lambda *args: None)
+        monkeypatch.setattr(native, "recorder", python_recorder)
         assert native_run == _whole_run(spec)
         traj = s.integrate(spec)
         assert (len(traj.times), traj.termination) == (5, TERMINATION_HORIZON) and traj.max_clamp > 0.0
+
+    def test_every_real_run_stays_in_c(self, entries):
+        # the premise that makes all-or-nothing free: a run that stopped in C would run again, whole, in Python,
+        # about 20 times slower
+        runs = {name: preset_scenario(name).sim_spec() for name in PRESETS} | _study_specs()
+        for name, spec in runs.items():
+            traj = s.integrate(spec)
+            assert entries == [len(traj.times)], name
+            entries.clear()
+        for name in ("robust-reduced", "robust-full"):
+            base = preset_scenario(name)
+            s.run_robustness(RobustnessConfig(base=base, trials=20, seed=2024))
+            assert entries == [1 + -(-round(base.t_end / base.dt) // base.record_every)] * 20, name
+            entries.clear()
 
 
 @needs_cc
@@ -444,5 +461,5 @@ class TestPythonErrors:
         monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = 1.0 / (F - F1) if F == F1 else 0.0\n", {"F1": F}))
         assert not isinstance(sitctl.simulate.kernel(spec), partial)
         native_run = _whole_run(spec)
-        monkeypatch.setattr(native, "recorder", lambda *args: None)
+        monkeypatch.setattr(native, "recorder", python_recorder)
         assert native_run == _whole_run(spec) == (ZeroDivisionError, "float division by zero")

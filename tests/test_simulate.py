@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import textwrap
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import sitctl.control
 import sitctl.model
 import sitctl.native
 import sitctl.simulate
-from sitctl.harness import perturb_params, preset_scenario, trial_rng
+from sitctl.configio import parse_config_text
+from sitctl.harness import perturb_params, preset_scenario, scenario_from_config, trial_rng
 from sitctl.model import FIELDS, RECRUITMENT, define, field_constants
 from sitctl.simulate import _advance, _kernel
 
@@ -261,11 +263,11 @@ def _pin_kernel(monkeypatch, in_c):
 
     def recorder_in_c(*args):
         record = recorder(*args)
-        assert record is not None, "the recorder did not build natively"
+        assert not isinstance(record, partial), "the recorder did not build natively"
         return record
 
     monkeypatch.setattr(reference, "native_kernel", kernel_in_c if in_c else lambda advance: advance)
-    monkeypatch.setattr(sitctl.native, "recorder", recorder_in_c if in_c else lambda *args: None)
+    monkeypatch.setattr(sitctl.native, "recorder", recorder_in_c if in_c else reference.python_recorder)
 
 
 class TestUnrolledStep:
@@ -499,6 +501,14 @@ class TestChunkedRecords:
         assert traj.termination == s.simulate.TERMINATION_NONFINITE == "non-finite"
         assert traj.times[-1] == 36.0
         assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.controls))
+
+    def test_an_overflow_in_a_step_stops_the_run_non_finite(self):
+        # integrate raised the OverflowError of lin**3 at an RK4 stage, and simulate and robustness exited 1 with a
+        # traceback; now the run keeps the samples before the chunk, as for a NaN or infinite state
+        spec = scenario_from_config(parse_config_text(reference.OVERFLOW_CONFIG), "overflow").sim_spec()
+        traj = s.integrate(spec)
+        assert (len(traj.times), traj.termination, traj.max_clamp) == (1, s.simulate.TERMINATION_NONFINITE, 0.0)
+        assert traj.states[0].tolist() == list(spec.initial)
 
 
 class TestPythonChunkedRecords(TestChunkedRecords):
