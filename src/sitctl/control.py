@@ -258,10 +258,5 @@ class ControlLaw:
     def evaluator(self):
         """The law as a plain-float function u(F, Ms) for tight loops, compiled from :meth:`body`; its constants are
         locals of the function, so a call costs plain float arithmetic."""
-        return define(*self.evaluator_definition())
-
-    def evaluator_definition(self) -> tuple[str, str, str, dict]:
-        """:meth:`evaluator` as the arguments of :func:`~sitctl.model.define`: its name, arguments, body and
-        constants.  The native recorder translates the same text to C without compiling it in Python."""
         body, constants = self.body()
-        return "evaluate", "F, Ms", body + "return u\n", constants
+        return define("evaluate", "F, Ms", body + "return u\n", constants)

@@ -1,22 +1,24 @@
 """The record of a whole run, and the law on a grid, as compiled C, bit for bit.
 
-:func:`recorder` takes a kernel ``advance(state, n) -> (state, largest clamp)``
-and a law's evaluator, each as :func:`sitctl.model.define`'s arguments, and
-returns the record rule :func:`sitctl.simulate._record` as one call of a fixed
-C driver, which runs every chunk and writes every sample's state and ``u``.
-:func:`mapper` takes a law's text alone and returns its map over a grid of
-(F, Ms) points, which the grid audits scan.  A law's C is split into
-a row part, the statements that depend on F alone, and a point part, so a
-grid runs the row part once per row of F: loop-invariant code motion, done
-here because the C compiler does not move the law's trapping divisions out of
-its branches.  :class:`_Translator`
-writes the C from the Python source, node by node over the fixed subset that
-the RK4 template, the law and the field texts use; any other construct raises
+:func:`recorder` takes a kernel ``advance(state, n) -> (state, largest clamp, u)``
+as :func:`sitctl.model.define`'s arguments, and returns the record rule
+:func:`sitctl.simulate._record` as one call of a fixed C driver, which runs
+every chunk and writes every sample's state and ``u``.  :func:`mapper` takes a
+law's text and returns its map over a grid of (F, Ms) points, which the grid
+audits scan.  Each library translates one function, a kernel or a law, beside
+its driver.  A law's C is split into a row part, the statements that depend on
+F alone, and a point part, so a grid runs the row part once per row of F:
+loop-invariant code motion, done here because the C compiler does not move the
+law's trapping divisions out of its branches.  :class:`_Translator` writes the
+C from the Python source, node by node over the fixed subset that the RK4
+template, the law and the field texts use; any other construct raises
 :class:`TranslationError`.  Each C operation is the IEEE operation that
 Python's float performs, on the same operands in the same order: the build
 turns FMA contraction off, and ``x**3`` calls the libm ``pow`` that Python's
 float power calls, after the same special cases.  So the states and the
-controls are the Python kernel's and law's to the last bit.
+controls are the Python kernel's and law's to the last bit, except for a NaN's
+sign and payload: where both operands of ``+`` or ``*`` are NaN, the result
+keeps one operand's, and the C compiler may commute the operands.
 
 A native call is all C or all Python, and this module alone chooses.  A C call
 counts only where it was regular throughout: a run where the law raises at no
@@ -44,7 +46,7 @@ from .simulate import TERMINATION_HORIZON
 #: The build: no contraction into FMA (it would change the bits), no fast-math, no host-specific code.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pipe")
 _ARITHMETIC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
-_COMPARE = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+_COMPARE = {ast.Eq: "==", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 _PRELUDE = """\
 #include <errno.h>
 #include <float.h>
@@ -160,13 +162,14 @@ class _Translator:
     The source is ``def <name>(<inputs>, <constants>=...)``: the parameters without a default are its inputs.
 
     A kernel's inputs are ``state, n``, and its body is the unpack ``<ys> = state``, the accumulator
-    ``<worst> = 0.0``, one ``for _ in range(n)`` loop and ``return (<ys>), <worst>``.  The loop's last
-    statement may be ``if <test>: (<ys>), <worst> = _clamp((<ys>), <tol>, <worst>)``.  So the state is carried
-    from step to step in ``<ys>`` alone, and the C stops where that ``_clamp`` would run.  Its C is
-    ``static int sitctl_advance(double *state, long n, const double *values)``: it returns 0 after ``n`` steps,
-    with the state in ``state``, or 1, a stop, where a step reaches that ``_clamp`` or Python would have raised in
-    some step; the caller then drops ``state``.  It is never inlined: its step loop is compiled on its own, which
-    the record driver's call of the law's row part would otherwise slow by about 40 % in the full model.
+    ``<worst> = 0.0``, one ``for _ in range(n)`` loop whose last statement is ``if <test>: (<ys>), <worst> =
+    _clamp((<ys>), <tol>, <worst>)``, statements, and ``return (<ys>), <worst>, <u>``.  So the state is carried
+    from step to step in ``<ys>`` alone, and the C stops where that ``_clamp`` would run.  The statements after
+    the loop read only names assigned before the loop or after it, since the loop may run no step.  Its C is
+    ``static int sitctl_advance(double *state, long n, const double *values, double *out)``: it returns 0 after
+    ``n`` steps and the statements, with the state in ``state`` and ``<u>`` in ``*out``, or 1, a stop, where a step
+    reaches that ``_clamp`` or Python would have raised in some step or in the statements; the caller then drops
+    ``state`` and ``*out``.
 
     A law's inputs are ``F, Ms``, and its body is statements and then ``return <name>, ...``.  Its C is two functions,
     its row part and its point part (:func:`_row_names`), which a grid's driver calls once per row and once per point.
@@ -201,22 +204,25 @@ class _Translator:
         end = body[-1]
         if self.inputs != ["state", "n"]:
             raise TranslationError("a kernel must be one 'def advance(state, n, constant=constant, ...)'")
-        if not (isinstance(end, ast.Return) and isinstance(end.value, ast.Tuple) and len(end.value.elts) == 2
+        if not (isinstance(end, ast.Return) and isinstance(end.value, ast.Tuple) and len(end.value.elts) == 3
                 and isinstance(end.value.elts[1], ast.Name)):
-            raise TranslationError("the body must end with 'return (<state names>), <accumulator>'")
+            raise TranslationError("the body must end with 'return (<state names>), <accumulator>, <control>'")
         self.state, self.worst = _names(end.value.elts[0]), end.value.elts[1].id
         ys = ", ".join(self.state)
         opening = [f"{ys} = state", f"{self.worst} = 0.0"]
-        if len(body) != 4 or [ast.unparse(node) for node in body[:2]] != opening:
-            raise TranslationError(f"the body must be {opening}, one loop and the return")
+        if len(body) < 4 or [ast.unparse(node) for node in body[:2]] != opening:
+            raise TranslationError(f"the body must be {opening}, one loop, statements and the return")
         self.clamp_stop = re.compile(rf"\({ys}\), {self.worst} = _clamp\(\({ys}\), \w+, {self.worst}\)")
         self.locals.update(self.state)
         self.assigned.update(self.state)
         self.lines = [f"{_name(y)} = state[{i}];" for i, y in enumerate(self.state)]
+        before = set(self.assigned)
         self.loop(body[2])
-        self.lines += [*(f"state[{i}] = {_name(y)};" for i, y in enumerate(self.state)), "return raised;"]
-        return self.c_function("static __attribute__((noinline)) int sitctl_advance(double *state, long n, "
-                               "const double *values)")
+        self.assigned = before  # the loop may run no step
+        self.block(body[3:-1], "")
+        self.lines += [*(f"state[{i}] = {_name(y)};" for i, y in enumerate(self.state)),
+                       f"*out = {self.expr(end.value.elts[2])};", "return raised;"]
+        return self.c_function("static int sitctl_advance(double *state, long n, const double *values, double *out)")
 
     def law(self) -> str:
         """The C of a law (see the class)."""
@@ -253,20 +259,17 @@ class _Translator:
         ])
 
     def loop(self, node):
-        """``for _ in range(n)``; a last ``if <test>: <the clamp>`` becomes a stop, and Python redoes the run."""
+        """``for _ in range(n)``, whose last ``if <test>: <the clamp>`` becomes a stop, and Python redoes the run."""
         if not (isinstance(node, ast.For) and ast.unparse(node.target) == "_" and ast.unparse(node.iter) == "range(n)"
                 and not node.orelse):
             raise TranslationError("the third statement must be the loop 'for _ in range(n)'")
         *body, last = node.body
-        stop = (isinstance(last, ast.If) and not last.orelse and len(last.body) == 1 and "_clamp" in self.constants
-                and self.clamp_stop.fullmatch(ast.unparse(last.body[0])))
-        if not stop:
-            body.append(last)  # translated as it stands: a clamp elsewhere, or of another form, raises there
+        if not (isinstance(last, ast.If) and not last.orelse and len(last.body) == 1 and "_clamp" in self.constants
+                and self.clamp_stop.fullmatch(ast.unparse(last.body[0]))):
+            raise TranslationError("the loop must end with 'if <test>: (<state names>), <accumulator> = _clamp(...)'")
         self.lines.append("for (long i = 0; i < n; i++) {")
         self.block(body, "    ")
-        if stop:
-            self.lines += [f"    if ({self.test(last.test)})", "        return 1;"]
-        self.lines.append("}")
+        self.lines += [f"    if ({self.test(last.test)})", "        return 1;", "}"]
 
     def block(self, statements, pad: str):
         for node in statements:
@@ -338,8 +341,8 @@ class _Translator:
                 return f"py_div({left}, {self.expr(right)}, &raised)"
             if type(node.op) in _ARITHMETIC:
                 return f"({left} {_ARITHMETIC[type(node.op)]} {self.expr(right)})"
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            return f"({'-' if isinstance(node.op, ast.USub) else '+'}{self.expr(node.operand)})"
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return f"(-{self.expr(node.operand)})"
         elif isinstance(node, ast.IfExp):
             return f"({self.test(node.test)} ? {self.expr(node.body)} : {self.expr(node.orelse)})"
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "abs"
@@ -348,29 +351,25 @@ class _Translator:
         raise TranslationError(f"unsupported expression {ast.unparse(node)!r}")
 
 
-#: The whole run's record, in C beside a kernel's ``advance`` and a law's two parts (see :func:`recorder`).
+#: The whole run's record, in C beside a kernel's ``advance`` (see :func:`recorder`).
 _RECORD = """\
 /* The record of a run of n steps from states[0], a sample after each `every` steps and at the end: states[j] (size
-   doubles) and controls[j], the law (its row part, then its point part) at the state's last two components, F and
-   Ms.  Returns `records` when all are written, else less: the law raised at a record, or a chunk stopped
-   (sitctl_advance returned 1), and the caller drops the arrays. */
+   doubles) and controls[j], the u that sitctl_advance gives at states[j] (after no step for record 0).  Returns
+   `records` when all are written, else less: the law raised at a record, or a chunk stopped (sitctl_advance
+   returned 1), and the caller drops the arrays. */
 long sitctl_record(double *restrict states, double *restrict controls, long records, long size, long n, long every,
-                   const double *restrict values, const double *restrict law_values)
+                   const double *restrict values)
 {
-    double row[ROW_SIZE];
-    for (long j = 0;; j++) {
+    if (sitctl_advance(states, 0, values, controls))
+        return 0;
+    for (long j = 0; j + 1 < records; j++) {
         double *y = states + j * size;
-        int row_raised = evaluate_row(y[size - 2], law_values, row), raised;
-        evaluate(y[size - 2], y[size - 1], law_values, row, &raised, controls + j, 1);
-        if (row_raised || raised)
-            return j;
-        if (j + 1 == records)
-            return records;
         for (long i = 0; i < size; i++)
             y[size + i] = y[i];
-        if (sitctl_advance(y + size, n - j * every < every ? n - j * every : every, values))
+        if (sitctl_advance(y + size, n - j * every < every ? n - j * every : every, values, controls + j + 1))
             return j;
     }
+    return records;
 }
 """
 #: The law on a grid, in C beside a law's two parts (see :func:`mapper`).
@@ -399,7 +398,7 @@ _DOUBLES = ctypes.POINTER(ctypes.c_double)
 #: The ctypes signature of each exported C function.  Their names are prefixed: the C library exports a legacy
 #: ``advance`` (regexp.h), and a plain name could take another library's symbol.
 _SIGNATURES = {
-    "sitctl_record": (ctypes.c_void_p, ctypes.c_void_p, *[ctypes.c_long] * 4, _DOUBLES, _DOUBLES),
+    "sitctl_record": (ctypes.c_void_p, ctypes.c_void_p, *[ctypes.c_long] * 4, _DOUBLES),
     "sitctl_map": (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, _DOUBLES),
 }
 
@@ -410,10 +409,9 @@ def compiler() -> str | None:
     return next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
 
 
-#: Each build, by its source texts (a law's, or a kernel's and a law's): the loaded C function (None without a
-#: compiler or where the build failed), the kernel's state length (None for a law alone) and the number of values
-#: the law returns.
-_BUILT: dict[tuple[str, ...], tuple] = {}
+#: Each build, by its source text (a kernel's or a law's): the loaded C function (None without a compiler or where
+#: the build failed) and its size, the kernel's state length or the number of values the law returns.
+_BUILT: dict[str, tuple] = {}
 _BUILDING = threading.Lock()  # held while _built checks and builds
 
 
@@ -439,24 +437,23 @@ def _build(c_source: str, name: str):
     return function
 
 
-def _library(sources: tuple[str, ...]) -> tuple:
-    """The C library of ``sources``, a law's (``sitctl_map``) or a kernel's and a law's (``sitctl_record``):
-    ``(C source, driver name, size, outputs)``, as in :data:`_BUILT`."""
-    *kernel_source, law_source = sources
-    kernel, law = (_Translator(kernel_source[0]) if kernel_source else None), _Translator(law_source)
-    parts = [kernel.advance(), law.law(), _RECORD] if kernel else [law.law(), _MAP]
-    name = "sitctl_record" if kernel else "sitctl_map"
-    return "\n".join([_PRELUDE, *parts]), name, kernel and len(kernel.state), len(law.outputs)
+def _library(source: str) -> tuple:
+    """The C library of ``source``, a kernel's (``sitctl_record``) or a law's (``sitctl_map``): ``(C source, driver
+    name, size)``, as in :data:`_BUILT`."""
+    translator = _Translator(source)
+    if translator.inputs == ["state", "n"]:
+        return "\n".join([_PRELUDE, translator.advance(), _RECORD]), "sitctl_record", len(translator.state)
+    return "\n".join([_PRELUDE, translator.law(), _MAP]), "sitctl_map", len(translator.outputs)
 
 
-def _built(sources: tuple[str, ...]) -> tuple:
-    """The build of ``sources`` (:func:`_library`), once per process (:data:`_BUILT`): ``(function, size, outputs)``.
+def _built(source: str) -> tuple:
+    """The build of ``source`` (:func:`_library`), once per process (:data:`_BUILT`): ``(function, size)``.
     Under a lock: threads that ask at once, as a sweep's workers do, share the first one's build."""
     with _BUILDING:
-        if sources not in _BUILT:
-            c_source, name, size, outputs = _library(sources)
-            _BUILT[sources] = None if compiler() is None else _build(c_source, name), size, outputs
-        return _BUILT[sources]
+        if source not in _BUILT:
+            c_source, name, size = _library(source)
+            _BUILT[source] = None if compiler() is None else _build(c_source, name), size
+        return _BUILT[source]
 
 
 def _doubles(constants: dict):
@@ -472,34 +469,32 @@ def _value(name: str, value) -> float:
     raise TypeError(f"constant {name} = {value!r} is not a float")
 
 
-def recorder(kernel: tuple, law: tuple, reference):
-    """The record function ``reference`` on the kernel ``kernel`` and the law ``law``, in one C call where it can.
+def recorder(kernel: tuple, reference):
+    """The record function ``reference`` on the kernel ``kernel``, in one C call where it can.
 
-    ``kernel`` and ``law`` are :func:`~sitctl.model.define`'s arguments: the kernel is ``advance(state, n) -> (state,
-    largest clamp)`` (:func:`sitctl.simulate._kernel`) and the law's body returns ``u`` from ``(F, Ms)``
-    (:meth:`~sitctl.control.ControlLaw.evaluator_definition`).  ``reference(chunk, initial, n_steps, every) ->
-    (states, controls, termination, max_clamp)`` is the record rule in Python (:func:`sitctl.simulate._record`).
-    The returned ``record(initial, n_steps, every)`` gives its results bit for bit.  With no build it is ``reference``
-    on the Python kernel.  Else one call of the C driver (``sitctl_record`` in :data:`_RECORD`) writes each sample's
-    state and ``u`` into preallocated arrays; where it returns early (the law raised at a record, or a chunk clamped
-    or raised), ``reference`` records the whole run instead, on the Python kernel, compiled only then.
+    ``kernel`` is :func:`~sitctl.model.define`'s arguments of ``advance(state, n) -> (state, largest clamp, u)``
+    (:func:`sitctl.simulate._kernel`).  ``reference(chunk, initial, n_steps, every) -> (states, controls,
+    termination, max_clamp)`` is the record rule in Python (:func:`sitctl.simulate._record`).  The returned
+    ``record(initial, n_steps, every)`` gives its results bit for bit.  With no build it is ``reference`` on the
+    Python kernel.  Else one call of the C driver (``sitctl_record`` in :data:`_RECORD`) writes each sample's state
+    and ``u`` into preallocated arrays; where it returns early (the law raised at a record, or a chunk clamped or
+    raised), ``reference`` records the whole run instead, on the Python kernel, compiled only then.
 
-    One build per pair of source texts and per process (:func:`_built`).  ``record`` may run on several threads at
-    once: ctypes releases the GIL for the driver's call, and the driver writes only the arrays it is given, its
-    locals and ``errno``, which is per thread.  A construct outside the translated subset raises
-    :class:`TranslationError`, with or without a compiler.
+    One build per source text and per process (:func:`_built`).  ``record`` may run on several threads at once:
+    ctypes releases the GIL for the driver's call, and the driver writes only the arrays it is given, its locals and
+    ``errno``, which is per thread.  A construct outside the translated subset raises :class:`TranslationError`,
+    with or without a compiler.
     """
-    driver, size, _ = _built((model.source(*kernel), model.source(*law)))
+    driver, size = _built(model.source(*kernel))
     if driver is None:
         return partial(reference, model.define(*kernel))
-    values, law_values = _doubles(kernel[3]), _doubles(law[3])
+    values = _doubles(kernel[3])
 
     def record(initial, n_steps, every):
         records = 1 + -(-n_steps // every)
         states, controls = np.empty((records, size)), np.empty(records)
         states[0] = initial
-        j = driver(states.ctypes.data, controls.ctypes.data, records, size, n_steps, every, values, law_values)
-        if j == records:
+        if driver(states.ctypes.data, controls.ctypes.data, records, size, n_steps, every, values) == records:
             return states, controls, TERMINATION_HORIZON, 0.0
         return reference(model.define(*kernel), initial, n_steps, every)
 
@@ -514,7 +509,7 @@ def mapper(law: tuple):
     (:class:`_Translator`).  Where there is no build, or the C law raised anywhere on the grid, the Python law runs at
     every point in row-major order, and so raises at the first point where it raises.
     """
-    driver, _, outputs = _built((model.source(*law),))
+    driver, outputs = _built(model.source(*law))
     values = _doubles(law[3])
 
     def python(Fs, Mss):

@@ -3,10 +3,11 @@
 One generated RK4 kernel per closed loop (:func:`_kernel`) writes each stage
 out as the law's body, which gives ``u``, then the plant's field, which takes
 it, so the feedback is re-evaluated at every Runge-Kutta stage (no
-sample-and-hold).  :func:`_record` is the record rule: a sample of the state
-and of ``u`` after each ``record_every`` steps.  :func:`kernel` records a run
-through :mod:`sitctl.native`, as compiled C in one call where it can, else as
-:func:`_record`, with the same bits.  Tiny negative
+sample-and-hold); after its steps it runs the law's body once more, for ``u``
+at the state it reached.  :func:`_record` is the record rule: a sample of the
+state and of ``u`` after each ``record_every`` steps.  :func:`kernel` records
+a run through :mod:`sitctl.native`, as compiled C in one call where it can,
+else as :func:`_record`, with the same bits.  Tiny negative
 overshoots after a step are integrator artifacts and get clamped to zero;
 anything beyond the clamp tolerance signals a genuinely negative release
 rate or an oversized step and aborts the run, and so does a NaN or infinite state.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
 from textwrap import indent
 
 import numpy as np
@@ -148,19 +148,20 @@ def _clamp(nxt, clamp_tol, worst):
     raise err
 
 
-def _rk4(names, stage: str) -> str:
+def _rk4(names, stage: str, law: str) -> str:
     """The body of ``advance(state, n)``: ``n`` classical RK4 steps of the ODE whose rates ``stage`` sets.
 
     ``stage`` is statement text that sets ``d<name>`` from the state ``names``; it is written out once per
     stage.  Every sum keeps the association of the textbook step ``s + h/6 (k1 + 2 (k2 + k3) + k4)``, so the
     result is that step's to the last bit.  A step that leaves [0, inf) in any component goes to
-    :func:`_clamp`; the body returns the state and the largest clamp, ``worst``.
+    :func:`_clamp`.  After the loop, ``law``, statement text that sets ``u``, runs once at the state reached;
+    the body returns that state, the largest clamp, ``worst``, and ``u``.
     """
     y = [f"y{i}" for i in range(len(names))]
     rates = ["d" + name for name in names]
 
-    def assign(targets, values):  # one statement each: a tuple of four would be built and unpacked
-        return "".join(f"    {target} = {value}\n" for target, value in zip(targets, values))
+    def assign(targets, values, pad="    "):  # one statement each: a tuple of four would be built and unpacked
+        return "".join(f"{pad}{target} = {value}\n" for target, value in zip(targets, values))
 
     def k(j):
         return [f"k{j}_{i}" for i in range(len(names))]
@@ -174,12 +175,12 @@ def _rk4(names, stage: str) -> str:
     ])
     text += "    if " + " or ".join(f"not 0.0 <= {s} < inf" for s in y) + ":  # NaN fails the test too, and inf\n"
     text += f"        ({', '.join(y)}), worst = _clamp(({', '.join(y)}), clamp_tol, worst)\n"
-    return text + f"return ({', '.join(y)}), worst\n"
+    return text + assign(names, y, "") + law + f"return ({', '.join(y)}), worst, u\n"
 
 
 def _kernel(model: str, law: str, constants: dict, plant: BioParams | None, dt: float, clamp_tol: float) -> tuple:
-    """The RK4 kernel ``advance(state, n) -> (state, largest clamp)`` of one closed loop, ``n`` steps of ``dt``, as
-    the arguments of :func:`~sitctl.model.define`.
+    """The RK4 kernel ``advance(state, n) -> (state, largest clamp, u)`` of one closed loop, ``n`` steps of ``dt``
+    and ``u`` at the state reached, as the arguments of :func:`~sitctl.model.define`.
 
     ``law`` and ``constants`` are a law's body and the values it reads (:meth:`ControlLaw.body`).  With a
     ``plant``, each stage is the law, then the model's field with the plant's constants renamed
@@ -194,7 +195,7 @@ def _kernel(model: str, law: str, constants: dict, plant: BioParams | None, dt: 
         stage = law + re.sub(r"\b(" + "|".join(values) + r")\b", r"plant_\1", FIELDS[model])
         constants = {**constants, **{"plant_" + name: value for name, value in values.items()}}
     steps = {"h2": 0.5 * dt, "sixth": dt / 6.0, "dt": dt, "clamp_tol": clamp_tol, "inf": math.inf, "_clamp": _clamp}
-    return "advance", "state, n", _rk4(STATE_NAMES[model], stage), {**constants, **steps}
+    return "advance", "state, n", _rk4(STATE_NAMES[model], stage, law), {**constants, **steps}
 
 
 def _advance(spec: SimSpec) -> tuple:
@@ -210,35 +211,33 @@ def _advance(spec: SimSpec) -> tuple:
     return _kernel(spec.model, *law.body(), plant, spec.dt, clamp_tol)
 
 
-def _record(law: ControlLaw, chunk, initial: tuple, n_steps: int, every: int):
+def _record(chunk, initial: tuple, n_steps: int, every: int):
     """The record rule, in Python: the reference of :func:`kernel`'s native recorder, and the whole run wherever C
     does not record it.
 
-    ``chunk(state, n) -> (state, largest clamp)`` runs the steps in chunks of ``every`` (the last one may be
-    shorter), each followed by one sample; then ``law.evaluator()`` maps over the sampled (F, Ms), the last two
-    components.  Returns ``(states, controls, termination, max_clamp)``: one row and one u per sample.  A chunk
-    that raises OverflowError (Python's float power, at an RK4 stage state) stops the run as ``non-finite``, as a
-    NaN or infinite state does; its samples are those before the chunk, and ``max_clamp`` counts the chunks before
-    it, since the error carries no clamp.
+    ``chunk(state, n) -> (state, largest clamp, u)`` gives ``u`` at ``initial`` with ``n = 0``, then runs the steps
+    in chunks of ``every`` (the last one may be shorter), each followed by one sample of the state and ``u``.
+    Returns ``(states, controls, termination, max_clamp)``: one row and one u per sample.  A chunk that raises
+    OverflowError (Python's float power, at an RK4 stage state or in the law at the state it reached) stops the run
+    as ``non-finite``, as a NaN or infinite state does; its samples are those before the chunk, and ``max_clamp``
+    counts the chunks before it, since the error carries no clamp.
     """
-    states = [initial]
+    states, controls = [initial], [chunk(initial, 0)[2]]
     termination, max_clamp = TERMINATION_HORIZON, 0.0
     try:
         for start in range(0, n_steps, every):  # a chunk of steps, then one sample
-            state, clamped = chunk(states[-1], min(every, n_steps - start))
+            state, clamped, u = chunk(states[-1], min(every, n_steps - start))
             if clamped > max_clamp:
                 max_clamp = clamped
             states.append(state)
+            controls.append(u)
     except NonnegativityError as err:
         termination, max_clamp = TERMINATION_NONNEG, max(max_clamp, err.max_clamp)
     except NonFiniteError as err:
         termination, max_clamp = TERMINATION_NONFINITE, max(max_clamp, err.max_clamp)
     except OverflowError:
         termination = TERMINATION_NONFINITE
-    states = np.array(states)
-    u = law.evaluator()
-    controls = np.array([u(f, m) for f, m in zip(states[:, -2].tolist(), states[:, -1].tolist())])
-    return states, controls, termination, max_clamp
+    return np.array(states), np.array(controls), termination, max_clamp
 
 
 def kernel(spec: SimSpec):
@@ -246,7 +245,7 @@ def kernel(spec: SimSpec):
     :func:`_record` on :func:`_advance`'s kernel, run by :func:`native.recorder` (in one C call where it can)."""
     from . import native  # imported on first use, so set-up does not load the translator
 
-    return native.recorder(_advance(spec), spec.law.evaluator_definition(), partial(_record, spec.law))
+    return native.recorder(_advance(spec), _record)
 
 
 def integrate(spec: SimSpec) -> Trajectory:
@@ -254,8 +253,8 @@ def integrate(spec: SimSpec) -> Trajectory:
 
     Deterministic: the same spec always yields bit-identical samples.  One call of the spec's recorder
     (:func:`kernel`) records the run: a sample ``(i * dt, state)`` after each ``record_every`` steps and at the
-    horizon, with u at each, as :func:`_record` maps ``law.evaluator()`` over them.  ``lyapunov`` is one array
-    call of :func:`lyapunov_V`, rounding exactly as per-sample float calls would.
+    horizon, with u at each from the kernel (:func:`_record`).  ``lyapunov`` is one array call of
+    :func:`lyapunov_V`, rounding exactly as per-sample float calls would.
     """
     n_steps = max(1, round(spec.t_end / spec.dt))
     every = spec.record_every

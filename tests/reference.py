@@ -190,13 +190,9 @@ def u_tilde(F, Ms, cfg: ControllerConfig, p: BioParams):
     return _plain(value)
 
 
-#: The evaluator text of the law 'none', which a kernel's recorder build pairs with the kernel in :func:`native_kernel`.
-NO_LAW = model.source("evaluate", "F, Ms", "u = 0.0\nreturn u\n", {})
-
-
 def native_kernel(advance):
-    """``advance`` as a chunk function on its recorder's C driver (``sitctl_record``, with the law 'none'), or
-    ``advance`` itself where no C compiler is found or the build fails.
+    """``advance`` as a chunk function on its recorder's C driver (``sitctl_record``), or ``advance`` itself where no
+    C compiler is found or the build fails.
 
     A chunk runs in C as one record step; one that stops in C (a step that leaves [0, inf), or one where Python
     raises) runs again on ``advance``, as the native recorder runs again in Python a run that stops in C.  So
@@ -206,7 +202,7 @@ def native_kernel(advance):
     text = next(text for text, code in model._CODE.items() if advance.__code__ in code.co_consts)
     code = advance.__code__
     values = native._doubles(dict(zip(code.co_varnames[2:code.co_argcount], advance.__defaults__)))
-    driver, size, _ = native._built((text, NO_LAW))
+    driver, size = native._built(text)
     if driver is None:
         return advance
 
@@ -214,14 +210,14 @@ def native_kernel(advance):
         if len(state) != size:  # the Python kernel raises on the unpack
             return advance(state, n)
         states, controls = np.array([state, state], dtype=float), np.empty(2)
-        if driver(states.ctypes.data, controls.ctypes.data, 2, size, n, n, values, None) != 2:  # 'none' reads no value
+        if driver(states.ctypes.data, controls.ctypes.data, 2, size, n, n, values) != 2:
             return advance(state, n)
-        return tuple(states[1].tolist()), 0.0
+        return tuple(states[1].tolist()), 0.0, float(controls[1])
 
     return run
 
 
-def python_recorder(kernel, law, reference):
+def python_recorder(kernel, reference):
     """``sitctl.native.recorder`` as it is with no build: ``reference`` on the Python kernel, compiler or not."""
     return partial(reference, model.define(*kernel))
 

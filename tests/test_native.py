@@ -3,12 +3,17 @@ native recorder, which runs a record in one C call, or the Python record functio
 stops early, bit for bit the Python record function's; and the audits' map of a law over a grid, its row part once per
 row.  The kernel's chunks on the C driver and its translation are reached through the tests' reference
 (``native_kernel``, ``translate``)."""
+import ast
 import contextlib
 import dataclasses
+import dis
 import importlib
+import inspect
 import math
 import subprocess
 import sys
+import textwrap
+import types
 from functools import partial
 from pathlib import Path
 from unittest.mock import patch
@@ -21,6 +26,7 @@ import sitctl as s
 import sitctl.harness
 import sitctl.native as native
 import sitctl.simulate
+import sitctl.verify
 from sitctl.configio import params_from_mapping, parse_config_text
 from sitctl.harness import PRESETS, RobustnessConfig, perturb_params, preset_scenario, scenario_from_config, trial_rng
 from sitctl.model import PARAM_KEYS, ParamError, define
@@ -75,12 +81,23 @@ def _audit_law(params, cfg):
 def _outcome(advance, state, n):
     """``advance(state, n)`` as float.hex, or the error it raised: type, message and, from _clamp, max_clamp."""
     try:
-        nxt, worst = advance(state, n)
+        nxt, worst, u = advance(state, n)
     except ArithmeticError as err:  # NonFiniteError, OverflowError, ZeroDivisionError
         return type(err), str(err), getattr(err, "max_clamp", None)
     except s.NonnegativityError as err:
         return type(err), str(err), err.max_clamp
-    return [x.hex() for x in nxt], worst.hex()
+    return [x.hex() for x in nxt], worst.hex(), u.hex()
+
+
+def _translates(expression: str) -> bool:
+    """Whether a law that sets ``u`` to ``expression``, or that tests it, translates to C."""
+    for body in (f"u = {expression}\n", f"u = 1.0 if {expression} else 0.0\n"):
+        try:
+            native._Translator(sitctl.model.source("evaluate", "F, Ms", body + "return u\n", {})).law()
+            return True
+        except native.TranslationError:
+            pass
+    return False
 
 
 class TestTranslation:
@@ -118,6 +135,57 @@ class TestTranslation:
         # Python would raise UnboundLocalError where C would read an undefined double
         with pytest.raises(native.TranslationError, match="read before it is assigned"):
             translate(self.SOURCE.replace("            u = 0.0\n", "            u = u\n", 1))
+
+    def test_after_the_loop_a_name_that_only_the_loop_assigns_is_unset(self):
+        # the loop may run no step, and then Python raises UnboundLocalError where C would read an undefined double
+        assert self.SOURCE.count("\n    F = y2\n") == 1  # the F that the law reads after the loop
+        with pytest.raises(native.TranslationError, match="'F' is read before it is assigned"):
+            translate(self.SOURCE.replace("\n    F = y2\n", "\n", 1))
+
+    def test_the_real_texts_use_the_whole_subset(self, params, cfg):
+        # every preset shape's kernel and the audit law run each line of _Translator that raises nothing, and use
+        # each operator that it translates; a construct that no text uses is left out of the subset
+        texts = [sitctl.model.source(*_advance(spec)) for spec in SHAPE_SPECS.values()]
+        texts.append(sitctl.model.source(*_audit_law(params, cfg)))
+        lines, first = inspect.getsourcelines(native._Translator)
+        raising = {line + first - 1 for node in ast.walk(ast.parse(textwrap.dedent("".join(lines))))
+                   if isinstance(node, ast.Raise) for line in range(node.lineno, node.end_lineno + 1)}
+        codes, owned = [f.__code__ for f in vars(native._Translator).values() if inspect.isfunction(f)], set()
+        while codes:  # the methods and the comprehensions in them
+            code = codes.pop()
+            owned.add(code)
+            codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+        runnable = {line for code in owned for _, line in dis.findlinestarts(code)
+                    if line not in (None, code.co_firstlineno)}
+        ran = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code not in owned:
+                return None
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return trace
+
+        sys.settrace(trace)
+        try:
+            for text in texts:
+                native._library(text)
+        finally:
+            sys.settrace(None)
+        assert sorted(runnable - raising - ran) == []
+        used = set()
+        for node in (node for text in texts for node in ast.walk(ast.parse(text))):
+            if isinstance(node, ast.Compare):
+                used.update(map(type, node.ops))
+            elif isinstance(node, (ast.BinOp, ast.UnaryOp, ast.BoolOp)):
+                used.add(type(node.op))
+        F, Ms, three = ast.Name("F"), ast.Name("Ms"), ast.Constant(3)
+        probes = {op: ast.BinOp(F, op(), three) for op in ast.operator.__subclasses__()}
+        probes |= {op: ast.UnaryOp(op(), F) for op in ast.unaryop.__subclasses__()}
+        probes |= {op: ast.Compare(F, [op()], [Ms]) for op in ast.cmpop.__subclasses__()}
+        probes |= {op: ast.BoolOp(op(), [F, Ms]) for op in ast.boolop.__subclasses__()}
+        accepted = {op for op, node in probes.items() if _translates(ast.unparse(node))}
+        assert {*native._ARITHMETIC, *native._COMPARE} <= accepted and accepted <= used
 
     def test_the_law_splits_into_a_row_part_of_f_alone(self, params, cfg):
         # mismatch and u are set in the row-level branch c <= 0, and from Ms in the other
@@ -157,16 +225,37 @@ class TestBuild:
         spec = SHAPE_SPECS[name]
         assert not isinstance(sitctl.simulate.kernel(spec), partial)
 
+    @pytest.mark.parametrize("start", ["initial", "off it"])
+    @pytest.mark.parametrize("name", list(SHAPE_SPECS))
+    def test_no_step_gives_the_state_and_the_law_there(self, name, start):
+        # in Python and, where it builds, on the C driver
+        spec = SHAPE_SPECS[name]
+        state = tuple(float(x) if start == "initial" else 1.5 * x + 0.25 for x in spec.initial)
+        python = define(*_advance(spec))
+        expected = [x.hex() for x in state], 0.0.hex(), spec.law.evaluator()(*state[-2:]).hex()
+        for advance in (python, native_kernel(python)):
+            assert _outcome(advance, state, 0) == expected
+
+    def test_a_kernel_library_holds_no_law_beside_its_kernel(self):
+        c_source = native._library(sitctl.model.source(*_advance(SHAPE_SPECS["nominal-full"])))[0]
+        assert "sitctl_record" in c_source and "evaluate" not in c_source and "ROW_SIZE" not in c_source
+
+    def test_a_run_and_every_audit_build_two_libraries(self, params, cfg, counting_compiler):
+        # the run's kernel and the audits' law; the run no longer builds the law beside its kernel
+        s.integrate(SHAPE_SPECS["nominal-reduced"])
+        for check in sitctl.verify.AUDIT_CHECKS:
+            s.audit_grid(cfg, params, check, n_1d=400, n_2d=40)
+        assert counting_compiler.read_text() == "run\n" * 2
+
     @needs_cc
     @pytest.mark.parametrize("name", [*SHAPE_SPECS, "audit map"])
     def test_no_value_is_read_unset(self, params, cfg, tmp_path, name):
         # each part's locals, a row value's load among them, are read only on paths that set them
         if name == "audit map":
-            sources = (sitctl.model.source(*_audit_law(params, cfg)),)
+            source = sitctl.model.source(*_audit_law(params, cfg))
         else:
-            spec = SHAPE_SPECS[name]
-            sources = (sitctl.model.source(*_advance(spec)), sitctl.model.source(*spec.law.evaluator_definition()))
-        c_source = native._library(sources)[0]
+            source = sitctl.model.source(*_advance(SHAPE_SPECS[name]))
+        c_source = native._library(source)[0]
         (tmp_path / "law.c").write_text(c_source)
         flags = [*native.FLAGS, "-Werror=uninitialized", "-Werror=maybe-uninitialized"]
         result = subprocess.run([native.compiler(), *flags, "-o", "law.so", "law.c", "-lm"], cwd=tmp_path,
@@ -300,7 +389,7 @@ def whole_runs(draw):
     tol = 1e-9 * math.sqrt(sum(x * x for x in spec.initial))
     try:
         advance = define(*_kernel(spec.model, "u = 0.0\n", {}, spec.plant, spec.dt, tol))
-        state, _ = advance(spec.initial, k - 1)
+        state = advance(spec.initial, k - 1)[0]
     except (ArithmeticError, s.NonnegativityError):
         assume(False)
     release = draw(st.sampled_from([0.5, 10.0])) * 6.0 * tol / spec.dt  # Ms undershoots by about dt/6 of it
@@ -354,8 +443,8 @@ class TestOneCall:
             driver = build(c_source, name)
             return counted(driver) if name == "sitctl_record" else driver
 
-        monkeypatch.setattr(native, "_BUILT", {sources: (counted(driver) if len(sources) == 2 else driver, *rest)
-                                               for sources, (driver, *rest) in native._BUILT.items()})
+        monkeypatch.setattr(native, "_BUILT", {source: (counted(driver) if source.startswith("def advance(") else driver,
+                                                        size) for source, (driver, size) in native._BUILT.items()})
         monkeypatch.setattr(native, "_build", counting_build)
         return returns
 
@@ -441,7 +530,7 @@ class TestPythonErrors:
         # step 1 undershoots Ms within the clamp tolerance and is clamped; step 2 divides by zero at its first
         # stage, the only one with F == F1 (as in test_simulate's clamp carried within a chunk)
         initial, tol = (2.0 * eq.F_bar, 0.0), 2e-9 * eq.F_bar
-        (F1, _), clamp1 = define(*_kernel("reduced", "u = -1e-7\n", {}, params, 0.1, tol))(initial, 1)
+        (F1, _), clamp1, _ = define(*_kernel("reduced", "u = -1e-7\n", {}, params, 0.1, tol))(initial, 1)
         assert clamp1 > 0.0
         law = "u = 1.0 / (F - F1) if F == F1 else -1e-7\n"
         python = define(*_kernel("reduced", law, {"F1": F1}, params, 0.1, tol))
@@ -452,8 +541,8 @@ class TestPythonErrors:
     @needs_cc
     @pytest.mark.parametrize("record", [0, -1], ids=["first", "last"])
     def test_the_law_raises_at_a_record(self, params, cfg, eq, monkeypatch, record):
-        # u divides by zero where F is the record's F: at the first record the first step raises too, in Python; at the
-        # last, only the law's map over the samples does
+        # u divides by zero where F is the record's F: at the first record the law at the initial state raises, in
+        # Python; at the last, the law that the last chunk runs at the state it reached does
         spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(2.0 * eq.F_bar, 0.0),
                          t_end=2.0, dt=0.1, record_every=5, plant=params.replace())
         monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = 0.0\n", {}))
@@ -463,3 +552,18 @@ class TestPythonErrors:
         native_run = _whole_run(spec)
         monkeypatch.setattr(native, "recorder", python_recorder)
         assert native_run == _whole_run(spec) == (ZeroDivisionError, "float division by zero")
+
+    def test_an_overflow_in_the_law_at_the_last_record_stops_the_run(self, params, cfg, eq, monkeypatch):
+        # the last chunk runs the law at the state it reached, so its OverflowError is a non-finite stop, as one at
+        # an RK4 stage is, and the samples are those before the chunk
+        spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(2.0 * eq.F_bar, 0.0),
+                         t_end=2.0, dt=0.1, record_every=5, plant=params.replace())
+        monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = 0.0\n", {}))
+        F = float(s.integrate(spec).F[-1])
+        monkeypatch.setattr(s.ControlLaw, "body",
+                            lambda law: ("u = big**3 if F == F1 else 0.0\n", {"F1": F, "big": 1e200}))
+        traj = s.integrate(spec)
+        assert (traj.termination, len(traj.times)) == (sitctl.simulate.TERMINATION_NONFINITE, 4)
+        native_run = _whole_run(spec)
+        monkeypatch.setattr(native, "recorder", python_recorder)
+        assert native_run == _whole_run(spec)

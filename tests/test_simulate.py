@@ -188,14 +188,14 @@ def _clamp_tol(spec):
 def _step(spec):
     """integrate's kernel for ``spec`` as one step ``state -> (next, clamp)``."""
     advance = reference.native_kernel(define(*_advance(spec)))
-    return lambda state: advance(state, 1)
+    return lambda state: advance(state, 1)[:2]
 
 
 def _release_step(spec, release):
     """One step of the kernel for ``spec``'s model on the law's params, under the constant release rate ``release``."""
     kernel = _kernel(spec.model, "u = release\n", {"release": release}, spec.law.params, spec.dt, _clamp_tol(spec))
     advance = reference.native_kernel(define(*kernel))
-    return lambda state: advance(state, 1)
+    return lambda state: advance(state, 1)[:2]
 
 
 def _reference_rhs(spec, u):
