@@ -6,10 +6,10 @@ as :func:`sitctl.model.define`'s arguments, and returns the record rule
 every chunk and writes every sample's state and ``u``.  :func:`mapper` takes a
 law's text and returns its map over a grid of (F, Ms) points, which the grid
 audits scan.  Each library translates one function, a kernel or a law, beside
-its driver.  A law's C is split into a row part, the statements that depend on
-F alone, and a point part, so a grid runs the row part once per row of F:
-loop-invariant code motion, done here because the C compiler does not move the
-law's trapping divisions out of its branches.  :class:`_Translator` writes the
+its driver.  A law's C computes the values that depend on F alone at a row's
+first point and reads them back at the row's other points: loop-invariant code
+motion, done here because the C compiler does not move the law's trapping
+divisions out of its branches.  :class:`_Translator` writes the
 C from the Python source, node by node over the fixed subset that the RK4
 template, the law and the field texts use; any other construct raises
 :class:`TranslationError`.  Each C operation is the IEEE operation that
@@ -128,7 +128,7 @@ def _reads(node) -> set[str]:
 
 
 def _row_names(statements) -> list[str]:
-    """The names of a law's row part, which depend on ``F`` alone, in the order of their first assignment.
+    """A law's row names, which depend on ``F`` alone, in the order of their first assignment.
 
     A fixed point: a name is point-level when any assignment to it reads ``Ms`` or a point-level name, or sits under
     an ``if`` whose test reads one; every other assigned name is row-level.  So along a row of a grid a row name takes
@@ -171,16 +171,13 @@ class _Translator:
     reaches that ``_clamp`` or Python would have raised in some step or in the statements; the caller then drops
     ``state`` and ``*out``.
 
-    A law's inputs are ``F, Ms``, and its body is statements and then ``return <name>, ...``.  Its C is two functions,
-    its row part and its point part (:func:`_row_names`), which a grid's driver calls once per row and once per point.
-    ``static int evaluate_row(double F, const double *values, double *row)`` runs the statements that set row names,
-    under the ``if`` tests that lead to them: it stores each such assignment's value in its own slot of ``row``
-    (``ROW_SIZE`` doubles) and returns 1 where Python would have raised, else 0.  ``static void evaluate(double F,
-    double Ms, const double *values, const double *row, int *flag, double *out, long stride)`` runs the rest, with
-    every ``if`` test, and loads each row assignment's slot where the row part stored it: it writes the names to
-    ``out[0]``, ``out[stride]``, ..., and sets ``*flag`` to 1 where Python would have raised, else to 0.
-    ``evaluate_row`` is never inlined: GCC's uninitialised-use analysis cannot follow a slot through the repeated
-    tests and would warn where no slot is read unset, and a grid calls it once per row.
+    A law's inputs are ``F, Ms``, and its body is statements and then ``return <name>, ...``.  Its C is ``static int
+    evaluate(double F, double Ms, int first, const double *values, double *row, double *out, long stride)``, which a
+    grid's driver calls at each point, with ``first`` set at a row's first point.  Each assignment of a row name
+    (:func:`_row_names`) has its own slot of ``row`` (``ROW_SIZE`` doubles): where ``first`` is set it computes the
+    value into the slot, and else it loads the slot, which the row's first point set on the same path, since a row
+    name's ``if`` tests take one branch along a row.  A literal is assigned in place.  It writes the names to
+    ``out[0]``, ``out[stride]``, ..., and returns 1 where Python would have raised, else 0.
 
     The constants other than ``_clamp`` are ``values``, in signature order (:func:`_doubles`).
     """
@@ -196,7 +193,7 @@ class _Translator:
         self.function, self.inputs, self.constants = function, names[:split], names[split:]
         self.values = [name for name in self.constants if name != "_clamp"]
         self.locals, self.assigned, self.lines, self.worst = set(), set(self.inputs), [], None
-        self.row, self.slots, self.part = [], {}, "point"  # a kernel's statements are all translated in place
+        self.row, self.slots = [], 0  # a kernel has no row names: its statements are all translated in place
 
     def advance(self) -> str:
         """The C of a kernel (see the class)."""
@@ -232,18 +229,13 @@ class _Translator:
         if not isinstance(end, ast.Return) or not isinstance(end.value, (ast.Name, ast.Tuple)):
             raise TranslationError("a law's body must end with 'return <name>, ...'")
         self.outputs = [end.value.id] if isinstance(end.value, ast.Name) else _names(end.value)
-        self.row, self.part = _row_names(statements), "row"
+        self.row = _row_names(statements)
         self.block(statements, "")
-        self.lines.append("return raised;")
-        row = self.c_function("static __attribute__((noinline)) int evaluate_row(double v_F, const double *values, "
-                              "double *row)")
-        self.part, self.locals, self.assigned, self.lines = "point", set(), set(self.inputs), []
-        self.block(statements, "")
-        self.lines += ["*flag = raised;", *(f"out[{i} * stride] = {self.expr(ast.Name(name))};"
-                                            for i, name in enumerate(self.outputs))]
-        point = self.c_function("static void evaluate(double v_F, double v_Ms, const double *values, "
-                                "const double *row, int *flag, double *out, long stride)")
-        return "\n".join([f"#define ROW_SIZE {max(1, len(self.slots))}", row, point])
+        self.lines += [*(f"out[{i} * stride] = {self.expr(ast.Name(name))};" for i, name in enumerate(self.outputs)),
+                       "return raised;"]
+        evaluate = self.c_function("static int evaluate(double v_F, double v_Ms, int first, const double *values, "
+                                   "double *row, double *out, long stride)")
+        return "\n".join([f"#define ROW_SIZE {max(1, self.slots)}", evaluate])
 
     def c_function(self, signature: str) -> str:
         reads = [f"    const double {_name(name)} = values[{i}];" for i, name in enumerate(self.values)]
@@ -277,31 +269,23 @@ class _Translator:
                 name = node.targets[0].id
                 if name in self.constants or name in self.inputs or name in ("_", self.worst):
                     raise TranslationError(f"assignment to {name!r}")
-                value = None
-                if name in self.row:  # a row value: stored in its own slot where the row part sets it, loaded there
-                    slot = f"row[{self.slots.setdefault(node, len(self.slots))}]"
-                    value = slot if self.part == "point" else f"{slot} = {self.expr(node.value)}"
-                elif self.part == "point":
-                    value = self.expr(node.value)
-                if value is not None:
-                    self.locals.add(name)
-                    self.lines.append(f"{pad}{_name(name)} = {value};")
+                value = self.expr(node.value)
+                if name in self.row and not isinstance(node.value, ast.Constant):  # set at a row's first point only
+                    self.lines.append(f"{pad}if (first) row[{self.slots}] = {value};")
+                    value, self.slots = f"row[{self.slots}]", self.slots + 1
+                self.locals.add(name)
+                self.lines.append(f"{pad}{_name(name)} = {value};")
                 self.assigned.add(name)
             elif isinstance(node, ast.If):
-                # the row part leaves out an if that sets no row value; it is still walked, for what it assigns
-                emit = self.part == "point" or not _targets(node).isdisjoint(self.row)
-                if emit:
-                    self.lines.append(f"{pad}if ({self.test(node.test)}) {{")
+                self.lines.append(f"{pad}if ({self.test(node.test)}) {{")
                 before = set(self.assigned)
                 self.block(node.body, pad + "    ")
                 after, self.assigned = self.assigned, before
                 if node.orelse:
-                    if emit:
-                        self.lines.append(f"{pad}}} else {{")
+                    self.lines.append(f"{pad}}} else {{")
                     self.block(node.orelse, pad + "    ")
                 self.assigned &= after  # assigned on both branches
-                if emit:
-                    self.lines.append(f"{pad}}}")
+                self.lines.append(f"{pad}}}")
             else:
                 raise TranslationError(f"unsupported statement {ast.unparse(node)!r}")
 
@@ -372,25 +356,20 @@ long sitctl_record(double *restrict states, double *restrict controls, long reco
     return records;
 }
 """
-#: The law on a grid, in C beside a law's two parts (see :func:`mapper`).
+#: The law on a grid, in C beside a law's ``evaluate`` (see :func:`mapper`).
 _MAP = """\
 /* The law at each point (F[i], Ms[j]) of the grid F x Ms, i < rows and j < cols: its n-th returned value is
-   out[(n * rows + i) * cols + j].  Returns 0 when all are written, or 1 where the law raised at a point, in its row
-   part (run once per row) or its point part; the caller then drops out. */
+   out[(n * rows + i) * cols + j].  The law computes its F-only values at a row's first point (j == 0) and reads them
+   back at the row's other points.  Returns 0 when all are written, or 1 where the law raised at a point; the caller
+   then drops out. */
 long sitctl_map(const double *restrict F, long rows, const double *restrict Ms, long cols, double *restrict out,
                 const double *restrict values)
 {
     double row[ROW_SIZE];
-    for (long i = 0; i < rows && cols > 0; i++) {
-        if (evaluate_row(F[i], values, row))
-            return 1;
-        for (long j = 0; j < cols; j++) {
-            int raised;
-            evaluate(F[i], Ms[j], values, row, &raised, out + i * cols + j, rows * cols);
-            if (raised)
+    for (long i = 0; i < rows; i++)
+        for (long j = 0; j < cols; j++)
+            if (evaluate(F[i], Ms[j], j == 0, values, row, out + i * cols + j, rows * cols))
                 return 1;
-        }
-    }
     return 0;
 }
 """
@@ -505,9 +484,9 @@ def mapper(law: tuple):
     """The law ``law``, :func:`~sitctl.model.define`'s arguments of a function ``(F, Ms)`` that returns names, on a
     grid: ``grid(Fs, Mss)[n, i, j]`` is its n-th value at ``(Fs[i], Mss[j])``, bit for bit, and it raises where the
     law does.  In C where it builds: one build (``sitctl_map`` in :data:`_MAP`) per source text and per process serves
-    every value of the constants, and runs the law's row part once per ``F`` row and its point part once per point
-    (:class:`_Translator`).  Where there is no build, or the C law raised anywhere on the grid, the Python law runs at
-    every point in row-major order, and so raises at the first point where it raises.
+    every value of the constants, and computes the law's F-only values once per ``F`` row (:class:`_Translator`).
+    Where there is no build, or the C law raised anywhere on the grid, the Python law runs at every point in row-major
+    order, and so raises at the first point where it raises.
     """
     driver, outputs = _built(model.source(*law))
     values = _doubles(law[3])

@@ -256,7 +256,7 @@ def integrate(spec: SimSpec) -> Trajectory:
     horizon, with u at each from the kernel (:func:`_record`).  ``lyapunov`` is one array call of
     :func:`lyapunov_V`, rounding exactly as per-sample float calls would.
     """
-    n_steps = max(1, round(spec.t_end / spec.dt))
+    n_steps = round(spec.t_end / spec.dt)
     every = spec.record_every
     states, controls, termination, max_clamp = kernel(spec)(tuple(float(x) for x in spec.initial), n_steps, every)
     F, Ms = states[:, -2], states[:, -1]

@@ -1,7 +1,7 @@
 """The native kernel: each generated RK4 kernel translated to C, built once, bit for bit the Python kernel's; and the
 native recorder, which runs a record in one C call, or the Python record function on the whole run where the C call
-stops early, bit for bit the Python record function's; and the audits' map of a law over a grid, its row part once per
-row.  The kernel's chunks on the C driver and its translation are reached through the tests' reference
+stops early, bit for bit the Python record function's; and the audits' map of a law over a grid, its F-only values once
+per row.  The kernel's chunks on the C driver and its translation are reached through the tests' reference
 (``native_kernel``, ``translate``)."""
 import ast
 import contextlib
@@ -10,6 +10,7 @@ import dis
 import importlib
 import inspect
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -239,6 +240,12 @@ class TestBuild:
     def test_a_kernel_library_holds_no_law_beside_its_kernel(self):
         c_source = native._library(sitctl.model.source(*_advance(SHAPE_SPECS["nominal-full"])))[0]
         assert "sitctl_record" in c_source and "evaluate" not in c_source and "ROW_SIZE" not in c_source
+
+    def test_a_law_library_is_one_function_beside_its_driver(self, params, cfg):
+        # a slot for each non-literal assignment of a row name: a, s, the ramp's c, lin, room, target and slope
+        c_source = native._library(sitctl.model.source(*_audit_law(params, cfg)))[0]
+        assert re.findall(r"^\w[\w ]* \**(\w+)\(", c_source, re.M) == ["py_div", "py_pow", "evaluate", "sitctl_map"]
+        assert "evaluate_row" not in c_source and "noinline" not in c_source and "#define ROW_SIZE 7\n" in c_source
 
     def test_a_run_and_every_audit_build_two_libraries(self, params, cfg, counting_compiler):
         # the run's kernel and the audits' law; the run no longer builds the law beside its kernel
@@ -486,8 +493,8 @@ class TestOneCall:
 
 @needs_cc
 class TestMap:
-    """A law on a grid, its row part run once per row: the Python law's values, and where the law raises, in its row
-    part or its point part, the Python law's error, from the Python law run at the first point in row-major order
+    """A law on a grid, its F-only values computed once per row: the Python law's values, and where the law raises, in
+    an F-only value or elsewhere, the Python law's error, from the Python law run at the first point in row-major order
     where it raises."""
 
     FS, MSS = [0.5 * i for i in range(6)], [0.25 * j for j in range(8)]
@@ -514,6 +521,142 @@ class TestMap:
         where = raised.traceback[-1].frame.f_locals  # the frame of the Python law, where it raised
         assert raised.traceback[-1].frame.code.name == "evaluate"
         assert (where["F"], where["Ms"]) == (self.FS[first[0]], self.MSS[first[1]])
+
+
+@pytest.mark.parametrize("found", [False, True], ids=["no-compiler", "compiler"])
+@pytest.mark.parametrize("Fs, Mss", [([TestMap.FS[3]], []), ([], [1.0])], ids=["no-Ms", "no-F"])
+def test_an_empty_axis_maps_to_an_empty_grid(monkeypatch, found, Fs, Mss):
+    # the law's F-only part raises at F3, and no point runs it
+    law = ("evaluate", "F, Ms", "a = 1.0 / (F - F3)\nu = a * Ms\nreturn u\n", {"F3": TestMap.FS[3]})
+    if not found:
+        monkeypatch.setattr(native, "compiler", lambda: None)
+        monkeypatch.setattr(native, "_BUILT", {})
+    elif native.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    assert (native._built(sitctl.model.source(*law))[0] is None) == (not found)
+    assert native.mapper(law)(Fs, Mss).shape == (1, len(Fs), len(Mss))
+
+
+#: The inputs and constants of a drawn law: signed zeros, infinities, NaN, subnormals, 1e+-300, and small whole numbers
+#: and ordinary floats, so that comparisons meet ties and divisors meet zero.
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300]),
+    st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
+    st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0]),
+    st.floats(-1e3, 1e3),
+)
+LITERALS = ["0.0", "0.5", "1.0", "2.0", "3.0", "1e-300", "5e-324"]
+
+
+@st.composite
+def law_expressions(draw, atoms, depth=2):
+    """A law's value expression over ``atoms``: + - * /, a positive whole power, unary -, abs and conditional values."""
+    operators = ["+", "-", "*", "/", "**", "-x", "abs", "if"] if depth > 0 else []
+    kind = draw(st.sampled_from(["atom"] * 3 + ["literal"] + operators))
+    if kind == "atom":
+        return draw(st.sampled_from(atoms))
+    if kind == "literal":
+        return draw(st.sampled_from(LITERALS))
+    term = law_expressions(atoms, depth - 1)
+    if kind == "**":
+        return f"({draw(term)} ** {draw(st.integers(1, 4))})"
+    if kind == "-x":
+        return f"(-{draw(term)})"
+    if kind == "abs":
+        return f"abs({draw(term)})"
+    if kind == "if":
+        return f"({draw(term)} if ({draw(law_tests(atoms, depth - 1))}) else {draw(term)})"
+    return f"({draw(term)} {kind} {draw(term)})"
+
+
+@st.composite
+def law_tests(draw, atoms, depth=1):
+    """A law's test over ``atoms``: a comparison, chained or not, ``and``/``or``/``not`` of tests, or a bare value."""
+    kind = draw(st.sampled_from(["compare", "compare", "chain", "value"] + ["and", "or", "not"] * (depth > 0)))
+    term = st.one_of(law_expressions(atoms, 0), law_expressions(atoms, 0), law_expressions(atoms, 1))
+    op = st.sampled_from(["==", "<", "<=", ">", ">="])
+    if kind == "compare":
+        return f"{draw(term)} {draw(op)} {draw(term)}"
+    if kind == "chain":
+        return f"{draw(term)} {draw(op)} {draw(term)} {draw(op)} {draw(term)}"
+    if kind == "value":
+        return draw(term)
+    if kind == "not":
+        return f"not ({draw(law_tests(atoms, depth - 1))})"
+    return f"({draw(law_tests(atoms, depth - 1))}) {kind} ({draw(law_tests(atoms, depth - 1))})"
+
+
+@st.composite
+def law_statements(draw, names, point, under_point, pad=""):
+    """Statements that assign names of ``a b c d``, each set before: a literal, an F-only value or a value of ``Ms``,
+    and ``if``/``else`` on a test of F alone or of ``Ms``.  ``names`` are the names to assign first, in order, and
+    ``point`` the names that may depend on ``Ms``, updated in place; returns the lines."""
+    lines = []
+    for index in range(len(names) + draw(st.integers(1, 2 if pad else 4))):
+        nested = index >= len(names) and len(pad) < 8  # not among the opening assignments, nor past depth 2
+        kind = draw(st.sampled_from(["value", "value", "literal"] + ["if"] * 3 * nested))
+        on_ms = draw(st.booleans()) if kind == "if" else draw(st.integers(0, 3)) == 0
+        atoms = ["F", "k0", "k1", "k2", *sorted(set("abcd"[:index] if names else "abcd") - (set() if on_ms else point)),
+                 *(["Ms"] * 12 if on_ms else [])]
+        if kind == "if":
+            lines.append(f"{pad}if {draw(law_tests(atoms))}:")
+            lines += draw(law_statements("", point, under_point or on_ms, pad + "    "))
+            if draw(st.booleans()):
+                lines += [f"{pad}else:", *draw(law_statements("", point, under_point or on_ms, pad + "    "))]
+            continue
+        name = names[index] if index < len(names) else draw(st.sampled_from("abcd"))
+        value = draw(st.sampled_from(LITERALS) if kind == "literal" else law_expressions(atoms))
+        lines.append(f"{pad}{name} = {value}")
+        if under_point or on_ms and kind != "literal":
+            point.add(name)
+    return lines
+
+
+@st.composite
+def law_maps(draw):
+    """A law text on ``F, Ms`` and the constants ``k0 k1 k2`` that sets and returns ``a b c d``, and twelve grids, each
+    with its own constants, whose points take the constants' values too, so that tests tie.  Ms ascends along a row,
+    as in an audit's grid (NaN last), so a test of Ms often changes its branch after a row's first point."""
+    body = "\n".join([*draw(law_statements("abcd", set(), False)), "return a, b, c, d", ""])
+    grids = []
+    for _ in range(12):
+        constants = dict(zip(("k0", "k1", "k2"), draw(st.tuples(NUMBERS, NUMBERS, NUMBERS))))
+        axis = st.lists(st.one_of(NUMBERS, st.sampled_from(list(constants.values()))), min_size=2, max_size=5)
+        grids.append((constants, draw(axis), sorted(draw(axis), key=lambda Ms: (math.isnan(Ms), Ms))))
+    return body, grids
+
+
+def _pointwise(function, Fs, Mss):
+    """The law's values at each point, in row-major order, as float.hex (NaN as 'nan'), or the error where it first
+    raises: its type and the point."""
+    points = []
+    for F in Fs:
+        for Ms in Mss:
+            try:
+                points.append([x.hex() for x in function(F, Ms)])
+            except ArithmeticError as err:  # OverflowError, ZeroDivisionError
+                return type(err), F.hex(), Ms.hex()
+    return points
+
+
+@needs_cc
+@given(law_maps())
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_the_law_map_matches_the_python_law_point_by_point(law_map):
+    body, grids = law_map
+    for constants, Fs, Mss in grids:
+        law = ("evaluate", "F, Ms", body, constants)
+        expected = _pointwise(define(*law), Fs, Mss)
+        try:
+            out = native.mapper(law)(Fs, Mss)
+        except ArithmeticError as err:
+            frame = err.__traceback__
+            while frame.tb_next:
+                frame = frame.tb_next
+            where = frame.tb_frame.f_locals  # the Python law's frame, where it raised
+            assert (type(err), where["F"].hex(), where["Ms"].hex()) == expected
+            continue
+        assert [[x.hex() for x in point] for point in out.reshape(len(out), -1).T.tolist()] == expected
 
 
 class TestPythonErrors:

@@ -131,6 +131,8 @@ class TestIntegrate:
             s.SimSpec(model="reduced", law=law, initial=(-1.0, 0.0), t_end=10.0)
         with pytest.raises(ValueError, match="whole number"):  # would end at t = 10.05
             s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.03, dt=0.05)
+        with pytest.raises(ValueError, match="whole number"):  # would round to no step
+            s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=0.4 * 0.05, dt=0.05)
         with pytest.raises(s.ParamError):
             s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.0, plant=params.replace(delta_s=0.03))
 
