@@ -47,7 +47,7 @@ if gated and F > F2:
         c = 0.0
     else:
         s = (F - F2) * inv_span
-        c = 1.0 - s * s * (3.0 - 2.0 * s) if cubic else 1.0 - s**3 * (6.0 * s * s - 15.0 * s + 10.0)
+        c = 1.0 - s * s * (3.0 - 2.0 * s) if cubic else 1.0 - s * s * s * (6.0 * s * s - 15.0 * s + 10.0)
 if c <= 0.0:  # from F_hat on, and where the quintic ramp rounds below 0 just under it
     u = 0.0
     mismatch = 0.0  # u does not read it here; set so that the text defines the mismatch rate on every path
@@ -55,7 +55,7 @@ else:
     lin = beta_E * F + B
     room = F_hat - F
     target = C * F * room / (lin * lin)
-    slope = C * ((F_hat - 2.0 * F) * lin - two_beta_E * F * room) / lin**3
+    slope = C * ((F_hat - 2.0 * F) * lin - two_beta_E * F * room) / (lin * lin * lin)
     if F == 0.0 and Ms == 0.0:
         mismatch = 0.0
     else:

@@ -14,8 +14,9 @@ C from the Python source, node by node over the fixed subset that the RK4
 template, the law and the field texts use; any other construct raises
 :class:`TranslationError`.  Each C operation is the IEEE operation that
 Python's float performs, on the same operands in the same order: the build
-turns FMA contraction off, and ``x**3`` calls the libm ``pow`` that Python's
-float power calls, after the same special cases.  So the states and the
+turns FMA contraction off, and the arithmetic is ``+ - * /``, unary ``-`` and
+``abs`` as ``fabs``, with no power (the texts write a cube as a product), so
+a zero divisor is the only operation that raises.  So the states and the
 controls are the Python kernel's and law's to the last bit, except for a NaN's
 sign and payload: where both operands of ``+`` or ``*`` are NaN, the result
 keeps one operand's, and the C compiler may commute the operands.
@@ -48,7 +49,6 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pipe")
 _ARITHMETIC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
 _COMPARE = {ast.Eq: "==", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 _PRELUDE = """\
-#include <errno.h>
 #include <float.h>
 #include <math.h>
 #if FLT_EVAL_METHOD != 0
@@ -61,31 +61,6 @@ static double py_div(double x, double y, int *raised)
     if (y == 0.0)
         *raised = 1;
     return x / y;
-}
-
-/* float.__pow__ for a positive whole exponent y, as CPython's float_pow: its special cases, then libm pow of |x|;
-   an infinite result or an errno that Python keeps raises OverflowError */
-static double py_pow(double x, double y, int *raised)
-{
-    int odd = fmod(y, 2.0) == 1.0, negate = 0;
-    double r;
-    if (isnan(x))
-        return x;
-    if (isinf(x))
-        return odd ? x : fabs(x);
-    if (x == 0.0)
-        return odd ? x : 0.0;
-    if (x < 0.0) {
-        x = -x;
-        negate = odd;
-    }
-    if (x == 1.0)
-        return negate ? -1.0 : 1.0;
-    errno = 0;
-    r = pow(x, y);
-    if (isinf(r) || (errno != 0 && !(errno == ERANGE && r == 0.0)))
-        *raised = 1;
-    return negate ? -r : r;
 }
 
 """
@@ -179,7 +154,8 @@ class _Translator:
     name's ``if`` tests take one branch along a row.  A literal is assigned in place.  It writes the names to
     ``out[0]``, ``out[stride]``, ..., and returns 1 where Python would have raised, else 0.
 
-    The constants other than ``_clamp`` are ``values``, in signature order (:func:`_doubles`).
+    The constants other than ``_clamp`` are ``values``, in signature order (:func:`_doubles`).  An expression has no
+    ``**``, so ``py_div``'s zero divisor is the one place where Python raises.
     """
 
     def __init__(self, source: str):
@@ -315,16 +291,11 @@ class _Translator:
                 return _name(node.id)
             raise TranslationError(f"{node.id!r} is read before it is assigned, or is no constant")
         if isinstance(node, ast.BinOp):
-            left, right = self.expr(node.left), node.right
-            if isinstance(node.op, ast.Pow):
-                if not (isinstance(right, ast.Constant) and type(right.value) in (int, float) and right.value > 0
-                        and float(right.value).is_integer()):
-                    raise TranslationError(f"unsupported power {ast.unparse(node)!r}: only a positive whole exponent")
-                return f"py_pow({left}, {_literal(right.value)}, &raised)"
+            left, right = self.expr(node.left), self.expr(node.right)
             if isinstance(node.op, ast.Div):
-                return f"py_div({left}, {self.expr(right)}, &raised)"
+                return f"py_div({left}, {right}, &raised)"
             if type(node.op) in _ARITHMETIC:
-                return f"({left} {_ARITHMETIC[type(node.op)]} {self.expr(right)})"
+                return f"({left} {_ARITHMETIC[type(node.op)]} {right})"
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return f"(-{self.expr(node.operand)})"
         elif isinstance(node, ast.IfExp):
@@ -460,9 +431,8 @@ def recorder(kernel: tuple, reference):
     raised), ``reference`` records the whole run instead, on the Python kernel, compiled only then.
 
     One build per source text and per process (:func:`_built`).  ``record`` may run on several threads at once:
-    ctypes releases the GIL for the driver's call, and the driver writes only the arrays it is given, its locals and
-    ``errno``, which is per thread.  A construct outside the translated subset raises :class:`TranslationError`,
-    with or without a compiler.
+    ctypes releases the GIL for the driver's call, and the driver writes only the arrays it is given and its locals.
+    A construct outside the translated subset raises :class:`TranslationError`, with or without a compiler.
     """
     driver, size = _built(model.source(*kernel))
     if driver is None:

@@ -217,10 +217,8 @@ def _record(chunk, initial: tuple, n_steps: int, every: int):
 
     ``chunk(state, n) -> (state, largest clamp, u)`` gives ``u`` at ``initial`` with ``n = 0``, then runs the steps
     in chunks of ``every`` (the last one may be shorter), each followed by one sample of the state and ``u``.
-    Returns ``(states, controls, termination, max_clamp)``: one row and one u per sample.  A chunk that raises
-    OverflowError (Python's float power, at an RK4 stage state or in the law at the state it reached) stops the run
-    as ``non-finite``, as a NaN or infinite state does; its samples are those before the chunk, and ``max_clamp``
-    counts the chunks before it, since the error carries no clamp.
+    Returns ``(states, controls, termination, max_clamp)``: one row and one u per sample.  A chunk that stops at a
+    step (:func:`_clamp`) ends the run with the samples before it; a division by zero in a text raises through.
     """
     states, controls = [initial], [chunk(initial, 0)[2]]
     termination, max_clamp = TERMINATION_HORIZON, 0.0
@@ -235,8 +233,6 @@ def _record(chunk, initial: tuple, n_steps: int, every: int):
         termination, max_clamp = TERMINATION_NONNEG, max(max_clamp, err.max_clamp)
     except NonFiniteError as err:
         termination, max_clamp = TERMINATION_NONFINITE, max(max_clamp, err.max_clamp)
-    except OverflowError:
-        termination = TERMINATION_NONFINITE
     return np.array(states), np.array(controls), termination, max_clamp
 
 

@@ -17,6 +17,8 @@ from .model import BioParams, g
 from .simulate import Trajectory
 
 AUDIT_CHECKS = ("nonneg_plus", "lemma4", "pi_sign", "mstar_identity", "utilde_bound")
+#: The slack of :func:`verify_decay`'s envelope and of :func:`vdot_check`'s inequality.
+DECAY_TOL = 1e-3
 
 
 @dataclass
@@ -68,8 +70,8 @@ def _max_envelope_ratio(values: np.ndarray, t: np.ndarray, rate: float) -> float
         return float(np.exp(np.max(np.log(values) - np.log(values[0]) + rate * t)))
 
 
-def verify_decay(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> DecayReport:
-    """Check V(t) <= V(0) e^{-lambda t} (1 + tol) at every sample.
+def verify_decay(traj: Trajectory, lambda_theory: float) -> DecayReport:
+    """Check V(t) <= V(0) e^{-lambda t} (1 + DECAY_TOL) at every sample.
 
     Also fits the empirical rate on log V over the window that skips the
     first 5% of the horizon and values below 1e-12 V(0), and records the
@@ -83,7 +85,7 @@ def verify_decay(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> D
     if V0 == 0.0:
         return DecayReport(lambda_theory, float("nan"), 1.0, 0.0, True)
     max_violation = _max_envelope_ratio(V, t, lambda_theory)
-    passed = max_violation <= 1.0 + tol
+    passed = max_violation <= 1.0 + DECAY_TOL
 
     mask = (t >= 0.05 * t[-1]) & (V > 1e-12 * V0)
     lambda_fit = fit_decay_rate(t[mask], V[mask])[0] if np.count_nonzero(mask) >= 10 else float("nan")
@@ -102,8 +104,8 @@ def verify_decay(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> D
     )
 
 
-def vdot_check(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> AuditReport:
-    """Check the differential inequality dV/dt <= -lambda V + tol (1 + V).
+def vdot_check(traj: Trajectory, lambda_theory: float) -> AuditReport:
+    """Check the differential inequality dV/dt <= -lambda V + DECAY_TOL (1 + V).
 
     dV/dt is estimated by central differences on the recorded samples, so
     the tolerance absorbs an O(dt^2) discretization term; the check runs
@@ -117,7 +119,7 @@ def vdot_check(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> Aud
     if len(t) < 3:
         raise ValueError(f"need at least 3 samples for the vdot check, got {len(t)}")
     vdot = (V[2:] - V[:-2]) / (t[2:] - t[:-2])
-    slack = vdot + lambda_theory * V[1:-1] - tol * (1.0 + V[1:-1])
+    slack = vdot + lambda_theory * V[1:-1] - DECAY_TOL * (1.0 + V[1:-1])
     worst = int(np.argmax(slack))
     return AuditReport(
         check="vdot",
@@ -125,7 +127,7 @@ def vdot_check(traj: Trajectory, lambda_theory: float, tol: float = 1e-3) -> Aud
         passed=bool(np.all(slack <= 0.0)),
         worst_value=float(slack[worst]),
         witness=(float(t[worst + 1]),),
-        tolerance=tol,
+        tolerance=DECAY_TOL,
     )
 
 

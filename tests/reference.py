@@ -222,7 +222,8 @@ def python_recorder(kernel, reference):
     return partial(reference, model.define(*kernel))
 
 
-#: A config that passes every gate, yet Python's ``lin**3`` overflows at an RK4 stage of its first step.
+#: A config that passes every gate, yet its state overflows to inf at the second RK4 step, inside the first chunk: the
+#: run stops ``non-finite`` after 1 sample.
 OVERFLOW_CONFIG = "[controller]\nrho = 1e20\neps = 1e-6\n[sim]\nmodel = full\nE0 = 1e30\n"
 
 

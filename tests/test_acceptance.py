@@ -62,11 +62,11 @@ def test_criterion_4_slope_inequality_audit(params, cfg):
 
 def test_criterion_5_lyapunov_decay(params, cfg, nominal_plus_run, global_high_run):
     lam = 2 * min(params.delta_F - cfg.eps, cfg.eta)
-    rep_plus = s.verify_decay(nominal_plus_run, lam, tol=1e-3)
-    vdot_plus = s.vdot_check(nominal_plus_run, lam, tol=1e-3)
+    rep_plus = s.verify_decay(nominal_plus_run, lam)
+    vdot_plus = s.vdot_check(nominal_plus_run, lam)
     lam_g = 2 * min(params.delta_F - cfg.eps, cfg.eta, s.sigma(cfg.F2, params))
-    rep_global = s.verify_decay(global_high_run, lam_g, tol=1e-3)
-    vdot_global = s.vdot_check(global_high_run, lam_g, tol=1e-3)
+    rep_global = s.verify_decay(global_high_run, lam_g)
+    vdot_global = s.vdot_check(global_high_run, lam_g)
     ok = rep_plus.passed and vdot_plus.passed and rep_global.passed and vdot_global.passed
     _report(
         "criterion 5: Lyapunov exponential-decay certificates", ok,
@@ -76,7 +76,7 @@ def test_criterion_5_lyapunov_decay(params, cfg, nominal_plus_run, global_high_r
 
 def test_criterion_6_squared_norm_envelope_and_rate(params, cfg, nominal_plus_run):
     lam = 2 * min(params.delta_F - cfg.eps, cfg.eta)
-    report = s.verify_decay(nominal_plus_run, lam, tol=1e-3)
+    report = s.verify_decay(nominal_plus_run, lam)
     traj = nominal_plus_run
     norm2 = traj.F**2 + traj.Ms**2
     envelope_ok = bool(

@@ -20,7 +20,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sitctl as s
@@ -83,7 +83,7 @@ def _outcome(advance, state, n):
     """``advance(state, n)`` as float.hex, or the error it raised: type, message and, from _clamp, max_clamp."""
     try:
         nxt, worst, u = advance(state, n)
-    except ArithmeticError as err:  # NonFiniteError, OverflowError, ZeroDivisionError
+    except ArithmeticError as err:  # NonFiniteError, ZeroDivisionError
         return type(err), str(err), getattr(err, "max_clamp", None)
     except s.NonnegativityError as err:
         return type(err), str(err), err.max_clamp
@@ -111,13 +111,13 @@ class TestTranslation:
 
     def test_values_and_literals_reach_the_c_only_as_exact_hex(self):
         c = translate(self.SOURCE)
-        assert "0x1.8000000000000p+1" in c  # the exponent 3 of lin**3, as pow(lin, 3.0)
-        assert "pow(" in c and "fabs(" in c
+        assert "0x1.e000000000000p+3" in c  # the 15.0 of the quintic ramp
+        assert "pow(" not in c and "fabs(" in c
 
     @pytest.mark.parametrize("old, new", [
         ("size = abs(target)", "size = max(target, -target)"),  # a call other than abs
-        ("lin**3", "lin**0.5"),  # a power other than a positive whole one
-        ("lin**3", "lin % 3.0"),  # an operator outside + - * / **
+        ("lin * lin * lin", "lin**3"),  # a power: the texts write a cube as a product
+        ("lin * lin * lin", "lin % lin"),  # an operator outside + - * /
         ("c = 1.0\n", "c = 1.0\n        while c:\n            c = 0.0\n"),  # a statement outside the subset
         ("room = F_hat - F", "room = F_hat - F_unknown"),  # a name that is neither a constant nor assigned
         ("gap = Ms - target", "gap = Ms - target if slope else 1e999"),  # an infinite literal
@@ -244,7 +244,7 @@ class TestBuild:
     def test_a_law_library_is_one_function_beside_its_driver(self, params, cfg):
         # a slot for each non-literal assignment of a row name: a, s, the ramp's c, lin, room, target and slope
         c_source = native._library(sitctl.model.source(*_audit_law(params, cfg)))[0]
-        assert re.findall(r"^\w[\w ]* \**(\w+)\(", c_source, re.M) == ["py_div", "py_pow", "evaluate", "sitctl_map"]
+        assert re.findall(r"^\w[\w ]* \**(\w+)\(", c_source, re.M) == ["py_div", "evaluate", "sitctl_map"]
         assert "evaluate_row" not in c_source and "noinline" not in c_source and "#define ROW_SIZE 7\n" in c_source
 
     def test_a_run_and_every_audit_build_two_libraries(self, params, cfg, counting_compiler):
@@ -407,7 +407,7 @@ def _whole_run(spec):
     """``integrate(spec)`` as bytes, its termination and max_clamp, or the error it raised: type and message."""
     try:
         traj = s.integrate(spec)
-    except ArithmeticError as err:  # OverflowError, ZeroDivisionError
+    except ArithmeticError as err:  # ZeroDivisionError
         return type(err), str(err)
     lyapunov = None if traj.lyapunov is None else traj.lyapunov.tobytes()
     return (traj.times.tobytes(), traj.states.tobytes(), traj.controls.tobytes(), lyapunov, traj.termination,
@@ -550,16 +550,14 @@ LITERALS = ["0.0", "0.5", "1.0", "2.0", "3.0", "1e-300", "5e-324"]
 
 @st.composite
 def law_expressions(draw, atoms, depth=2):
-    """A law's value expression over ``atoms``: + - * /, a positive whole power, unary -, abs and conditional values."""
-    operators = ["+", "-", "*", "/", "**", "-x", "abs", "if"] if depth > 0 else []
+    """A law's value expression over ``atoms``: + - * /, unary -, abs and conditional values."""
+    operators = ["+", "-", "*", "/", "-x", "abs", "if"] if depth > 0 else []
     kind = draw(st.sampled_from(["atom"] * 3 + ["literal"] + operators))
     if kind == "atom":
         return draw(st.sampled_from(atoms))
     if kind == "literal":
         return draw(st.sampled_from(LITERALS))
     term = law_expressions(atoms, depth - 1)
-    if kind == "**":
-        return f"({draw(term)} ** {draw(st.integers(1, 4))})"
     if kind == "-x":
         return f"(-{draw(term)})"
     if kind == "abs":
@@ -634,7 +632,7 @@ def _pointwise(function, Fs, Mss):
         for Ms in Mss:
             try:
                 points.append([x.hex() for x in function(F, Ms)])
-            except ArithmeticError as err:  # OverflowError, ZeroDivisionError
+            except ArithmeticError as err:  # ZeroDivisionError
                 return type(err), F.hex(), Ms.hex()
     return points
 
@@ -659,15 +657,83 @@ def test_the_law_map_matches_the_python_law_point_by_point(law_map):
         assert [[x.hex() for x in point] for point in out.reshape(len(out), -1).T.tolist()] == expected
 
 
+#: The starts of a drawn kernel's runs: (F, Ms) from zero, a subnormal, large and ordinary values.
+STARTS = st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e300]), st.floats(0.0, 1e4))
+
+
+@st.composite
+def kernel_runs(draw):
+    """A reduced kernel whose law is ``u = <expr>`` on ``F, Ms`` and the constants ``k0 k1 k2``, on the table
+    parameters' field, and eight runs of it, each with its own constants, start and clamp tolerance.  A start may take
+    a constant's value, so that a test ties at the first stage.  A negative u undershoots Ms, which the tolerance
+    1e300 clamps and 1e-9 stops; an infinite or NaN u makes Ms non-finite; a divisor that is 0 raises."""
+    law = f"u = {draw(law_expressions(['F', 'Ms', 'k0', 'k1', 'k2']))}\n"
+    runs = []
+    for _ in range(8):
+        constants = dict(zip(("k0", "k1", "k2"), draw(st.tuples(NUMBERS, NUMBERS, NUMBERS))))
+        ties = [x for x in constants.values() if 0.0 <= x < math.inf]  # a start at a constant ties a test at once
+        start = st.one_of(STARTS, st.sampled_from(ties)) if ties else STARTS
+        runs.append((constants, draw(st.tuples(start, start)), draw(st.sampled_from([1e-9, 1e300]))))
+    return law, runs
+
+
+def _recorded(record, initial):
+    """``record(initial, 15, 5)``, three records of five steps: states and controls as float.hex (NaN as 'nan'),
+    termination and max_clamp, or the type of the error it raised."""
+    try:
+        states, controls, termination, max_clamp = record(initial, 15, 5)
+    except ArithmeticError as err:  # ZeroDivisionError
+        return type(err)
+    hexes = [["nan" if math.isnan(x) else x.hex() for x in xs] for xs in (states.ravel().tolist(), controls.tolist())]
+    return *hexes, termination, max_clamp.hex()
+
+
+#: A kernel run of each outcome, whatever the draws: from F = 1, a test ``F <= k1`` that ties (from Ms = 2, where its
+#: branches differ and no state is 0), a release of -1 from Ms = 0 that the tolerance 1e300 clamps at every step, an
+#: infinite release, a division by zero in a test whose value reaches no state, and a release that changes from record
+#: to record.
+KERNEL_OUTCOMES = ("u = k0 if (F <= k1) else (k0 * Ms if (F / k2 >= 0.0) else 0.5)\n", [
+    ({"k0": 0.5, "k1": 1.0, "k2": 1.0}, (1.0, 2.0), 1e-9),
+    ({"k0": -1.0, "k1": 1e4, "k2": 1.0}, (1.0, 0.0), 1e300),
+    ({"k0": math.inf, "k1": 1e4, "k2": 1.0}, (1.0, 0.0), 1e-9),
+    ({"k0": 0.5, "k1": 0.0, "k2": 0.0}, (1.0, 0.0), 1e-9),
+    ({"k0": 0.5, "k1": 0.0, "k2": 1.0}, (1.0, 1.0), 1e-9),
+])
+
+
+@needs_cc
+def test_the_native_recorder_matches_the_python_record_on_drawn_laws():
+    # the kernel half of the translator's differential test: a drawn law in every RK4 stage and after the loop, run
+    # by the C driver and by the Python record rule; the runs meet clamps, non-finite states and zero divisors
+    seen = set()
+
+    @given(kernel_runs())
+    @example(KERNEL_OUTCOMES)
+    @settings(max_examples=19, derandomize=True, deadline=None)
+    def check(kernel_run):
+        law, runs = kernel_run
+        for constants, initial, clamp_tol in runs:
+            kernel = _kernel("reduced", law, constants, s.NOMINAL_PARAMS, 0.1, clamp_tol)
+            expected = _recorded(python_recorder(kernel, sitctl.simulate._record), initial)
+            assert _recorded(native.recorder(kernel, sitctl.simulate._record), initial) == expected
+            seen.add(expected if isinstance(expected, type) else expected[2])
+            if not isinstance(expected, type) and float.fromhex(expected[3]) > 0.0:
+                seen.add("clamp")
+
+    check()
+    assert {"clamp", sitctl.simulate.TERMINATION_NONFINITE, ZeroDivisionError} <= seen
+
+
 class TestPythonErrors:
     """Where Python raises inside a chunk, the native kernel raises the same error."""
 
     def test_pow_overflow(self, params, cfg):
+        # the law's lin * lin * lin overflows to inf at this state and raises nothing
         spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(1.0, 0.0), t_end=1.0, dt=0.1)
         python = define(*_advance(spec))
         fast = native_kernel(python)
         outcomes = [_outcome(advance, (1e120, 0.0), 1) for advance in (python, fast)]
-        assert outcomes[0][0] is OverflowError and outcomes[1] == outcomes[0]
+        assert outcomes[0][0] is not OverflowError and outcomes[1] == outcomes[0]
 
     def test_division_by_zero_after_a_clamp_in_the_same_chunk(self, params, eq):
         # step 1 undershoots Ms within the clamp tolerance and is clamped; step 2 divides by zero at its first
@@ -696,17 +762,18 @@ class TestPythonErrors:
         monkeypatch.setattr(native, "recorder", python_recorder)
         assert native_run == _whole_run(spec) == (ZeroDivisionError, "float division by zero")
 
-    def test_an_overflow_in_the_law_at_the_last_record_stops_the_run(self, params, cfg, eq, monkeypatch):
-        # the last chunk runs the law at the state it reached, so its OverflowError is a non-finite stop, as one at
-        # an RK4 stage is, and the samples are those before the chunk
+    def test_an_overflow_in_the_law_at_the_last_record_records_inf(self, params, cfg, eq, monkeypatch):
+        # the last chunk runs the law at the state it reached, where a product overflows to inf: the run reaches its
+        # horizon with u = inf at the last sample, in C and in Python
         spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(2.0 * eq.F_bar, 0.0),
                          t_end=2.0, dt=0.1, record_every=5, plant=params.replace())
         monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = 0.0\n", {}))
         F = float(s.integrate(spec).F[-1])
         monkeypatch.setattr(s.ControlLaw, "body",
-                            lambda law: ("u = big**3 if F == F1 else 0.0\n", {"F1": F, "big": 1e200}))
+                            lambda law: ("u = big * big * big if F == F1 else 0.0\n", {"F1": F, "big": 1e200}))
         traj = s.integrate(spec)
-        assert (traj.termination, len(traj.times)) == (sitctl.simulate.TERMINATION_NONFINITE, 4)
+        assert (traj.termination, len(traj.times)) == (TERMINATION_HORIZON, 5)
+        assert traj.controls.tolist() == [0.0] * 4 + [math.inf]
         native_run = _whole_run(spec)
         monkeypatch.setattr(native, "recorder", python_recorder)
         assert native_run == _whole_run(spec)
