@@ -6,20 +6,19 @@ as :func:`sitctl.model.define`'s arguments, and returns the record rule
 every chunk and writes every sample's state and ``u``.  :func:`mapper` takes a
 law's text and returns its map over a grid of (F, Ms) points, which the grid
 audits scan.  Each library translates one function, a kernel or a law, beside
-its driver.  A law's C computes the values that depend on F alone at a row's
-first point and reads them back at the row's other points: loop-invariant code
-motion, done here because the C compiler does not move the law's trapping
-divisions out of its branches.  :class:`_Translator` writes the
-C from the Python source, node by node over the fixed subset that the RK4
-template, the law and the field texts use; any other construct raises
-:class:`TranslationError`.  Each C operation is the IEEE operation that
-Python's float performs, on the same operands in the same order: the build
+its driver.  :class:`_Translator` writes the C from the Python source, node by
+node over the fixed subset that the RK4 template, the law and the field texts
+use; any other construct raises :class:`TranslationError`.  Each C operation is
+the IEEE operation that Python's float performs, on the same operands in the same order: the build
 turns FMA contraction off, and the arithmetic is ``+ - * /``, unary ``-`` and
 ``abs`` as ``fabs``, with no power (the texts write a cube as a product), so
 a zero divisor is the only operation that raises.  So the states and the
 controls are the Python kernel's and law's to the last bit, except for a NaN's
 sign and payload: where both operands of ``+`` or ``*`` are NaN, the result
-keeps one operand's, and the C compiler may commute the operands.
+keeps one operand's, and the C compiler may commute the operands.  A law's
+library is also built with ``-fno-trapping-math``, which changes no value and
+lets the C compiler compute the law's values of F alone once per row of the
+grid (:func:`_library`).
 
 A native call is all C or all Python, and this module alone chooses.  A C call
 counts only where it was regular throughout: a run where the law raises at no
@@ -91,46 +90,6 @@ def _names(node) -> list[str]:
     return [e.id for e in node.elts]
 
 
-def _targets(node) -> set[str]:
-    """The plain names that the statement ``node`` assigns, in any branch."""
-    return {target.id for sub in ast.walk(node) if isinstance(sub, ast.Assign)
-            for target in sub.targets if isinstance(target, ast.Name)}
-
-
-def _reads(node) -> set[str]:
-    """The names that the expression ``node`` reads."""
-    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
-
-
-def _row_names(statements) -> list[str]:
-    """A law's row names, which depend on ``F`` alone, in the order of their first assignment.
-
-    A fixed point: a name is point-level when any assignment to it reads ``Ms`` or a point-level name, or sits under
-    an ``if`` whose test reads one; every other assigned name is row-level.  So along a row of a grid a row name takes
-    one value at every point, and a row-level ``if`` takes one branch.
-    """
-    point, assigned, grown = {"Ms"}, {}, True
-
-    def walk(statements, under_point):
-        nonlocal grown
-        for node in statements:
-            if isinstance(node, ast.Assign):
-                for name in _targets(node):
-                    assigned[name] = None
-                    if name not in point and (under_point or not point.isdisjoint(_reads(node.value))):
-                        point.add(name)
-                        grown = True
-            elif isinstance(node, ast.If):
-                inner = under_point or not point.isdisjoint(_reads(node.test))
-                walk(node.body, inner)
-                walk(node.orelse, inner)
-
-    while grown:
-        grown = False
-        walk(statements, False)
-    return [name for name in assigned if name not in point]
-
-
 class _Translator:
     """The C function of one generated function's source: an RK4 kernel ``advance`` or a law ``evaluate``.
 
@@ -147,12 +106,10 @@ class _Translator:
     ``state`` and ``*out``.
 
     A law's inputs are ``F, Ms``, and its body is statements and then ``return <name>, ...``.  Its C is ``static int
-    evaluate(double F, double Ms, int first, const double *values, double *row, double *out, long stride)``, which a
-    grid's driver calls at each point, with ``first`` set at a row's first point.  Each assignment of a row name
-    (:func:`_row_names`) has its own slot of ``row`` (``ROW_SIZE`` doubles): where ``first`` is set it computes the
-    value into the slot, and else it loads the slot, which the row's first point set on the same path, since a row
-    name's ``if`` tests take one branch along a row.  A literal is assigned in place.  It writes the names to
-    ``out[0]``, ``out[stride]``, ..., and returns 1 where Python would have raised, else 0.
+    evaluate(double F, double Ms, const double *values, double *out, long stride)``, which a grid's driver calls at
+    each point: it writes the names to ``out[0]``, ``out[stride]``, ..., and returns 1 where Python would have
+    raised, else 0.  Every statement is translated in place; the C compiler hoists the values of F alone out of the
+    driver's loop over Ms (:func:`_library`).
 
     The constants other than ``_clamp`` are ``values``, in signature order (:func:`_doubles`).  An expression has no
     ``**``, so ``py_div``'s zero divisor is the one place where Python raises.
@@ -169,7 +126,6 @@ class _Translator:
         self.function, self.inputs, self.constants = function, names[:split], names[split:]
         self.values = [name for name in self.constants if name != "_clamp"]
         self.locals, self.assigned, self.lines, self.worst = set(), set(self.inputs), [], None
-        self.row, self.slots = [], 0  # a kernel has no row names: its statements are all translated in place
 
     def advance(self) -> str:
         """The C of a kernel (see the class)."""
@@ -205,13 +161,11 @@ class _Translator:
         if not isinstance(end, ast.Return) or not isinstance(end.value, (ast.Name, ast.Tuple)):
             raise TranslationError("a law's body must end with 'return <name>, ...'")
         self.outputs = [end.value.id] if isinstance(end.value, ast.Name) else _names(end.value)
-        self.row = _row_names(statements)
         self.block(statements, "")
         self.lines += [*(f"out[{i} * stride] = {self.expr(ast.Name(name))};" for i, name in enumerate(self.outputs)),
                        "return raised;"]
-        evaluate = self.c_function("static int evaluate(double v_F, double v_Ms, int first, const double *values, "
-                                   "double *row, double *out, long stride)")
-        return "\n".join([f"#define ROW_SIZE {max(1, self.slots)}", evaluate])
+        return self.c_function("static int evaluate(double v_F, double v_Ms, const double *values, double *out, "
+                               "long stride)")
 
     def c_function(self, signature: str) -> str:
         reads = [f"    const double {_name(name)} = values[{i}];" for i, name in enumerate(self.values)]
@@ -245,12 +199,8 @@ class _Translator:
                 name = node.targets[0].id
                 if name in self.constants or name in self.inputs or name in ("_", self.worst):
                     raise TranslationError(f"assignment to {name!r}")
-                value = self.expr(node.value)
-                if name in self.row and not isinstance(node.value, ast.Constant):  # set at a row's first point only
-                    self.lines.append(f"{pad}if (first) row[{self.slots}] = {value};")
-                    value, self.slots = f"row[{self.slots}]", self.slots + 1
                 self.locals.add(name)
-                self.lines.append(f"{pad}{_name(name)} = {value};")
+                self.lines.append(f"{pad}{_name(name)} = {self.expr(node.value)};")
                 self.assigned.add(name)
             elif isinstance(node, ast.If):
                 self.lines.append(f"{pad}if ({self.test(node.test)}) {{")
@@ -330,16 +280,15 @@ long sitctl_record(double *restrict states, double *restrict controls, long reco
 #: The law on a grid, in C beside a law's ``evaluate`` (see :func:`mapper`).
 _MAP = """\
 /* The law at each point (F[i], Ms[j]) of the grid F x Ms, i < rows and j < cols: its n-th returned value is
-   out[(n * rows + i) * cols + j].  The law computes its F-only values at a row's first point (j == 0) and reads them
-   back at the row's other points.  Returns 0 when all are written, or 1 where the law raised at a point; the caller
-   then drops out. */
+   out[(n * rows + i) * cols + j].  Inlined here, the law's values of F alone are invariant in the loop over j, and
+   the compiler computes them once per i.  Returns 0 when all are written, or 1 where the law raised at a point; the
+   caller then drops out. */
 long sitctl_map(const double *restrict F, long rows, const double *restrict Ms, long cols, double *restrict out,
                 const double *restrict values)
 {
-    double row[ROW_SIZE];
     for (long i = 0; i < rows; i++)
         for (long j = 0; j < cols; j++)
-            if (evaluate(F[i], Ms[j], j == 0, values, row, out + i * cols + j, rows * cols))
+            if (evaluate(F[i], Ms[j], values, out + i * cols + j, rows * cols))
                 return 1;
     return 0;
 }
@@ -365,15 +314,16 @@ _BUILT: dict[str, tuple] = {}
 _BUILDING = threading.Lock()  # held while _built checks and builds
 
 
-def _build(c_source: str, name: str):
-    """Compile ``c_source`` in a private temporary directory and load it: its function ``name``; None on failure."""
+def _build(c_source: str, name: str, flags: tuple):
+    """Compile ``c_source`` with ``flags`` in a private temporary directory and load it: its function ``name``; None
+    on failure."""
     import subprocess  # imported here: ``import sitctl`` starts no process and need not pay for it
 
     with tempfile.TemporaryDirectory(prefix="sitctl-", ignore_cleanup_errors=True) as tmp:
         c_path, path = os.path.join(tmp, "kernel.c"), os.path.join(tmp, "kernel.so")
         with open(c_path, "w") as out:
             out.write(c_source)
-        command = [compiler(), *FLAGS, "-o", path, c_path, "-lm"]
+        command = [compiler(), *flags, "-o", path, c_path, "-lm"]
         try:  # TMPDIR: what the compiler writes stays in the private directory too
             result = subprocess.run(command, capture_output=True, text=True, env={**os.environ, "TMPDIR": tmp})
             library = ctypes.CDLL(path) if result.returncode == 0 else None
@@ -389,11 +339,20 @@ def _build(c_source: str, name: str):
 
 def _library(source: str) -> tuple:
     """The C library of ``source``, a kernel's (``sitctl_record``) or a law's (``sitctl_map``): ``(C source, driver
-    name, size)``, as in :data:`_BUILT`."""
+    name, build flags, size)``, the size as in :data:`_BUILT`.
+
+    A law builds with ``-fno-trapping-math`` beside :data:`FLAGS`, so that the compiler may compute a division of F
+    alone once per row of the grid, even where it sits in a branch that a point may not take.  The flag allows no
+    transformation that changes a value (those are ``-funsafe-math-optimizations`` and ``-ffinite-math-only``, which
+    stay off): it only lets the compiler ignore the FP status flags and traps, which no code here reads or enables;
+    ``py_div`` tests its divisor itself.  A kernel builds with :data:`FLAGS` alone: its law reads a new state at each
+    step, so nothing in it is invariant across the loop, and the flag made the reduced kernels about a fifth slower.
+    """
     translator = _Translator(source)
     if translator.inputs == ["state", "n"]:
-        return "\n".join([_PRELUDE, translator.advance(), _RECORD]), "sitctl_record", len(translator.state)
-    return "\n".join([_PRELUDE, translator.law(), _MAP]), "sitctl_map", len(translator.outputs)
+        return "\n".join([_PRELUDE, translator.advance(), _RECORD]), "sitctl_record", FLAGS, len(translator.state)
+    return ("\n".join([_PRELUDE, translator.law(), _MAP]), "sitctl_map", (*FLAGS, "-fno-trapping-math"),
+            len(translator.outputs))
 
 
 def _built(source: str) -> tuple:
@@ -401,8 +360,8 @@ def _built(source: str) -> tuple:
     Under a lock: threads that ask at once, as a sweep's workers do, share the first one's build."""
     with _BUILDING:
         if source not in _BUILT:
-            c_source, name, size = _library(source)
-            _BUILT[source] = None if compiler() is None else _build(c_source, name), size
+            c_source, name, flags, size = _library(source)
+            _BUILT[source] = None if compiler() is None else _build(c_source, name, flags), size
         return _BUILT[source]
 
 
@@ -454,7 +413,8 @@ def mapper(law: tuple):
     """The law ``law``, :func:`~sitctl.model.define`'s arguments of a function ``(F, Ms)`` that returns names, on a
     grid: ``grid(Fs, Mss)[n, i, j]`` is its n-th value at ``(Fs[i], Mss[j])``, bit for bit, and it raises where the
     law does.  In C where it builds: one build (``sitctl_map`` in :data:`_MAP`) per source text and per process serves
-    every value of the constants, and computes the law's F-only values once per ``F`` row (:class:`_Translator`).
+    every value of the constants, and the compiler computes the law's F-only values once per ``F`` row
+    (:func:`_library`).
     Where there is no build, or the C law raised anywhere on the grid, the Python law runs at every point in row-major
     order, and so raises at the first point where it raises.
     """

@@ -1,8 +1,8 @@
 """The native kernel: each generated RK4 kernel translated to C, built once, bit for bit the Python kernel's; and the
 native recorder, which runs a record in one C call, or the Python record function on the whole run where the C call
-stops early, bit for bit the Python record function's; and the audits' map of a law over a grid, its F-only values once
-per row.  The kernel's chunks on the C driver and its translation are reached through the tests' reference
-(``native_kernel``, ``translate``)."""
+stops early, bit for bit the Python record function's; and the audits' map of a law over a grid, built with the
+kernel's flags and ``-fno-trapping-math``, bit for bit the Python law's.  The kernel's chunks on the C driver and its
+translation are reached through the tests' reference (``native_kernel``, ``translate``)."""
 import ast
 import contextlib
 import dataclasses
@@ -188,15 +188,9 @@ class TestTranslation:
         accepted = {op for op, node in probes.items() if _translates(ast.unparse(node))}
         assert {*native._ARITHMETIC, *native._COMPARE} <= accepted and accepted <= used
 
-    def test_the_law_splits_into_a_row_part_of_f_alone(self, params, cfg):
-        # mismatch and u are set in the row-level branch c <= 0, and from Ms in the other
-        law = native._Translator(sitctl.model.source(*_audit_law(params, cfg)))
-        law.law()
-        assert set(law.row) == {"a", "c", "s", "lin", "room", "target", "slope"}
-
     @pytest.mark.parametrize("old, new", [
-        ("room = F_hat - F", "room = F_hat - F + slope"),  # in the row part: slope is set two lines on
-        ("gap = Ms - target", "gap = Ms - gap"),  # in the point part
+        ("room = F_hat - F", "room = F_hat - F + slope"),  # in the F-only part: slope is set two lines on
+        ("gap = Ms - target", "gap = Ms - gap"),  # in the part that reads Ms
     ], ids=["row", "point"])
     def test_a_read_before_assignment_in_either_part_raises(self, params, cfg, old, new):
         name, args, body, constants = _audit_law(params, cfg)
@@ -239,13 +233,12 @@ class TestBuild:
 
     def test_a_kernel_library_holds_no_law_beside_its_kernel(self):
         c_source = native._library(sitctl.model.source(*_advance(SHAPE_SPECS["nominal-full"])))[0]
-        assert "sitctl_record" in c_source and "evaluate" not in c_source and "ROW_SIZE" not in c_source
+        assert "sitctl_record" in c_source and "evaluate" not in c_source
 
     def test_a_law_library_is_one_function_beside_its_driver(self, params, cfg):
-        # a slot for each non-literal assignment of a row name: a, s, the ramp's c, lin, room, target and slope
         c_source = native._library(sitctl.model.source(*_audit_law(params, cfg)))[0]
         assert re.findall(r"^\w[\w ]* \**(\w+)\(", c_source, re.M) == ["py_div", "evaluate", "sitctl_map"]
-        assert "evaluate_row" not in c_source and "noinline" not in c_source and "#define ROW_SIZE 7\n" in c_source
+        assert "evaluate_row" not in c_source and "noinline" not in c_source
 
     def test_a_run_and_every_audit_build_two_libraries(self, params, cfg, counting_compiler):
         # the run's kernel and the audits' law; the run no longer builds the law beside its kernel
@@ -255,16 +248,32 @@ class TestBuild:
         assert counting_compiler.read_text() == "run\n" * 2
 
     @needs_cc
+    def test_a_kernel_builds_with_the_flags_and_a_law_adds_no_trapping_math(self, params, cfg, monkeypatch):
+        # the law's F-only values are hoisted out of the loop over Ms only where no division may trap; a kernel has
+        # nothing to hoist and runs slower with the flag
+        commands, run = [], subprocess.run
+
+        def logging_run(command, *args, **kwargs):
+            commands.append(command[1:command.index("-o")])
+            return run(command, *args, **kwargs)
+
+        monkeypatch.setattr(native, "_BUILT", {})
+        monkeypatch.setattr(subprocess, "run", logging_run)
+        s.integrate(SHAPE_SPECS["nominal-reduced"])
+        s.audit_grid(cfg, params, "nonneg_plus", n_2d=40)
+        assert commands == [list(native.FLAGS), [*native.FLAGS, "-fno-trapping-math"]]
+
+    @needs_cc
     @pytest.mark.parametrize("name", [*SHAPE_SPECS, "audit map"])
     def test_no_value_is_read_unset(self, params, cfg, tmp_path, name):
-        # each part's locals, a row value's load among them, are read only on paths that set them
+        # each local is read only on paths that set it, under the flags of the library's real build
         if name == "audit map":
             source = sitctl.model.source(*_audit_law(params, cfg))
         else:
             source = sitctl.model.source(*_advance(SHAPE_SPECS[name]))
-        c_source = native._library(source)[0]
+        c_source, _, build_flags, _ = native._library(source)
         (tmp_path / "law.c").write_text(c_source)
-        flags = [*native.FLAGS, "-Werror=uninitialized", "-Werror=maybe-uninitialized"]
+        flags = [*build_flags, "-Werror=uninitialized", "-Werror=maybe-uninitialized"]
         result = subprocess.run([native.compiler(), *flags, "-o", "law.so", "law.c", "-lm"], cwd=tmp_path,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
@@ -446,8 +455,8 @@ class TestOneCall:
 
             return driver and count
 
-        def counting_build(c_source, name):
-            driver = build(c_source, name)
+        def counting_build(c_source, name, flags):
+            driver = build(c_source, name, flags)
             return counted(driver) if name == "sitctl_record" else driver
 
         monkeypatch.setattr(native, "_BUILT", {source: (counted(driver) if source.startswith("def advance(") else driver,
@@ -493,29 +502,26 @@ class TestOneCall:
 
 @needs_cc
 class TestMap:
-    """A law on a grid, its F-only values computed once per row: the Python law's values, and where the law raises, in
-    an F-only value or elsewhere, the Python law's error, from the Python law run at the first point in row-major order
-    where it raises."""
+    """A law on a grid, its F-only values hoisted out of the loop over Ms by the compiler: the Python law's values, and
+    where the law raises, in an F-only value or elsewhere, the Python law's error, from the Python law run at the first
+    point in row-major order where it raises."""
 
     FS, MSS = [0.5 * i for i in range(6)], [0.25 * j for j in range(8)]
 
     def test_a_row_name_set_again_is_read_at_each_of_its_values(self):
-        # x reads c before the row-level branch sets it again; u reads it after
+        # x reads c before the F-only branch sets it again; u reads it after
         law = ("evaluate", "F, Ms", "c = 1.0\nx = c * Ms\nif F > F2:\n    c = 0.5\nu = x + c * Ms\nreturn u, x\n",
                {"F2": 1.2})
         python = define(*law)
         expected = [[list(python(F, Ms)) for Ms in self.MSS] for F in self.FS]
         assert native.mapper(law)(self.FS, self.MSS).transpose(1, 2, 0).tolist() == expected
 
-    @pytest.mark.parametrize("body, constants, row, first", [
-        ("a = 1.0 / (F - F3)\nu = a * Ms\n", {"F3": FS[3]}, ["a"], (3, 0)),
-        ("b = 1.0 / (Ms - M5)\nu = b * F\n", {"M5": MSS[5]}, [], (0, 5)),
+    @pytest.mark.parametrize("body, constants, first", [
+        ("a = 1.0 / (F - F3)\nu = a * Ms\n", {"F3": FS[3]}, (3, 0)),
+        ("b = 1.0 / (Ms - M5)\nu = b * F\n", {"M5": MSS[5]}, (0, 5)),
     ], ids=["row-part", "point-part"])
-    def test_the_python_law_raises_at_the_first_point(self, body, constants, row, first):
+    def test_the_python_law_raises_at_the_first_point(self, body, constants, first):
         law = ("evaluate", "F, Ms", body + "return u\n", constants)
-        translator = native._Translator(sitctl.model.source(*law))
-        translator.law()
-        assert translator.row == row
         with pytest.raises(ZeroDivisionError, match="float division by zero") as raised:
             native.mapper(law)(self.FS, self.MSS)
         where = raised.traceback[-1].frame.f_locals  # the frame of the Python law, where it raised
