@@ -105,6 +105,10 @@ class ControllerConfig:
     F2: float  # cutoff knee, in (F_bar, F_hat)
     cutoff_kind: str = "quintic"  # smoothstep family of the cutoff gate
 
+    def __post_init__(self):
+        for name in ("F_hat", "eps", "eta", "rho", "F2"):  # a numpy scalar would reach the law's constants
+            object.__setattr__(self, name, float(getattr(self, name)))
+
     @classmethod
     def design(
         cls,

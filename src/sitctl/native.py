@@ -1,14 +1,16 @@
-"""The record of a whole run, and the law on a grid, as compiled C, bit for bit.
+"""The record of a whole run, and the scan of a law over a grid, as compiled C, bit for bit.
 
 :func:`recorder` takes a kernel ``advance(state, n) -> (state, largest clamp, u)``
 as :func:`sitctl.model.define`'s arguments, and returns the record rule
 :func:`sitctl.simulate._record` as one call of a fixed C driver, which runs
-every chunk and writes every sample's state and ``u``.  :func:`mapper` takes a
-law's text and returns its map over a grid of (F, Ms) points, which the grid
-audits scan.  Each library translates one function, a kernel or a law, beside
-its driver.  :class:`_Translator` writes the C from the Python source, node by
-node over the fixed subset that the RK4 template, the law and the field texts
-use; any other construct raises :class:`TranslationError`.  Each C operation is
+every chunk and writes every sample's state and ``u``.  :func:`scanner` takes a
+law's text and returns the grid audits' scan (:func:`sitctl.verify._scan_2d`)
+of one of its values over a grid of (F, Ms) points, as one call of a second
+fixed driver, which reduces each value as it computes it and keeps no grid.
+Each library translates one function, a kernel or a law, beside its driver.
+:class:`_Translator` writes the C from the Python source, node by node over
+the fixed subset that the RK4 template, the law and the field texts use; any
+other construct raises :class:`TranslationError`.  Each C operation is
 the IEEE operation that Python's float performs, on the same operands in the same order: the build
 turns FMA contraction off, and the arithmetic is ``+ - * /``, unary ``-`` and
 ``abs`` as ``fabs``, with no power (the texts write a cube as a product), so
@@ -24,7 +26,7 @@ A native call is all C or all Python, and this module alone chooses.  A C call
 counts only where it was regular throughout: a run where the law raises at no
 record and no chunk raises or clamps, a grid where the law raises at no point.
 Else, and with no C compiler on ``PATH`` or a failed build, Python redoes the
-whole call, so its errors, clamps and termination are Python's own.
+whole call, so its errors, clamps, termination and scan are Python's own.
 """
 from __future__ import annotations
 
@@ -106,10 +108,10 @@ class _Translator:
     ``state`` and ``*out``.
 
     A law's inputs are ``F, Ms``, and its body is statements and then ``return <name>, ...``.  Its C is ``static int
-    evaluate(double F, double Ms, const double *values, double *out, long stride)``, which a grid's driver calls at
-    each point: it writes the names to ``out[0]``, ``out[stride]``, ..., and returns 1 where Python would have
-    raised, else 0.  Every statement is translated in place; the C compiler hoists the values of F alone out of the
-    driver's loop over Ms (:func:`_library`).
+    evaluate(double F, double Ms, const double *values, double *out)``, which a grid's driver calls at each point: it
+    writes the names to ``out[0]``, ``out[1]``, ..., and returns 1 where Python would have raised, else 0.  Every
+    statement is translated in place; the C compiler hoists the values of F alone out of the driver's loop over Ms
+    (:func:`_library`).
 
     The constants other than ``_clamp`` are ``values``, in signature order (:func:`_doubles`).  An expression has no
     ``**``, so ``py_div``'s zero divisor is the one place where Python raises.
@@ -162,10 +164,9 @@ class _Translator:
             raise TranslationError("a law's body must end with 'return <name>, ...'")
         self.outputs = [end.value.id] if isinstance(end.value, ast.Name) else _names(end.value)
         self.block(statements, "")
-        self.lines += [*(f"out[{i} * stride] = {self.expr(ast.Name(name))};" for i, name in enumerate(self.outputs)),
+        self.lines += [*(f"out[{i}] = {self.expr(ast.Name(name))};" for i, name in enumerate(self.outputs)),
                        "return raised;"]
-        return self.c_function("static int evaluate(double v_F, double v_Ms, const double *values, double *out, "
-                               "long stride)")
+        return self.c_function("static int evaluate(double v_F, double v_Ms, const double *values, double *out)")
 
     def c_function(self, signature: str) -> str:
         reads = [f"    const double {_name(name)} = values[{i}];" for i, name in enumerate(self.values)]
@@ -277,19 +278,43 @@ long sitctl_record(double *restrict states, double *restrict controls, long reco
     return records;
 }
 """
-#: The law on a grid, in C beside a law's ``evaluate`` (see :func:`mapper`).
-_MAP = """\
-/* The law at each point (F[i], Ms[j]) of the grid F x Ms, i < rows and j < cols: its n-th returned value is
-   out[(n * rows + i) * cols + j].  Inlined here, the law's values of F alone are invariant in the loop over j, and
-   the compiler computes them once per i.  Returns 0 when all are written, or 1 where the law raised at a point; the
-   caller then drops out. */
-long sitctl_map(const double *restrict F, long rows, const double *restrict Ms, long cols, double *restrict out,
-                const double *restrict values)
+#: The law's scan over a grid, in C beside a law's ``evaluate`` (see :func:`scanner`); ``OUTPUTS`` is the number of
+#: values the law returns.
+_SCAN = """\
+/* One pass over the grid F x Ms in row-major order (i < rows, j < cols), reducing the law's value number `output`
+   into result: [0] the worst value, the lowest or with `highest` the highest, where the first NaN is the worst and
+   the first point wins a tie; [1] and [2] its point F[wi], Ms[wj]; [3] the largest |value|; [4] with `growth` the
+   largest (value - slope Ms[j]) / F[i] over F[i] > 0, or 0.0, else 0.0.  The largest two skip NaNs.  Inlined here,
+   the law's values of F alone are invariant in the loop over j, and the compiler computes them once per i.  Returns
+   0, or 1 where the law raised at a point; the caller then drops result.  The grid has a point. */
+long sitctl_scan(const double *restrict F, long rows, const double *restrict Ms, long cols, long output, long highest,
+                 long growth, double slope, const double *restrict values, double *restrict result)
 {
+    double out[OUTPUTS], worst = highest ? -INFINITY : INFINITY, scale = 0.0, K = 0.0;
+    long wi = 0, wj = 0;
     for (long i = 0; i < rows; i++)
-        for (long j = 0; j < cols; j++)
-            if (evaluate(F[i], Ms[j], values, out + i * cols + j, rows * cols))
+        for (long j = 0; j < cols; j++) {
+            if (evaluate(F[i], Ms[j], values, out))
                 return 1;
+            double value = out[output], magnitude = fabs(value);
+            if (!isnan(worst) && (isnan(value) || (highest ? value > worst : value < worst))) {
+                worst = value;
+                wi = i;
+                wj = j;
+            }
+            if (magnitude > scale)
+                scale = magnitude;
+            if (growth && F[i] > 0.0) {
+                double slack = (value - slope * Ms[j]) / F[i];
+                if (slack > K)
+                    K = slack;
+            }
+        }
+    result[0] = worst;
+    result[1] = F[wi];
+    result[2] = Ms[wj];
+    result[3] = scale;
+    result[4] = K;
     return 0;
 }
 """
@@ -298,7 +323,8 @@ _DOUBLES = ctypes.POINTER(ctypes.c_double)
 #: ``advance`` (regexp.h), and a plain name could take another library's symbol.
 _SIGNATURES = {
     "sitctl_record": (ctypes.c_void_p, ctypes.c_void_p, *[ctypes.c_long] * 4, _DOUBLES),
-    "sitctl_map": (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, _DOUBLES),
+    "sitctl_scan": (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 4, ctypes.c_double, _DOUBLES,
+                    _DOUBLES),
 }
 
 
@@ -338,7 +364,7 @@ def _build(c_source: str, name: str, flags: tuple):
 
 
 def _library(source: str) -> tuple:
-    """The C library of ``source``, a kernel's (``sitctl_record``) or a law's (``sitctl_map``): ``(C source, driver
+    """The C library of ``source``, a kernel's (``sitctl_record``) or a law's (``sitctl_scan``): ``(C source, driver
     name, build flags, size)``, the size as in :data:`_BUILT`.
 
     A law builds with ``-fno-trapping-math`` beside :data:`FLAGS`, so that the compiler may compute a division of F
@@ -351,8 +377,8 @@ def _library(source: str) -> tuple:
     translator = _Translator(source)
     if translator.inputs == ["state", "n"]:
         return "\n".join([_PRELUDE, translator.advance(), _RECORD]), "sitctl_record", FLAGS, len(translator.state)
-    return ("\n".join([_PRELUDE, translator.law(), _MAP]), "sitctl_map", (*FLAGS, "-fno-trapping-math"),
-            len(translator.outputs))
+    c_source = "\n".join([_PRELUDE, translator.law(), f"#define OUTPUTS {len(translator.outputs)}", _SCAN])
+    return c_source, "sitctl_scan", (*FLAGS, "-fno-trapping-math"), len(translator.outputs)
 
 
 def _built(source: str) -> tuple:
@@ -409,31 +435,45 @@ def recorder(kernel: tuple, reference):
     return record
 
 
-def mapper(law: tuple):
-    """The law ``law``, :func:`~sitctl.model.define`'s arguments of a function ``(F, Ms)`` that returns names, on a
-    grid: ``grid(Fs, Mss)[n, i, j]`` is its n-th value at ``(Fs[i], Mss[j])``, bit for bit, and it raises where the
-    law does.  In C where it builds: one build (``sitctl_map`` in :data:`_MAP`) per source text and per process serves
-    every value of the constants, and the compiler computes the law's F-only values once per ``F`` row
-    (:func:`_library`).
-    Where there is no build, or the C law raised anywhere on the grid, the Python law runs at every point in row-major
-    order, and so raises at the first point where it raises.
+def scanner(law: tuple, reference):
+    """The scan ``reference`` of the law ``law`` over a grid, in one C call where it can.
+
+    ``law`` is :func:`~sitctl.model.define`'s arguments of a function ``(F, Ms)`` that returns names.  ``reference(grid,
+    Fs, Mss, highest, slope) -> (worst, witness, largest |value|, K)`` reduces the grid of one of the law's values,
+    ``grid[i, j]`` at ``(Fs[i], Mss[j])`` (:func:`sitctl.verify._scan_2d`).  The returned ``scan(Fs, Mss, output,
+    highest=False, slope=None)`` gives its result on the law's value number ``output``, bit for bit, and raises
+    where the law does; with ``slope`` None, K is 0.0.  An empty grid has no witness: its scan is ``(inf, None, 0.0,
+    0.0)``, or ``-inf`` first with ``highest``, and runs the law nowhere.
+
+    In C where it builds: one build (``sitctl_scan`` in :data:`_SCAN`) per source text and per process serves every
+    value of the constants, and one call reduces the whole grid as it goes, holding no grid in memory.  Where there is
+    no build, or the C law raised anywhere on the grid, the Python law runs at every point in row-major order, and so
+    raises at the first point where it raises, and ``reference`` reduces the grid of its values.
     """
     driver, outputs = _built(model.source(*law))
     values = _doubles(law[3])
+    function = model.define(*law) if driver is None else None
 
-    def python(Fs, Mss):
-        function = model.define(*law)
-        points = [[function(F, Ms) for Ms in Mss.tolist()] for F in Fs.tolist()]
-        return np.array(points, dtype=float).reshape(len(Fs), len(Mss), outputs).transpose(2, 0, 1)
+    def python(Fs, Mss, output, highest, slope):
+        evaluate = function or model.define(*law)
+        points = (evaluate(F, Ms) for F in Fs.tolist() for Ms in Mss.tolist())
+        grid = np.fromiter((point[output] if type(point) is tuple else point for point in points), float,
+                           len(Fs) * len(Mss))
+        return reference(grid.reshape(len(Fs), len(Mss)), Fs, Mss, highest, slope)
 
-    def grid(Fs, Mss):
+    def scan(Fs, Mss, output, highest=False, slope=None):
         Fs, Mss = np.ascontiguousarray(Fs, dtype=float), np.ascontiguousarray(Mss, dtype=float)
+        if output not in range(outputs):
+            raise ValueError(f"the law returns {outputs} values, not a value number {output!r}")
+        if not (len(Fs) and len(Mss)):
+            return -np.inf if highest else np.inf, None, 0.0, 0.0
         if driver is None:
-            return python(Fs, Mss)
-        out = np.empty((outputs, len(Fs), len(Mss)))
-        if driver(Fs.ctypes.data, len(Fs), Mss.ctypes.data, len(Mss), out.ctypes.data, values):
-            python(Fs, Mss)  # the law raised in C: the Python law raises the same error at its first such point
-            raise RuntimeError("the C law raised on the grid and the Python law did not")
-        return out
+            return python(Fs, Mss, output, highest, slope)
+        result = (ctypes.c_double * 5)()
+        if driver(Fs.ctypes.data, len(Fs), Mss.ctypes.data, len(Mss), output, highest, slope is not None,
+                  0.0 if slope is None else slope, values, result):
+            return python(Fs, Mss, output, highest, slope)
+        worst, F, Ms, scale, K = result
+        return worst, (F, Ms), scale, K
 
-    return grid
+    return scan

@@ -59,6 +59,9 @@ class SimSpec:
         expected = 2 if self.model == "reduced" else 4
         if len(self.initial) != expected:
             raise ValueError(f"{self.model} model needs {expected} initial components")
+        for name, value in (("initial", tuple(map(float, self.initial))), ("t_end", float(self.t_end)),
+                            ("dt", float(self.dt))):  # plain floats, as the kernel's constants must be
+            object.__setattr__(self, name, value)
         if not all(0.0 <= x < math.inf for x in self.initial):
             raise ValueError("initial state must be nonnegative and finite")
         for name, x in zip(("E0", "M0", "F0", "Ms0")[-expected:], self.initial):

@@ -137,46 +137,44 @@ def control_budget(traj: Trajectory) -> float:
         return float(np.trapezoid(traj.controls, traj.times))
 
 
-# F rows per law call in the 2-D audits: a block of the default 400-point rows holds 4000 points.
-_BLOCK_ROWS = 10
 #: Each 2-D check's law variant and the index of its value among the law text's outputs ``u, mismatch``.
 _GRID_VALUES = {"nonneg_plus": ("plus", 0), "pi_sign": ("plus", 1), "utilde_bound": ("global", 0)}
 
 
-def _values(check: str, cfg: ControllerConfig, p: BioParams):
-    """``values(F, Mss)``: the 2-D check's value at each point of the grid F x Mss, from the law text that every run
-    integrates (:data:`~sitctl.control.LAW`), on its :func:`~sitctl.native.mapper` grid (one build for every
-    design and variant)."""
+def _scanner(check: str, cfg: ControllerConfig, p: BioParams):
+    """``scan(Fs, Mss) -> (worst value, witness, max |value|, K)``: :func:`_scan_2d` of the 2-D check's value on the
+    grid Fs x Mss, from the law text that every run integrates (:data:`~sitctl.control.LAW`), in one
+    :func:`~sitctl.native.scanner` call (one build for every design and variant).  ``pi_sign`` looks for the highest
+    value, and ``utilde_bound`` estimates K."""
     from . import native  # imported on first use, so set-up loads no ctypes
 
     variant, output = _GRID_VALUES[check]
     body, constants = ControlLaw(variant, cfg, p).body()
-    grid = native.mapper(("evaluate", "F, Ms", body + "return u, mismatch\n", constants))
-    return lambda F, Mss: grid(F, Mss)[output]
+    scan = native.scanner(("evaluate", "F, Ms", body + "return u, mismatch\n", constants), _scan_2d)
+    slope = p.delta_s - cfg.eta if check == "utilde_bound" else None
+    return lambda Fs, Mss: scan(Fs, Mss, output, check == "pi_sign", slope)
 
 
-def _scan_2d(values, cfg: ControllerConfig, p: BioParams, Fs, Mss, highest: bool = False, growth: bool = False):
-    """(worst value, witness, max |value|, K) of ``values`` on the grid Fs x Mss, one block of F rows per call.
+def _scan_2d(grid, Fs, Mss, highest: bool = False, slope: float | None = None):
+    """(worst value, witness, max |value|, K) of ``grid``, the values at the points of Fs x Mss (``grid[i, j]`` at
+    ``(Fs[i], Mss[j])``), which has a point.
 
-    The first point in row-major scan order wins a tie.  A NaN is worse than
-    any number: the first one is the worst value and the witness, so the
-    check fails.  With ``growth``, K is the largest (value - (delta_s - eta) Ms) / F
-    over F > 0, else 0.0; the largest |value| and K skip NaNs.
+    The worst value is the lowest, or with ``highest`` the highest; the first
+    point in row-major scan order wins a tie.  A NaN is worse than any
+    number: the first one is the worst value and the witness, so the check
+    fails.  With ``slope``, K is the largest (value - slope Ms) / F over
+    F > 0, or 0.0, else 0.0; the largest |value| and K skip NaNs.
     """
-    worst, witness, scale, K = -np.inf if highest else np.inf, (float(Fs[0]), float(Mss[0])), 0.0, 0.0
-    for i in range(0, len(Fs), _BLOCK_ROWS):
-        F = Fs[i:i + _BLOCK_ROWS]
-        block = values(F, Mss)
-        r, j = np.unravel_index(np.argmax(block) if highest else np.argmin(block), block.shape)
-        value = float(block[r, j])
-        if not np.isnan(worst) and (np.isnan(value) or (value > worst if highest else value < worst)):
-            worst, witness = value, (float(F[r]), float(Mss[j]))
-        scale = float(np.fmax.reduce(np.abs(block), axis=None, initial=scale))
-        if growth:
-            rows = F > 0.0
-            slack = (block[rows] - (p.delta_s - cfg.eta) * Mss) / F[rows, None]
-            K = float(np.fmax.reduce(slack, axis=None, initial=K))
-    return worst, witness, scale, K
+    i, j = np.unravel_index(np.argmax(grid) if highest else np.argmin(grid), grid.shape)
+    scale = float(np.fmax.reduce(np.abs(grid), axis=None, initial=0.0))
+    K = 0.0
+    if slope is not None:
+        rows = Fs > 0.0
+        with np.errstate(invalid="ignore", over="ignore"):  # a NaN or an infinity is a value like any other here
+            slack = (grid[rows] - slope * Mss) / Fs[rows, None]
+        # max(0.0, x) is x only where x > 0.0: a tie of 0.0 with -0.0 keeps 0.0
+        K = max(0.0, float(np.fmax.reduce(slack, axis=None, initial=-np.inf)))
+    return float(grid[i, j]), (float(Fs[i]), float(Mss[j])), scale, K
 
 
 def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000, n_2d: int = 400) -> AuditReport:
@@ -188,9 +186,9 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
     (g(F, ms*(F)) = eps F on a log grid), 'utilde_bound' (global law under
     a linear bound (delta_s - eta) Ms + K F, K estimated on the grid).
     The 1-D checks evaluate their whole grid at once; the 2-D checks
-    evaluate the law's text, which every run integrates, a block of F rows
-    at a time, which bounds the memory they use.  Both grid sizes must be
-    at least 2.
+    scan the law's text, which every run integrates, over their whole grid
+    in one call, which in C holds no grid in memory (:func:`_scanner`).
+    Both grid sizes must be at least 2.
     """
     for name, size in (("n_1d", n_1d), ("n_2d", n_2d)):
         if not size >= 2:
@@ -221,16 +219,15 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
         Fs = np.linspace(0.0, cfg.F_hat, n_2d)
         Mss = np.linspace(0.0, 10.0 * float(np.max(ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, p))), n_2d)
         grid = f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]"
+        worst, witness, scale, _ = _scanner(which, cfg, p)(Fs, Mss)
         if which == "pi_sign":
-            worst, witness, _, _ = _scan_2d(_values(which, cfg, p), cfg, p, Fs, Mss, highest=True)
             return AuditReport("pi_sign", grid, worst <= 1e-12, worst, witness, 1e-12)
-        worst, witness, scale, _ = _scan_2d(_values(which, cfg, p), cfg, p, Fs, Mss)
         return AuditReport("nonneg_plus", grid, worst >= -1e-9 * scale, worst, witness, 1e-9 * scale)
 
     if which == "utilde_bound":
         Fs = np.linspace(0.0, 3.0 * cfg.F_hat, n_2d)
         Mss = np.linspace(0.0, 1e5, n_2d)
-        worst, witness, _, K = _scan_2d(_values(which, cfg, p), cfg, p, Fs, Mss, growth=True)
+        worst, witness, _, K = _scanner(which, cfg, p)(Fs, Mss)
         passed = worst >= 0.0 and bool(np.isfinite(K))
         grid = f"{n_2d}x{n_2d} on [0..3 F_hat]x[0..1e5]; K={K:.6g}"
         return AuditReport("utilde_bound", grid, passed, worst, witness, 0.0)

@@ -1,8 +1,9 @@
 """The native kernel: each generated RK4 kernel translated to C, built once, bit for bit the Python kernel's; and the
 native recorder, which runs a record in one C call, or the Python record function on the whole run where the C call
-stops early, bit for bit the Python record function's; and the audits' map of a law over a grid, built with the
-kernel's flags and ``-fno-trapping-math``, bit for bit the Python law's.  The kernel's chunks on the C driver and its
-translation are reached through the tests' reference (``native_kernel``, ``translate``)."""
+stops early, bit for bit the Python record function's; and the audits' scan of a law over a grid, built with the
+kernel's flags and ``-fno-trapping-math``, bit for bit the Python reference scan of the Python law's values.  The
+kernel's chunks on the C driver and its translation are reached through the tests' reference (``native_kernel``,
+``translate``)."""
 import ast
 import contextlib
 import dataclasses
@@ -14,11 +15,13 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import types
 from functools import partial
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -74,7 +77,7 @@ SHAPE_SPECS = _shape_specs()
 
 
 def _audit_law(params, cfg):
-    """The law text that the 2-D audits map, as :func:`~sitctl.model.define`'s arguments."""
+    """The law text that the 2-D audits scan, as :func:`~sitctl.model.define`'s arguments."""
     body, constants = s.ControlLaw("plus", cfg, params).body()
     return "evaluate", "F, Ms", body + "return u, mismatch\n", constants
 
@@ -237,7 +240,7 @@ class TestBuild:
 
     def test_a_law_library_is_one_function_beside_its_driver(self, params, cfg):
         c_source = native._library(sitctl.model.source(*_audit_law(params, cfg)))[0]
-        assert re.findall(r"^\w[\w ]* \**(\w+)\(", c_source, re.M) == ["py_div", "evaluate", "sitctl_map"]
+        assert re.findall(r"^\w[\w ]* \**(\w+)\(", c_source, re.M) == ["py_div", "evaluate", "sitctl_scan"]
         assert "evaluate_row" not in c_source and "noinline" not in c_source
 
     def test_a_run_and_every_audit_build_two_libraries(self, params, cfg, counting_compiler):
@@ -264,10 +267,10 @@ class TestBuild:
         assert commands == [list(native.FLAGS), [*native.FLAGS, "-fno-trapping-math"]]
 
     @needs_cc
-    @pytest.mark.parametrize("name", [*SHAPE_SPECS, "audit map"])
+    @pytest.mark.parametrize("name", [*SHAPE_SPECS, "audit scan"])
     def test_no_value_is_read_unset(self, params, cfg, tmp_path, name):
         # each local is read only on paths that set it, under the flags of the library's real build
-        if name == "audit map":
+        if name == "audit scan":
             source = sitctl.model.source(*_audit_law(params, cfg))
         else:
             source = sitctl.model.source(*_advance(SHAPE_SPECS[name]))
@@ -441,11 +444,11 @@ def test_native_recorder_matches_python_whole_run(run):
 @needs_cc
 class TestOneCall:
     """A run enters the C driver once: up to its end, or up to its first irregular record, after which Python records
-    the whole run."""
+    the whole run; and a grid audit enters the C scan once."""
 
     @pytest.fixture
     def entries(self, monkeypatch):
-        """What each entry into a C record driver returned, for the recorders made from here on."""
+        """What each entry into a C driver returned, for the recorders and scanners made from here on."""
         returns, build = [], native._build
 
         def counted(driver):
@@ -457,10 +460,10 @@ class TestOneCall:
 
         def counting_build(c_source, name, flags):
             driver = build(c_source, name, flags)
-            return counted(driver) if name == "sitctl_record" else driver
+            return counted(driver)
 
-        monkeypatch.setattr(native, "_BUILT", {source: (counted(driver) if source.startswith("def advance(") else driver,
-                                                        size) for source, (driver, size) in native._BUILT.items()})
+        monkeypatch.setattr(native, "_BUILT", {source: (counted(driver), size)
+                                               for source, (driver, size) in native._BUILT.items()})
         monkeypatch.setattr(native, "_build", counting_build)
         return returns
 
@@ -485,6 +488,22 @@ class TestOneCall:
         traj = s.integrate(spec)
         assert (len(traj.times), traj.termination) == (5, TERMINATION_HORIZON) and traj.max_clamp > 0.0
 
+    def test_a_grid_audit_is_one_call_that_holds_no_grid(self, entries, params, cfg, monkeypatch):
+        # the C scan reduces the 400 x 400 grid as it computes it: no Python law, no reference, no grid-sized array
+        s.audit_grid(cfg, params, "nonneg_plus", n_2d=8)  # the build, before memory is traced
+        entries.clear()
+        monkeypatch.setattr(sitctl.verify, "_scan_2d", None)
+        monkeypatch.setattr(sitctl.model, "define", None)
+        tracemalloc.start()
+        try:
+            for check in ("nonneg_plus", "pi_sign", "utilde_bound"):
+                assert s.audit_grid(cfg, params, check).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entries == [0, 0, 0]
+        assert peak < 400 * 400 * 8 // 10, peak
+
     def test_every_real_run_stays_in_c(self, entries):
         # the premise that makes all-or-nothing free: a run that stopped in C would run again, whole, in Python,
         # about 20 times slower
@@ -500,11 +519,18 @@ class TestOneCall:
             entries.clear()
 
 
+def _scans(scan, Fs, Mss, outputs: int):
+    """Each of ``outputs`` values of a law at each point of Fs x Mss, from a scan of that point alone, which gives the
+    value, bit for bit: ``[F][Ms][n]``."""
+    return [[[scan([F], [Ms], n)[0] for n in range(outputs)] for Ms in Mss] for F in Fs]
+
+
 @needs_cc
 class TestMap:
-    """A law on a grid, its F-only values hoisted out of the loop over Ms by the compiler: the Python law's values, and
-    where the law raises, in an F-only value or elsewhere, the Python law's error, from the Python law run at the first
-    point in row-major order where it raises."""
+    """A law on a grid, its F-only values hoisted out of the loop over Ms by the compiler: at each point the Python
+    law's values, and over the grid the Python reference scan of them; where the law raises, in an F-only value or
+    elsewhere, the Python law's error, from the Python law run at the first point in row-major order where it
+    raises."""
 
     FS, MSS = [0.5 * i for i in range(6)], [0.25 * j for j in range(8)]
 
@@ -514,7 +540,14 @@ class TestMap:
                {"F2": 1.2})
         python = define(*law)
         expected = [[list(python(F, Ms)) for Ms in self.MSS] for F in self.FS]
-        assert native.mapper(law)(self.FS, self.MSS).transpose(1, 2, 0).tolist() == expected
+        scan = native.scanner(law, sitctl.verify._scan_2d)
+        assert _scans(scan, self.FS, self.MSS, 2) == expected
+        # and in one scan of the whole grid, whose loop over Ms is the one the compiler hoists from
+        for output in (0, 1):
+            for highest in (False, True):
+                grid = np.array([[point[output] for point in row] for row in expected])
+                assert scan(self.FS, self.MSS, output, highest) == sitctl.verify._scan_2d(
+                    grid, np.array(self.FS), np.array(self.MSS), highest)
 
     @pytest.mark.parametrize("body, constants, first", [
         ("a = 1.0 / (F - F3)\nu = a * Ms\n", {"F3": FS[3]}, (3, 0)),
@@ -523,7 +556,7 @@ class TestMap:
     def test_the_python_law_raises_at_the_first_point(self, body, constants, first):
         law = ("evaluate", "F, Ms", body + "return u\n", constants)
         with pytest.raises(ZeroDivisionError, match="float division by zero") as raised:
-            native.mapper(law)(self.FS, self.MSS)
+            native.scanner(law, sitctl.verify._scan_2d)(self.FS, self.MSS, 0)
         where = raised.traceback[-1].frame.f_locals  # the frame of the Python law, where it raised
         assert raised.traceback[-1].frame.code.name == "evaluate"
         assert (where["F"], where["Ms"]) == (self.FS[first[0]], self.MSS[first[1]])
@@ -532,7 +565,7 @@ class TestMap:
 @pytest.mark.parametrize("found", [False, True], ids=["no-compiler", "compiler"])
 @pytest.mark.parametrize("Fs, Mss", [([TestMap.FS[3]], []), ([], [1.0])], ids=["no-Ms", "no-F"])
 def test_an_empty_axis_maps_to_an_empty_grid(monkeypatch, found, Fs, Mss):
-    # the law's F-only part raises at F3, and no point runs it
+    # the law's F-only part raises at F3, and no point runs it: the scan of no point has no witness
     law = ("evaluate", "F, Ms", "a = 1.0 / (F - F3)\nu = a * Ms\nreturn u\n", {"F3": TestMap.FS[3]})
     if not found:
         monkeypatch.setattr(native, "compiler", lambda: None)
@@ -540,7 +573,9 @@ def test_an_empty_axis_maps_to_an_empty_grid(monkeypatch, found, Fs, Mss):
     elif native.compiler() is None:
         pytest.skip("no C compiler on PATH")
     assert (native._built(sitctl.model.source(*law))[0] is None) == (not found)
-    assert native.mapper(law)(Fs, Mss).shape == (1, len(Fs), len(Mss))
+    scan = native.scanner(law, sitctl.verify._scan_2d)
+    assert scan(Fs, Mss, 0) == (math.inf, None, 0.0, 0.0)
+    assert scan(Fs, Mss, 0, highest=True, slope=1.0) == (-math.inf, None, 0.0, 0.0)
 
 
 #: The inputs and constants of a drawn law: signed zeros, infinities, NaN, subnormals, 1e+-300, and small whole numbers
@@ -630,6 +665,15 @@ def law_maps(draw):
     return body, grids
 
 
+def _raised_at(err):
+    """The type of ``err`` and the point where the Python law raised it, from the law's frame, as float.hex."""
+    frame = err.__traceback__
+    while frame.tb_next:
+        frame = frame.tb_next
+    where = frame.tb_frame.f_locals  # the Python law's frame, where it raised
+    return type(err), where["F"].hex(), where["Ms"].hex()
+
+
 def _pointwise(function, Fs, Mss):
     """The law's values at each point, in row-major order, as float.hex (NaN as 'nan'), or the error where it first
     raises: its type and the point."""
@@ -647,20 +691,94 @@ def _pointwise(function, Fs, Mss):
 @given(law_maps())
 @settings(max_examples=20, derandomize=True, deadline=None)
 def test_the_law_map_matches_the_python_law_point_by_point(law_map):
+    # each point's values from scans of that point alone, in row-major order
     body, grids = law_map
     for constants, Fs, Mss in grids:
         law = ("evaluate", "F, Ms", body, constants)
         expected = _pointwise(define(*law), Fs, Mss)
         try:
-            out = native.mapper(law)(Fs, Mss)
+            out = _scans(native.scanner(law, sitctl.verify._scan_2d), Fs, Mss, 4)
         except ArithmeticError as err:
-            frame = err.__traceback__
-            while frame.tb_next:
-                frame = frame.tb_next
-            where = frame.tb_frame.f_locals  # the Python law's frame, where it raised
-            assert (type(err), where["F"].hex(), where["Ms"].hex()) == expected
+            assert _raised_at(err) == expected
             continue
-        assert [[x.hex() for x in point] for point in out.reshape(len(out), -1).T.tolist()] == expected
+        assert [[x.hex() for x in point] for row in out for point in row] == expected
+
+
+@st.composite
+def law_scans(draw):
+    """A law text on ``F, Ms`` and the constants ``k0 k1 k2`` that returns two drawn values, and eight grids, each with
+    its own constants and growth slope.  An axis holds each float once (by float.hex, so -0.0 beside 0.0), from
+    NaN, infinities, signed zeros, subnormals and ordinary floats, and the constants' values, so that values tie."""
+    atoms = ["F", "Ms", "k0", "k1", "k2"]
+    body = f"u = {draw(law_expressions(atoms))}\nv = {draw(law_expressions(atoms))}\nreturn u, v\n"
+    grids = []
+    for _ in range(8):
+        constants = dict(zip(("k0", "k1", "k2"), draw(st.tuples(NUMBERS, NUMBERS, NUMBERS))))
+        axis = st.lists(st.one_of(NUMBERS, st.sampled_from(list(constants.values()))), min_size=1, max_size=6,
+                        unique_by=float.hex)
+        grids.append((constants, draw(axis), draw(axis), draw(NUMBERS)))
+    return body, grids
+
+
+def _scanned(scan):
+    """The outcome of ``scan()``: worst value, witness, largest |value| and K as float.hex (NaN as 'nan'), or the
+    error and the point where the Python law first raised it."""
+    try:
+        worst, witness, scale, K = scan()
+    except ArithmeticError as err:  # ZeroDivisionError
+        return _raised_at(err)
+    return worst.hex(), [x.hex() for x in witness], scale.hex(), K.hex()
+
+
+def _python_scan(law, Fs, Mss, output, highest, slope):
+    """The scan as the Python law and the reference give it, computed here: the law at every point in row-major
+    order, and :func:`sitctl.verify._scan_2d` of the grid of its value number ``output``."""
+    function = define(*law)
+    grid = np.array([[function(F, Ms)[output] for Ms in Mss] for F in Fs])
+    return sitctl.verify._scan_2d(grid, np.array(Fs), np.array(Mss), highest, slope)
+
+
+#: A scan of each outcome, whatever the draws: ties of 0.0 with -0.0 over the whole grid, a NaN after a lower value,
+#: a growth slack K > 0, and a zero divisor at the grid's second row.
+SCAN_OUTCOMES = ("u = k0 if (F < k1) else Ms\nv = F * Ms / k2\nreturn u, v\n", [
+    ({"k0": 0.0, "k1": 2.0, "k2": 1.0}, [1.0, -0.0, 3.0], [-0.0, 0.0], -1.0),
+    ({"k0": 0.0, "k1": 2.0, "k2": 1.0}, [1.0, -0.0, 3.0], [-1.0, math.nan], 0.5),
+    ({"k0": 0.0, "k1": 5.0, "k2": 0.0}, [0.0, 1.0], [-0.0, 2.0], 1.0),
+])
+
+
+@needs_cc
+def test_the_scan_matches_the_python_law_and_the_reference_scan_on_drawn_laws():
+    # the scan half of the translator's differential test: one C call per grid, output and direction, with and
+    # without growth, against the Python law's grid reduced by the Python reference; the C call must not fall back
+    seen = set()
+
+    @given(law_scans())
+    @example(SCAN_OUTCOMES)
+    @settings(max_examples=19, derandomize=True, deadline=None)
+    def check(law_scan):
+        body, grids = law_scan
+        for constants, Fs, Mss, drawn_slope in grids:
+            law = ("evaluate", "F, Ms", body, constants)
+            fallbacks = []
+
+            def reference(*args):
+                fallbacks.append(args)
+                return sitctl.verify._scan_2d(*args)
+
+            scan = native.scanner(law, reference)
+            for output in (0, 1):
+                for highest in (False, True):
+                    for slope in (None, drawn_slope):
+                        expected = _scanned(partial(_python_scan, law, Fs, Mss, output, highest, slope))
+                        assert _scanned(partial(scan, Fs, Mss, output, highest, slope)) == expected
+                        assert fallbacks == []
+                        seen.add(expected[0] if isinstance(expected[0], type) else (
+                            "nan" if expected[0] == "nan" else "number", expected[1] != [Fs[0].hex(), Mss[0].hex()],
+                            slope is not None and float.fromhex(expected[3]) > 0.0))
+
+    check()
+    assert {ZeroDivisionError, ("nan", True, False), ("number", False, False), ("number", True, True)} <= seen
 
 
 #: The starts of a drawn kernel's runs: (F, Ms) from zero, a subnormal, large and ordinary values.

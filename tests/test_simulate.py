@@ -60,6 +60,24 @@ class TestStepRk4:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("found", [False, True], ids=["no-compiler", "compiler"])
+    def test_a_spec_of_numpy_scalars_runs_as_plain_floats(self, params, cfg, eq, monkeypatch, found):
+        # a numpy dt used to reach the kernel's C constant h2, which raised TypeError with a compiler and ran numpy
+        # scalar arithmetic without one
+        if not found:
+            monkeypatch.setattr(sitctl.native, "compiler", lambda: None)
+            monkeypatch.setattr(sitctl.native, "_BUILT", {})
+        elif sitctl.native.compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        plain = _reduced_spec(params, cfg, "plus", (eq.F_bar, 0.0), t_end=20.0, dt=0.1, record_every=10)
+        spec = _reduced_spec(params, cfg, "plus", (np.float64(eq.F_bar), np.float64(0.0)), t_end=np.float64(20.0),
+                             dt=np.float64(0.1), record_every=10)
+        assert [type(x) for x in (*spec.initial, spec.t_end, spec.dt)] == [float] * 4
+        assert spec == plain
+        a, b = s.integrate(spec), s.integrate(plain)
+        assert (a.states.tobytes(), a.controls.tobytes(), a.termination) == (
+            b.states.tobytes(), b.controls.tobytes(), b.termination)
+
     def test_deterministic(self, params, cfg, eq):
         spec = _reduced_spec(params, cfg, "plus", (eq.F_bar, 0.0), t_end=50.0)
         a, b = s.integrate(spec), s.integrate(spec)

@@ -1,4 +1,6 @@
 """Certificate verification: Lyapunov values, decay fits, grid audits."""
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import sitctl.native as native
 from sitctl import verify
 from sitctl.model import define
 from sitctl.simulate import Trajectory
-from sitctl.verify import _BLOCK_ROWS, AUDIT_CHECKS
+from sitctl.verify import AUDIT_CHECKS
 
 from reference import chi, chi_sandwich, pi, u_star_plus, u_tilde
 
@@ -69,6 +71,26 @@ def _pointwise_audit(cfg, p, which, n_1d, n_2d):
     if which == "nonneg_plus":
         return worst >= -1e-9 * scale, worst, witness, 1e-9 * scale, f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]"
     return worst >= 0.0 and np.isfinite(K), worst, witness, 0.0, f"{n_2d}x{n_2d} on [0..3 F_hat]x[0..1e5]; K={K:.6g}"
+
+
+def _spoil(monkeypatch, lines: str, **constants):
+    """Make the 2-D audits scan the law text with ``lines`` appended, which also read ``constants``."""
+
+    class Spoiled(s.ControlLaw):
+        def body(self):
+            body, real = super().body()
+            return body + lines, {**real, **constants}
+
+    monkeypatch.setattr(verify, "ControlLaw", Spoiled)
+
+
+def _both_paths(monkeypatch, audit):
+    """``audit()`` on the scan as it builds here, which must equal ``audit()`` on the Python law: the report."""
+    report = audit()
+    monkeypatch.setattr(native, "compiler", lambda: None)
+    monkeypatch.setattr(native, "_BUILT", {})
+    assert repr(audit()) == repr(report)
+    return report
 
 
 class TestLyapunovValue:
@@ -232,8 +254,7 @@ class TestAuditGrid:
             "strong": cfg_strong,
             "cubic": s.ControllerConfig.design(params, F_hat=cfg.F_hat, eta=cfg.eta, rho=cfg.rho, cutoff_kind="cubic"),
         }[design]
-        # 2 * _BLOCK_ROWS + 3 rows make three F blocks, the last one ragged
-        for n_2d in (25, 2 * _BLOCK_ROWS + 3):
+        for n_2d in (25, 23):
             report = s.audit_grid(design_cfg, params, check, n_1d=200, n_2d=n_2d)
             fields = (report.passed, report.worst_value, report.witness, report.tolerance, report.grid)
             assert fields == _pointwise_audit(design_cfg, params, check, n_1d=200, n_2d=n_2d)
@@ -242,22 +263,15 @@ class TestAuditGrid:
     @pytest.mark.parametrize("check, law, bad", [("nonneg_plus", "u_star_plus", -1.0), ("pi_sign", "pi", 1.0)])
     def test_nan_fails_with_first_nan_as_witness(self, params, cfg, monkeypatch, check, law, bad):
         # row F = 0 violates the check everywhere; NaNs at its 8th point, at the
-        # 3rd point of the next row and in a later block must not hide the violation
+        # 3rd point of the next row and in a later row must not hide the violation
         extent = 10.0 * float(np.max(s.ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, params)))
         Fs, Mss = np.linspace(0.0, cfg.F_hat, 50), np.linspace(0.0, extent, 50)
         assert verify._GRID_VALUES[check] == LAW_OUTPUTS[law]
-        real = verify._values
-
-        def spoiled(check, cfg, p):
-            def values(F, Ms):
-                value = real(check, cfg, p)(F, Ms)
-                F, Ms = np.broadcast_arrays(F[:, None], Ms[None, :])
-                nan = ((F == 0.0) & (Ms == Mss[7])) | ((F == Fs[1]) & (Ms == Mss[2])) | ((F == Fs[30]) & (Ms == 0.0))
-                return np.where(nan, np.nan, np.where(F == 0.0, bad, value))
-            return values
-
-        monkeypatch.setattr(verify, "_values", spoiled)
-        report = s.audit_grid(cfg, params, check, n_2d=50)
+        name = ("u", "mismatch")[LAW_OUTPUTS[law][1]]
+        nan_at = "(F == 0.0 and Ms == M7) or (F == F1 and Ms == M2) or (F == F30 and Ms == 0.0)"
+        _spoil(monkeypatch, f"{name} = bad if F == 0.0 else {name}\n{name} = nan if {nan_at} else {name}\n",
+               bad=bad, nan=math.nan, M7=float(Mss[7]), F1=float(Fs[1]), M2=float(Mss[2]), F30=float(Fs[30]))
+        report = _both_paths(monkeypatch, lambda: s.audit_grid(cfg, params, check, n_2d=50))
         assert not report.passed
         assert np.isnan(report.worst_value)
         assert report.witness == (0.0, float(Mss[7]))
@@ -288,9 +302,23 @@ class TestAuditGrid:
     )
     def test_tie_goes_to_first_point_in_scan_order(self, params, cfg, monkeypatch, check, law):
         assert verify._GRID_VALUES[check] == LAW_OUTPUTS[law]
-        monkeypatch.setattr(verify, "_values", lambda check, cfg, p: lambda F, Ms: np.zeros((len(F), len(Ms))))
-        report = s.audit_grid(cfg, params, check, n_2d=2 * _BLOCK_ROWS + 3)
+        _spoil(monkeypatch, "u = 0.0\nmismatch = 0.0\n")
+        report = _both_paths(monkeypatch, lambda: s.audit_grid(cfg, params, check, n_2d=23))
         assert (report.worst_value, report.witness) == (0.0, (0.0, 0.0))
+
+    @pytest.mark.parametrize("highest", [False, True])
+    def test_the_reference_scan_takes_the_first_nan_else_the_first_of_a_tie(self, highest):
+        # the Python reference of the C scan, on the values given; -0.0 ties 0.0
+        Fs, Mss = np.array([-1.0, 0.0, 2.0]), np.array([0.0, 5.0])
+        grid = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
+        assert verify._scan_2d(grid, Fs, Mss, highest) == (0.0, (-1.0, 0.0), 0.0, 0.0)
+        grid[1:] = [[3.0, np.nan], [np.nan, -np.inf]]
+        worst, witness, scale, K = verify._scan_2d(grid, Fs, Mss, highest, slope=1.0)
+        assert (math.isnan(worst), witness, scale, K) == (True, (0.0, 5.0), math.inf, 0.0)
+        grid[1:] = [[3.0, 1.0], [8.0, -2.0]]
+        # K: (8 - 1 * 0) / 2 = 4 on the one row of F > 0; the row F = 0 is skipped
+        assert verify._scan_2d(grid, Fs, Mss, highest, slope=1.0) == (
+            (8.0, (2.0, 0.0), 8.0, 4.0) if highest else (-2.0, (2.0, 5.0), 8.0, 4.0))
 
     @pytest.mark.parametrize("check", AUDIT_CHECKS)
     @pytest.mark.parametrize("name", ["n_1d", "n_2d"])
@@ -354,7 +382,20 @@ class TestAuditLaw:
         Mss = np.sort(np.concatenate([np.linspace(0.0, 4e4, 31), s.ms_star(Fs[[3, 8]], c, params)]))
         law = self._law_text(check, c, params)
         expected = np.array([[law(F, Ms) for Ms in Mss.tolist()] for F in Fs.tolist()])
-        assert verify._values(check, c, params)(Fs, Mss).tobytes() == expected.tobytes()
+        scan = verify._scanner(check, c, params)  # a scan of one point gives its value, bit for bit
+        values = np.array([[scan([F], [Ms])[0] for Ms in Mss.tolist()] for F in Fs.tolist()])
+        assert values.tobytes() == expected.tobytes()
+
+    def test_a_design_of_numpy_scalars_audits_as_plain_floats(self, params, cfg, path):
+        # numpy scalars used to reach the law's C constants, which raised TypeError with a compiler and ran numpy
+        # scalar arithmetic without one
+        c = s.ControllerConfig.design(params, F_hat=np.float64(cfg.F_hat), eta=np.float64(cfg.eta),
+                                      rho=np.float64(cfg.rho), F2=np.float64(cfg.F2))
+        assert [type(getattr(c, name)) for name in ("F_hat", "eps", "eta", "rho", "F2")] == [float] * 5
+        assert c == cfg
+        for check in AUDIT_CHECKS:
+            assert repr(s.audit_grid(c, params, check, n_1d=200, n_2d=40)) == repr(
+                s.audit_grid(cfg, params, check, n_1d=200, n_2d=40))
 
     def test_audits_build_one_library_and_match_the_python_law(self, params, cfg, cfg_strong, counting_compiler,
                                                               monkeypatch):
