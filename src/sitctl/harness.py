@@ -12,6 +12,7 @@ resample rate is reported.
 """
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -36,6 +37,10 @@ DEFAULT_PERTURB_SET = ("beta_E", "gamma_s", "nu_E", "nu", "delta_E", "delta_M", 
 
 #: Draws perturb_params makes before it gives up on a parameter set.
 MAX_PERTURB_TRIES = 100
+
+#: The most trials a sweep runs.  run_robustness queues every trial before the first one returns, about 1.9 kB each,
+#: so this caps the queue near 19 MB; with a C compiler on 2 cores such a sweep of a robust preset takes 30-60 s.
+MAX_TRIALS = 10**4
 
 #: Below one individual the female population counts as extinct.
 DEFAULT_EXTINCTION_THRESHOLD = 1.0
@@ -270,8 +275,12 @@ class RobustnessConfig:
     seed: int = 2024
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        try:
+            object.__setattr__(self, "trials", operator.index(self.trials))
+        except TypeError:
+            raise ValueError(f"trials must be a whole number, got {self.trials!r}") from None
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, MAX_TRIALS = {MAX_TRIALS}], got {self.trials}")
         if not 0.0 <= self.uncertainty < 1.0:
             raise ValueError("uncertainty must lie in [0, 1)")
         if self.seed < 0:

@@ -1,11 +1,11 @@
 """The record of a whole run, and the scan of a law over a grid, as compiled C, bit for bit.
 
-:func:`recorder` takes a kernel ``advance(state, n) -> (state, largest clamp, u)``
-as :func:`sitctl.model.define`'s arguments, and returns the record rule
-:func:`sitctl.simulate._record` as one call of a fixed C driver, which runs
-every chunk and writes every sample's state and ``u``.  :func:`scanner` takes a
-law's text and returns the grid audits' scan (:func:`sitctl.verify._scan_2d`)
-of one of its values over a grid of (F, Ms) points, as one call of a second
+:func:`record` takes a kernel ``advance(state, n) -> (state, largest clamp, u)``
+as :func:`sitctl.model.define`'s arguments, and records a run by the record
+rule :func:`sitctl.simulate._record` in one call of a fixed C driver, which runs
+every chunk and writes every sample's state and ``u``.  :func:`scan` takes a
+law's text and gives the grid audits' scan (:func:`sitctl.verify._scan_2d`)
+of one of its values over a grid of (F, Ms) points, in one call of a second
 fixed driver, which reduces each value as it computes it and keeps no grid.
 Each library translates one function, a kernel or a law, beside its driver.
 :class:`_Translator` writes the C from the Python source, node by node over
@@ -38,7 +38,7 @@ import shutil
 import tempfile
 import threading
 import warnings
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -257,7 +257,7 @@ class _Translator:
         raise TranslationError(f"unsupported expression {ast.unparse(node)!r}")
 
 
-#: The whole run's record, in C beside a kernel's ``advance`` (see :func:`recorder`).
+#: The whole run's record, in C beside a kernel's ``advance`` (see :func:`record`).
 _RECORD = """\
 /* The record of a run of n steps from states[0], a sample after each `every` steps and at the end: states[j] (size
    doubles) and controls[j], the u that sitctl_advance gives at states[j] (after no step for record 0).  Returns
@@ -278,8 +278,8 @@ long sitctl_record(double *restrict states, double *restrict controls, long reco
     return records;
 }
 """
-#: The law's scan over a grid, in C beside a law's ``evaluate`` (see :func:`scanner`); ``OUTPUTS`` is the number of
-#: values the law returns.
+#: The law's scan over a grid, in C beside a law's ``evaluate`` (see :func:`scan`); ``OUTPUTS`` is the number of values
+#: the law returns.
 _SCAN = """\
 /* One pass over the grid F x Ms in row-major order (i < rows, j < cols), reducing the law's value number `output`
    into result: [0] the worst value, the lowest or with `highest` the highest, where the first NaN is the worst and
@@ -404,46 +404,40 @@ def _value(name: str, value) -> float:
     raise TypeError(f"constant {name} = {value!r} is not a float")
 
 
-def recorder(kernel: tuple, reference):
-    """The record function ``reference`` on the kernel ``kernel``, in one C call where it can.
+def record(kernel: tuple, reference, initial: tuple, n_steps: int, every: int):
+    """``reference(chunk, initial, n_steps, every) -> (states, controls, termination, max_clamp)``, the record rule
+    in Python (:func:`sitctl.simulate._record`), on the kernel ``kernel``, bit for bit, in one C call where it can.
 
     ``kernel`` is :func:`~sitctl.model.define`'s arguments of ``advance(state, n) -> (state, largest clamp, u)``
-    (:func:`sitctl.simulate._kernel`).  ``reference(chunk, initial, n_steps, every) -> (states, controls,
-    termination, max_clamp)`` is the record rule in Python (:func:`sitctl.simulate._record`).  The returned
-    ``record(initial, n_steps, every)`` gives its results bit for bit.  With no build it is ``reference`` on the
-    Python kernel.  Else one call of the C driver (``sitctl_record`` in :data:`_RECORD`) writes each sample's state
-    and ``u`` into preallocated arrays; where it returns early (the law raised at a record, or a chunk clamped or
-    raised), ``reference`` records the whole run instead, on the Python kernel, compiled only then.
+    (:func:`sitctl.simulate._kernel`).  Where it builds, one call of the C driver (``sitctl_record`` in
+    :data:`_RECORD`) writes each sample's state and ``u`` into preallocated arrays.  With no build, or where the
+    driver returns early (the law raised at a record, or a chunk clamped or raised), ``reference`` records the whole
+    run on the Python kernel, compiled only then.
 
     One build per source text and per process (:func:`_built`).  ``record`` may run on several threads at once:
     ctypes releases the GIL for the driver's call, and the driver writes only the arrays it is given and its locals.
     A construct outside the translated subset raises :class:`TranslationError`, with or without a compiler.
     """
     driver, size = _built(model.source(*kernel))
-    if driver is None:
-        return partial(reference, model.define(*kernel))
-    values = _doubles(kernel[3])
-
-    def record(initial, n_steps, every):
+    if driver is not None:
         records = 1 + -(-n_steps // every)
         states, controls = np.empty((records, size)), np.empty(records)
         states[0] = initial
+        values = _doubles(kernel[3])
         if driver(states.ctypes.data, controls.ctypes.data, records, size, n_steps, every, values) == records:
             return states, controls, TERMINATION_HORIZON, 0.0
-        return reference(model.define(*kernel), initial, n_steps, every)
-
-    return record
+    return reference(model.define(*kernel), initial, n_steps, every)
 
 
-def scanner(law: tuple, reference):
-    """The scan ``reference`` of the law ``law`` over a grid, in one C call where it can.
+def scan(law: tuple, reference, Fs, Mss, output: int, highest: bool = False, slope: float | None = None):
+    """The scan ``reference`` of the law ``law``'s value number ``output`` over the grid Fs x Mss, bit for bit, in one
+    C call where it can.
 
     ``law`` is :func:`~sitctl.model.define`'s arguments of a function ``(F, Ms)`` that returns names.  ``reference(grid,
     Fs, Mss, highest, slope) -> (worst, witness, largest |value|, K)`` reduces the grid of one of the law's values,
-    ``grid[i, j]`` at ``(Fs[i], Mss[j])`` (:func:`sitctl.verify._scan_2d`).  The returned ``scan(Fs, Mss, output,
-    highest=False, slope=None)`` gives its result on the law's value number ``output``, bit for bit, and raises
-    where the law does; with ``slope`` None, K is 0.0.  An empty grid has no witness: its scan is ``(inf, None, 0.0,
-    0.0)``, or ``-inf`` first with ``highest``, and runs the law nowhere.
+    ``grid[i, j]`` at ``(Fs[i], Mss[j])`` (:func:`sitctl.verify._scan_2d`); with ``slope`` None, K is 0.0.  The scan
+    raises where the law does.  An empty grid has no witness: its scan is ``(inf, None, 0.0, 0.0)``, or ``-inf`` first
+    with ``highest``, and runs the law nowhere.
 
     In C where it builds: one build (``sitctl_scan`` in :data:`_SCAN`) per source text and per process serves every
     value of the constants, and one call reduces the whole grid as it goes, holding no grid in memory.  Where there is
@@ -452,28 +446,19 @@ def scanner(law: tuple, reference):
     """
     driver, outputs = _built(model.source(*law))
     values = _doubles(law[3])
-    function = model.define(*law) if driver is None else None
-
-    def python(Fs, Mss, output, highest, slope):
-        evaluate = function or model.define(*law)
-        points = (evaluate(F, Ms) for F in Fs.tolist() for Ms in Mss.tolist())
-        grid = np.fromiter((point[output] if type(point) is tuple else point for point in points), float,
-                           len(Fs) * len(Mss))
-        return reference(grid.reshape(len(Fs), len(Mss)), Fs, Mss, highest, slope)
-
-    def scan(Fs, Mss, output, highest=False, slope=None):
-        Fs, Mss = np.ascontiguousarray(Fs, dtype=float), np.ascontiguousarray(Mss, dtype=float)
-        if output not in range(outputs):
-            raise ValueError(f"the law returns {outputs} values, not a value number {output!r}")
-        if not (len(Fs) and len(Mss)):
-            return -np.inf if highest else np.inf, None, 0.0, 0.0
-        if driver is None:
-            return python(Fs, Mss, output, highest, slope)
+    Fs, Mss = np.ascontiguousarray(Fs, dtype=float), np.ascontiguousarray(Mss, dtype=float)
+    if output not in range(outputs):
+        raise ValueError(f"the law returns {outputs} values, not a value number {output!r}")
+    if not (len(Fs) and len(Mss)):
+        return -np.inf if highest else np.inf, None, 0.0, 0.0
+    if driver is not None:
         result = (ctypes.c_double * 5)()
-        if driver(Fs.ctypes.data, len(Fs), Mss.ctypes.data, len(Mss), output, highest, slope is not None,
-                  0.0 if slope is None else slope, values, result):
-            return python(Fs, Mss, output, highest, slope)
-        worst, F, Ms, scale, K = result
-        return worst, (F, Ms), scale, K
-
-    return scan
+        if not driver(Fs.ctypes.data, len(Fs), Mss.ctypes.data, len(Mss), output, highest, slope is not None,
+                      0.0 if slope is None else slope, values, result):
+            worst, F, Ms, scale, K = result
+            return worst, (F, Ms), scale, K
+    evaluate = model.define(*law)
+    points = (evaluate(F, Ms) for F in Fs.tolist() for Ms in Mss.tolist())
+    grid = np.fromiter((point[output] if type(point) is tuple else point for point in points), float,
+                       len(Fs) * len(Mss))
+    return reference(grid.reshape(len(Fs), len(Mss)), Fs, Mss, highest, slope)

@@ -5,9 +5,9 @@ out as the law's body, which gives ``u``, then the plant's field, which takes
 it, so the feedback is re-evaluated at every Runge-Kutta stage (no
 sample-and-hold); after its steps it runs the law's body once more, for ``u``
 at the state it reached.  :func:`_record` is the record rule: a sample of the
-state and of ``u`` after each ``record_every`` steps.  :func:`kernel` records
-a run through :mod:`sitctl.native`, as compiled C in one call where it can,
-else as :func:`_record`, with the same bits.  Tiny negative
+state and of ``u`` after each ``record_every`` steps.  :func:`integrate`
+records a run through :func:`sitctl.native.record`, as compiled C in one call
+where it can, else as :func:`_record`, with the same bits.  Tiny negative
 overshoots after a step are integrator artifacts and get clamped to zero;
 anything beyond the clamp tolerance signals a genuinely negative release
 rate or an oversized step and aborts the run, and so does a NaN or infinite state.
@@ -15,6 +15,7 @@ rate or an oversized step and aborts the run, and so does a NaN or infinite stat
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from textwrap import indent
@@ -75,6 +76,10 @@ class SimSpec:
             raise ValueError(f"t_end/dt = {self.t_end / self.dt:.3g} steps exceeds MAX_STEPS = {MAX_STEPS:.0e}")
         if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"t_end={self.t_end} must be a whole number of dt={self.dt} steps")
+        try:  # a plain int, as the float fields are plain floats; np.int64 is an integer too
+            object.__setattr__(self, "record_every", operator.index(self.record_every))
+        except TypeError:
+            raise ValueError(f"record_every = {self.record_every!r} must be a whole number") from None
         if not 1 <= self.record_every <= MAX_STEPS:
             raise ValueError(f"record_every = {self.record_every} must lie in [1, MAX_STEPS = {MAX_STEPS:.0e}]")
         if self.plant is not None:
@@ -215,8 +220,8 @@ def _advance(spec: SimSpec) -> tuple:
 
 
 def _record(chunk, initial: tuple, n_steps: int, every: int):
-    """The record rule, in Python: the reference of :func:`kernel`'s native recorder, and the whole run wherever C
-    does not record it.
+    """The record rule, in Python: the reference of :func:`sitctl.native.record`, and the whole run wherever C does
+    not record it.
 
     ``chunk(state, n) -> (state, largest clamp, u)`` gives ``u`` at ``initial`` with ``n = 0``, then runs the steps
     in chunks of ``every`` (the last one may be shorter), each followed by one sample of the state and ``u``.
@@ -239,25 +244,19 @@ def _record(chunk, initial: tuple, n_steps: int, every: int):
     return np.array(states), np.array(controls), termination, max_clamp
 
 
-def kernel(spec: SimSpec):
-    """The spec's recorder ``record(initial, n_steps, every) -> (states, controls, termination, max_clamp)``:
-    :func:`_record` on :func:`_advance`'s kernel, run by :func:`native.recorder` (in one C call where it can)."""
-    from . import native  # imported on first use, so set-up does not load the translator
-
-    return native.recorder(_advance(spec), _record)
-
-
 def integrate(spec: SimSpec) -> Trajectory:
     """Run the closed loop to the horizon, or until a step leaves the nonnegative domain or turns NaN or infinite.
 
-    Deterministic: the same spec always yields bit-identical samples.  One call of the spec's recorder
-    (:func:`kernel`) records the run: a sample ``(i * dt, state)`` after each ``record_every`` steps and at the
-    horizon, with u at each from the kernel (:func:`_record`).  ``lyapunov`` is one array call of
+    Deterministic: the same spec always yields bit-identical samples.  One call of :func:`sitctl.native.record`
+    records the run on :func:`_advance`'s kernel: a sample ``(i * dt, state)`` after each ``record_every`` steps and
+    at the horizon, with u at each from the kernel (:func:`_record`).  ``lyapunov`` is one array call of
     :func:`lyapunov_V`, rounding exactly as per-sample float calls would.
     """
+    from . import native  # imported on first use, so set-up does not load the translator
+
     n_steps = round(spec.t_end / spec.dt)
     every = spec.record_every
-    states, controls, termination, max_clamp = kernel(spec)(tuple(float(x) for x in spec.initial), n_steps, every)
+    states, controls, termination, max_clamp = native.record(_advance(spec), _record, spec.initial, n_steps, every)
     F, Ms = states[:, -2], states[:, -1]
     lyapunov = None
     if spec.model == "reduced":

@@ -141,18 +141,17 @@ def control_budget(traj: Trajectory) -> float:
 _GRID_VALUES = {"nonneg_plus": ("plus", 0), "pi_sign": ("plus", 1), "utilde_bound": ("global", 0)}
 
 
-def _scanner(check: str, cfg: ControllerConfig, p: BioParams):
-    """``scan(Fs, Mss) -> (worst value, witness, max |value|, K)``: :func:`_scan_2d` of the 2-D check's value on the
-    grid Fs x Mss, from the law text that every run integrates (:data:`~sitctl.control.LAW`), in one
-    :func:`~sitctl.native.scanner` call (one build for every design and variant).  ``pi_sign`` looks for the highest
-    value, and ``utilde_bound`` estimates K."""
+def _scan(check: str, cfg: ControllerConfig, p: BioParams, Fs, Mss):
+    """``(worst value, witness, max |value|, K)``: :func:`_scan_2d` of the 2-D check's value on the grid Fs x Mss, from
+    the law text that every run integrates (:data:`~sitctl.control.LAW`), in one :func:`~sitctl.native.scan` call (one
+    build for every design and variant).  ``pi_sign`` looks for the highest value, and ``utilde_bound`` estimates K."""
     from . import native  # imported on first use, so set-up loads no ctypes
 
     variant, output = _GRID_VALUES[check]
     body, constants = ControlLaw(variant, cfg, p).body()
-    scan = native.scanner(("evaluate", "F, Ms", body + "return u, mismatch\n", constants), _scan_2d)
+    law = "evaluate", "F, Ms", body + "return u, mismatch\n", constants
     slope = p.delta_s - cfg.eta if check == "utilde_bound" else None
-    return lambda Fs, Mss: scan(Fs, Mss, output, check == "pi_sign", slope)
+    return native.scan(law, _scan_2d, Fs, Mss, output, check == "pi_sign", slope)
 
 
 def _scan_2d(grid, Fs, Mss, highest: bool = False, slope: float | None = None):
@@ -187,7 +186,7 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
     a linear bound (delta_s - eta) Ms + K F, K estimated on the grid).
     The 1-D checks evaluate their whole grid at once; the 2-D checks
     scan the law's text, which every run integrates, over their whole grid
-    in one call, which in C holds no grid in memory (:func:`_scanner`).
+    in one call, which in C holds no grid in memory (:func:`_scan`).
     Both grid sizes must be at least 2.
     """
     for name, size in (("n_1d", n_1d), ("n_2d", n_2d)):
@@ -219,7 +218,7 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
         Fs = np.linspace(0.0, cfg.F_hat, n_2d)
         Mss = np.linspace(0.0, 10.0 * float(np.max(ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, p))), n_2d)
         grid = f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]"
-        worst, witness, scale, _ = _scanner(which, cfg, p)(Fs, Mss)
+        worst, witness, scale, _ = _scan(which, cfg, p, Fs, Mss)
         if which == "pi_sign":
             return AuditReport("pi_sign", grid, worst <= 1e-12, worst, witness, 1e-12)
         return AuditReport("nonneg_plus", grid, worst >= -1e-9 * scale, worst, witness, 1e-9 * scale)
@@ -227,7 +226,7 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
     if which == "utilde_bound":
         Fs = np.linspace(0.0, 3.0 * cfg.F_hat, n_2d)
         Mss = np.linspace(0.0, 1e5, n_2d)
-        worst, witness, _, K = _scanner(which, cfg, p)(Fs, Mss)
+        worst, witness, _, K = _scan(which, cfg, p, Fs, Mss)
         passed = worst >= 0.0 and bool(np.isfinite(K))
         grid = f"{n_2d}x{n_2d} on [0..3 F_hat]x[0..1e5]; K={K:.6g}"
         return AuditReport("utilde_bound", grid, passed, worst, witness, 0.0)

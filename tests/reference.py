@@ -1,5 +1,5 @@
 """Reference code for the tests: a generic RK4 step, the law composed of numpy functions, the native
-kernel's chunks on the record driver, and the Python recorder.
+kernel's chunks on the record driver, and the Python record.
 
 ``step_rk4`` is the textbook step over any rates function, with its own copy of the clamp policy, so
 the integration kernel is checked against code it does not share.  The composed law (``pi``, ``u_star``,
@@ -10,7 +10,6 @@ integer powers are written as products, so an array rounds exactly like its poin
 time (numpy's vectorised ``power`` need not round like libm's ``pow``).
 """
 import math
-from functools import partial
 
 import numpy as np
 
@@ -191,11 +190,11 @@ def u_tilde(F, Ms, cfg: ControllerConfig, p: BioParams):
 
 
 def native_kernel(advance):
-    """``advance`` as a chunk function on its recorder's C driver (``sitctl_record``), or ``advance`` itself where no
+    """``advance`` as a chunk function on its kernel's record driver (``sitctl_record``), or ``advance`` itself where no
     C compiler is found or the build fails.
 
     A chunk runs in C as one record step; one that stops in C (a step that leaves [0, inf), or one where Python
-    raises) runs again on ``advance``, as the native recorder runs again in Python a run that stops in C.  So
+    raises) runs again on ``advance``, as ``sitctl.native.record`` runs again in Python a run that stops in C.  So
     every clean chunk runs in C, and the results are ``advance``'s bit for bit.  A construct outside the
     translated subset raises ``TranslationError``, with or without a compiler.
     """
@@ -217,9 +216,9 @@ def native_kernel(advance):
     return run
 
 
-def python_recorder(kernel, reference):
-    """``sitctl.native.recorder`` as it is with no build: ``reference`` on the Python kernel, compiler or not."""
-    return partial(reference, model.define(*kernel))
+def python_record(kernel, reference, initial, n_steps, every):
+    """``sitctl.native.record`` as it is with no build: ``reference`` on the Python kernel, compiler or not."""
+    return reference(model.define(*kernel), initial, n_steps, every)
 
 
 #: A config that passes every gate, yet its state overflows to inf at the second RK4 step, inside the first chunk: the

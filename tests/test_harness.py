@@ -19,6 +19,7 @@ from sitctl.cli import main as cli_main
 from sitctl.configio import SECTION_KEYS, finite_float, params_to_text
 from sitctl.harness import (
     DEFAULT_PERTURB_SET,
+    MAX_TRIALS,
     PRESETS,
     RobustnessConfig,
     RobustnessResult,
@@ -206,6 +207,10 @@ class TestRobustness:
     def test_config_validation(self, quick_base):
         with pytest.raises(ValueError):
             RobustnessConfig(base=quick_base, trials=0)
+        with pytest.raises(ValueError, match="trials must be a whole number"):  # failed inside range()
+            RobustnessConfig(base=quick_base, trials=2.5)
+        with pytest.raises(ValueError, match="MAX_TRIALS"):  # queued every trial before the first returned
+            RobustnessConfig(base=quick_base, trials=MAX_TRIALS + 1)
         with pytest.raises(ValueError):
             RobustnessConfig(base=quick_base, uncertainty=1.5)
 
@@ -479,7 +484,8 @@ class TestCli:
         assert cli_main([command, str(config_file), f"--t-end={value}"]) == 2
         assert "t_end" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--uncertainty", "1.5"), ("--seed", "-1")])
+    @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--trials", str(MAX_TRIALS + 1)),
+                                               ("--uncertainty", "1.5"), ("--seed", "-1")])
     def test_bad_robustness_option_exits_2(self, config_file, option, value, capsys):
         assert cli_main(["robustness", str(config_file), option, value]) == 2
         assert option in capsys.readouterr().err

@@ -1,5 +1,5 @@
 """The native kernel: each generated RK4 kernel translated to C, built once, bit for bit the Python kernel's; and the
-native recorder, which runs a record in one C call, or the Python record function on the whole run where the C call
+native record, which runs a record in one C call, or the Python record function on the whole run where the C call
 stops early, bit for bit the Python record function's; and the audits' scan of a law over a grid, built with the
 kernel's flags and ``-fno-trapping-math``, bit for bit the Python reference scan of the Python law's values.  The
 kernel's chunks on the C driver and its translation are reached through the tests' reference (``native_kernel``,
@@ -8,6 +8,7 @@ import ast
 import contextlib
 import dataclasses
 import dis
+import hashlib
 import importlib
 import inspect
 import math
@@ -36,7 +37,7 @@ from sitctl.harness import PRESETS, RobustnessConfig, perturb_params, preset_sce
 from sitctl.model import PARAM_KEYS, ParamError, define
 from sitctl.simulate import TERMINATION_HORIZON, _advance, _kernel
 
-from reference import native_kernel, python_recorder, translate
+from reference import native_kernel, python_record, translate
 
 needs_cc = pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -74,6 +75,19 @@ def _shape_specs():
 
 
 SHAPE_SPECS = _shape_specs()
+
+#: The sha256 of each library's C source and build flags, by the SHAPE_SPECS shapes and the audit law that build it.
+LIBRARY_PINS = {
+    "192daaa64b144a26afa972e7e8b479e4566dcc60e153b2cee60c83af9dc5136b": [
+        "nominal-reduced", "robust-reduced", "reduced_plus", "reduced_global_high", "reduced/own/global"],
+    "2b8d7455dde8098b6ad902a4af6477f4ed1f6df14149419c2ad2bfb04eafc18e": [
+        "robust-reduced/perturbed", "reduced/perturbed/global"],
+    "ec09898357223d073c40b166154f90c52df8f922b701ec89e808b7aee6ca0f15": [
+        "nominal-full", "robust-full", "robust-full/perturbed", "full_global", "full/own/global",
+        "full/perturbed/global"],
+    "ec79827d38e4d9c45129a397e42ed3d5cddab7433c142fcdc68f21c359cf25f6": ["open-loop"],
+    "48c784ce89b985a6f05c6804631d1735cbbbbbed543b3ea70aa74d61f40af453": ["audit law"],
+}
 
 
 def _audit_law(params, cfg):
@@ -210,6 +224,28 @@ class TestTranslation:
             native_kernel(advance)
 
 
+@pytest.fixture
+def entries(monkeypatch):
+    """What each entry into a C driver returned, for the drivers built before and from here on."""
+    returns, build = [], native._build
+
+    def counted(driver):
+        def count(*args):
+            returns.append(driver(*args))
+            return returns[-1]
+
+        return driver and count
+
+    def counting_build(c_source, name, flags):
+        driver = build(c_source, name, flags)
+        return counted(driver)
+
+    monkeypatch.setattr(native, "_BUILT", {source: (counted(driver), size)
+                                           for source, (driver, size) in native._BUILT.items()})
+    monkeypatch.setattr(native, "_build", counting_build)
+    return returns
+
+
 class TestBuild:
     @needs_cc
     @pytest.mark.parametrize("name", list(SHAPE_SPECS))
@@ -219,9 +255,9 @@ class TestBuild:
 
     @needs_cc
     @pytest.mark.parametrize("name", list(SHAPE_SPECS))
-    def test_every_shape_records_natively(self, name):
-        spec = SHAPE_SPECS[name]
-        assert not isinstance(sitctl.simulate.kernel(spec), partial)
+    def test_every_shape_records_natively(self, name, entries):
+        traj = s.integrate(SHAPE_SPECS[name])
+        assert entries == [len(traj.times)]
 
     @pytest.mark.parametrize("start", ["initial", "off it"])
     @pytest.mark.parametrize("name", list(SHAPE_SPECS))
@@ -233,6 +269,17 @@ class TestBuild:
         expected = [x.hex() for x in state], 0.0.hex(), spec.law.evaluator()(*state[-2:]).hex()
         for advance in (python, native_kernel(python)):
             assert _outcome(advance, state, 0) == expected
+
+    def test_the_generated_c_is_pinned(self, params, cfg):
+        # the sha256 of each library's C source and build flags: a change to the generated C fails here until it is
+        # re-pinned on purpose; no compiler is needed
+        def pin(source):
+            c_source, _, flags, _ = native._library(source)
+            return hashlib.sha256(f"{c_source}\n{' '.join(flags)}".encode()).hexdigest()
+
+        pins = {name: pin(sitctl.model.source(*_advance(spec))) for name, spec in SHAPE_SPECS.items()}
+        pins["audit law"] = pin(sitctl.model.source(*_audit_law(params, cfg)))
+        assert pins == {name: digest for digest, names in LIBRARY_PINS.items() for name in names}
 
     def test_a_kernel_library_holds_no_law_beside_its_kernel(self):
         c_source = native._library(sitctl.model.source(*_advance(SHAPE_SPECS["nominal-full"])))[0]
@@ -433,10 +480,10 @@ def test_native_recorder_matches_python_whole_run(run):
     with contextlib.ExitStack() as stack:
         if body is not None:
             stack.enter_context(patch.object(s.ControlLaw, "body", lambda law: body))
-        record = sitctl.simulate.kernel(spec)
-        assert isinstance(record, partial) == (native.compiler() is None)
+        driver, _ = native._built(sitctl.model.source(*_advance(spec)))
+        assert (driver is None) == (native.compiler() is None)
         fast = _whole_run(spec)
-        with patch.object(native, "recorder", python_recorder):
+        with patch.object(native, "record", python_record):
             python = _whole_run(spec)
     assert fast == python
 
@@ -445,27 +492,6 @@ def test_native_recorder_matches_python_whole_run(run):
 class TestOneCall:
     """A run enters the C driver once: up to its end, or up to its first irregular record, after which Python records
     the whole run; and a grid audit enters the C scan once."""
-
-    @pytest.fixture
-    def entries(self, monkeypatch):
-        """What each entry into a C driver returned, for the recorders and scanners made from here on."""
-        returns, build = [], native._build
-
-        def counted(driver):
-            def count(*args):
-                returns.append(driver(*args))
-                return returns[-1]
-
-            return driver and count
-
-        def counting_build(c_source, name, flags):
-            driver = build(c_source, name, flags)
-            return counted(driver)
-
-        monkeypatch.setattr(native, "_BUILT", {source: (counted(driver), size)
-                                               for source, (driver, size) in native._BUILT.items()})
-        monkeypatch.setattr(native, "_build", counting_build)
-        return returns
 
     def test_a_clean_run_is_one_call_and_maps_no_python_law(self, entries, monkeypatch):
         made = []
@@ -477,13 +503,13 @@ class TestOneCall:
 
     def test_a_stop_enters_the_driver_once_and_python_records_the_rest(self, entries, params, cfg, eq, monkeypatch):
         # from Ms = 0, a release of -1e-7 undershoots Ms within the clamp tolerance at every step: the first chunk
-        # stops in C at its first step, so the driver returns record 0, and the Python recorder records the whole run
+        # stops in C at its first step, so the driver returns record 0, and the Python record rule records the whole run
         spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(eq.F_bar, 0.0), t_end=2.0,
                          dt=0.1, record_every=5, plant=params.replace())
         monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = -1e-7\n", {}))
         native_run = _whole_run(spec)
         assert entries == [0]
-        monkeypatch.setattr(native, "recorder", python_recorder)
+        monkeypatch.setattr(native, "record", python_record)
         assert native_run == _whole_run(spec)
         traj = s.integrate(spec)
         assert (len(traj.times), traj.termination) == (5, TERMINATION_HORIZON) and traj.max_clamp > 0.0
@@ -540,7 +566,7 @@ class TestMap:
                {"F2": 1.2})
         python = define(*law)
         expected = [[list(python(F, Ms)) for Ms in self.MSS] for F in self.FS]
-        scan = native.scanner(law, sitctl.verify._scan_2d)
+        scan = partial(native.scan, law, sitctl.verify._scan_2d)
         assert _scans(scan, self.FS, self.MSS, 2) == expected
         # and in one scan of the whole grid, whose loop over Ms is the one the compiler hoists from
         for output in (0, 1):
@@ -556,7 +582,7 @@ class TestMap:
     def test_the_python_law_raises_at_the_first_point(self, body, constants, first):
         law = ("evaluate", "F, Ms", body + "return u\n", constants)
         with pytest.raises(ZeroDivisionError, match="float division by zero") as raised:
-            native.scanner(law, sitctl.verify._scan_2d)(self.FS, self.MSS, 0)
+            native.scan(law, sitctl.verify._scan_2d, self.FS, self.MSS, 0)
         where = raised.traceback[-1].frame.f_locals  # the frame of the Python law, where it raised
         assert raised.traceback[-1].frame.code.name == "evaluate"
         assert (where["F"], where["Ms"]) == (self.FS[first[0]], self.MSS[first[1]])
@@ -573,7 +599,7 @@ def test_an_empty_axis_maps_to_an_empty_grid(monkeypatch, found, Fs, Mss):
     elif native.compiler() is None:
         pytest.skip("no C compiler on PATH")
     assert (native._built(sitctl.model.source(*law))[0] is None) == (not found)
-    scan = native.scanner(law, sitctl.verify._scan_2d)
+    scan = partial(native.scan, law, sitctl.verify._scan_2d)
     assert scan(Fs, Mss, 0) == (math.inf, None, 0.0, 0.0)
     assert scan(Fs, Mss, 0, highest=True, slope=1.0) == (-math.inf, None, 0.0, 0.0)
 
@@ -697,7 +723,7 @@ def test_the_law_map_matches_the_python_law_point_by_point(law_map):
         law = ("evaluate", "F, Ms", body, constants)
         expected = _pointwise(define(*law), Fs, Mss)
         try:
-            out = _scans(native.scanner(law, sitctl.verify._scan_2d), Fs, Mss, 4)
+            out = _scans(partial(native.scan, law, sitctl.verify._scan_2d), Fs, Mss, 4)
         except ArithmeticError as err:
             assert _raised_at(err) == expected
             continue
@@ -766,7 +792,7 @@ def test_the_scan_matches_the_python_law_and_the_reference_scan_on_drawn_laws():
                 fallbacks.append(args)
                 return sitctl.verify._scan_2d(*args)
 
-            scan = native.scanner(law, reference)
+            scan = partial(native.scan, law, reference)
             for output in (0, 1):
                 for highest in (False, True):
                     for slope in (None, drawn_slope):
@@ -801,11 +827,11 @@ def kernel_runs(draw):
     return law, runs
 
 
-def _recorded(record, initial):
-    """``record(initial, 15, 5)``, three records of five steps: states and controls as float.hex (NaN as 'nan'),
-    termination and max_clamp, or the type of the error it raised."""
+def _recorded(record, kernel, initial):
+    """``record(kernel, _record, initial, 15, 5)``, three records of five steps: states and controls as float.hex (NaN
+    as 'nan'), termination and max_clamp, or the type of the error it raised."""
     try:
-        states, controls, termination, max_clamp = record(initial, 15, 5)
+        states, controls, termination, max_clamp = record(kernel, sitctl.simulate._record, initial, 15, 5)
     except ArithmeticError as err:  # ZeroDivisionError
         return type(err)
     hexes = [["nan" if math.isnan(x) else x.hex() for x in xs] for xs in (states.ravel().tolist(), controls.tolist())]
@@ -838,8 +864,8 @@ def test_the_native_recorder_matches_the_python_record_on_drawn_laws():
         law, runs = kernel_run
         for constants, initial, clamp_tol in runs:
             kernel = _kernel("reduced", law, constants, s.NOMINAL_PARAMS, 0.1, clamp_tol)
-            expected = _recorded(python_recorder(kernel, sitctl.simulate._record), initial)
-            assert _recorded(native.recorder(kernel, sitctl.simulate._record), initial) == expected
+            expected = _recorded(python_record, kernel, initial)
+            assert _recorded(native.record, kernel, initial) == expected
             seen.add(expected if isinstance(expected, type) else expected[2])
             if not isinstance(expected, type) and float.fromhex(expected[3]) > 0.0:
                 seen.add("clamp")
@@ -873,7 +899,7 @@ class TestPythonErrors:
 
     @needs_cc
     @pytest.mark.parametrize("record", [0, -1], ids=["first", "last"])
-    def test_the_law_raises_at_a_record(self, params, cfg, eq, monkeypatch, record):
+    def test_the_law_raises_at_a_record(self, params, cfg, eq, monkeypatch, entries, record):
         # u divides by zero where F is the record's F: at the first record the law at the initial state raises, in
         # Python; at the last, the law that the last chunk runs at the state it reached does
         spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(2.0 * eq.F_bar, 0.0),
@@ -881,9 +907,10 @@ class TestPythonErrors:
         monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = 0.0\n", {}))
         F = float(s.integrate(spec).F[record])
         monkeypatch.setattr(s.ControlLaw, "body", lambda law: ("u = 1.0 / (F - F1) if F == F1 else 0.0\n", {"F1": F}))
-        assert not isinstance(sitctl.simulate.kernel(spec), partial)
+        entries.clear()
         native_run = _whole_run(spec)
-        monkeypatch.setattr(native, "recorder", python_recorder)
+        assert entries == [{0: 0, -1: 3}[record]]  # in C up to the record where the law raised, of 5
+        monkeypatch.setattr(native, "record", python_record)
         assert native_run == _whole_run(spec) == (ZeroDivisionError, "float division by zero")
 
     def test_an_overflow_in_the_law_at_the_last_record_records_inf(self, params, cfg, eq, monkeypatch):
@@ -899,5 +926,5 @@ class TestPythonErrors:
         assert (traj.termination, len(traj.times)) == (TERMINATION_HORIZON, 5)
         assert traj.controls.tolist() == [0.0] * 4 + [math.inf]
         native_run = _whole_run(spec)
-        monkeypatch.setattr(native, "recorder", python_recorder)
+        monkeypatch.setattr(native, "record", python_record)
         assert native_run == _whole_run(spec)

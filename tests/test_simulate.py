@@ -3,7 +3,6 @@ import dataclasses
 import math
 import re
 import textwrap
-from functools import partial
 
 import numpy as np
 import pytest
@@ -151,6 +150,8 @@ class TestIntegrate:
             s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.03, dt=0.05)
         with pytest.raises(ValueError, match="whole number"):  # would round to no step
             s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=0.4 * 0.05, dt=0.05)
+        with pytest.raises(ValueError, match="record_every = 2.5 must be a whole number"):  # integrate raised TypeError
+            s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.0, record_every=2.5)
         with pytest.raises(s.ParamError):
             s.SimSpec(model="reduced", law=law, initial=(eq.F_bar, 0.0), t_end=10.0, plant=params.replace(delta_s=0.03))
 
@@ -272,22 +273,21 @@ def _outcome(step, state):
 
 
 def _pin_kernel(monkeypatch, in_c):
-    """Make ``reference.native_kernel`` and ``sitctl.native.recorder``, which the step helpers and integrate call, run
+    """Make ``reference.native_kernel`` and ``sitctl.native.record``, which the step helpers and integrate call, run
     on the C driver, which must build, with ``in_c``; else the Python kernel and record function."""
-    kernel, recorder = reference.native_kernel, sitctl.native.recorder
+    kernel, record = reference.native_kernel, sitctl.native.record
 
     def kernel_in_c(advance):
         fast = kernel(advance)
         assert fast is not advance, "the kernel did not build natively"
         return fast
 
-    def recorder_in_c(*args):
-        record = recorder(*args)
-        assert not isinstance(record, partial), "the recorder did not build natively"
-        return record
+    def record_in_c(kernel, *args):
+        assert sitctl.native._built(sitctl.model.source(*kernel))[0] is not None, "the kernel did not build natively"
+        return record(kernel, *args)
 
     monkeypatch.setattr(reference, "native_kernel", kernel_in_c if in_c else lambda advance: advance)
-    monkeypatch.setattr(sitctl.native, "recorder", recorder_in_c if in_c else reference.python_recorder)
+    monkeypatch.setattr(sitctl.native, "record", record_in_c if in_c else reference.python_record)
 
 
 class TestUnrolledStep:
@@ -491,7 +491,7 @@ RECORD_SPECS = _record_specs()
 class TestChunkedRecords:
     """integrate records in chunks of record_every steps; the record is the per-step rule's.
 
-    Here the recorder is integrate's own, the C one where a compiler is found; :class:`TestPythonChunkedRecords`
+    Here the record is integrate's own, in C where a compiler is found; :class:`TestPythonChunkedRecords`
     runs every test on the Python record function.
     """
 

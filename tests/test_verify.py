@@ -382,8 +382,8 @@ class TestAuditLaw:
         Mss = np.sort(np.concatenate([np.linspace(0.0, 4e4, 31), s.ms_star(Fs[[3, 8]], c, params)]))
         law = self._law_text(check, c, params)
         expected = np.array([[law(F, Ms) for Ms in Mss.tolist()] for F in Fs.tolist()])
-        scan = verify._scanner(check, c, params)  # a scan of one point gives its value, bit for bit
-        values = np.array([[scan([F], [Ms])[0] for Ms in Mss.tolist()] for F in Fs.tolist()])
+        # a scan of one point gives its value, bit for bit
+        values = np.array([[verify._scan(check, c, params, [F], [Ms])[0] for Ms in Mss.tolist()] for F in Fs.tolist()])
         assert values.tobytes() == expected.tobytes()
 
     def test_a_design_of_numpy_scalars_audits_as_plain_floats(self, params, cfg, path):
