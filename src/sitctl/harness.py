@@ -275,10 +275,11 @@ class RobustnessConfig:
     seed: int = 2024
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "trials", operator.index(self.trials))
-        except TypeError:
-            raise ValueError(f"trials must be a whole number, got {self.trials!r}") from None
+        for name in ("trials", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be a whole number, got {getattr(self, name)!r}") from None
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, MAX_TRIALS = {MAX_TRIALS}], got {self.trials}")
         if not 0.0 <= self.uncertainty < 1.0:

@@ -8,8 +8,9 @@ law's text and gives the grid audits' scan (:func:`sitctl.verify._scan_2d`)
 of one of its values over a grid of (F, Ms) points, in one call of a second
 fixed driver, which reduces each value as it computes it and keeps no grid.
 Each library translates one function, a kernel or a law, beside its driver.
-:class:`_Translator` writes the C from the Python source, node by node over
-the fixed subset that the RK4 template, the law and the field texts use; any
+:class:`_Translator` writes the C from the function's body text, node by node
+over the fixed subset that the RK4 template, the law and the field texts use,
+and takes its inputs and constants from ``define``'s other arguments; any
 other construct raises :class:`TranslationError`.  Each C operation is
 the IEEE operation that Python's float performs, on the same operands in the same order: the build
 turns FMA contraction off, and the arithmetic is ``+ - * /``, unary ``-`` and
@@ -93,9 +94,9 @@ def _names(node) -> list[str]:
 
 
 class _Translator:
-    """The C function of one generated function's source: an RK4 kernel ``advance`` or a law ``evaluate``.
-
-    The source is ``def <name>(<inputs>, <constants>=...)``: the parameters without a default are its inputs.
+    """The C function of one generated function, an RK4 kernel ``advance`` or a law ``evaluate``, from
+    :func:`~sitctl.model.define`'s arguments: the inputs named in ``args``, the statements of ``body``, and the
+    names of ``constants``, in the mapping's order.
 
     A kernel's inputs are ``state, n``, and its body is the unpack ``<ys> = state``, the accumulator
     ``<worst> = 0.0``, one ``for _ in range(n)`` loop whose last statement is ``if <test>: (<ys>), <worst> =
@@ -113,28 +114,21 @@ class _Translator:
     statement is translated in place; the C compiler hoists the values of F alone out of the driver's loop over Ms
     (:func:`_library`).
 
-    The constants other than ``_clamp`` are ``values``, in signature order (:func:`_doubles`).  An expression has no
-    ``**``, so ``py_div``'s zero divisor is the one place where Python raises.
+    The constants other than ``_clamp`` are ``values``, in the mapping's order, as :func:`_doubles` writes them.  An
+    expression has no ``**``, so ``py_div``'s zero divisor is the one place where Python raises.
     """
 
-    def __init__(self, source: str):
-        body = ast.parse(source).body
-        function = body[0] if len(body) == 1 and isinstance(body[0], ast.FunctionDef) else None
-        args = function.args if function else None
-        if not args or args.vararg or args.kwarg or args.kwonlyargs or args.posonlyargs:
-            raise TranslationError("the source must be one 'def name(input, ..., constant=constant, ...)'")
-        names = [arg.arg for arg in args.args]
-        split = len(names) - len(args.defaults)
-        self.function, self.inputs, self.constants = function, names[:split], names[split:]
+    def __init__(self, args: str, body: str, constants):
+        self.inputs, self.constants = [name.strip() for name in args.split(",")], list(constants)
+        self.body = ast.parse(body).body
         self.values = [name for name in self.constants if name != "_clamp"]
         self.locals, self.assigned, self.lines, self.worst = set(), set(self.inputs), [], None
 
     def advance(self) -> str:
         """The C of a kernel (see the class)."""
-        body = self.function.body
-        end = body[-1]
+        body, end = self.body, self.body[-1]
         if self.inputs != ["state", "n"]:
-            raise TranslationError("a kernel must be one 'def advance(state, n, constant=constant, ...)'")
+            raise TranslationError("a kernel's inputs must be 'state, n'")
         if not (isinstance(end, ast.Return) and isinstance(end.value, ast.Tuple) and len(end.value.elts) == 3
                 and isinstance(end.value.elts[1], ast.Name)):
             raise TranslationError("the body must end with 'return (<state names>), <accumulator>, <control>'")
@@ -157,9 +151,9 @@ class _Translator:
 
     def law(self) -> str:
         """The C of a law (see the class)."""
-        *statements, end = self.function.body
+        *statements, end = self.body
         if self.inputs != ["F", "Ms"]:
-            raise TranslationError("a law must be one 'def evaluate(F, Ms, constant=constant, ...)'")
+            raise TranslationError("a law's inputs must be 'F, Ms'")
         if not isinstance(end, ast.Return) or not isinstance(end.value, (ast.Name, ast.Tuple)):
             raise TranslationError("a law's body must end with 'return <name>, ...'")
         self.outputs = [end.value.id] if isinstance(end.value, ast.Name) else _names(end.value)
@@ -282,22 +276,22 @@ long sitctl_record(double *restrict states, double *restrict controls, long reco
 #: the law returns.
 _SCAN = """\
 /* One pass over the grid F x Ms in row-major order (i < rows, j < cols), reducing the law's value number `output`
-   into result: [0] the worst value, the lowest or with `highest` the highest, where the first NaN is the worst and
-   the first point wins a tie; [1] and [2] its point F[wi], Ms[wj]; [3] the largest |value|; [4] with `growth` the
-   largest (value - slope Ms[j]) / F[i] over F[i] > 0, or 0.0, else 0.0.  The largest two skip NaNs.  Inlined here,
-   the law's values of F alone are invariant in the loop over j, and the compiler computes them once per i.  Returns
-   0, or 1 where the law raised at a point; the caller then drops result.  The grid has a point. */
-long sitctl_scan(const double *restrict F, long rows, const double *restrict Ms, long cols, long output, long highest,
-                 long growth, double slope, const double *restrict values, double *restrict result)
+   into result: [0] the lowest value, where the first NaN is the lowest and the first point wins a tie; [1] and [2]
+   its point F[wi], Ms[wj]; [3] the largest |value|; [4] with `growth` the largest (value - slope Ms[j]) / F[i] over
+   F[i] > 0, or 0.0, else 0.0.  The largest two skip NaNs.  Inlined here, the law's values of F alone are invariant
+   in the loop over j, and the compiler computes them once per i.  Returns 0, or 1 where the law raised at a point;
+   the caller then drops result.  The grid has a point. */
+long sitctl_scan(const double *restrict F, long rows, const double *restrict Ms, long cols, long output, long growth,
+                 double slope, const double *restrict values, double *restrict result)
 {
-    double out[OUTPUTS], worst = highest ? -INFINITY : INFINITY, scale = 0.0, K = 0.0;
+    double out[OUTPUTS], worst = INFINITY, scale = 0.0, K = 0.0;
     long wi = 0, wj = 0;
     for (long i = 0; i < rows; i++)
         for (long j = 0; j < cols; j++) {
             if (evaluate(F[i], Ms[j], values, out))
                 return 1;
             double value = out[output], magnitude = fabs(value);
-            if (!isnan(worst) && (isnan(value) || (highest ? value > worst : value < worst))) {
+            if (!isnan(worst) && (isnan(value) || value < worst)) {
                 worst = value;
                 wi = i;
                 wj = j;
@@ -323,7 +317,7 @@ _DOUBLES = ctypes.POINTER(ctypes.c_double)
 #: ``advance`` (regexp.h), and a plain name could take another library's symbol.
 _SIGNATURES = {
     "sitctl_record": (ctypes.c_void_p, ctypes.c_void_p, *[ctypes.c_long] * 4, _DOUBLES),
-    "sitctl_scan": (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 4, ctypes.c_double, _DOUBLES,
+    "sitctl_scan": (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 3, ctypes.c_double, _DOUBLES,
                     _DOUBLES),
 }
 
@@ -334,9 +328,9 @@ def compiler() -> str | None:
     return next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
 
 
-#: Each build, by its source text (a kernel's or a law's): the loaded C function (None without a compiler or where
-#: the build failed) and its size, the kernel's state length or the number of values the law returns.
-_BUILT: dict[str, tuple] = {}
+#: Each build, by a kernel's or a law's ``(args, body, constant names)``: the loaded C function (None without a
+#: compiler or where the build failed) and its size, the kernel's state length or the number of values the law returns.
+_BUILT: dict[tuple, tuple] = {}
 _BUILDING = threading.Lock()  # held while _built checks and builds
 
 
@@ -363,9 +357,9 @@ def _build(c_source: str, name: str, flags: tuple):
     return function
 
 
-def _library(source: str) -> tuple:
-    """The C library of ``source``, a kernel's (``sitctl_record``) or a law's (``sitctl_scan``): ``(C source, driver
-    name, build flags, size)``, the size as in :data:`_BUILT`.
+def _library(function: tuple) -> tuple:
+    """The C library of ``function``, :func:`~sitctl.model.define`'s arguments of a kernel (``sitctl_record``) or a
+    law (``sitctl_scan``): ``(C source, driver name, build flags, size)``, the size as in :data:`_BUILT`.
 
     A law builds with ``-fno-trapping-math`` beside :data:`FLAGS`, so that the compiler may compute a division of F
     alone once per row of the grid, even where it sits in a branch that a point may not take.  The flag allows no
@@ -374,21 +368,22 @@ def _library(source: str) -> tuple:
     ``py_div`` tests its divisor itself.  A kernel builds with :data:`FLAGS` alone: its law reads a new state at each
     step, so nothing in it is invariant across the loop, and the flag made the reduced kernels about a fifth slower.
     """
-    translator = _Translator(source)
+    translator = _Translator(*function[1:])
     if translator.inputs == ["state", "n"]:
         return "\n".join([_PRELUDE, translator.advance(), _RECORD]), "sitctl_record", FLAGS, len(translator.state)
     c_source = "\n".join([_PRELUDE, translator.law(), f"#define OUTPUTS {len(translator.outputs)}", _SCAN])
     return c_source, "sitctl_scan", (*FLAGS, "-fno-trapping-math"), len(translator.outputs)
 
 
-def _built(source: str) -> tuple:
-    """The build of ``source`` (:func:`_library`), once per process (:data:`_BUILT`): ``(function, size)``.
+def _built(function: tuple) -> tuple:
+    """The build of ``function`` (:func:`_library`), once per process (:data:`_BUILT`): ``(driver, size)``.
     Under a lock: threads that ask at once, as a sweep's workers do, share the first one's build."""
+    key = function[1], function[2], tuple(function[3])  # args, body and the constants' names
     with _BUILDING:
-        if source not in _BUILT:
-            c_source, name, flags, size = _library(source)
-            _BUILT[source] = None if compiler() is None else _build(c_source, name, flags), size
-        return _BUILT[source]
+        if key not in _BUILT:
+            c_source, name, flags, size = _library(function)
+            _BUILT[key] = None if compiler() is None else _build(c_source, name, flags), size
+        return _BUILT[key]
 
 
 def _doubles(constants: dict):
@@ -414,11 +409,11 @@ def record(kernel: tuple, reference, initial: tuple, n_steps: int, every: int):
     driver returns early (the law raised at a record, or a chunk clamped or raised), ``reference`` records the whole
     run on the Python kernel, compiled only then.
 
-    One build per source text and per process (:func:`_built`).  ``record`` may run on several threads at once:
+    One build per kernel text and per process (:func:`_built`).  ``record`` may run on several threads at once:
     ctypes releases the GIL for the driver's call, and the driver writes only the arrays it is given and its locals.
     A construct outside the translated subset raises :class:`TranslationError`, with or without a compiler.
     """
-    driver, size = _built(model.source(*kernel))
+    driver, size = _built(kernel)
     if driver is not None:
         records = 1 + -(-n_steps // every)
         states, controls = np.empty((records, size)), np.empty(records)
@@ -429,31 +424,30 @@ def record(kernel: tuple, reference, initial: tuple, n_steps: int, every: int):
     return reference(model.define(*kernel), initial, n_steps, every)
 
 
-def scan(law: tuple, reference, Fs, Mss, output: int, highest: bool = False, slope: float | None = None):
+def scan(law: tuple, reference, Fs, Mss, output: int, slope: float | None = None):
     """The scan ``reference`` of the law ``law``'s value number ``output`` over the grid Fs x Mss, bit for bit, in one
     C call where it can.
 
     ``law`` is :func:`~sitctl.model.define`'s arguments of a function ``(F, Ms)`` that returns names.  ``reference(grid,
-    Fs, Mss, highest, slope) -> (worst, witness, largest |value|, K)`` reduces the grid of one of the law's values,
-    ``grid[i, j]`` at ``(Fs[i], Mss[j])`` (:func:`sitctl.verify._scan_2d`); with ``slope`` None, K is 0.0.  The scan
-    raises where the law does.  An empty grid has no witness: its scan is ``(inf, None, 0.0, 0.0)``, or ``-inf`` first
-    with ``highest``, and runs the law nowhere.
+    Fs, Mss, slope) -> (lowest, witness, largest |value|, K)`` reduces the grid of one of the law's values, ``grid[i,
+    j]`` at ``(Fs[i], Mss[j])`` (:func:`sitctl.verify._scan_2d`); with ``slope`` None, K is 0.0.  The scan raises where
+    the law does.  An empty grid has no witness: its scan is ``(inf, None, 0.0, 0.0)``, and runs the law nowhere.
 
-    In C where it builds: one build (``sitctl_scan`` in :data:`_SCAN`) per source text and per process serves every
+    In C where it builds: one build (``sitctl_scan`` in :data:`_SCAN`) per law text and per process serves every
     value of the constants, and one call reduces the whole grid as it goes, holding no grid in memory.  Where there is
     no build, or the C law raised anywhere on the grid, the Python law runs at every point in row-major order, and so
     raises at the first point where it raises, and ``reference`` reduces the grid of its values.
     """
-    driver, outputs = _built(model.source(*law))
+    driver, outputs = _built(law)
     values = _doubles(law[3])
     Fs, Mss = np.ascontiguousarray(Fs, dtype=float), np.ascontiguousarray(Mss, dtype=float)
     if output not in range(outputs):
         raise ValueError(f"the law returns {outputs} values, not a value number {output!r}")
     if not (len(Fs) and len(Mss)):
-        return -np.inf if highest else np.inf, None, 0.0, 0.0
+        return np.inf, None, 0.0, 0.0
     if driver is not None:
         result = (ctypes.c_double * 5)()
-        if not driver(Fs.ctypes.data, len(Fs), Mss.ctypes.data, len(Mss), output, highest, slope is not None,
+        if not driver(Fs.ctypes.data, len(Fs), Mss.ctypes.data, len(Mss), output, slope is not None,
                       0.0 if slope is None else slope, values, result):
             worst, F, Ms, scale, K = result
             return worst, (F, Ms), scale, K
@@ -461,4 +455,4 @@ def scan(law: tuple, reference, Fs, Mss, output: int, highest: bool = False, slo
     points = (evaluate(F, Ms) for F in Fs.tolist() for Ms in Mss.tolist())
     grid = np.fromiter((point[output] if type(point) is tuple else point for point in points), float,
                        len(Fs) * len(Mss))
-    return reference(grid.reshape(len(Fs), len(Mss)), Fs, Mss, highest, slope)
+    return reference(grid.reshape(len(Fs), len(Mss)), Fs, Mss, slope)

@@ -8,6 +8,7 @@ inequality, clipped-law nonnegativity, the linear growth bound).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,34 +138,33 @@ def control_budget(traj: Trajectory) -> float:
         return float(np.trapezoid(traj.controls, traj.times))
 
 
-#: Each 2-D check's law variant and the index of its value among the law text's outputs ``u, mismatch``.
+#: Each 2-D check's law variant and the index of its value among the law text's outputs ``u, descent``, where
+#: ``descent`` is the negated mismatch rate: every 2-D check looks for its lowest value.
 _GRID_VALUES = {"nonneg_plus": ("plus", 0), "pi_sign": ("plus", 1), "utilde_bound": ("global", 0)}
 
 
 def _scan(check: str, cfg: ControllerConfig, p: BioParams, Fs, Mss):
     """``(worst value, witness, max |value|, K)``: :func:`_scan_2d` of the 2-D check's value on the grid Fs x Mss, from
     the law text that every run integrates (:data:`~sitctl.control.LAW`), in one :func:`~sitctl.native.scan` call (one
-    build for every design and variant).  ``pi_sign`` looks for the highest value, and ``utilde_bound`` estimates K."""
+    build for every design and variant); ``utilde_bound`` estimates K."""
     from . import native  # imported on first use, so set-up loads no ctypes
 
     variant, output = _GRID_VALUES[check]
     body, constants = ControlLaw(variant, cfg, p).body()
-    law = "evaluate", "F, Ms", body + "return u, mismatch\n", constants
+    law = "evaluate", "F, Ms", body + "descent = -mismatch\nreturn u, descent\n", constants
     slope = p.delta_s - cfg.eta if check == "utilde_bound" else None
-    return native.scan(law, _scan_2d, Fs, Mss, output, check == "pi_sign", slope)
+    return native.scan(law, _scan_2d, Fs, Mss, output, slope)
 
 
-def _scan_2d(grid, Fs, Mss, highest: bool = False, slope: float | None = None):
+def _scan_2d(grid, Fs, Mss, slope: float | None = None):
     """(worst value, witness, max |value|, K) of ``grid``, the values at the points of Fs x Mss (``grid[i, j]`` at
     ``(Fs[i], Mss[j])``), which has a point.
 
-    The worst value is the lowest, or with ``highest`` the highest; the first
-    point in row-major scan order wins a tie.  A NaN is worse than any
-    number: the first one is the worst value and the witness, so the check
-    fails.  With ``slope``, K is the largest (value - slope Ms) / F over
-    F > 0, or 0.0, else 0.0; the largest |value| and K skip NaNs.
+    The worst value is the lowest; the first point in row-major scan order wins a tie.  A NaN is worse than any
+    number: the first one is the worst value and the witness, so the check fails.  With ``slope``, K is the largest
+    (value - slope Ms) / F over F > 0, or 0.0, else 0.0; the largest |value| and K skip NaNs.
     """
-    i, j = np.unravel_index(np.argmax(grid) if highest else np.argmin(grid), grid.shape)
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)
     scale = float(np.fmax.reduce(np.abs(grid), axis=None, initial=0.0))
     K = 0.0
     if slope is not None:
@@ -187,11 +187,14 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
     The 1-D checks evaluate their whole grid at once; the 2-D checks
     scan the law's text, which every run integrates, over their whole grid
     in one call, which in C holds no grid in memory (:func:`_scan`).
-    Both grid sizes must be at least 2.
+    Both grid sizes must be whole numbers of at least 2.
     """
     for name, size in (("n_1d", n_1d), ("n_2d", n_2d)):
-        if not size >= 2:
-            raise ValueError(f"audit grid size {name} must be at least 2, got {size}")
+        try:
+            if operator.index(size) < 2:
+                raise ValueError(f"audit grid size {name} must be at least 2, got {size}")
+        except TypeError:
+            raise ValueError(f"audit grid size {name} must be a whole number, got {size!r}") from None
 
     if which == "mstar_identity":
         Fs = np.logspace(-6, np.log10(cfg.F_hat), 1000)
@@ -219,8 +222,8 @@ def audit_grid(cfg: ControllerConfig, p: BioParams, which: str, n_1d: int = 4000
         Mss = np.linspace(0.0, 10.0 * float(np.max(ms_star(np.linspace(0.0, cfg.F_hat, 2001), cfg, p))), n_2d)
         grid = f"{n_2d}x{n_2d} on [0..F_hat]x[0..10 max ms*]"
         worst, witness, scale, _ = _scan(which, cfg, p, Fs, Mss)
-        if which == "pi_sign":
-            return AuditReport("pi_sign", grid, worst <= 1e-12, worst, witness, 1e-12)
+        if which == "pi_sign":  # the lowest negated mismatch rate: -worst is the highest rate, bit for bit
+            return AuditReport("pi_sign", grid, -worst <= 1e-12, -worst, witness, 1e-12)
         return AuditReport("nonneg_plus", grid, worst >= -1e-9 * scale, worst, witness, 1e-9 * scale)
 
     if which == "utilde_bound":

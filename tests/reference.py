@@ -189,19 +189,17 @@ def u_tilde(F, Ms, cfg: ControllerConfig, p: BioParams):
     return _plain(value)
 
 
-def native_kernel(advance):
-    """``advance`` as a chunk function on its kernel's record driver (``sitctl_record``), or ``advance`` itself where no
-    C compiler is found or the build fails.
+def native_kernel(kernel):
+    """The kernel ``kernel``, ``sitctl.model.define``'s arguments of ``advance``, as a chunk function on its record
+    driver (``sitctl_record``), or the Python ``advance`` where no C compiler is found or the build fails.
 
     A chunk runs in C as one record step; one that stops in C (a step that leaves [0, inf), or one where Python
     raises) runs again on ``advance``, as ``sitctl.native.record`` runs again in Python a run that stops in C.  So
     every clean chunk runs in C, and the results are ``advance``'s bit for bit.  A construct outside the
     translated subset raises ``TranslationError``, with or without a compiler.
     """
-    text = next(text for text, code in model._CODE.items() if advance.__code__ in code.co_consts)
-    code = advance.__code__
-    values = native._doubles(dict(zip(code.co_varnames[2:code.co_argcount], advance.__defaults__)))
-    driver, size = native._built(text)
+    driver, size = native._built(kernel)
+    advance, values = model.define(*kernel), native._doubles(kernel[3])
     if driver is None:
         return advance
 
@@ -226,6 +224,7 @@ def python_record(kernel, reference, initial, n_steps, every):
 OVERFLOW_CONFIG = "[controller]\nrho = 1e20\neps = 1e-6\n[sim]\nmodel = full\nE0 = 1e30\n"
 
 
-def translate(source: str) -> str:
-    """The C of the kernel ``source``; raises ``TranslationError`` outside the translated subset."""
-    return native._Translator(source).advance()
+def translate(kernel: tuple) -> str:
+    """The C of the kernel ``kernel``, ``sitctl.model.define``'s arguments; raises ``TranslationError`` outside the
+    translated subset."""
+    return native._Translator(*kernel[1:]).advance()

@@ -211,6 +211,11 @@ class TestRobustness:
             RobustnessConfig(base=quick_base, trials=2.5)
         with pytest.raises(ValueError, match="MAX_TRIALS"):  # queued every trial before the first returned
             RobustnessConfig(base=quick_base, trials=MAX_TRIALS + 1)
+        # 2.5 failed inside the first trial's SeedSequence, "3" with a TypeError from <
+        for seed in (2.5, "3"):
+            with pytest.raises(ValueError, match=f"seed must be a whole number, got {seed!r}"):
+                RobustnessConfig(base=quick_base, seed=seed)
+        assert type(RobustnessConfig(base=quick_base, seed=np.int64(3)).seed) is int
         with pytest.raises(ValueError):
             RobustnessConfig(base=quick_base, uncertainty=1.5)
 

@@ -86,14 +86,14 @@ LIBRARY_PINS = {
         "nominal-full", "robust-full", "robust-full/perturbed", "full_global", "full/own/global",
         "full/perturbed/global"],
     "ec79827d38e4d9c45129a397e42ed3d5cddab7433c142fcdc68f21c359cf25f6": ["open-loop"],
-    "48c784ce89b985a6f05c6804631d1735cbbbbbed543b3ea70aa74d61f40af453": ["audit law"],
+    "3faa277b707b18b593e4318bd0c4456df3ae670abce9440536de23e4a7e57fbd": ["audit law"],
 }
 
 
 def _audit_law(params, cfg):
     """The law text that the 2-D audits scan, as :func:`~sitctl.model.define`'s arguments."""
     body, constants = s.ControlLaw("plus", cfg, params).body()
-    return "evaluate", "F, Ms", body + "return u, mismatch\n", constants
+    return "evaluate", "F, Ms", body + "descent = -mismatch\nreturn u, descent\n", constants
 
 
 def _outcome(advance, state, n):
@@ -111,23 +111,30 @@ def _translates(expression: str) -> bool:
     """Whether a law that sets ``u`` to ``expression``, or that tests it, translates to C."""
     for body in (f"u = {expression}\n", f"u = 1.0 if {expression} else 0.0\n"):
         try:
-            native._Translator(sitctl.model.source("evaluate", "F, Ms", body + "return u\n", {})).law()
+            native._Translator("F, Ms", body + "return u\n", {}).law()
             return True
         except native.TranslationError:
             pass
     return False
 
 
+def _edited(function: tuple, old: str, new: str) -> tuple:
+    """``function``, ``define``'s arguments, with the first ``old`` of its body replaced by ``new``."""
+    name, args, body, constants = function
+    assert old in body
+    return name, args, body.replace(old, new, 1), constants
+
+
 class TestTranslation:
-    SOURCE = sitctl.model.source(*_advance(SHAPE_SPECS["robust-full/perturbed"]))
+    KERNEL = _advance(SHAPE_SPECS["robust-full/perturbed"])
 
     def test_every_identifier_is_prefixed(self):
         # the law reads the constant ``switch``, a C keyword
-        c = translate(self.SOURCE)
+        c = translate(self.KERNEL)
         assert "v_switch" in c and " switch " not in c and "(switch " not in c
 
     def test_values_and_literals_reach_the_c_only_as_exact_hex(self):
-        c = translate(self.SOURCE)
+        c = translate(self.KERNEL)
         assert "0x1.e000000000000p+3" in c  # the 15.0 of the quintic ramp
         assert "pow(" not in c and "fabs(" in c
 
@@ -135,7 +142,7 @@ class TestTranslation:
         ("size = abs(target)", "size = max(target, -target)"),  # a call other than abs
         ("lin * lin * lin", "lin**3"),  # a power: the texts write a cube as a product
         ("lin * lin * lin", "lin % lin"),  # an operator outside + - * /
-        ("c = 1.0\n", "c = 1.0\n        while c:\n            c = 0.0\n"),  # a statement outside the subset
+        ("c = 1.0\n", "c = 1.0\n    while c:\n        c = 0.0\n"),  # a statement outside the subset
         ("room = F_hat - F", "room = F_hat - F_unknown"),  # a name that is neither a constant nor assigned
         ("gap = Ms - target", "gap = Ms - target if slope else 1e999"),  # an infinite literal
         ("worst = 0.0", "worst = 1.0"),  # a clamp accumulator that does not start at 0
@@ -145,26 +152,25 @@ class TestTranslation:
         ("return (y0, y1, y2, y3), worst", "return (y0, y1, y2, y3), 0.0"),  # another return
     ])
     def test_a_construct_outside_the_subset_raises(self, old, new):
-        assert old in self.SOURCE
         with pytest.raises(native.TranslationError):
-            translate(self.SOURCE.replace(old, new, 1))
+            translate(_edited(self.KERNEL, old, new))
 
     def test_a_read_before_assignment_raises(self):
         # Python would raise UnboundLocalError where C would read an undefined double
         with pytest.raises(native.TranslationError, match="read before it is assigned"):
-            translate(self.SOURCE.replace("            u = 0.0\n", "            u = u\n", 1))
+            translate(_edited(self.KERNEL, "        u = 0.0\n", "        u = u\n"))
 
     def test_after_the_loop_a_name_that_only_the_loop_assigns_is_unset(self):
         # the loop may run no step, and then Python raises UnboundLocalError where C would read an undefined double
-        assert self.SOURCE.count("\n    F = y2\n") == 1  # the F that the law reads after the loop
+        assert self.KERNEL[2].count("\nF = y2\n") == 1  # the F that the law reads after the loop
         with pytest.raises(native.TranslationError, match="'F' is read before it is assigned"):
-            translate(self.SOURCE.replace("\n    F = y2\n", "\n", 1))
+            translate(_edited(self.KERNEL, "\nF = y2\n", "\n"))
 
     def test_the_real_texts_use_the_whole_subset(self, params, cfg):
         # every preset shape's kernel and the audit law run each line of _Translator that raises nothing, and use
         # each operator that it translates; a construct that no text uses is left out of the subset
-        texts = [sitctl.model.source(*_advance(spec)) for spec in SHAPE_SPECS.values()]
-        texts.append(sitctl.model.source(*_audit_law(params, cfg)))
+        functions = [_advance(spec) for spec in SHAPE_SPECS.values()]
+        functions.append(_audit_law(params, cfg))
         lines, first = inspect.getsourcelines(native._Translator)
         raising = {line + first - 1 for node in ast.walk(ast.parse(textwrap.dedent("".join(lines))))
                    if isinstance(node, ast.Raise) for line in range(node.lineno, node.end_lineno + 1)}
@@ -186,13 +192,13 @@ class TestTranslation:
 
         sys.settrace(trace)
         try:
-            for text in texts:
-                native._library(text)
+            for function in functions:
+                native._library(function)
         finally:
             sys.settrace(None)
         assert sorted(runnable - raising - ran) == []
         used = set()
-        for node in (node for text in texts for node in ast.walk(ast.parse(text))):
+        for node in (node for function in functions for node in ast.walk(ast.parse(function[2]))):
             if isinstance(node, ast.Compare):
                 used.update(map(type, node.ops))
             elif isinstance(node, (ast.BinOp, ast.UnaryOp, ast.BoolOp)):
@@ -210,18 +216,16 @@ class TestTranslation:
         ("gap = Ms - target", "gap = Ms - gap"),  # in the part that reads Ms
     ], ids=["row", "point"])
     def test_a_read_before_assignment_in_either_part_raises(self, params, cfg, old, new):
-        name, args, body, constants = _audit_law(params, cfg)
-        assert old in body
         with pytest.raises(native.TranslationError, match="read before it is assigned"):
-            native._Translator(sitctl.model.source(name, args, body.replace(old, new, 1), constants)).law()
+            native._Translator(*_edited(_audit_law(params, cfg), old, new)[1:]).law()
 
     @pytest.mark.parametrize("found", [False, True], ids=["no-compiler", "compiler"])
     def test_translation_errors_do_not_fall_back(self, params, monkeypatch, found):
         if not found:
             monkeypatch.setattr(native, "compiler", lambda: None)
-        advance = define(*_kernel("reduced", "u = F % 2.0\n", {}, params, 0.1, 1e-9))
+        kernel = _kernel("reduced", "u = F % 2.0\n", {}, params, 0.1, 1e-9)
         with pytest.raises(native.TranslationError, match="unsupported expression"):
-            native_kernel(advance)
+            native_kernel(kernel)
 
 
 @pytest.fixture
@@ -240,8 +244,8 @@ def entries(monkeypatch):
         driver = build(c_source, name, flags)
         return counted(driver)
 
-    monkeypatch.setattr(native, "_BUILT", {source: (counted(driver), size)
-                                           for source, (driver, size) in native._BUILT.items()})
+    monkeypatch.setattr(native, "_BUILT", {key: (counted(driver), size)
+                                           for key, (driver, size) in native._BUILT.items()})
     monkeypatch.setattr(native, "_build", counting_build)
     return returns
 
@@ -250,8 +254,8 @@ class TestBuild:
     @needs_cc
     @pytest.mark.parametrize("name", list(SHAPE_SPECS))
     def test_every_shape_builds_natively(self, name):
-        advance = define(*_advance(SHAPE_SPECS[name]))
-        assert native_kernel(advance) is not advance
+        kernel = _advance(SHAPE_SPECS[name])
+        assert native_kernel(kernel).__code__ is not define(*kernel).__code__
 
     @needs_cc
     @pytest.mark.parametrize("name", list(SHAPE_SPECS))
@@ -265,28 +269,28 @@ class TestBuild:
         # in Python and, where it builds, on the C driver
         spec = SHAPE_SPECS[name]
         state = tuple(float(x) if start == "initial" else 1.5 * x + 0.25 for x in spec.initial)
-        python = define(*_advance(spec))
+        kernel = _advance(spec)
         expected = [x.hex() for x in state], 0.0.hex(), spec.law.evaluator()(*state[-2:]).hex()
-        for advance in (python, native_kernel(python)):
+        for advance in (define(*kernel), native_kernel(kernel)):
             assert _outcome(advance, state, 0) == expected
 
     def test_the_generated_c_is_pinned(self, params, cfg):
         # the sha256 of each library's C source and build flags: a change to the generated C fails here until it is
         # re-pinned on purpose; no compiler is needed
-        def pin(source):
-            c_source, _, flags, _ = native._library(source)
+        def pin(function):
+            c_source, _, flags, _ = native._library(function)
             return hashlib.sha256(f"{c_source}\n{' '.join(flags)}".encode()).hexdigest()
 
-        pins = {name: pin(sitctl.model.source(*_advance(spec))) for name, spec in SHAPE_SPECS.items()}
-        pins["audit law"] = pin(sitctl.model.source(*_audit_law(params, cfg)))
+        pins = {name: pin(_advance(spec)) for name, spec in SHAPE_SPECS.items()}
+        pins["audit law"] = pin(_audit_law(params, cfg))
         assert pins == {name: digest for digest, names in LIBRARY_PINS.items() for name in names}
 
     def test_a_kernel_library_holds_no_law_beside_its_kernel(self):
-        c_source = native._library(sitctl.model.source(*_advance(SHAPE_SPECS["nominal-full"])))[0]
+        c_source = native._library(_advance(SHAPE_SPECS["nominal-full"]))[0]
         assert "sitctl_record" in c_source and "evaluate" not in c_source
 
     def test_a_law_library_is_one_function_beside_its_driver(self, params, cfg):
-        c_source = native._library(sitctl.model.source(*_audit_law(params, cfg)))[0]
+        c_source = native._library(_audit_law(params, cfg))[0]
         assert re.findall(r"^\w[\w ]* \**(\w+)\(", c_source, re.M) == ["py_div", "evaluate", "sitctl_scan"]
         assert "evaluate_row" not in c_source and "noinline" not in c_source
 
@@ -317,11 +321,8 @@ class TestBuild:
     @pytest.mark.parametrize("name", [*SHAPE_SPECS, "audit scan"])
     def test_no_value_is_read_unset(self, params, cfg, tmp_path, name):
         # each local is read only on paths that set it, under the flags of the library's real build
-        if name == "audit scan":
-            source = sitctl.model.source(*_audit_law(params, cfg))
-        else:
-            source = sitctl.model.source(*_advance(SHAPE_SPECS[name]))
-        c_source, _, build_flags, _ = native._library(source)
+        function = _audit_law(params, cfg) if name == "audit scan" else _advance(SHAPE_SPECS[name])
+        c_source, _, build_flags, _ = native._library(function)
         (tmp_path / "law.c").write_text(c_source)
         flags = [*build_flags, "-Werror=uninitialized", "-Werror=maybe-uninitialized"]
         result = subprocess.run([native.compiler(), *flags, "-o", "law.so", "law.c", "-lm"], cwd=tmp_path,
@@ -334,8 +335,8 @@ class TestBuild:
         monkeypatch.setattr(native, "compiler", lambda: None)
         monkeypatch.setattr(native, "_BUILT", {})
         for spec, fast in zip(specs, native_runs):
-            advance = define(*_advance(spec))
-            assert native_kernel(advance) is advance
+            kernel = _advance(spec)
+            assert native_kernel(kernel).__code__ is define(*kernel).__code__
             slow = s.integrate(spec)
             assert slow.states.tobytes() == fast.states.tobytes()
             assert (slow.termination, slow.max_clamp) == (fast.termination, fast.max_clamp)
@@ -343,17 +344,18 @@ class TestBuild:
     def test_a_failed_build_warns_and_runs_the_python_kernel(self, monkeypatch):
         monkeypatch.setattr(native, "compiler", lambda: sys.executable)  # rejects every compiler flag
         monkeypatch.setattr(native, "_BUILT", {})
-        advance = define(*_advance(SHAPE_SPECS["nominal-reduced"]))
+        kernel = _advance(SHAPE_SPECS["nominal-reduced"])
+        python = define(*kernel).__code__
         with pytest.warns(RuntimeWarning, match="building a native kernel failed"):
-            assert native_kernel(advance) is advance
-        assert native_kernel(advance) is advance  # decided once: no second build, no second warning
+            assert native_kernel(kernel).__code__ is python
+        assert native_kernel(kernel).__code__ is python  # decided once: no second build, no second warning
 
     @needs_cc
     def test_a_build_leaves_no_file(self, monkeypatch, tmp_path):
         monkeypatch.setattr(native.tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(native, "_BUILT", {})
-        advance = define(*_advance(SHAPE_SPECS["nominal-full"]))
-        assert native_kernel(advance) is not advance
+        kernel = _advance(SHAPE_SPECS["nominal-full"])
+        assert native_kernel(kernel).__code__ is not define(*kernel).__code__
         assert list(tmp_path.iterdir()) == []
 
     @needs_cc
@@ -415,9 +417,9 @@ def closed_loops(draw):
 @given(closed_loops())
 @settings(max_examples=150, deadline=None)
 def test_native_kernel_matches_python_chunk_by_chunk(spec):
-    python = define(*_advance(spec))
-    fast = native_kernel(python)
-    assert (fast is python) == (native.compiler() is None)
+    kernel = _advance(spec)
+    python, fast = define(*kernel), native_kernel(kernel)
+    assert (fast.__code__ is python.__code__) == (native.compiler() is None)
     state = spec.initial
     for _ in range(3):
         expected = _outcome(python, state, spec.record_every)
@@ -480,7 +482,7 @@ def test_native_recorder_matches_python_whole_run(run):
     with contextlib.ExitStack() as stack:
         if body is not None:
             stack.enter_context(patch.object(s.ControlLaw, "body", lambda law: body))
-        driver, _ = native._built(sitctl.model.source(*_advance(spec)))
+        driver, _ = native._built(_advance(spec))
         assert (driver is None) == (native.compiler() is None)
         fast = _whole_run(spec)
         with patch.object(native, "record", python_record):
@@ -570,10 +572,9 @@ class TestMap:
         assert _scans(scan, self.FS, self.MSS, 2) == expected
         # and in one scan of the whole grid, whose loop over Ms is the one the compiler hoists from
         for output in (0, 1):
-            for highest in (False, True):
-                grid = np.array([[point[output] for point in row] for row in expected])
-                assert scan(self.FS, self.MSS, output, highest) == sitctl.verify._scan_2d(
-                    grid, np.array(self.FS), np.array(self.MSS), highest)
+            grid = np.array([[point[output] for point in row] for row in expected])
+            reference = sitctl.verify._scan_2d(grid, np.array(self.FS), np.array(self.MSS))
+            assert scan(self.FS, self.MSS, output) == reference
 
     @pytest.mark.parametrize("body, constants, first", [
         ("a = 1.0 / (F - F3)\nu = a * Ms\n", {"F3": FS[3]}, (3, 0)),
@@ -598,10 +599,9 @@ def test_an_empty_axis_maps_to_an_empty_grid(monkeypatch, found, Fs, Mss):
         monkeypatch.setattr(native, "_BUILT", {})
     elif native.compiler() is None:
         pytest.skip("no C compiler on PATH")
-    assert (native._built(sitctl.model.source(*law))[0] is None) == (not found)
+    assert (native._built(law)[0] is None) == (not found)
     scan = partial(native.scan, law, sitctl.verify._scan_2d)
-    assert scan(Fs, Mss, 0) == (math.inf, None, 0.0, 0.0)
-    assert scan(Fs, Mss, 0, highest=True, slope=1.0) == (-math.inf, None, 0.0, 0.0)
+    assert scan(Fs, Mss, 0) == scan(Fs, Mss, 0, slope=1.0) == (math.inf, None, 0.0, 0.0)
 
 
 #: The inputs and constants of a drawn law: signed zeros, infinities, NaN, subnormals, 1e+-300, and small whole numbers
@@ -756,12 +756,12 @@ def _scanned(scan):
     return worst.hex(), [x.hex() for x in witness], scale.hex(), K.hex()
 
 
-def _python_scan(law, Fs, Mss, output, highest, slope):
+def _python_scan(law, Fs, Mss, output, slope):
     """The scan as the Python law and the reference give it, computed here: the law at every point in row-major
     order, and :func:`sitctl.verify._scan_2d` of the grid of its value number ``output``."""
     function = define(*law)
     grid = np.array([[function(F, Ms)[output] for Ms in Mss] for F in Fs])
-    return sitctl.verify._scan_2d(grid, np.array(Fs), np.array(Mss), highest, slope)
+    return sitctl.verify._scan_2d(grid, np.array(Fs), np.array(Mss), slope)
 
 
 #: A scan of each outcome, whatever the draws: ties of 0.0 with -0.0 over the whole grid, a NaN after a lower value,
@@ -775,8 +775,8 @@ SCAN_OUTCOMES = ("u = k0 if (F < k1) else Ms\nv = F * Ms / k2\nreturn u, v\n", [
 
 @needs_cc
 def test_the_scan_matches_the_python_law_and_the_reference_scan_on_drawn_laws():
-    # the scan half of the translator's differential test: one C call per grid, output and direction, with and
-    # without growth, against the Python law's grid reduced by the Python reference; the C call must not fall back
+    # the scan half of the translator's differential test: one C call per grid and output, with and without growth,
+    # against the Python law's grid reduced by the Python reference; the C call must not fall back
     seen = set()
 
     @given(law_scans())
@@ -794,14 +794,13 @@ def test_the_scan_matches_the_python_law_and_the_reference_scan_on_drawn_laws():
 
             scan = partial(native.scan, law, reference)
             for output in (0, 1):
-                for highest in (False, True):
-                    for slope in (None, drawn_slope):
-                        expected = _scanned(partial(_python_scan, law, Fs, Mss, output, highest, slope))
-                        assert _scanned(partial(scan, Fs, Mss, output, highest, slope)) == expected
-                        assert fallbacks == []
-                        seen.add(expected[0] if isinstance(expected[0], type) else (
-                            "nan" if expected[0] == "nan" else "number", expected[1] != [Fs[0].hex(), Mss[0].hex()],
-                            slope is not None and float.fromhex(expected[3]) > 0.0))
+                for slope in (None, drawn_slope):
+                    expected = _scanned(partial(_python_scan, law, Fs, Mss, output, slope))
+                    assert _scanned(partial(scan, Fs, Mss, output, slope)) == expected
+                    assert fallbacks == []
+                    seen.add(expected[0] if isinstance(expected[0], type) else (
+                        "nan" if expected[0] == "nan" else "number", expected[1] != [Fs[0].hex(), Mss[0].hex()],
+                        slope is not None and float.fromhex(expected[3]) > 0.0))
 
     check()
     assert {ZeroDivisionError, ("nan", True, False), ("number", False, False), ("number", True, True)} <= seen
@@ -880,9 +879,8 @@ class TestPythonErrors:
     def test_pow_overflow(self, params, cfg):
         # the law's lin * lin * lin overflows to inf at this state and raises nothing
         spec = s.SimSpec(model="reduced", law=s.ControlLaw("plus", cfg, params), initial=(1.0, 0.0), t_end=1.0, dt=0.1)
-        python = define(*_advance(spec))
-        fast = native_kernel(python)
-        outcomes = [_outcome(advance, (1e120, 0.0), 1) for advance in (python, fast)]
+        kernel = _advance(spec)
+        outcomes = [_outcome(advance, (1e120, 0.0), 1) for advance in (define(*kernel), native_kernel(kernel))]
         assert outcomes[0][0] is not OverflowError and outcomes[1] == outcomes[0]
 
     def test_division_by_zero_after_a_clamp_in_the_same_chunk(self, params, eq):
@@ -892,9 +890,8 @@ class TestPythonErrors:
         (F1, _), clamp1, _ = define(*_kernel("reduced", "u = -1e-7\n", {}, params, 0.1, tol))(initial, 1)
         assert clamp1 > 0.0
         law = "u = 1.0 / (F - F1) if F == F1 else -1e-7\n"
-        python = define(*_kernel("reduced", law, {"F1": F1}, params, 0.1, tol))
-        fast = native_kernel(python)
-        outcomes = [_outcome(advance, initial, 3) for advance in (python, fast)]
+        kernel = _kernel("reduced", law, {"F1": F1}, params, 0.1, tol)
+        outcomes = [_outcome(advance, initial, 3) for advance in (define(*kernel), native_kernel(kernel))]
         assert outcomes[0][0] is ZeroDivisionError and outcomes[1] == outcomes[0]
 
     @needs_cc

@@ -208,14 +208,14 @@ def _clamp_tol(spec):
 
 def _step(spec):
     """integrate's kernel for ``spec`` as one step ``state -> (next, clamp)``."""
-    advance = reference.native_kernel(define(*_advance(spec)))
+    advance = reference.native_kernel(_advance(spec))
     return lambda state: advance(state, 1)[:2]
 
 
 def _release_step(spec, release):
     """One step of the kernel for ``spec``'s model on the law's params, under the constant release rate ``release``."""
     kernel = _kernel(spec.model, "u = release\n", {"release": release}, spec.law.params, spec.dt, _clamp_tol(spec))
-    advance = reference.native_kernel(define(*kernel))
+    advance = reference.native_kernel(kernel)
     return lambda state: advance(state, 1)[:2]
 
 
@@ -277,16 +277,15 @@ def _pin_kernel(monkeypatch, in_c):
     on the C driver, which must build, with ``in_c``; else the Python kernel and record function."""
     kernel, record = reference.native_kernel, sitctl.native.record
 
-    def kernel_in_c(advance):
-        fast = kernel(advance)
-        assert fast is not advance, "the kernel did not build natively"
-        return fast
+    def kernel_in_c(function):
+        assert sitctl.native._built(function)[0] is not None, "the kernel did not build natively"
+        return kernel(function)
 
-    def record_in_c(kernel, *args):
-        assert sitctl.native._built(sitctl.model.source(*kernel))[0] is not None, "the kernel did not build natively"
-        return record(kernel, *args)
+    def record_in_c(function, *args):
+        assert sitctl.native._built(function)[0] is not None, "the kernel did not build natively"
+        return record(function, *args)
 
-    monkeypatch.setattr(reference, "native_kernel", kernel_in_c if in_c else lambda advance: advance)
+    monkeypatch.setattr(reference, "native_kernel", kernel_in_c if in_c else lambda function: define(*function))
     monkeypatch.setattr(sitctl.native, "record", record_in_c if in_c else reference.python_record)
 
 
@@ -386,7 +385,7 @@ class TestUnrolledStep:
         assert ref_clamp == clamp1 > 0.0
         with pytest.raises(s.NonnegativityError):
             step_rk4(state, spec.dt, spec.dt, _reference_rhs(spec, u), _clamp_tol(spec))
-        kernel = define(*_kernel("reduced", law, {"F1": F1}, params, spec.dt, _clamp_tol(spec)))
+        kernel = _kernel("reduced", law, {"F1": F1}, params, spec.dt, _clamp_tol(spec))
         with pytest.raises(s.NonnegativityError) as err:
             reference.native_kernel(kernel)(initial, 2)
         assert err.value.max_clamp == clamp1

@@ -306,19 +306,17 @@ class TestAuditGrid:
         report = _both_paths(monkeypatch, lambda: s.audit_grid(cfg, params, check, n_2d=23))
         assert (report.worst_value, report.witness) == (0.0, (0.0, 0.0))
 
-    @pytest.mark.parametrize("highest", [False, True])
-    def test_the_reference_scan_takes_the_first_nan_else_the_first_of_a_tie(self, highest):
+    def test_the_reference_scan_takes_the_first_nan_else_the_first_of_a_tie(self):
         # the Python reference of the C scan, on the values given; -0.0 ties 0.0
         Fs, Mss = np.array([-1.0, 0.0, 2.0]), np.array([0.0, 5.0])
         grid = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
-        assert verify._scan_2d(grid, Fs, Mss, highest) == (0.0, (-1.0, 0.0), 0.0, 0.0)
+        assert verify._scan_2d(grid, Fs, Mss) == (0.0, (-1.0, 0.0), 0.0, 0.0)
         grid[1:] = [[3.0, np.nan], [np.nan, -np.inf]]
-        worst, witness, scale, K = verify._scan_2d(grid, Fs, Mss, highest, slope=1.0)
+        worst, witness, scale, K = verify._scan_2d(grid, Fs, Mss, slope=1.0)
         assert (math.isnan(worst), witness, scale, K) == (True, (0.0, 5.0), math.inf, 0.0)
         grid[1:] = [[3.0, 1.0], [8.0, -2.0]]
         # K: (8 - 1 * 0) / 2 = 4 on the one row of F > 0; the row F = 0 is skipped
-        assert verify._scan_2d(grid, Fs, Mss, highest, slope=1.0) == (
-            (8.0, (2.0, 0.0), 8.0, 4.0) if highest else (-2.0, (2.0, 5.0), 8.0, 4.0))
+        assert verify._scan_2d(grid, Fs, Mss, slope=1.0) == (-2.0, (2.0, 5.0), 8.0, 4.0)
 
     @pytest.mark.parametrize("check", AUDIT_CHECKS)
     @pytest.mark.parametrize("name", ["n_1d", "n_2d"])
@@ -326,6 +324,13 @@ class TestAuditGrid:
     def test_grid_smaller_than_two_points_rejected(self, params, cfg, check, name, size):
         with pytest.raises(ValueError, match=f"{name} must be at least 2"):
             s.audit_grid(cfg, params, check, **{name: size})
+
+    @pytest.mark.parametrize("check", AUDIT_CHECKS)
+    @pytest.mark.parametrize("name", ["n_1d", "n_2d"])
+    def test_grid_size_that_is_not_whole_rejected(self, params, cfg, check, name):
+        # 2.5 ended in numpy's TypeError, or was ignored by the checks that do not read it
+        with pytest.raises(ValueError, match=f"{name} must be a whole number, got 2.5"):
+            s.audit_grid(cfg, params, check, **{name: 2.5})
 
     def test_chi_sandwich_matches_pointwise_scan(self, cfg):
         vals = [chi(float(F), cfg) for F in np.linspace(0.0, 2.0 * cfg.F_hat, 1000)]
@@ -359,7 +364,8 @@ class TestAuditLaw:
         """The law text's value that ``check`` audits, as a Python function ``(F, Ms)``."""
         variant, output = verify._GRID_VALUES[check]
         body, constants = s.ControlLaw(variant, c, p).body()
-        return define("evaluate", "F, Ms", body + f"return {('u', 'mismatch')[output]}\n", constants)
+        return define("evaluate", "F, Ms", body + f"descent = -mismatch\nreturn {('u', 'descent')[output]}\n",
+                      constants)
 
     @pytest.mark.parametrize("design", ["nominal", "eta-past-delta_s"])
     @pytest.mark.parametrize("check", ["nonneg_plus", "pi_sign", "utilde_bound"])
@@ -368,7 +374,26 @@ class TestAuditLaw:
         c = cfg if design == "nominal" else s.ControllerConfig.design(params, F_hat_ratio=1.35, eta=0.2)
         report = s.audit_grid(c, params, check, n_2d=60)
         assert report.passed == (design == "nominal" or check == "pi_sign")
-        assert report.worst_value.hex() == self._law_text(check, c, params)(*report.witness).hex()
+        value = self._law_text(check, c, params)(*report.witness)
+        assert report.worst_value.hex() == (-value if check == "pi_sign" else value).hex()  # pi_sign: the rate
+
+    @pytest.mark.parametrize("design", ["nominal", "eta-past-delta_s"])
+    def test_pi_sign_reports_the_first_highest_mismatch_rate(self, params, cfg, path, design):
+        # the mismatch rate of the Python law on the audit's grid, and its first maximum in row-major order
+        c = cfg if design == "nominal" else s.ControllerConfig.design(params, F_hat_ratio=1.35, eta=0.2)
+        body, constants = s.ControlLaw("plus", c, params).body()
+        rate = define("evaluate", "F, Ms", body + "return mismatch\n", constants)
+        Fs = np.linspace(0.0, c.F_hat, 60)
+        Mss = np.linspace(0.0, 10.0 * float(np.max(s.ms_star(np.linspace(0.0, c.F_hat, 2001), c, params))), 60)
+        highest, witness = -math.inf, (float(Fs[0]), float(Mss[0]))
+        for F in Fs.tolist():
+            for Ms in Mss.tolist():
+                value = rate(F, Ms)
+                if not math.isnan(highest) and (math.isnan(value) or value > highest):
+                    highest, witness = value, (F, Ms)
+        report = s.audit_grid(c, params, "pi_sign", n_2d=60)
+        assert (report.worst_value.hex(), [x.hex() for x in report.witness]) == (highest.hex(),
+                                                                                 [x.hex() for x in witness])
 
     @pytest.mark.parametrize("design", ["nominal", "strong", "cubic"])
     @pytest.mark.parametrize("check", ["nonneg_plus", "pi_sign", "utilde_bound"])
